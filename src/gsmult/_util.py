@@ -1,9 +1,8 @@
-"""Small cross-cutting helpers: ordered parallel map, least squares, and
-the exact-string formats used by every file-emitting code path."""
+"""Small cross-cutting helpers: ordered map, least squares, and the
+exact-string formats used by every file-emitting code path."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath
@@ -11,17 +10,9 @@ import mpmath
 from .precision import mp_prec, to_mpf
 
 
-def pmap(fn, items, threads: int = 1):
-    """Map preserving input order; fans out over a thread pool when threads > 1.
-
-    Results are identical to the sequential map regardless of thread count,
-    which keeps every emitted file byte-deterministic.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def pmap(fn, items):
+    """Map ``fn`` over ``items`` in order and return the results as a list."""
+    return [fn(it) for it in items]
 
 
 def ols_slope(xs, ys, bits: int = 128):

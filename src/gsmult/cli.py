@@ -5,11 +5,13 @@ Subcommands mirror the library modules: ``table``, ``verify coeffs``,
 ``wedge figure``, ``probe run``, ``probe criterion``.
 
 Exit status contract: 0 on success with all checks passing, 1 when any
-check reports a failure, 2 on usage errors -- so the verifiers double as CI
-tests.  All numeric output is written as decimal (or exact ``p/q``)
-strings; identical argv produces identical output bytes regardless of
-``--threads``.  The environment variable GSM_PRECISION_BITS overrides the
-default precision when ``--precision-bits`` is not given.
+check reports a failure, 2 on usage errors, 3 when the program itself fails
+(a ``PrecisionError`` or any other unexpected exception, reported as one
+line on stderr) -- so the verifiers double as CI tests and a crash is never
+mistaken for a failed check.  All numeric output is written as decimal (or
+exact ``p/q``) strings; identical argv gives identical bytes.  The
+environment variable GSM_PRECISION_BITS overrides the default precision
+when ``--precision-bits`` is not given.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import mpmath
 
 from . import derivpoly, gsfunc, identities, oracle, probe, wedge
 from ._util import format_fraction, format_mpf, parse_fraction
@@ -39,7 +43,6 @@ def _fraction_arg(text: str) -> Fraction:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gsmult", description=__doc__.split("\n")[0])
     parser.add_argument("--precision-bits", type=int, default=None, help="override default working precision")
-    parser.add_argument("--threads", type=int, default=1, help="worker fan-out for sweeps (same output bytes)")
     parser.add_argument("--out-dir", type=Path, default=None, help="directory prefixed to relative output paths")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -95,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--d", type=int, default=1)
     p_cls.add_argument("--monomial", action="store_true", help="phase is exactly +/- x**m")
     p_cls.add_argument("--propagator", action="store_true")
-    p_cls.add_argument("--t-nonzero", action="store_true", default=None)
+    p_cls.add_argument("--t-zero", action="store_true", help="propagator at time t = 0 (the identity)")
 
     p_fig = wedge_sub.add_parser("figure", help="emit the region quadrant as CSV or SVG")
     p_fig.add_argument("--m", type=int, required=True)
@@ -171,7 +174,7 @@ def _cmd_verify_coeffs(args) -> int:
     if args.kmax < 1:
         raise UsageError("--kmax must be >= 1")
     table = derivpoly.build_coeff_table(args.m, args.kmax)
-    report = oracle.certify(table, threads=args.threads)
+    report = oracle.certify(table)
     json_path = _resolve(args.json, args.out_dir)
     if json_path is not None:
         json_path.write_text(report.to_json(indent=2) + "\n", encoding="utf-8")
@@ -253,31 +256,19 @@ def _cmd_gs_seminorm(args) -> int:
         grid=grid,
         precision_bits=bits,
     )
-    estimate = gsfunc.seminorm(
-        args.kind,
-        f_spec,
-        theta=args.theta,
-        s=args.s,
-        a=args.a,
-        h=args.h,
-        max_deriv=args.kmax,
-        max_power=args.max_power,
-        grid=grid,
-        precision_bits=bits,
-    )
+    estimate = max((value for _, _, value in cells), default=mpmath.mpf(0))
     csv_path = _resolve(args.csv, args.out_dir)
     if csv_path is not None:
         lines = ["k,x,value"]
         for beta, x, value in cells:
             lines.append("%d,%s,%s" % (beta, format_fraction(x), format_mpf(value)))
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print("seminorm lower bound (%s-family): %s" % (args.kind, format_mpf(estimate.value)))
+    print("seminorm lower bound (%s-family): %s" % (args.kind, format_mpf(estimate)))
     return 0
 
 
 def _cmd_wedge_classify(args) -> int:
     _require_m(args.m)
-    t_nonzero = True if args.t_nonzero is None else bool(args.t_nonzero)
     try:
         query = wedge.WedgeQuery(
             theta=args.theta,
@@ -287,7 +278,7 @@ def _cmd_wedge_classify(args) -> int:
             d=args.d,
             mode=wedge.Mode.PURE_MONOMIAL if args.monomial else wedge.Mode.GENERAL_POLYNOMIAL,
             operator=wedge.Operator.PROPAGATOR if args.propagator else wedge.Operator.MULTIPLIER,
-            t_nonzero=t_nonzero,
+            t_nonzero=not args.t_zero,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -316,9 +307,7 @@ def _cmd_wedge_figure(args) -> int:
         raise UsageError(str(exc)) from exc
     out = _resolve(args.out, args.out_dir)
     mode = wedge.Mode.PURE_MONOMIAL if args.monomial else wedge.Mode.GENERAL_POLYNOMIAL
-    wedge.emit_region_grid(
-        args.m, wedge.Space(args.space), grid, args.format, out, mode=mode, threads=args.threads
-    )
+    wedge.emit_region_grid(args.m, wedge.Space(args.space), grid, args.format, out, mode=mode)
     print("wrote %s region grid to %s" % (args.format, out))
     return 0
 
@@ -388,7 +377,7 @@ _HANDLERS = {
 
 
 def dispatch(argv) -> int:
-    """Parse argv and run; returns the exit status (0 ok, 1 failed check, 2 usage)."""
+    """Parse argv and run; returns the exit status (0 ok, 1 failed check, 2 usage, 3 crash)."""
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -410,6 +399,10 @@ def dispatch(argv) -> int:
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must not read as a failed check
+        detail = " ".join(str(exc).split())
+        print("error: %s%s" % (type(exc).__name__, ": " + detail if detail else ""), file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -24,6 +24,9 @@ Three constructions of C[k][n] that share no code with the convolution in
   H_{k+1} = 2x*H_k - 2k*H_{k-1} gives C[k][n] = k!/(2**n * n! * (k-2n)!),
   recovered from the integer coefficients of H_k.
 
+Each recursive oracle has one stepping generator; the point functions walk
+it to order k, and ``certify`` walks it once over the whole table.
+
 Everything here is exact integer/rational arithmetic; no floating point.
 """
 
@@ -32,9 +35,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, islice, repeat
 from math import factorial
 
-from ._util import pmap
 from .derivpoly import CoeffTable, row_length
 
 
@@ -106,18 +109,18 @@ def coeff_oracle(m: int, k: int, n: int) -> int:
     return value
 
 
-def symbolic_recursion_oracle(m: int, k: int) -> dict[int, int]:
-    """C[k][.] by literal symbolic differentiation, keyed by the term index n.
+def _symbolic_rows(m: int):
+    """Yield C[k][.] for k = 1, 2, ... by literal symbolic differentiation.
 
-    The polynomial is a dict (lam_power, x_power) -> coefficient, started at
-    the constant 1 and pushed through the recursion k times.
+    The polynomial p_k is a dict (lam_power, x_power) -> coefficient, started
+    at the constant 1 and advanced one derivative per order by
+    p_{k+1} = lam*x**(m-1)*p_k + p_k'.  Each order's row is read off the
+    exponent pattern, which is checked for stray monomials and missing term
+    indices.  Shares no code with ``build_coeff_table``: this is the
+    independent check of its convolution.
     """
-    if m < 2:
-        raise ValueError("degree m must be >= 2")
-    if k < 1:
-        raise ValueError("order k must be >= 1")
     poly: dict[tuple[int, int], int] = {(0, 0): 1}
-    for _ in range(k):
+    for k in count(1):
         nxt: dict[tuple[int, int], int] = {}
         for (a, b), c in poly.items():
             key = (a + 1, b + m - 1)  # lam * x**(m-1) * term
@@ -126,55 +129,68 @@ def symbolic_recursion_oracle(m: int, k: int) -> dict[int, int]:
                 key = (a, b - 1)
                 nxt[key] = nxt.get(key, 0) + c * b
         poly = {key: c for key, c in nxt.items() if c}
-    out: dict[int, int] = {}
-    for (a, b), c in poly.items():
-        n = k - a
-        if not 0 <= n <= k * (m - 1) // m or b != (m - 1) * k - n * m or c <= 0:
-            raise MonomialPatternError(
-                "stray monomial lam**%d x**%d (coeff %d) at m=%d, k=%d" % (a, b, c, m, k)
-            )
-        out[n] = c
-    if sorted(out) != list(range(row_length(m, k))):
-        raise MonomialPatternError("missing term indices at m=%d, k=%d" % (m, k))
-    return out
+        out: dict[int, int] = {}
+        for (a, b), c in poly.items():
+            n = k - a
+            if not 0 <= n <= k * (m - 1) // m or b != (m - 1) * k - n * m or c <= 0:
+                raise MonomialPatternError(
+                    "stray monomial lam**%d x**%d (coeff %d) at m=%d, k=%d" % (a, b, c, m, k)
+                )
+            out[n] = c
+        if sorted(out) != list(range(row_length(m, k))):
+            raise MonomialPatternError("missing term indices at m=%d, k=%d" % (m, k))
+        yield out
 
 
-@lru_cache(maxsize=None)
-def _hermite_coeffs(k: int) -> tuple[int, ...]:
-    """Integer coefficient vector of the physicists' Hermite polynomial H_k."""
-    if k == 0:
-        return (1,)
-    if k == 1:
-        return (0, 2)
-    prev2, prev1 = _hermite_coeffs(k - 2), _hermite_coeffs(k - 1)
-    out = [0] * (k + 1)
-    for i, c in enumerate(prev1):  # 2x * H_{k-1}
-        out[i + 1] += 2 * c
-    for i, c in enumerate(prev2):  # -2(k-1) * H_{k-2}
-        out[i] -= 2 * (k - 1) * c
-    return tuple(out)
+def symbolic_recursion_oracle(m: int, k: int) -> dict[int, int]:
+    """C[k][.] by literal symbolic differentiation, keyed by the term index n.
+
+    Walks ``_symbolic_rows`` up to order k; independent of ``build_coeff_table``.
+    """
+    if m < 2:
+        raise ValueError("degree m must be >= 2")
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    return next(islice(_symbolic_rows(m), k - 1, None))
+
+
+def _hermite_rows():
+    """Yield C[k][.] for m = 2 and k = 1, 2, ... from the Hermite recurrence.
+
+    The pair H_{k-1}, H_k of integer coefficient vectors is stepped
+    iteratively by H_{k+1} = 2x*H_k - 2k*H_{k-1}.  H_k's coefficient of
+    x**(k-2n) equals (-1)**n * 2**(k-n) * C[k][n]; the division and the sign
+    pattern are asserted exactly.  Shares no code with ``build_coeff_table``.
+    """
+    prev, cur = (1,), (0, 2)  # H_0, H_1
+    for k in count(1):
+        out: dict[int, int] = {}
+        for n in range(k // 2 + 1):
+            c = cur[k - 2 * n]
+            expected_sign = -1 if n % 2 else 1
+            if c == 0 or (c > 0) != (expected_sign > 0):
+                raise MonomialPatternError("Hermite sign pattern broken at k=%d, n=%d" % (k, n))
+            value, rem = divmod(abs(c), 2 ** (k - n))
+            if rem:
+                raise NonIntegralCoefficientError("Hermite coefficient not divisible at k=%d, n=%d" % (k, n))
+            out[n] = value
+        yield out
+        nxt = [0] * (k + 2)
+        for i, c in enumerate(cur):  # 2x * H_k
+            nxt[i + 1] += 2 * c
+        for i, c in enumerate(prev):  # -2k * H_{k-1}
+            nxt[i] -= 2 * k * c
+        prev, cur = cur, nxt
 
 
 def hermite_oracle(k: int) -> dict[int, int]:
     """C[k][.] for m = 2 from the classical Hermite recurrence.
 
-    H_k's coefficient of x**(k-2n) equals (-1)**n * 2**(k-n) * C[k][n]; the
-    division and the sign pattern are asserted exactly.
+    Walks ``_hermite_rows`` up to order k; independent of ``build_coeff_table``.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
-    coeffs = _hermite_coeffs(k)
-    out: dict[int, int] = {}
-    for n in range(k // 2 + 1):
-        c = coeffs[k - 2 * n]
-        expected_sign = -1 if n % 2 else 1
-        if c == 0 or (c > 0) != (expected_sign > 0):
-            raise MonomialPatternError("Hermite sign pattern broken at k=%d, n=%d" % (k, n))
-        value, rem = divmod(abs(c), 2 ** (k - n))
-        if rem:
-            raise NonIntegralCoefficientError("Hermite coefficient not divisible at k=%d, n=%d" % (k, n))
-        out[n] = value
-    return out
+    return next(islice(_hermite_rows(), k - 1, None))
 
 
 @dataclass(frozen=True)
@@ -205,29 +221,25 @@ class OracleReport:
         return json.dumps(self.to_json_dict(), **kwargs)
 
 
-def certify(table: CoeffTable, threads: int = 1) -> OracleReport:
+def certify(table: CoeffTable) -> OracleReport:
     """Compare every table entry against every applicable oracle.
 
-    A cell is reported at most once, with the first disagreeing oracle's
-    value.  Discrepancies are data, not errors: fault-injection tests rely
-    on getting a report back rather than an exception.
+    One walk over k = 1..k_max advances the symbolic and (for m = 2) Hermite
+    recursions one order at a time.  A cell is reported at most once, with
+    the first disagreeing oracle's value.  Discrepancies are data, not
+    errors: fault-injection tests rely on getting a report back rather than
+    an exception.
     """
     m = table.m
-
-    def check_order(k: int) -> list[tuple[int, int, str, str]]:
-        found = []
-        symbolic = symbolic_recursion_oracle(m, k)
-        hermite = hermite_oracle(k) if m == 2 else None
+    hermite_rows = _hermite_rows() if m == 2 else repeat(None)
+    discrepancies = []
+    for k, symbolic, hermite in zip(range(1, table.k_max + 1), _symbolic_rows(m), hermite_rows):
         for n, value in enumerate(table.row(k)):
             oracle_values = [coeff_oracle(m, k, n), symbolic[n]]
             if hermite is not None:
                 oracle_values.append(hermite[n])
             for ov in oracle_values:
                 if value != ov:
-                    found.append((k, n, str(value), str(ov)))
+                    discrepancies.append((k, n, str(value), str(ov)))
                     break
-        return found
-
-    per_order = pmap(check_order, range(1, table.k_max + 1), threads=threads)
-    discrepancies = tuple(d for sub in per_order for d in sub)
-    return OracleReport(m=m, k_range=(1, table.k_max), discrepancies=discrepancies)
+    return OracleReport(m=m, k_range=(1, table.k_max), discrepancies=tuple(discrepancies))

@@ -209,7 +209,7 @@ _VERDICT_COLORS = {
 }
 
 
-def _grid_verdicts(m, space, grid, mode, threads):
+def _grid_verdicts(m, space, grid, mode):
     thetas = grid.theta_values()
     svals = grid.s_values()
 
@@ -219,18 +219,18 @@ def _grid_verdicts(m, space, grid, mode, threads):
             for s in svals
         ]
 
-    return [cell for col in pmap(classify_column, thetas, threads=threads) for cell in col]
+    return [cell for col in pmap(classify_column, thetas) for cell in col]
 
 
-def render_region_csv(m: int, space: Space, grid: GridSpec, mode: Mode = Mode.GENERAL_POLYNOMIAL, threads: int = 1) -> str:
+def render_region_csv(m: int, space: Space, grid: GridSpec, mode: Mode = Mode.GENERAL_POLYNOMIAL) -> str:
     """Deterministic CSV of verdicts over the grid; header theta,s,verdict,citation."""
     lines = ["theta,s,verdict,citation"]
-    for theta, s, v in _grid_verdicts(m, space, grid, mode, threads):
+    for theta, s, v in _grid_verdicts(m, space, grid, mode):
         lines.append("%s,%s,%s,%s" % (format_fraction(theta), format_fraction(s), v.verdict.value, v.citation))
     return "\n".join(lines) + "\n"
 
 
-def render_region_svg(m: int, space: Space, grid: GridSpec, mode: Mode = Mode.GENERAL_POLYNOMIAL, threads: int = 1) -> str:
+def render_region_svg(m: int, space: Space, grid: GridSpec, mode: Mode = Mode.GENERAL_POLYNOMIAL) -> str:
     """Deterministic SVG: one rect per grid cell colored by verdict class,
     the boundary lines s = (m-1)*theta and s = m*theta - 1, and (for the
     Beurling scale) an open circle at the excluded point (1/(m-1), 1)."""
@@ -251,7 +251,7 @@ def render_region_svg(m: int, space: Space, grid: GridSpec, mode: Mode = Mode.GE
         % (width, height, width, height),
         '<rect x="0" y="0" width="%d" height="%d" fill="white"/>' % (width, height),
     ]
-    for theta, s, v in _grid_verdicts(m, space, grid, mode, threads):
+    for theta, s, v in _grid_verdicts(m, space, grid, mode):
         parts.append(
             '<rect x="%.3f" y="%.3f" width="%.3f" height="%.3f" fill="%s"/>'
             % (sx(theta), sy(s) - cell_h, cell_w, cell_h, _VERDICT_COLORS[v.verdict])
@@ -301,14 +301,13 @@ def emit_region_grid(
     fmt: str,
     out_path,
     mode: Mode = Mode.GENERAL_POLYNOMIAL,
-    threads: int = 1,
 ) -> Path:
     """Write the region file (CSV or SVG); same arguments give identical bytes."""
     out_path = Path(out_path)
     if fmt == "csv":
-        content = render_region_csv(m, space, grid, mode, threads)
+        content = render_region_csv(m, space, grid, mode)
     elif fmt == "svg":
-        content = render_region_svg(m, space, grid, mode, threads)
+        content = render_region_svg(m, space, grid, mode)
     else:
         raise ValueError("format must be 'csv' or 'svg'")
     out_path.write_text(content, encoding="utf-8")
@@ -320,7 +319,6 @@ def audit_rule_disjointness(
     space: Space,
     grid: GridSpec,
     mode: Mode = Mode.PURE_MONOMIAL,
-    threads: int = 1,
 ) -> CheckResult:
     """No grid point may satisfy both a continuity and a discontinuity rule.
 
@@ -344,7 +342,7 @@ def audit_rule_disjointness(
                 found.append((format_fraction(theta), format_fraction(s)))
         return found
 
-    conflicts = [w for col in pmap(audit_column, thetas, threads=threads) for w in col]
+    conflicts = [w for col in pmap(audit_column, thetas) for w in col]
     params = {
         "m": m,
         "space": space.value,

@@ -2,18 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from gsmult.derivpoly import build_coeff_table
+from gsmult.derivpoly import CoeffTable, build_coeff_table
 
 _CACHE: dict[int, object] = {}
 
 
 def get_table(m: int, k_max: int):
-    """Session-wide table cache; rebuilds only when a larger k_max is needed."""
+    """Exactly rows 1..k_max, cut from a session-wide cache that is rebuilt
+    only when a larger k_max is needed."""
     table = _CACHE.get(m)
     if table is None or table.k_max < k_max:
         table = build_coeff_table(m, k_max)
         _CACHE[m] = table
-    return table
+    return CoeffTable(m=m, k_max=k_max, rows=table.rows[:k_max])
 
 
 @pytest.fixture

@@ -207,10 +207,9 @@ def test_criterion_11_wedge_classifier():
             audit_ok = audit_ok and audit_rule_disjointness(4, space, grid, mode=mode).passed
 
     fig_grid = GridSpec(F(1, 10), F(2), F(1, 10), F(1, 10), F(4), F(1, 10))
-    det_ok = render_region_csv(4, Space.BEURLING, fig_grid) == render_region_csv(
-        4, Space.BEURLING, fig_grid, threads=4
-    ) and render_region_svg(4, Space.BEURLING, fig_grid) == render_region_svg(
-        4, Space.BEURLING, fig_grid, threads=4
+    det_ok = all(
+        render(4, Space.BEURLING, fig_grid) == render(4, Space.BEURLING, fig_grid)
+        for render in (render_region_csv, render_region_svg)
     )
 
     report(

@@ -1,8 +1,14 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
+import pytest
+
+from gsmult import gsfunc
+from gsmult._util import format_mpf
 from gsmult.cli import dispatch
+from gsmult.precision import PrecisionError
 
 
 def run(argv):
@@ -27,6 +33,19 @@ class TestExitCodes:
     def test_failing_check_exits_one(self, capsys):
         # impossible slope tolerance forces the bound check to report failure
         assert run(["gs", "bound", "--theta", "1", "--kmax", "8", "--slope-tol", "-1"]) == 1
+
+    def test_threads_flag_rejected(self, tmp_path):
+        assert run(["--threads", "2", "table", "--m", "2", "--kmax", "4", "--out", str(tmp_path / "t.json")]) == 2
+
+    @pytest.mark.parametrize("exc", [PrecisionError("budget of 256 bits\nexhausted"), RuntimeError("boom")])
+    def test_crash_exits_three(self, monkeypatch, capsys, exc):
+        def crash(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(gsfunc, "verify_gs_bound", crash)
+        assert run(["gs", "bound", "--theta", "1", "--kmax", "8"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and type(exc).__name__ in err and "Traceback" not in err
 
     def test_bad_fraction_rejected(self):
         assert run(["wedge", "classify", "--theta", "x/y", "--s", "1", "--m", "2", "--space", "roumieu"]) == 2
@@ -83,11 +102,19 @@ class TestWedgeCli:
         assert code == 0
         assert "NotContinuous" in capsys.readouterr().out
 
-    def test_figure_deterministic_across_threads(self, tmp_path, capsys):
+    def test_classify_t_zero_is_identity(self, capsys):
+        code = run(
+            ["wedge", "classify", "--theta", "1", "--s", "2", "--m", "2", "--space", "roumieu",
+             "--propagator", "--t-zero"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == "Continuous (identity-operator)\n"
+
+    def test_figure_deterministic_bytes(self, tmp_path, capsys):
         common = ["wedge", "figure", "--m", "4", "--space", "beurling", "--format", "svg",
                   "--theta-step", "1/4", "--s-step", "1/2"]
         assert run(common + ["--out", str(tmp_path / "a.svg")]) == 0
-        assert run(["--threads", "4"] + common + ["--out", str(tmp_path / "b.svg")]) == 0
+        assert run(common + ["--out", str(tmp_path / "b.svg")]) == 0
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
 
@@ -133,6 +160,22 @@ class TestSeminormCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "k,x,value"
         assert len(lines) == 14  # zero plus 12 halvings, one order
+
+    def test_estimate_from_one_cells_pass(self, monkeypatch, capsys):
+        calls = []
+        cells = gsfunc.seminorm_cells
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return cells(*args, **kwargs)
+
+        monkeypatch.setattr(gsfunc, "seminorm_cells", counting)
+        assert run(["gs", "seminorm", "--kind", "h", "--h", "1/2", "--theta", "1", "--s", "1", "--kmax", "4"]) == 0
+        assert len(calls) == 1
+        expected = gsfunc.seminorm(
+            "h", gsfunc.GSFunction(Fraction(1)), theta=1, s=1, h=Fraction(1, 2), max_deriv=4, precision_bits=192
+        )
+        assert capsys.readouterr().out == "seminorm lower bound (h-family): %s\n" % format_mpf(expected.value)
 
     def test_kind_requires_weight(self):
         assert run(["gs", "seminorm", "--kind", "a", "--theta", "1", "--s", "1", "--kmax", "2"]) == 2

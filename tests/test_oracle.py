@@ -56,6 +56,11 @@ class TestHermiteOracle:
     def test_k2(self):
         assert hermite_oracle(2) == {0: 1, 1: 1}
 
+    def test_high_order_cold(self):
+        # the Hermite pair is stepped iteratively, so no recursion depth limit
+        values = hermite_oracle(1200)
+        assert len(values) == 601 and values[0] == 1 and values[1] == 1200 * 1199 // 2
+
     def test_factorial_formula(self):
         from math import factorial
 
@@ -114,9 +119,32 @@ class TestCertify:
         assert (k, n) == (4, 2)
         assert int(got) == int(want) + 1
 
-    def test_threads_do_not_change_report(self):
-        table = get_table(4, 15)
-        assert certify(table, threads=1) == certify(table, threads=4)
+    def test_m4_kmax300_certified(self):
+        report = certify(get_table(4, 300))
+        assert report.certified and report.k_range == (1, 300)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_walk_matches_point_oracles(self, m):
+        # certify's single walk over k must report exactly what the per-order
+        # point oracles give, on a clean table and on one with corrupt cells
+        table = get_table(m, 40)
+        rows = [list(r) for r in table.rows]
+        rows[9][1] += 1
+        rows[39][-1] -= 1
+        corrupt = CoeffTable(m=m, k_max=40, rows=tuple(tuple(r) for r in rows))
+        for t in (table, corrupt):
+            expected = []
+            for k in range(1, 41):
+                oracles = [symbolic_recursion_oracle(m, k)]
+                if m == 2:
+                    oracles.append(hermite_oracle(k))
+                for n, value in enumerate(t.row(k)):
+                    for ov in [coeff_oracle(m, k, n)] + [o[n] for o in oracles]:
+                        if value != ov:
+                            expected.append((k, n, str(value), str(ov)))
+                            break
+            assert certify(t).discrepancies == tuple(expected)
+        assert len(certify(corrupt).discrepancies) == 2
 
     def test_json_shape(self):
         from gsmult.derivpoly import build_coeff_table

@@ -200,7 +200,9 @@ def _cmd_verify_identities(args) -> int:
         identities.check_ck1_closed_form(table),
         identities.check_ck2_bound(table),
         identities.check_ratio_bound(table, theta),
-        identities.check_wedge_fn_nonneg(args.m, theta, grid_size=args.grid_size),
+        identities.check_wedge_fn_nonneg(
+            args.m, theta, grid_size=args.grid_size, precision_bits=args.precision_bits or 192
+        ),
     ]
     if theta.denominator == 1:
         results.append(

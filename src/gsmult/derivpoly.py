@@ -21,9 +21,12 @@ two boundary cases of the step (top index present or absent, depending on
 whether m divides k) a single uniform formula; the oracle module certifies
 the result against two independent constructions.
 
-Magnitudes |p_k(x)| for lam = +/- i*m are evaluated exactly in Gaussian
-integers whenever x is a nonnegative integer; for other x an interval
-enclosure certifies the returned log-magnitude to 2**-32 absolute error.
+One term loop evaluates p_k(x) for lam = m * i**turn using only + - * and
+integer powers, so it runs unchanged over Python ints, Fractions and mpmath
+intervals.  Magnitudes |p_k(x)| for lam = +/- i*m are thus exact in Gaussian
+integers whenever x is a nonnegative integer; any other x (a Fraction, an
+mpf, or an interval enclosing a point such as k**theta) is enclosed, and the
+returned log-magnitude is certified to 2**-32 absolute error.
 |D^k g| = |d^k/dx^k g| since D = i^{-1} d/dx only changes the phase, so all
 magnitude-level results hold for either normalization.
 """
@@ -37,15 +40,15 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 import mpmath
-from mpmath import mp
+from mpmath import iv, mp
 
 from .precision import (
     PrecisionError,
     half_log_of_int,
     iv_abs_width,
+    iv_endpoints,
     iv_midpoint,
     iv_prec,
-    mp_prec,
     to_iv,
 )
 
@@ -58,15 +61,20 @@ def row_length(m: int, k: int) -> int:
     return k * (m - 1) // m + 1
 
 
-def default_precision_bits(m: int, k: int, theta) -> int:
-    """Working-precision budget for evaluating |p_k| at x = k**theta.
+def _budget_bits(m: int, k: int, base, exponent) -> int:
+    """Working precision for |p_k| at x = base**exponent, base >= 2.
 
-    ceil(k * (log2(m) + theta*(m-1)*log2(max(k, 2)))) + 128: enough bits to
-    hold the dominant term exactly, plus guard room for sums and logs.
+    ceil(k * (log2(m) + exponent*(m-1)*log2(base))) + 128: enough bits to
+    hold the dominant term m**k * x**((m-1)*k) exactly, plus guard room for
+    sums and logs.
     """
-    t = float(theta)
-    need = math.ceil(k * (math.log2(m) + t * (m - 1) * math.log2(max(k, 2))))
+    need = math.ceil(k * (math.log2(m) + float(exponent) * (m - 1) * math.log2(base)))
     return max(MIN_EVAL_PRECISION_BITS, need + 128)
+
+
+def default_precision_bits(m: int, k: int, theta) -> int:
+    """Working-precision budget for evaluating |p_k| at x = k**theta."""
+    return _budget_bits(m, k, max(k, 2), theta)
 
 
 @dataclass(frozen=True)
@@ -192,84 +200,60 @@ class LogMagnitude:
     """
 
     log_mag: mpmath.mpf
-    arg: Optional[mpmath.mpf]
     exact: bool
     precision_bits: int
 
 
-def gaussian_parts(poly: DerivPoly, lambda_sign: int, x: int) -> tuple[int, int]:
-    """Exact real/imaginary parts of p_k(x) for lam = lambda_sign * i * m, x integer.
+def _parts(poly: DerivPoly, turn: int, x):
+    """(re, im) of p_k(x) for lam = m * i**turn, turn in 0..3.
 
-    Powers of (+/-i) cycle with period four; everything else is integer
-    multiplication, so the result is exact for any size of k and x.
+    Term n carries i**(turn*(k-n)), whose quarter cycle picks the part and
+    the sign.  Only + - * and integer powers touch x, so the same loop is
+    exact over ints and Fractions and an outward-rounded enclosure over
+    mpmath intervals.
     """
-    if lambda_sign not in (1, -1):
-        raise ValueError("lambda_sign must be +1 or -1")
-    if not isinstance(x, int) or x < 0:
-        raise ValueError("exact evaluation requires a nonnegative integer x")
     m, k = poly.m, poly.k
     n_top = len(poly.coeffs) - 1
-    re = im = 0
+    parts = [0, 0]
     x_step = x**m
     x_pow = x ** poly.exponent(n_top)
     m_pow = m ** (k - n_top)
     for n in range(n_top, -1, -1):
         t = poly.coeffs[n] * m_pow * x_pow
-        j = k - n
-        if lambda_sign < 0 and j % 2 == 1:
-            t = -t
-        q = j % 4
-        if q == 0:
-            re += t
-        elif q == 1:
-            im += t
-        elif q == 2:
-            re -= t
+        q = turn * (k - n) % 4
+        if q < 2:
+            parts[q] += t
         else:
-            im -= t
+            parts[q - 2] -= t
         if n:
             x_pow *= x_step
             m_pow *= m
-    return re, im
+    return parts[0], parts[1]
+
+
+def gaussian_parts(poly: DerivPoly, lambda_sign: int, x: int) -> tuple[int, int]:
+    """Exact real/imaginary parts of p_k(x) for lam = lambda_sign * i * m, x integer.
+
+    Everything is integer multiplication, so the result is exact for any
+    size of k and x.
+    """
+    if lambda_sign not in (1, -1):
+        raise ValueError("lambda_sign must be +1 or -1")
+    if not isinstance(x, int) or x < 0:
+        raise ValueError("exact evaluation requires a nonnegative integer x")
+    return _parts(poly, lambda_sign % 4, x)
 
 
 def _interval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, bits: int) -> LogMagnitude:
-    m, k = poly.m, poly.k
-    n_top = len(poly.coeffs) - 1
     with iv_prec(bits):
-        xi = to_iv(x)
-        x_step = xi**m
-        x_pow = xi ** poly.exponent(n_top)
-        m_pow = mpmath.iv.mpf(m ** (k - n_top))
-        re = mpmath.iv.mpf(0)
-        im = mpmath.iv.mpf(0)
-        for n in range(n_top, -1, -1):
-            t = mpmath.iv.mpf(poly.coeffs[n]) * m_pow * x_pow
-            j = k - n
-            if lambda_sign < 0 and j % 2 == 1:
-                t = -t
-            q = j % 4
-            if q == 0:
-                re += t
-            elif q == 1:
-                im += t
-            elif q == 2:
-                re -= t
-            else:
-                im -= t
-            if n:
-                x_pow *= x_step
-                m_pow *= mpmath.iv.mpf(m)
+        re, im = _parts(poly, lambda_sign % 4, to_iv(x))
         mag2 = re * re + im * im
         if 0 in mag2:
             raise PrecisionError("modulus enclosure touches zero; raise precision_bits")
-        log_iv = mpmath.iv.log(mag2) / 2
+        log_iv = iv.log(mag2) / 2
         if iv_abs_width(log_iv) > mp.mpf(_LOG_ABS_ERROR_BOUND.numerator) / mp.mpf(_LOG_ABS_ERROR_BOUND.denominator):
             raise PrecisionError("log enclosure wider than 2^-32; raise precision_bits")
-        phase_iv = mpmath.iv.atan2(im, re)
-    log_mag = iv_midpoint(log_iv, bits)
-    arg = iv_midpoint(phase_iv, bits)
-    return LogMagnitude(log_mag=log_mag, arg=arg, exact=False, precision_bits=bits)
+    return LogMagnitude(log_mag=iv_midpoint(log_iv, bits), exact=False, precision_bits=bits)
 
 
 def eval_log_magnitude(
@@ -283,10 +267,12 @@ def eval_log_magnitude(
 
     Integer x (including Fractions with denominator one) goes through exact
     Gaussian-integer arithmetic; the log is then correctly rounded at the
-    working precision.  Other x is evaluated by interval arithmetic and must
-    certify absolute error below 2**-32, else PrecisionError is raised.
-    ``exact`` forces a path: True rejects non-integer x, False forces the
-    interval path even for integers (used by agreement tests).
+    working precision.  Other x -- a Fraction, an mpf, or an mpmath interval
+    enclosing the point -- is evaluated by interval arithmetic and must
+    certify absolute error below 2**-32, else PrecisionError is raised.  The
+    default budget is taken at the upper end of x.  ``exact`` forces a path:
+    True rejects non-integer x, False forces the interval path even for
+    integers (used by agreement tests).
     """
     if lambda_sign not in (1, -1):
         raise ValueError("lambda_sign must be +1 or -1")
@@ -295,13 +281,12 @@ def eval_log_magnitude(
         x_int = x
     elif isinstance(x, Fraction) and x.denominator == 1:
         x_int = x.numerator
-    if x_int is not None and x_int < 0 or x_int is None and not (float(x) >= 0):
+    lo, hi = iv_endpoints(x) if isinstance(x, iv.mpf) else (x, x)
+    if not lo >= 0:
         raise ValueError("x must be nonnegative")
 
     if precision_bits is None:
-        ref = max(float(x), 2.0)
-        need = math.ceil(poly.k * (math.log2(poly.m) + (poly.m - 1) * math.log2(ref)))
-        bits = max(MIN_EVAL_PRECISION_BITS, need + 128)
+        bits = _budget_bits(poly.m, poly.k, max(float(hi), 2.0), 1)
     else:
         if precision_bits < MIN_EVAL_PRECISION_BITS:
             raise ValueError("precision_bits must be >= %d" % MIN_EVAL_PRECISION_BITS)
@@ -313,13 +298,8 @@ def eval_log_magnitude(
             raise ValueError("exact evaluation requires an integer x")
         re, im = gaussian_parts(poly, lambda_sign, x_int)
         mag2 = re * re + im * im
-        if mag2 == 0:
-            with mp_prec(bits):
-                return LogMagnitude(log_mag=mp.mpf("-inf"), arg=None, exact=True, precision_bits=bits)
-        log_mag = half_log_of_int(mag2, bits)
-        with mp_prec(bits):
-            arg = mp.atan2(mp.mpf(im), mp.mpf(re))
-        return LogMagnitude(log_mag=log_mag, arg=arg, exact=True, precision_bits=bits)
+        log_mag = half_log_of_int(mag2, bits) if mag2 else mp.ninf
+        return LogMagnitude(log_mag=log_mag, exact=True, precision_bits=bits)
     return _interval_log_magnitude(poly, lambda_sign, x, bits)
 
 

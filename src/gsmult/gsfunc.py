@@ -36,13 +36,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Any, Optional, Sequence
 
 from mpmath import iv, mp
 
 from ._util import format_fraction, ols_slope
-from .derivpoly import build_coeff_table
+from .derivpoly import _parts, build_coeff_table, derivative_poly
 from .identities import CheckResult, _result
 from .precision import certified_midpoint, iv_prec, mp_prec, to_iv, to_mpf
 
@@ -62,10 +61,17 @@ class BracketDerivPoly:
         return acc
 
 
-@lru_cache(maxsize=None)
-def _bracket_rows(t: Fraction, k_max: int) -> tuple[tuple[Fraction, ...], ...]:
-    rows = [(Fraction(1),)]
-    for k in range(k_max):
+_BRACKET_ROWS: dict[Fraction, list[tuple[Fraction, ...]]] = {}
+
+
+def _bracket_rows(t: Fraction, k_max: int) -> list[tuple[Fraction, ...]]:
+    """Rows q_0, q_1, ... of the recursion for t, at least up to q_{k_max}.
+
+    One list per t grows on demand, so callers index or slice a prefix and
+    no row is ever built twice.
+    """
+    rows = _BRACKET_ROWS.setdefault(t, [(Fraction(1),)])
+    for k in range(len(rows) - 1, k_max):
         q = rows[-1]
         nxt = [Fraction(0)] * (k + 2)
         for i in range(1, len(q)):  # q' and q' * x**2
@@ -74,7 +80,7 @@ def _bracket_rows(t: Fraction, k_max: int) -> tuple[tuple[Fraction, ...], ...]:
         for i in range(len(q)):  # (t - 2k) * x * q
             nxt[i + 1] += (t - 2 * k) * q[i]
         rows.append(tuple(nxt))
-    return tuple(rows)
+    return rows
 
 
 def _as_fraction_t(t) -> Fraction:
@@ -293,11 +299,8 @@ class Gaussian:
             fx = mp.exp(to_mpf(-xf * xf))
             out = [fx]
             for k in range(1, k_max + 1):
-                row = self._table.row(k)
-                acc = Fraction(0)  # p_k(x) for lam = -2, exact
-                for n, c in enumerate(row):
-                    acc += Fraction(-2) ** (k - n) * xf ** (k - 2 * n) * c
-                out.append(to_mpf(acc) * fx)
+                re, _ = _parts(derivative_poly(self._table, k), 2, xf)  # p_k(x) for lam = -2 = 2 * i**2
+                out.append(to_mpf(re) * fx)
         return out
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 
-import mpmath
 from mpmath import iv, mp
 
 
@@ -55,11 +54,12 @@ def to_mpf(value):
 
 
 def to_iv(value):
-    """Enclose int/float/Fraction/mpf in an interval at the current iv precision."""
+    """Enclose int/float/Fraction/mpf in an interval at the current iv precision.
+
+    An interval is passed through unchanged.
+    """
     if isinstance(value, Fraction):
         return iv.mpf(value.numerator) / iv.mpf(value.denominator)
-    if isinstance(value, mpmath.mpf):
-        return iv.mpf(value._mpf_)
     return iv.mpf(value)
 
 
@@ -126,13 +126,3 @@ def half_log_of_int(n: int, bits: int):
             return r
         prev = r
     return prev
-
-
-def log_of_int(n: int, bits: int):
-    """ln(n) for a positive integer, with one guard-and-compare rounding pass."""
-    if n <= 0:
-        raise ValueError("positive integer required")
-    with mp_prec(bits + 32):
-        v = mp.log(mp.mpf(n))
-    with mp_prec(bits):
-        return +v

@@ -8,7 +8,8 @@ at x_k = k**theta,
     log |(D^k g)(x_k) f(x_k)| = log |p_k(x_k)| - <x_k>**(1/nu)
 
 with |p_k| from the exact Gaussian-integer evaluator whenever theta is an
-integer.  Along k the leading behaviour is
+integer; otherwise x_k is enclosed in an interval at the working precision
+and |p_k| is certified on that enclosure.  Along k the leading behaviour is
 
     log|p_k(x_k)| = k log m + theta (m-1) k log k + o(k),
 
@@ -34,7 +35,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import mpmath
-from mpmath import mp
+from mpmath import iv, mp
 
 from ._util import format_fraction, ols_slope
 from .derivpoly import (
@@ -46,7 +47,7 @@ from .derivpoly import (
     kj_sequence,
 )
 from .identities import CheckResult, _result
-from .precision import mp_prec, to_mpf
+from .precision import iv_midpoint, iv_prec, mp_prec, to_iv, to_mpf
 
 RATE_BITS = 128
 
@@ -95,8 +96,10 @@ class ProbeConfig:
 class ProbeRecord:
     """One sample: order k, point x_k, logged product, running rate estimate.
 
-    rate = (log_dkg_f + <x_k>**(1/nu)) / (k*log k) is the per-record point
-    estimate of the growth exponent (0 for k < 2 where the scale vanishes).
+    x is k**theta itself for integer theta, else the midpoint of its
+    enclosure.  rate = (log_dkg_f + <x_k>**(1/nu)) / (k*log k) is the
+    per-record point estimate of the growth exponent (0 for k < 2 where the
+    scale vanishes).
     """
 
     k: int
@@ -131,11 +134,12 @@ def probe_series(cfg: ProbeConfig, table: Optional[CoeffTable] = None) -> list[P
     for k in cfg.k_values:
         bits = cfg.precision_bits or default_precision_bits(cfg.m, k, cfg.theta)
         if theta_int:
-            x = k ** cfg.theta.numerator
+            x = x_enc = k ** cfg.theta.numerator
         else:
-            with mp_prec(bits):
-                x = mp.exp(to_mpf(cfg.theta) * mp.log(k))
-        lm = eval_log_magnitude(derivative_poly(table, k), cfg.lambda_sign, x, precision_bits=bits)
+            with iv_prec(bits):
+                x_enc = iv.mpf(k) ** to_iv(cfg.theta)
+            x = iv_midpoint(x_enc, bits)
+        lm = eval_log_magnitude(derivative_poly(table, k), cfg.lambda_sign, x_enc, precision_bits=bits)
         decay = _decay(x, cfg.nu, bits)
         with mp_prec(bits):
             log_prod = lm.log_mag - decay

@@ -3,9 +3,10 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from gsmult import gsfunc
+from gsmult import gsfunc, identities
 from gsmult._util import format_mpf
 from gsmult.cli import dispatch
 from gsmult.precision import PrecisionError
@@ -83,6 +84,23 @@ class TestVerifyIdentities:
     def test_rejects_theta_below_threshold(self):
         assert run(["verify", "identities", "--m", "2", "--kmax", "12", "--theta", "1/4"]) == 2
 
+    @pytest.mark.parametrize("flag, env, bits", [([], None, 192), (["--precision-bits", "320"], None, 320), ([], "256", 256)])
+    def test_precision_reaches_wedge_check(self, monkeypatch, capsys, flag, env, bits):
+        seen = []
+        real = identities.check_wedge_fn_nonneg
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["precision_bits"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(identities, "check_wedge_fn_nonneg", spy)
+        if env is not None:
+            monkeypatch.setenv("GSM_PRECISION_BITS", env)
+        else:
+            monkeypatch.delenv("GSM_PRECISION_BITS", raising=False)
+        assert run(flag + ["verify", "identities", "--m", "3", "--kmax", "8", "--theta", "5/6", "--grid-size", "8"]) == 0
+        assert seen == [bits]
+
 
 class TestWedgeCli:
     def test_classify_prints_verdict(self, capsys):
@@ -139,6 +157,15 @@ class TestProbeCli:
         assert code == 0
         ks = [int(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
         assert ks == [8, 16]
+
+    def test_run_non_integer_theta(self, tmp_path, capsys):
+        out = tmp_path / "pf.csv"
+        code = run(["probe", "run", "--m", "3", "--theta", "3/2", "--nu", "3/2", "--kmax", "20", "--csv", str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(1, 21))
+        assert all(mpmath.isfinite(mpmath.mpf(v)) for r in rows for v in r[1:])
+        assert rows[3][1] == format_mpf(mpmath.mpf(8))  # x_4 = 4**(3/2), printed as the enclosure midpoint
 
     def test_criterion(self, capsys):
         assert run(["probe", "criterion", "--m", "2", "--theta", "1", "--s", "1/2", "--jmax", "4"]) == 0

@@ -16,7 +16,7 @@ from gsmult.derivpoly import (
     kj_sequence,
     row_length,
 )
-from gsmult.precision import PrecisionError
+from gsmult.precision import PrecisionError, iv_endpoints, iv_prec, to_iv
 
 from conftest import get_table
 
@@ -145,7 +145,7 @@ class TestEvalLogMagnitude:
     def test_zero_value_exact(self):
         poly = derivative_poly(get_table(2, 4), 1)
         lm = eval_log_magnitude(poly, 1, 0)
-        assert lm.exact and lm.log_mag == mpmath.mpf("-inf") and lm.arg is None
+        assert lm.exact and lm.log_mag == mpmath.mpf("-inf")
 
     def test_interval_path_rejects_exact_zero(self):
         poly = derivative_poly(get_table(2, 4), 1)
@@ -179,6 +179,31 @@ class TestEvalLogMagnitude:
         poly = derivative_poly(get_table(2, 4), 2)
         lm = eval_log_magnitude(poly, 1, Fraction(4))
         assert lm.exact
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_interval_and_mpf_points_agree_with_exact(self, sign):
+        poly = derivative_poly(get_table(3, 12), 12)
+        exact = eval_log_magnitude(poly, sign, 5)
+        with iv_prec(exact.precision_bits):
+            point = mpmath.iv.mpf(10) / 2
+        for x in (point, mpmath.mpf(5)):
+            lm = eval_log_magnitude(poly, sign, x)
+            assert not lm.exact and lm.precision_bits == exact.precision_bits
+            with mp.workprec(exact.precision_bits):
+                assert abs(lm.log_mag - exact.log_mag) < mp.mpf(2) ** -32
+
+    def test_interval_point_below_zero_rejected(self):
+        poly = derivative_poly(get_table(2, 4), 2)
+        with pytest.raises(ValueError):
+            eval_log_magnitude(poly, 1, mpmath.iv.mpf([-1, 2]))
+
+
+def test_to_iv_encloses_mpf():
+    with mp.workprec(300):
+        third = mp.mpf(1) / 3
+    with iv_prec(53):
+        lo, hi = iv_endpoints(to_iv(third))
+    assert lo <= third <= hi
 
 
 class TestKjSequence:

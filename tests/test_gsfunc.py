@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from gsmult import gsfunc
 from gsmult.gsfunc import (
     Gaussian,
     GSFunction,
@@ -63,6 +65,19 @@ class TestBracketDerivative:
         rows = bracket_derivative_series(Fraction(1, 3), 12)
         for k, poly in enumerate(rows):
             assert poly.k == k and len(poly.coeffs) == k + 1
+
+    def test_cache_grows_one_row_list_per_t(self):
+        t = Fraction(7, 3)
+        gsfunc._BRACKET_ROWS.pop(t, None)
+        tracemalloc.start()
+        try:
+            for k in range(1, 151):
+                bracket_derivative(t, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(gsfunc._BRACKET_ROWS[t]) == 151
+        assert peak < 8 * 2**20  # a cache per (t, k_max) peaked at 69 MB here
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
@@ -186,6 +201,17 @@ class TestSeminorm:
         bigger_grid = seminorm("a", f, theta=1, s=1, a=Fraction(1, 2), max_deriv=4, grid=geometric_grid(16, 20))
         assert bigger_orders.value >= small.value
         assert bigger_grid.value >= small.value
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 3), Fraction(-5, 2)])
+    def test_gaussian_derivatives_are_hermite(self, x):
+        # d^k/dx^k exp(-x**2) = (-1)**k * H_k(x) * exp(-x**2), physicists' H_k
+        hermite = [1, 2 * x, 4 * x**2 - 2, 8 * x**3 - 12 * x, 16 * x**4 - 48 * x**2 + 12]
+        got = Gaussian().derivatives(x, 4, 192)
+        with mp.workprec(192):
+            fx = mp.exp(mp.mpf(-(x * x).numerator) / (x * x).denominator)
+            for k, h in enumerate(hermite):
+                value = (-1) ** k * Fraction(h)
+                assert got[k] == mp.mpf(value.numerator) / value.denominator * fx
 
     def test_gs_function_finite_plateau(self):
         f = GSFunction(1)

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from gsmult.derivpoly import kj_sequence
-from gsmult.probe import ProbeConfig, ProbeRecord, criterion_check, estimate_rate, probe_series
+from gsmult.derivpoly import default_precision_bits, derivative_poly, eval_log_magnitude, kj_sequence
+from gsmult.probe import ProbeConfig, ProbeRecord, _decay, criterion_check, estimate_rate, probe_series
 
 from conftest import get_table
 
@@ -84,6 +84,19 @@ class TestProbeSeries:
         records = probe_series(config(m=2, theta=2, ks=(40,)))
         expected = 2 + math.log(2) / math.log(40)
         assert abs(float(records[0].rate) - expected) < 0.05
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_non_integer_theta_encloses_the_point(self, sign):
+        # theta = 3/2: x_4 = 8 and x_9 = 27 are integers, so the exact path is a reference
+        cfg = config(m=3, theta=Fraction(3, 2), ks=(4, 9), sign=sign)
+        table = get_table(3, 9)
+        for rec, x in zip(probe_series(cfg, table), (8, 27)):
+            assert not rec.exact
+            bits = default_precision_bits(3, rec.k, cfg.theta)
+            exact = eval_log_magnitude(derivative_poly(table, rec.k), sign, x, precision_bits=bits)
+            with mp.workprec(bits):
+                assert abs(rec.x - x) < mp.mpf(2) ** -64
+                assert abs(rec.log_dkg_f + _decay(rec.x, cfg.nu, bits) - exact.log_mag) < mp.mpf(2) ** -32
 
     def test_undersized_table_rejected(self):
         from gsmult.derivpoly import build_coeff_table

@@ -11,7 +11,8 @@ line on stderr) -- so the verifiers double as CI tests and a crash is never
 mistaken for a failed check.  All numeric output is written as decimal (or
 exact ``p/q``) strings; identical argv gives identical bytes.  The
 environment variable GSM_PRECISION_BITS overrides the default precision
-when ``--precision-bits`` is not given.
+when ``--precision-bits`` is not given; a value below 64 bits (128 for
+``gs bound``) from either source is a usage error.
 """
 
 from __future__ import annotations
@@ -223,6 +224,8 @@ def _cmd_gs_bound(args) -> int:
     if args.kmax < 4:
         raise UsageError("--kmax must be >= 4")
     bits = args.precision_bits or 256
+    if bits < gsfunc.MIN_GS_PRECISION_BITS:
+        raise UsageError("gs bound needs --precision-bits >= %d" % gsfunc.MIN_GS_PRECISION_BITS)
     result = gsfunc.verify_gs_bound(args.theta, args.kmax, precision_bits=bits, slope_tol=args.slope_tol)
     _print_check(result)
     return 0 if result.passed else 1
@@ -319,15 +322,8 @@ def _cmd_probe_run(args) -> int:
     if args.kmax < 1:
         raise UsageError("--kmax must be >= 1")
     sign = 1 if args.sign == "+" else -1
-    if args.kj_only:
-        k_values = []
-        j = 1
-        while True:
-            k = derivpoly.kj_sequence(args.m, j).k(j)
-            if k > args.kmax:
-                break
-            k_values.append(k)
-            j += 1
+    if args.kj_only:  # k_j >= 4j, so j <= kmax/4 reaches every k_j <= kmax
+        k_values = [k for k in derivpoly.kj_sequence(args.m, max(1, args.kmax // 4)).entries if k <= args.kmax]
     else:
         k_values = list(range(1, args.kmax + 1))
     try:
@@ -394,6 +390,9 @@ def dispatch(argv) -> int:
             except ValueError:
                 print("invalid GSM_PRECISION_BITS: %r" % env_bits, file=sys.stderr)
                 return 2
+    if args.precision_bits is not None and args.precision_bits < derivpoly.MIN_EVAL_PRECISION_BITS:
+        print("usage error: precision bits must be >= %d" % derivpoly.MIN_EVAL_PRECISION_BITS, file=sys.stderr)
+        return 2
     subcommand = getattr(args, "%s_command" % args.command, None)
     handler = _HANDLERS[(args.command, subcommand)]
     try:

@@ -155,6 +155,15 @@ def build_coeff_table(m: int, k_max: int) -> CoeffTable:
     return table
 
 
+def _table_covering(m: int, k_top: int, table: Optional[CoeffTable]) -> CoeffTable:
+    """``table`` checked to be of degree m and to reach k_top; built when None."""
+    if table is None:
+        return build_coeff_table(m, k_top)
+    if table.m != m or table.k_max < k_top:
+        raise ValueError("table does not cover m=%d up to k=%d" % (m, k_top))
+    return table
+
+
 @dataclass(frozen=True)
 class DerivPoly:
     """Structured view of p_k: coefficient row plus the exponent pattern.

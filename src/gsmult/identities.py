@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from ._util import format_fraction
-from .derivpoly import CoeffTable, build_coeff_table, derivative_poly, gaussian_parts, kj_sequence
+from .derivpoly import CoeffTable, _table_covering, derivative_poly, gaussian_parts, kj_sequence
 from .precision import iv_endpoints, iv_prec, to_iv, to_mpf
 
 
@@ -240,10 +240,7 @@ def check_lower_bound(
         raise ValueError("hypothesis violated: theta < 2/m")
     seq = kj_sequence(m, j_max)
     k_top = seq.k(j_max)
-    if table is None:
-        table = build_coeff_table(m, k_top)
-    elif table.m != m or table.k_max < k_top:
-        raise ValueError("table does not cover m=%d up to k=%d" % (m, k_top))
+    table = _table_covering(m, k_top, table)
     witnesses = []
     min_log_ratio = None
     for j in range(1, j_max + 1):

@@ -10,10 +10,12 @@ Three constructions of C[k][n] that share no code with the convolution in
       C[k][n] = k! / (m**(k-n) * (k-n)!) * S,
       S = sum over compositions of prod_l binom(m, k_l),
 
-  and S is exactly the coefficient of y**k in ((1+y)**m - 1)**(k-n), so it
-  is extracted from an exact integer polynomial power instead of enumerating
-  compositions (whose count explodes).  The rational prefactor times S must
-  be an integer; anything else indicates a bug.
+  and S = S_k[k-n] is stepped over k by splitting off the last part,
+  S_k[p] = sum_{j=1..m} binom(m, j) * S_{k-j}[p-1] with S_0 = [1], keeping
+  only the last m rows (S_k[p] is also [y**k] ((1+y)**m - 1)**p).  The
+  compositions themselves, whose count explodes, are never enumerated.
+  The rational prefactor times S must be an integer; anything else
+  indicates a bug.
 
 * ``symbolic_recursion_oracle`` -- builds p_k literally as a sparse
   polynomial in (lam, x) by k applications of
@@ -24,8 +26,9 @@ Three constructions of C[k][n] that share no code with the convolution in
   H_{k+1} = 2x*H_k - 2k*H_{k-1} gives C[k][n] = k!/(2**n * n! * (k-2n)!),
   recovered from the integer coefficients of H_k.
 
-Each recursive oracle has one stepping generator; the point functions walk
-it to order k, and ``certify`` walks it once over the whole table.
+Each oracle has one stepping generator; the point functions walk it to
+order k, and ``certify`` walks all of them once, in lockstep, over the
+whole table.
 
 Everything here is exact integer/rational arithmetic; no floating point.
 """
@@ -33,10 +36,10 @@ Everything here is exact integer/rational arithmetic; no floating point.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import count, islice, repeat
-from math import factorial
+from itertools import count, islice
+from math import comb, perm
 
 from .derivpoly import CoeffTable, row_length
 
@@ -49,45 +52,49 @@ class MonomialPatternError(ArithmeticError):
     """A symbolically built polynomial violated the exponent pattern (bug indicator)."""
 
 
-@lru_cache(maxsize=None)
-def _binomial_row(m: int) -> tuple[int, ...]:
-    row = [1]
-    for j in range(m):
-        row.append(row[-1] * (m - j) // (j + 1))
-    return tuple(row)
+def _composition_sums(m: int):
+    """Yield S_k for k = 0, 1, ...: S_k[p] = [y**k] ((1+y)**m - 1)**p, p = 0..k.
+
+    S_k[p] sums prod_l binom(m, k_l) over compositions k = k_1 + ... + k_p
+    with 1 <= k_l <= m; splitting off the last part gives
+    S_k[p] = sum_{j=1..m} binom(m, j) * S_{k-j}[p-1], with S_0 = [1].  Only
+    the last m rows are kept.
+    """
+    binomials = [comb(m, j) for j in range(1, m + 1)]
+    window = deque([[1]], maxlen=m)  # S_{k-1}, S_{k-2}, ..., S_{k-m}
+    yield [1]
+    for k in count(1):
+        row = [0] * (k + 1)
+        for b, prev in zip(binomials, window):
+            for p, s in enumerate(prev):
+                row[p + 1] += b * s
+        window.appendleft(row)
+        yield row
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return tuple(out)
+def _composition_cell(m: int, k: int, n: int, s: int) -> int:
+    """C[k][n] = k! * S / (m**(k-n) * (k-n)!), which must divide exactly.
+
+    (k-n)! always divides k!, so k!/(k-n)! * S is divided by m**(k-n) alone.
+    """
+    value, rem = divmod(perm(k, n) * s, m ** (k - n))
+    if rem:
+        raise NonIntegralCoefficientError("prefactor does not divide at (m=%d, k=%d, n=%d)" % (m, k, n))
+    return value
 
 
-@lru_cache(maxsize=None)
-def _gf_power(m: int, power: int) -> tuple[int, ...]:
-    """Exact coefficient vector of ((1+y)**m - 1)**power."""
-    base = (0,) + _binomial_row(m)[1:]
-    if power == 0:
-        return (1,)
-    if power == 1:
-        return base
-    half = _gf_power(m, power // 2)
-    out = _poly_mul(half, half)
-    if power % 2:
-        out = _poly_mul(out, base)
-    return out
+def _composition_rows(m: int):
+    """Yield C[k][.] for k = 1, 2, ... from the composition sums S_k."""
+    for k, sums in enumerate(islice(_composition_sums(m), 1, None), 1):
+        yield {n: _composition_cell(m, k, n, sums[k - n]) for n in range(row_length(m, k))}
 
 
 def gf_coefficient(m: int, power: int, degree: int) -> int:
-    """[y**degree] ((1+y)**m - 1)**power, exactly."""
+    """[y**degree] ((1+y)**m - 1)**power, exactly; walks ``_composition_sums``."""
     if power < 0 or degree < 0:
         raise ValueError("power and degree must be nonnegative")
-    coeffs = _gf_power(m, power)
-    return coeffs[degree] if degree < len(coeffs) else 0
+    sums = next(islice(_composition_sums(m), degree, None))
+    return sums[power] if power < len(sums) else 0
 
 
 def coeff_oracle(m: int, k: int, n: int) -> int:
@@ -98,15 +105,7 @@ def coeff_oracle(m: int, k: int, n: int) -> int:
         raise ValueError("order k must be >= 1")
     if not 0 <= n <= k * (m - 1) // m:
         raise ValueError("index n=%d outside 0..%d" % (n, k * (m - 1) // m))
-    s = gf_coefficient(m, k - n, k)
-    numerator = factorial(k) * s
-    denominator = m ** (k - n) * factorial(k - n)
-    value, rem = divmod(numerator, denominator)
-    if rem:
-        raise NonIntegralCoefficientError(
-            "prefactor does not divide at (m=%d, k=%d, n=%d)" % (m, k, n)
-        )
-    return value
+    return _composition_cell(m, k, n, gf_coefficient(m, k - n, k))
 
 
 def _symbolic_rows(m: int):
@@ -224,22 +223,21 @@ class OracleReport:
 def certify(table: CoeffTable) -> OracleReport:
     """Compare every table entry against every applicable oracle.
 
-    One walk over k = 1..k_max advances the symbolic and (for m = 2) Hermite
-    recursions one order at a time.  A cell is reported at most once, with
-    the first disagreeing oracle's value.  Discrepancies are data, not
-    errors: fault-injection tests rely on getting a report back rather than
-    an exception.
+    One walk over k = 1..k_max advances the composition-sum, symbolic and
+    (for m = 2) Hermite recursions one order at a time.  A cell is reported
+    at most once, with the value of the first disagreeing oracle in that
+    order.  Discrepancies are data, not errors: fault-injection tests rely
+    on getting a report back rather than an exception.
     """
     m = table.m
-    hermite_rows = _hermite_rows() if m == 2 else repeat(None)
+    walks = [_composition_rows(m), _symbolic_rows(m)]
+    if m == 2:
+        walks.append(_hermite_rows())
     discrepancies = []
-    for k, symbolic, hermite in zip(range(1, table.k_max + 1), _symbolic_rows(m), hermite_rows):
+    for k, *oracle_rows in zip(range(1, table.k_max + 1), *walks):
         for n, value in enumerate(table.row(k)):
-            oracle_values = [coeff_oracle(m, k, n), symbolic[n]]
-            if hermite is not None:
-                oracle_values.append(hermite[n])
-            for ov in oracle_values:
-                if value != ov:
-                    discrepancies.append((k, n, str(value), str(ov)))
+            for row in oracle_rows:
+                if value != row[n]:
+                    discrepancies.append((k, n, str(value), str(row[n])))
                     break
     return OracleReport(m=m, k_range=(1, table.k_max), discrepancies=tuple(discrepancies))

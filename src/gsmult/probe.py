@@ -40,7 +40,7 @@ from mpmath import iv, mp
 from ._util import format_fraction, ols_slope
 from .derivpoly import (
     CoeffTable,
-    build_coeff_table,
+    _table_covering,
     default_precision_bits,
     derivative_poly,
     eval_log_magnitude,
@@ -124,11 +124,7 @@ def probe_series(cfg: ProbeConfig, table: Optional[CoeffTable] = None) -> list[P
     """Evaluate the logged product per order; deterministic for a fixed config."""
     if not cfg.k_values:
         return []
-    k_top = max(cfg.k_values)
-    if table is None:
-        table = build_coeff_table(cfg.m, k_top)
-    elif table.m != cfg.m or table.k_max < k_top:
-        raise ValueError("table does not cover m=%d up to k=%d" % (cfg.m, k_top))
+    table = _table_covering(cfg.m, max(cfg.k_values), table)
     theta_int = cfg.theta.denominator == 1
     records = []
     for k in cfg.k_values:
@@ -210,8 +206,7 @@ def criterion_check(
         raise ValueError("j_max must be >= 2 to compare increments")
     seq = kj_sequence(m, j_max)
     k_top = seq.k(j_max)
-    if table is None:
-        table = build_coeff_table(m, k_top)
+    table = _table_covering(m, k_top, table)
     deltas = []
     for j in range(1, j_max + 1):
         k = seq.k(j)

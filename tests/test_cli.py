@@ -48,6 +48,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and type(exc).__name__ in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag, env, argv",
+        [
+            (["--precision-bits", "-3"], None, ["verify", "identities", "--m", "3", "--kmax", "10", "--theta", "5/6"]),
+            (["--precision-bits", "0"], None, ["verify", "identities", "--m", "3", "--kmax", "10", "--theta", "5/6"]),
+            (["--precision-bits", "63"], None, ["probe", "run", "--m", "2", "--theta", "1", "--nu", "1", "--kmax", "4"]),
+            ([], "0", ["gs", "seminorm", "--kind", "h", "--h", "1/2", "--theta", "1", "--s", "1", "--kmax", "2"]),
+            ([], "-3", ["verify", "identities", "--m", "3", "--kmax", "10", "--theta", "5/6"]),
+            (["--precision-bits", "64"], None, ["gs", "bound", "--theta", "1/2", "--kmax", "10"]),
+            ([], "127", ["gs", "bound", "--theta", "1/2", "--kmax", "10"]),
+        ],
+        ids=["flag-negative", "flag-zero", "flag-63", "env-zero", "env-negative", "gs-bound-flag-64", "gs-bound-env-127"],
+    )
+    def test_bad_precision_is_usage_error(self, tmp_path, monkeypatch, capsys, flag, env, argv):
+        if env is None:
+            monkeypatch.delenv("GSM_PRECISION_BITS", raising=False)
+        else:
+            monkeypatch.setenv("GSM_PRECISION_BITS", env)
+        if argv[:2] == ["probe", "run"]:
+            argv = argv + ["--csv", str(tmp_path / "p.csv")]
+        assert run(flag + argv) == 2
+        assert "usage error" in capsys.readouterr().err
+
     def test_bad_fraction_rejected(self):
         assert run(["wedge", "classify", "--theta", "x/y", "--s", "1", "--m", "2", "--space", "roumieu"]) == 2
 

@@ -1,3 +1,7 @@
+import tracemalloc
+from itertools import product
+from math import comb, prod
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -88,6 +92,18 @@ class TestGeneratingFunction:
         for n in range(top + 1, k):
             assert gf_coefficient(m, k - n, k) == 0
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_brute_force_compositions(self, m):
+        # S = sum over compositions of degree into `power` parts in 1..m of prod binom(m, part)
+        for degree in range(9):
+            for power in range(degree + 2):
+                brute = sum(
+                    prod(comb(m, part) for part in parts)
+                    for parts in product(range(1, m + 1), repeat=power)
+                    if sum(parts) == degree
+                )
+                assert gf_coefficient(m, power, degree) == brute
+
     def test_top_term_exists_only_up_to_degree(self):
         # the n = k-1 term (exponent m-k) survives exactly when k <= m
         for m in range(2, 7):
@@ -122,6 +138,17 @@ class TestCertify:
     def test_m4_kmax300_certified(self):
         report = certify(get_table(4, 300))
         assert report.certified and report.k_range == (1, 300)
+
+    def test_m4_kmax300_memory_bounded(self):
+        # every oracle keeps a bounded window of rows, not every power or order
+        table = get_table(4, 300)
+        tracemalloc.start()
+        try:
+            report = certify(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.certified and peak < 2 * 10**6
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_walk_matches_point_oracles(self, m):

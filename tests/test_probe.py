@@ -165,3 +165,10 @@ class TestCriterionCheck:
         table = get_table(2, 32)
         result = criterion_check(2, 1, Fraction(1, 2), 4, table=table)
         assert result.passed
+
+    def test_rejects_table_of_other_degree_or_too_short(self):
+        # an m=4 table would evaluate the wrong polynomials for m=3
+        with pytest.raises(ValueError):
+            criterion_check(3, 1, 1, 6, table=get_table(4, 100))
+        with pytest.raises(ValueError):
+            criterion_check(3, 1, 1, 6, table=get_table(3, kj_sequence(3, 6).k(6) - 1))

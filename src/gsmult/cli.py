@@ -5,9 +5,10 @@ Subcommands mirror the library modules: ``table``, ``verify coeffs``,
 ``wedge figure``, ``probe run``, ``probe criterion``.
 
 Exit status contract: 0 on success with all checks passing, 1 when any
-check reports a failure, 2 on usage errors, 3 when the program itself fails
-(a ``PrecisionError`` or any other unexpected exception, reported as one
-line on stderr) -- so the verifiers double as CI tests and a crash is never
+check reports a failure, 2 on usage errors (including an argument value the
+library rejects with ``ValueError``), 3 when the program itself fails (a
+``PrecisionError`` or any other unexpected exception, reported as one line
+on stderr) -- so the verifiers double as CI tests and a crash is never
 mistaken for a failed check.  All numeric output is written as decimal (or
 exact ``p/q``) strings; identical argv gives identical bytes.  The
 environment variable GSM_PRECISION_BITS overrides the default precision
@@ -224,8 +225,6 @@ def _cmd_gs_bound(args) -> int:
     if args.kmax < 4:
         raise UsageError("--kmax must be >= 4")
     bits = args.precision_bits or 256
-    if bits < gsfunc.MIN_GS_PRECISION_BITS:
-        raise UsageError("gs bound needs --precision-bits >= %d" % gsfunc.MIN_GS_PRECISION_BITS)
     result = gsfunc.verify_gs_bound(args.theta, args.kmax, precision_bits=bits, slope_tol=args.slope_tol)
     _print_check(result)
     return 0 if result.passed else 1
@@ -240,10 +239,6 @@ def _parse_grid_spec(text: str):
 
 
 def _cmd_gs_seminorm(args) -> int:
-    if args.kind == "a" and args.a is None:
-        raise UsageError("--kind a requires --a")
-    if args.kind == "h" and args.h is None:
-        raise UsageError("--kind h requires --h")
     if args.kmax < 0:
         raise UsageError("--kmax must be >= 0")
     grid = _parse_grid_spec(args.grid) if args.grid else None
@@ -274,19 +269,16 @@ def _cmd_gs_seminorm(args) -> int:
 
 def _cmd_wedge_classify(args) -> int:
     _require_m(args.m)
-    try:
-        query = wedge.WedgeQuery(
-            theta=args.theta,
-            s=args.s,
-            m=args.m,
-            space=wedge.Space(args.space),
-            d=args.d,
-            mode=wedge.Mode.PURE_MONOMIAL if args.monomial else wedge.Mode.GENERAL_POLYNOMIAL,
-            operator=wedge.Operator.PROPAGATOR if args.propagator else wedge.Operator.MULTIPLIER,
-            t_nonzero=not args.t_zero,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    query = wedge.WedgeQuery(
+        theta=args.theta,
+        s=args.s,
+        m=args.m,
+        space=wedge.Space(args.space),
+        d=args.d,
+        mode=wedge.Mode.PURE_MONOMIAL if args.monomial else wedge.Mode.GENERAL_POLYNOMIAL,
+        operator=wedge.Operator.PROPAGATOR if args.propagator else wedge.Operator.MULTIPLIER,
+        t_nonzero=not args.t_zero,
+    )
     verdict = wedge.classify(query)
     line = verdict.verdict.value
     if verdict.citation:
@@ -299,17 +291,14 @@ def _cmd_wedge_classify(args) -> int:
 
 def _cmd_wedge_figure(args) -> int:
     _require_m(args.m)
-    try:
-        grid = wedge.GridSpec(
-            theta_start=args.theta_min,
-            theta_stop=args.theta_max,
-            theta_step=args.theta_step,
-            s_start=args.s_min,
-            s_stop=args.s_max,
-            s_step=args.s_step,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    grid = wedge.GridSpec(
+        theta_start=args.theta_min,
+        theta_stop=args.theta_max,
+        theta_step=args.theta_step,
+        s_start=args.s_min,
+        s_stop=args.s_max,
+        s_step=args.s_step,
+    )
     out = _resolve(args.out, args.out_dir)
     mode = wedge.Mode.PURE_MONOMIAL if args.monomial else wedge.Mode.GENERAL_POLYNOMIAL
     wedge.emit_region_grid(args.m, wedge.Space(args.space), grid, args.format, out, mode=mode)
@@ -326,17 +315,14 @@ def _cmd_probe_run(args) -> int:
         k_values = [k for k in derivpoly.kj_sequence(args.m, max(1, args.kmax // 4)).entries if k <= args.kmax]
     else:
         k_values = list(range(1, args.kmax + 1))
-    try:
-        cfg = probe.ProbeConfig(
-            m=args.m,
-            lambda_sign=sign,
-            theta=args.theta,
-            nu=args.nu,
-            k_values=k_values,
-            precision_bits=args.precision_bits,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = probe.ProbeConfig(
+        m=args.m,
+        lambda_sign=sign,
+        theta=args.theta,
+        nu=args.nu,
+        k_values=k_values,
+        precision_bits=args.precision_bits,
+    )
     records = probe.probe_series(cfg)
     csv_path = _resolve(args.csv, args.out_dir)
     lines = ["k,x,log_dkg_f,rate"]
@@ -353,10 +339,7 @@ def _cmd_probe_run(args) -> int:
 
 def _cmd_probe_criterion(args) -> int:
     _require_m(args.m)
-    try:
-        result = probe.criterion_check(args.m, args.theta, args.s, args.jmax)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    result = probe.criterion_check(args.m, args.theta, args.s, args.jmax)
     _print_check(result)
     return 0 if result.passed else 1
 
@@ -397,8 +380,8 @@ def dispatch(argv) -> int:
     handler = _HANDLERS[(args.command, subcommand)]
     try:
         return handler(args)
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
+    except (UsageError, ValueError) as exc:  # the library rejects invalid argument values with ValueError
+        print("usage error: %s" % " ".join(str(exc).split()), file=sys.stderr)
         return 2
     except Exception as exc:  # a crash must not read as a failed check
         detail = " ".join(str(exc).split())

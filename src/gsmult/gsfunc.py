@@ -13,6 +13,15 @@ with polynomials q_k built by the exact recursion
 whose coefficients stay rational for rational t.  (The leading coefficient
 is the falling factorial t(t-1)...(t-k+1), so for small nonnegative integer
 t the literal degree drops below k; rows are stored with degree bound k.)
+The rows serve only the polynomial API (``bracket_derivative``,
+``bracket_derivative_series``).  At a rational point every engine instead
+uses the ratios r_k = d^k<x>**t / <x>**t = q_k(x) / (1+x**2)**k, which
+follow from k derivatives of (1+x**2) * g' = t*x*g (g = <x>**t) as
+
+    r_0 = 1,   r_1 = t*x / (1+x**2),
+    r_{k+1} = ((t - 2k) * x * r_k + k * (t - k + 1) * r_{k-1}) / (1+x**2),
+
+O(k) exact Fraction operations per point instead of O(k^2) for the rows.
 
 Derivatives of f(x) = exp(-<x>**(1/theta)) = exp(h(x)) with h = -<x>**(1/theta)
 are produced by the Leibniz recursion
@@ -103,17 +112,25 @@ def bracket_derivative_series(t, k_max: int) -> tuple[BracketDerivPoly, ...]:
     return tuple(BracketDerivPoly(t=tf, k=k, coeffs=rows[k]) for k in range(k_max + 1))
 
 
+def _bracket_ratios(t: Fraction, x, k_max: int) -> list[Fraction]:
+    """Exact r_k = q_k(x) / (1+x**2)**k for k = 0..k_max at a rational x."""
+    x = Fraction(x)
+    u = 1 + x * x
+    r = [Fraction(1), t * x / u]
+    for k in range(1, k_max):
+        r.append(((t - 2 * k) * x * r[k] + k * (t - k + 1) * r[k - 1]) / u)
+    return r[: k_max + 1]
+
+
 def bracket_eval(t, k: int, x, precision_bits: int = 192):
-    """d^k/dx^k <x>**t at x, as an mpf at the given precision."""
-    poly = bracket_derivative(t, k)
-    tf = poly.t
+    """d^k/dx^k <x>**t at a rational x (int, float or Fraction), as an mpf."""
+    if k < 0:
+        raise ValueError("derivative order must be >= 0")
+    tf = _as_fraction_t(t)
+    xf = Fraction(x)
+    r_k = _bracket_ratios(tf, xf, k)[k]
     with mp_prec(precision_bits):
-        xm = to_mpf(x)
-        qv = mp.mpf(0)
-        for c in reversed(poly.coeffs):
-            qv = qv * xm + to_mpf(c)
-        base = 1 + xm * xm
-        return qv * mp.exp((to_mpf(tf) / 2 - k) * mp.log(base))
+        return to_mpf(r_k) * mp.exp(to_mpf(tf) / 2 * mp.log(to_mpf(1 + xf * xf)))
 
 
 def uniform_grid(lo: Fraction, hi: Fraction, points: int) -> tuple[Fraction, ...]:
@@ -143,16 +160,15 @@ def verify_bracket_bound(t, k_max: int, grid: Optional[Sequence] = None, precisi
     tf = _as_fraction_t(t)
     if grid is None:
         grid = uniform_grid(Fraction(-10), Fraction(10), 81)
-    polys = bracket_derivative_series(tf, k_max)
     max_ratio = None
     witnesses = []
     with mp_prec(precision_bits):
         for x in grid:
             xf = Fraction(x)
-            base = to_mpf(1 + xf * xf)
-            log_base = mp.log(base)
-            for k in range(k_max + 1):
-                qv = polys[k](xf)
+            u = 1 + xf * xf
+            log_base = mp.log(to_mpf(u))
+            for k, r_k in enumerate(_bracket_ratios(tf, xf, k_max)):
+                qv = r_k * u**k
                 if qv == 0:
                     continue
                 log_ratio = mp.log(to_mpf(abs(qv))) - k * log_base / 2 - k * mp.log(8) - mp.log(mp.factorial(k))
@@ -172,6 +188,8 @@ _GS_REL_ERROR = Fraction(1, 2**64)
 def gs_derivative_series(theta, k_max: int, x, precision_bits: int = 256):
     """Certified values of d^k/dx^k exp(-<x>**(1/theta)) for k = 0..k_max.
 
+    x must be rational (int, float or Fraction): h^(i) = -<x>**t * r_i comes
+    from the exact bracket ratios r_i (t = 1/theta), each enclosed once.
     Runs the h'-Leibniz recursion in interval arithmetic and certifies each
     returned midpoint to relative error < 2**-64 (exact zeros are returned
     as exact); raises PrecisionError otherwise.
@@ -182,23 +200,12 @@ def gs_derivative_series(theta, k_max: int, x, precision_bits: int = 256):
     if precision_bits < MIN_GS_PRECISION_BITS:
         raise ValueError("precision_bits must be >= %d" % MIN_GS_PRECISION_BITS)
     t = 1 / theta
-    rows = _bracket_rows(t, max(k_max, 1))
+    xf = Fraction(x)
+    ratios = _bracket_ratios(t, xf, k_max)
     with iv_prec(precision_bits):
-        xi = to_iv(x)
-        base = 1 + xi * xi
-        log_base = iv.log(base)
-        half_t = to_iv(t / 2)
-        bracket_pow = iv.exp(half_t * log_base)  # <x>**t
+        bracket_pow = iv.exp(to_iv(t / 2) * iv.log(to_iv(1 + xf * xf)))  # <x>**t
         f0 = iv.exp(-bracket_pow)
-        # h^(i) = -q_i(x) * (1+x**2)**(t/2 - i), i >= 1
-        h = [None]
-        power = iv.exp((half_t - 1) * log_base)
-        for i in range(1, k_max + 1):
-            qv = iv.mpf(0)
-            for c in reversed(rows[i]):
-                qv = qv * xi + to_iv(c)
-            h.append(-(qv * power))
-            power = power / base
+        h = [None] + [-(bracket_pow * to_iv(r)) for r in ratios[1:]]
         f = [f0]
         for j in range(k_max):
             acc = iv.mpf(0)
@@ -383,6 +390,8 @@ def seminorm_cells(
             raise ValueError("h must be positive")
     else:
         raise ValueError("kind must be 'a' or 'h'")
+    if max_deriv < 0 or max_power < 0:
+        raise ValueError("max_deriv and max_power must be >= 0")
     if grid is None:
         grid = geometric_grid(2 * Fraction(max(max_deriv, 1)) ** math.ceil(theta), 25)
     grid = tuple(Fraction(g) for g in grid)
@@ -393,6 +402,14 @@ def seminorm_cells(
         for k in range(1, max(max_deriv, max_power) + 1):
             log_fact.append(log_fact[-1] + mp.log(k))
         for x in grid:
+            # log of the part of each cell that depends on x only
+            if kind == "a":
+                log_weight = _weight_log(a, theta, x, precision_bits)
+            elif x == 0:
+                log_weight = mp.mpf(0)  # x**alpha = 0 at x = 0 for alpha > 0
+            else:
+                log_xh = mp.log(to_mpf(abs(x))) - mp.log(to_mpf(h))
+                log_weight = max(alpha * log_xh - to_mpf(theta) * log_fact[alpha] for alpha in range(max_power + 1))
             derivs = f_spec.derivatives(x, max_deriv, precision_bits)
             for beta in range(max_deriv + 1):
                 fv = abs(derivs[beta])
@@ -400,30 +417,10 @@ def seminorm_cells(
                     cells.append((beta, x, mp.mpf(0)))
                     continue
                 if kind == "a":
-                    log_cell = (
-                        _weight_log(a, theta, x, precision_bits)
-                        - to_mpf(s) * log_fact[beta]
-                        + beta * mp.log(to_mpf(a))
-                        + mp.log(fv)
-                    )
-                    cells.append((beta, x, mp.exp(log_cell)))
+                    log_cell = log_weight - to_mpf(s) * log_fact[beta] + beta * mp.log(to_mpf(a)) + mp.log(fv)
                 else:
-                    log_x = mp.log(to_mpf(abs(x))) if x != 0 else None
-                    best = None
-                    for alpha in range(max_power + 1):
-                        if alpha > 0 and log_x is None:
-                            continue  # x**alpha = 0 at x = 0
-                        log_cell = (
-                            (alpha * log_x if alpha else mp.mpf(0))
-                            + mp.log(fv)
-                            - (alpha + beta) * mp.log(to_mpf(h))
-                            - to_mpf(theta) * log_fact[alpha]
-                            - to_mpf(s) * log_fact[beta]
-                        )
-                        cell = mp.exp(log_cell)
-                        if best is None or cell > best:
-                            best = cell
-                    cells.append((beta, x, best))
+                    log_cell = log_weight + mp.log(fv) - beta * mp.log(to_mpf(h)) - to_mpf(s) * log_fact[beta]
+                cells.append((beta, x, mp.exp(log_cell)))
     return cells
 
 

@@ -71,6 +71,26 @@ class TestExitCodes:
         assert run(flag + argv) == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gs", "bound", "--theta", "0", "--kmax", "10"],
+            ["gs", "seminorm", "--kind", "h", "--h", "0", "--theta", "1", "--s", "1", "--kmax", "2"],
+            ["gs", "seminorm", "--kind", "a", "--a", "-1", "--theta", "1", "--s", "1", "--kmax", "2"],
+            ["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "0", "--s", "1", "--kmax", "2"],
+            ["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "1", "--s", "0", "--kmax", "2"],
+            ["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "1", "--s", "1", "--kmax", "2", "--max-power", "-1"],
+            ["verify", "identities", "--m", "3", "--kmax", "10", "--theta", "1", "--jmax", "0"],
+            ["verify", "identities", "--m", "3", "--kmax", "10", "--theta", "1", "--grid-size", "0"],
+        ],
+        ids=["bound-theta-0", "seminorm-h-0", "seminorm-a-neg", "seminorm-theta-0", "seminorm-s-0",
+             "seminorm-max-power-neg", "identities-jmax-0", "identities-grid-size-0"],
+    )
+    def test_invalid_value_is_usage_error(self, capsys, argv):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and err.count("\n") == 1
+
     def test_bad_fraction_rejected(self):
         assert run(["wedge", "classify", "--theta", "x/y", "--s", "1", "--m", "2", "--space", "roumieu"]) == 2
 

@@ -83,6 +83,12 @@ class TestBracketDerivative:
         with pytest.raises(ValueError):
             bracket_derivative(1, -1)
 
+    @given(t=rationals, x=rationals, k=st.integers(0, 12))
+    @settings(max_examples=80)
+    def test_point_ratios_match_rows(self, t, x, k):
+        # r_k * (1+x**2)**k == q_k(x), exactly
+        assert gsfunc._bracket_ratios(t, x, k)[k] * (1 + x**2) ** k == bracket_derivative(t, k)(x)
+
 
 class TestBracketBound:
     def test_ratio_zero_at_origin_order_one(self):
@@ -131,6 +137,37 @@ class TestGsDerivative:
     def test_rejects_nonpositive_theta(self):
         with pytest.raises(ValueError):
             gs_derivative(0, 1, 0)
+
+    def test_high_order_at_rational_point_certifies(self):
+        # the ratios run in exact Fractions; in intervals they lose the 2**-64 bound here
+        series = gs_derivative_series(Fraction(1, 2), 200, Fraction(25, 4))
+        assert len(series) == 201 and all(mp.isfinite(v) for v in series)
+
+    def test_does_not_grow_the_row_cache(self):
+        gsfunc._BRACKET_ROWS.pop(Fraction(1, 2), None)
+        gs_derivative_series(2, 10, 1)
+        assert Fraction(1, 2) not in gsfunc._BRACKET_ROWS
+
+    def test_matches_sympy_reference(self):
+        sp = pytest.importorskip("sympy")
+        xs = sp.Symbol("x")
+        for theta in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(2, 3)):
+            t = 1 / theta
+            d = sp.exp(-((1 + xs**2) ** sp.Rational(t.numerator, 2 * t.denominator)))
+            derivs = []
+            for _ in range(9):
+                derivs.append(d)
+                d = sp.diff(d, xs)
+            for x in (Fraction(0), Fraction(3, 4), Fraction(5)):
+                got = gs_derivative_series(theta, 8, x)
+                for k, dk in enumerate(derivs):
+                    ref = dk.subs(xs, sp.Rational(x.numerator, x.denominator)).evalf(60)
+                    with mp.workprec(256):
+                        ref = mp.mpf(str(ref))
+                        if ref == 0:
+                            assert got[k] == 0
+                        else:
+                            assert abs(got[k] - ref) <= abs(ref) * mp.mpf(2) ** -180, (theta, x, k)
 
     @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(1), Fraction(2)])
     def test_finite_difference_consistency_small(self, theta):
@@ -251,6 +288,12 @@ class TestSeminorm:
         cells = seminorm_cells("a", GSFunction(1), **kwargs)
         est = seminorm("a", GSFunction(1), **kwargs)
         assert max(v for _, _, v in cells) == est.value
+
+    def test_rejects_negative_truncation(self):
+        with pytest.raises(ValueError):
+            seminorm_cells("h", Gaussian(), theta=1, s=1, h=1, max_deriv=2, max_power=-1)
+        with pytest.raises(ValueError):
+            seminorm_cells("a", Gaussian(), theta=1, s=1, a=1, max_deriv=-1)
 
     def test_rejects_bad_kind_and_missing_weights(self):
         with pytest.raises(ValueError):

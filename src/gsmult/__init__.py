@@ -51,7 +51,7 @@ from .oracle import (
     hermite_oracle,
     symbolic_recursion_oracle,
 )
-from .precision import PrecisionError
+from .precision import ParameterError, PrecisionError
 from .probe import ProbeConfig, ProbeRecord, criterion_check, estimate_rate, probe_series
 from .wedge import (
     GridSpec,

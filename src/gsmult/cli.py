@@ -6,14 +6,15 @@ Subcommands mirror the library modules: ``table``, ``verify coeffs``,
 
 Exit status contract: 0 on success with all checks passing, 1 when any
 check reports a failure, 2 on usage errors (including an argument value the
-library rejects with ``ValueError``), 3 when the program itself fails (a
-``PrecisionError`` or any other unexpected exception, reported as one line
-on stderr) -- so the verifiers double as CI tests and a crash is never
-mistaken for a failed check.  All numeric output is written as decimal (or
-exact ``p/q``) strings; identical argv gives identical bytes.  The
-environment variable GSM_PRECISION_BITS overrides the default precision
-when ``--precision-bits`` is not given; a value below 64 bits (128 for
-``gs bound``) from either source is a usage error.
+library rejects with ``ParameterError``), 3 when the program itself fails (a
+``PrecisionError``, a bare ``ValueError`` or any other unexpected exception,
+reported as one line on stderr) -- so the verifiers double as CI tests and a
+crash is never mistaken for a failed check or a rejected argument.  All
+numeric output is written as decimal (or exact ``p/q``) strings; identical
+argv gives identical bytes.  The environment variable GSM_PRECISION_BITS
+overrides the default precision when ``--precision-bits`` is not given; a
+value below 64 bits (128 for ``gs bound``) from either source is a usage
+error.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import mpmath
 
 from . import derivpoly, gsfunc, identities, oracle, probe, wedge
 from ._util import format_fraction, format_mpf, parse_fraction
+from .precision import ParameterError
 
 
 class UsageError(Exception):
@@ -380,7 +382,7 @@ def dispatch(argv) -> int:
     handler = _HANDLERS[(args.command, subcommand)]
     try:
         return handler(args)
-    except (UsageError, ValueError) as exc:  # the library rejects invalid argument values with ValueError
+    except (UsageError, ParameterError) as exc:
         print("usage error: %s" % " ".join(str(exc).split()), file=sys.stderr)
         return 2
     except Exception as exc:  # a crash must not read as a failed check

@@ -43,6 +43,7 @@ import mpmath
 from mpmath import iv, mp
 
 from .precision import (
+    ParameterError,
     PrecisionError,
     half_log_of_int,
     iv_abs_width,
@@ -91,13 +92,13 @@ class CoeffTable:
 
     def row(self, k: int) -> tuple[int, ...]:
         if not 1 <= k <= self.k_max:
-            raise ValueError("order %d outside table range 1..%d" % (k, self.k_max))
+            raise ParameterError("order %d outside table range 1..%d" % (k, self.k_max))
         return self.rows[k - 1]
 
     def coeff(self, k: int, n: int) -> int:
         row = self.row(k)
         if not 0 <= n < len(row):
-            raise ValueError("index n=%d outside row of length %d" % (n, len(row)))
+            raise ParameterError("index n=%d outside row of length %d" % (n, len(row)))
         return row[n]
 
     def to_json_dict(self) -> dict:
@@ -121,24 +122,24 @@ class CoeffTable:
     def validate(self) -> None:
         """Structural invariants: row lengths, positivity, leading ones."""
         if self.m < 2:
-            raise ValueError("degree m must be >= 2")
+            raise ParameterError("degree m must be >= 2")
         if len(self.rows) != self.k_max:
-            raise ValueError("row count %d does not match k_max %d" % (len(self.rows), self.k_max))
+            raise ParameterError("row count %d does not match k_max %d" % (len(self.rows), self.k_max))
         for k, row in enumerate(self.rows, start=1):
             if len(row) != row_length(self.m, k):
-                raise ValueError("row %d has length %d, expected %d" % (k, len(row), row_length(self.m, k)))
+                raise ParameterError("row %d has length %d, expected %d" % (k, len(row), row_length(self.m, k)))
             if row[0] != 1:
-                raise ValueError("row %d does not start with 1" % k)
+                raise ParameterError("row %d does not start with 1" % k)
             if any(c <= 0 for c in row):
-                raise ValueError("row %d contains a nonpositive entry" % k)
+                raise ParameterError("row %d contains a nonpositive entry" % k)
 
 
 def build_coeff_table(m: int, k_max: int) -> CoeffTable:
     """Build the coefficient table for degree m up to derivative order k_max."""
     if not isinstance(m, int) or m < 2:
-        raise ValueError("degree m must be an integer >= 2, got %r" % (m,))
+        raise ParameterError("degree m must be an integer >= 2, got %r" % (m,))
     if not isinstance(k_max, int) or k_max < 1:
-        raise ValueError("k_max must be an integer >= 1, got %r" % (k_max,))
+        raise ParameterError("k_max must be an integer >= 1, got %r" % (k_max,))
     rows = [(1,)]
     for k in range(1, k_max):
         prev = rows[-1]
@@ -160,7 +161,7 @@ def _table_covering(m: int, k_top: int, table: Optional[CoeffTable]) -> CoeffTab
     if table is None:
         return build_coeff_table(m, k_top)
     if table.m != m or table.k_max < k_top:
-        raise ValueError("table does not cover m=%d up to k=%d" % (m, k_top))
+        raise ParameterError("table does not cover m=%d up to k=%d" % (m, k_top))
     return table
 
 
@@ -247,9 +248,9 @@ def gaussian_parts(poly: DerivPoly, lambda_sign: int, x: int) -> tuple[int, int]
     size of k and x.
     """
     if lambda_sign not in (1, -1):
-        raise ValueError("lambda_sign must be +1 or -1")
+        raise ParameterError("lambda_sign must be +1 or -1")
     if not isinstance(x, int) or x < 0:
-        raise ValueError("exact evaluation requires a nonnegative integer x")
+        raise ParameterError("exact evaluation requires a nonnegative integer x")
     return _parts(poly, lambda_sign % 4, x)
 
 
@@ -284,7 +285,7 @@ def eval_log_magnitude(
     integers (used by agreement tests).
     """
     if lambda_sign not in (1, -1):
-        raise ValueError("lambda_sign must be +1 or -1")
+        raise ParameterError("lambda_sign must be +1 or -1")
     x_int = None
     if isinstance(x, int):
         x_int = x
@@ -292,19 +293,19 @@ def eval_log_magnitude(
         x_int = x.numerator
     lo, hi = iv_endpoints(x) if isinstance(x, iv.mpf) else (x, x)
     if not lo >= 0:
-        raise ValueError("x must be nonnegative")
+        raise ParameterError("x must be nonnegative")
 
     if precision_bits is None:
         bits = _budget_bits(poly.m, poly.k, max(float(hi), 2.0), 1)
     else:
         if precision_bits < MIN_EVAL_PRECISION_BITS:
-            raise ValueError("precision_bits must be >= %d" % MIN_EVAL_PRECISION_BITS)
+            raise ParameterError("precision_bits must be >= %d" % MIN_EVAL_PRECISION_BITS)
         bits = precision_bits
 
     use_exact = x_int is not None if exact is None else exact
     if use_exact:
         if x_int is None:
-            raise ValueError("exact evaluation requires an integer x")
+            raise ParameterError("exact evaluation requires an integer x")
         re, im = gaussian_parts(poly, lambda_sign, x_int)
         mag2 = re * re + im * im
         log_mag = half_log_of_int(mag2, bits) if mag2 else mp.ninf
@@ -327,16 +328,16 @@ class KjSequence:
 
     def k(self, j: int) -> int:
         if not 1 <= j <= len(self.entries):
-            raise ValueError("j=%d outside stored range 1..%d" % (j, len(self.entries)))
+            raise ParameterError("j=%d outside stored range 1..%d" % (j, len(self.entries)))
         return self.entries[j - 1]
 
 
 def kj_sequence(m: int, j_max: int) -> KjSequence:
     """The k_j sequence for degree m, for j = 1..j_max, with invariant checks."""
     if not isinstance(m, int) or m < 2:
-        raise ValueError("degree m must be an integer >= 2")
+        raise ParameterError("degree m must be an integer >= 2")
     if j_max < 1:
-        raise ValueError("j_max must be >= 1")
+        raise ParameterError("j_max must be >= 1")
     entries = []
     for j in range(1, j_max + 1):
         kj = -((-4 * j * m) // (m - 1))  # ceil(4j*m/(m-1))

@@ -52,7 +52,7 @@ from mpmath import iv, mp
 from ._util import format_fraction, ols_slope
 from .derivpoly import _parts, build_coeff_table, derivative_poly
 from .identities import CheckResult, _result
-from .precision import certified_midpoint, iv_prec, mp_prec, to_iv, to_mpf
+from .precision import ParameterError, certified_midpoint, iv_prec, mp_prec, to_iv, to_mpf
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def _as_fraction_t(t) -> Fraction:
 def bracket_derivative(t, k: int) -> BracketDerivPoly:
     """The exact polynomial part of the k-th derivative of <x>**t."""
     if k < 0:
-        raise ValueError("derivative order must be >= 0")
+        raise ParameterError("derivative order must be >= 0")
     tf = _as_fraction_t(t)
     return BracketDerivPoly(t=tf, k=k, coeffs=_bracket_rows(tf, k)[k])
 
@@ -125,7 +125,7 @@ def _bracket_ratios(t: Fraction, x, k_max: int) -> list[Fraction]:
 def bracket_eval(t, k: int, x, precision_bits: int = 192):
     """d^k/dx^k <x>**t at a rational x (int, float or Fraction), as an mpf."""
     if k < 0:
-        raise ValueError("derivative order must be >= 0")
+        raise ParameterError("derivative order must be >= 0")
     tf = _as_fraction_t(t)
     xf = Fraction(x)
     r_k = _bracket_ratios(tf, xf, k)[k]
@@ -137,7 +137,7 @@ def uniform_grid(lo: Fraction, hi: Fraction, points: int) -> tuple[Fraction, ...
     """Uniform rational grid with ``points`` samples, endpoints included."""
     lo, hi = Fraction(lo), Fraction(hi)
     if points < 2:
-        raise ValueError("need at least two grid points")
+        raise ParameterError("need at least two grid points")
     step = (hi - lo) / (points - 1)
     return tuple(lo + i * step for i in range(points))
 
@@ -146,7 +146,7 @@ def geometric_grid(x_max, points: int = 25) -> tuple[Fraction, ...]:
     """{0} plus ``points`` halvings of x_max: geometric coverage of [0, x_max]."""
     x_max = Fraction(x_max)
     if x_max <= 0 or points < 1:
-        raise ValueError("x_max must be positive, points >= 1")
+        raise ParameterError("x_max must be positive, points >= 1")
     return (Fraction(0),) + tuple(x_max / 2**j for j in reversed(range(points)))
 
 
@@ -196,9 +196,9 @@ def gs_derivative_series(theta, k_max: int, x, precision_bits: int = 256):
     """
     theta = Fraction(theta)
     if theta <= 0:
-        raise ValueError("theta must be positive")
+        raise ParameterError("theta must be positive")
     if precision_bits < MIN_GS_PRECISION_BITS:
-        raise ValueError("precision_bits must be >= %d" % MIN_GS_PRECISION_BITS)
+        raise ParameterError("precision_bits must be >= %d" % MIN_GS_PRECISION_BITS)
     t = 1 / theta
     xf = Fraction(x)
     ratios = _bracket_ratios(t, xf, k_max)
@@ -244,9 +244,9 @@ def verify_gs_bound(
     """
     theta = Fraction(theta)
     if theta <= 0:
-        raise ValueError("theta must be positive")
+        raise ParameterError("theta must be positive")
     if k_max < 4:
-        raise ValueError("need k_max >= 4 for a slope over the top half")
+        raise ParameterError("need k_max >= 4 for a slope over the top half")
     if grid is None:
         grid = geometric_grid(2 * Fraction(k_max) ** math.ceil(theta), 25)
     tau = max(1 / theta - 1, Fraction(0))
@@ -322,7 +322,7 @@ class SampledDerivatives:
         try:
             return [self.samples[(x, k)] for k in range(k_max + 1)]
         except KeyError as exc:
-            raise ValueError("no sampled derivative for point %r" % (exc.args[0],)) from exc
+            raise ParameterError("no sampled derivative for point %r" % (exc.args[0],)) from exc
 
 
 @dataclass(frozen=True)
@@ -375,23 +375,23 @@ def seminorm_cells(
     theta = Fraction(theta)
     s = Fraction(s)
     if theta <= 0 or s <= 0:
-        raise ValueError("theta and s must be positive")
+        raise ParameterError("theta and s must be positive")
     if kind == "a":
         if a is None:
-            raise ValueError("kind 'a' requires the exponential weight a")
+            raise ParameterError("kind 'a' requires the exponential weight a")
         a = Fraction(a)
         if a <= 0:
-            raise ValueError("a must be positive")
+            raise ParameterError("a must be positive")
     elif kind == "h":
         if h is None:
-            raise ValueError("kind 'h' requires the geometric weight h")
+            raise ParameterError("kind 'h' requires the geometric weight h")
         h = Fraction(h)
         if h <= 0:
-            raise ValueError("h must be positive")
+            raise ParameterError("h must be positive")
     else:
-        raise ValueError("kind must be 'a' or 'h'")
+        raise ParameterError("kind must be 'a' or 'h'")
     if max_deriv < 0 or max_power < 0:
-        raise ValueError("max_deriv and max_power must be >= 0")
+        raise ParameterError("max_deriv and max_power must be >= 0")
     if grid is None:
         grid = geometric_grid(2 * Fraction(max(max_deriv, 1)) ** math.ceil(theta), 25)
     grid = tuple(Fraction(g) for g in grid)

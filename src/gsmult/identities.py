@@ -35,7 +35,7 @@ from typing import Any, Optional
 
 from ._util import format_fraction
 from .derivpoly import CoeffTable, _table_covering, derivative_poly, gaussian_parts, kj_sequence
-from .precision import iv_endpoints, iv_prec, to_iv, to_mpf
+from .precision import ParameterError, iv_endpoints, iv_prec, to_iv, to_mpf
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def _result(name, params, witnesses, extremal=None) -> CheckResult:
 def check_floor_identities(m: int, k_max: int) -> CheckResult:
     """Exhaustive integer check of the floor-step behaviour for 1 <= k <= k_max."""
     if m < 2:
-        raise ValueError("degree m must be >= 2")
+        raise ParameterError("degree m must be >= 2")
     witnesses = []
     for k in range(1, k_max + 1):
         cur = k * (m - 1) // m
@@ -97,7 +97,7 @@ def check_floor_identities(m: int, k_max: int) -> CheckResult:
 def check_ck1_closed_form(table: CoeffTable) -> CheckResult:
     """C[k][1] == (m-1)k(k-1)/2 exactly, for every 2 <= k <= k_max."""
     if table.k_max < 2:
-        raise ValueError("table must reach k >= 2")
+        raise ParameterError("table must reach k >= 2")
     m = table.m
     witnesses = []
     for k in range(2, table.k_max + 1):
@@ -111,7 +111,7 @@ def check_ck1_closed_form(table: CoeffTable) -> CheckResult:
 def check_ck2_bound(table: CoeffTable) -> CheckResult:
     """2*C[k][2] <= m**2 * k**4 exactly for 4 <= k <= k_max; records the max ratio."""
     if table.k_max < 4:
-        raise ValueError("table must reach k >= 4")
+        raise ParameterError("table must reach k >= 4")
     m = table.m
     witnesses = []
     max_ratio = None
@@ -135,15 +135,18 @@ def check_ratio_bound(table: CoeffTable, theta: Fraction) -> CheckResult:
     theta = Fraction(theta)
     m = table.m
     if theta < Fraction(2, m):
-        raise ValueError("hypothesis violated: theta=%s < 2/m for m=%d" % (theta, m))
+        raise ParameterError("hypothesis violated: theta=%s < 2/m for m=%d" % (theta, m))
     p, q = theta.numerator, theta.denominator
     witnesses = []
     max_log_ratio = None
+    m_q = m**q
     for k in range(2, table.k_max + 1):
         row = table.row(k)
+        scale = m_q * k ** (m * p)
+        powers = [c**q for c in row]  # each C[k][n]**q serves both of its neighbours
         for n in range(len(row) - 1):
-            lhs = row[n + 1] ** q
-            rhs = row[n] ** q * m**q * k ** (m * p)
+            lhs = powers[n + 1]
+            rhs = powers[n] * scale
             if lhs > rhs:
                 witnesses.append((k, n, row[n + 1], row[n]))
             log_ratio = (math.log(lhs) - math.log(rhs)) / q
@@ -170,9 +173,9 @@ def check_wedge_fn_nonneg(
     """
     theta = Fraction(theta)
     if theta < Fraction(2, m):
-        raise ValueError("hypothesis violated: theta=%s < 2/m for m=%d" % (theta, m))
+        raise ParameterError("hypothesis violated: theta=%s < 2/m for m=%d" % (theta, m))
     if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
+        raise ParameterError("grid_size must be >= 1")
     mt = m * theta
     tol = Fraction(-1, 2**64)
     witnesses = []
@@ -235,9 +238,9 @@ def check_lower_bound(
     construction invariants are re-asserted by kj_sequence itself.
     """
     if not isinstance(theta, int) or theta < 1:
-        raise ValueError("theta must be a positive integer for exact evaluation")
+        raise ParameterError("theta must be a positive integer for exact evaluation")
     if m * theta < 2:
-        raise ValueError("hypothesis violated: theta < 2/m")
+        raise ParameterError("hypothesis violated: theta < 2/m")
     seq = kj_sequence(m, j_max)
     k_top = seq.k(j_max)
     table = _table_covering(m, k_top, table)

@@ -42,6 +42,7 @@ from itertools import count, islice
 from math import comb, perm
 
 from .derivpoly import CoeffTable, row_length
+from .precision import ParameterError
 
 
 class NonIntegralCoefficientError(ArithmeticError):
@@ -92,7 +93,7 @@ def _composition_rows(m: int):
 def gf_coefficient(m: int, power: int, degree: int) -> int:
     """[y**degree] ((1+y)**m - 1)**power, exactly; walks ``_composition_sums``."""
     if power < 0 or degree < 0:
-        raise ValueError("power and degree must be nonnegative")
+        raise ParameterError("power and degree must be nonnegative")
     sums = next(islice(_composition_sums(m), degree, None))
     return sums[power] if power < len(sums) else 0
 
@@ -100,11 +101,11 @@ def gf_coefficient(m: int, power: int, degree: int) -> int:
 def coeff_oracle(m: int, k: int, n: int) -> int:
     """C[k][n] from the composition-sum formula, exactly."""
     if m < 2:
-        raise ValueError("degree m must be >= 2")
+        raise ParameterError("degree m must be >= 2")
     if k < 1:
-        raise ValueError("order k must be >= 1")
+        raise ParameterError("order k must be >= 1")
     if not 0 <= n <= k * (m - 1) // m:
-        raise ValueError("index n=%d outside 0..%d" % (n, k * (m - 1) // m))
+        raise ParameterError("index n=%d outside 0..%d" % (n, k * (m - 1) // m))
     return _composition_cell(m, k, n, gf_coefficient(m, k - n, k))
 
 
@@ -147,9 +148,9 @@ def symbolic_recursion_oracle(m: int, k: int) -> dict[int, int]:
     Walks ``_symbolic_rows`` up to order k; independent of ``build_coeff_table``.
     """
     if m < 2:
-        raise ValueError("degree m must be >= 2")
+        raise ParameterError("degree m must be >= 2")
     if k < 1:
-        raise ValueError("order k must be >= 1")
+        raise ParameterError("order k must be >= 1")
     return next(islice(_symbolic_rows(m), k - 1, None))
 
 
@@ -188,7 +189,7 @@ def hermite_oracle(k: int) -> dict[int, int]:
     Walks ``_hermite_rows`` up to order k; independent of ``build_coeff_table``.
     """
     if k < 1:
-        raise ValueError("order k must be >= 1")
+        raise ParameterError("order k must be >= 1")
     return next(islice(_hermite_rows(), k - 1, None))
 
 

@@ -10,6 +10,10 @@ everywhere instead of ad-hoc context fiddling.
 Conversions round at most once at the requested precision; equal Fractions
 therefore always convert to bit-identical mpf values, which several
 determinism and dilation-identity checks rely on.
+
+The package's two error types live here too: ``PrecisionError`` when an
+enclosure is too wide to certify, ``ParameterError`` when a caller-supplied
+value is rejected (the CLI maps only the latter to a usage error).
 """
 
 from __future__ import annotations
@@ -22,6 +26,10 @@ from mpmath import iv, mp
 
 class PrecisionError(ArithmeticError):
     """An interval enclosure is too wide to certify the promised error bound."""
+
+
+class ParameterError(ValueError):
+    """A caller-supplied argument or value lies outside what the function accepts."""
 
 
 @contextmanager
@@ -115,7 +123,7 @@ def half_log_of_int(n: int, bits: int):
     probability on the order of 2**-128.
     """
     if n <= 0:
-        raise ValueError("positive integer required")
+        raise ParameterError("positive integer required")
     prev = None
     for guard in (32, 64, 128, 256):
         with mp_prec(bits + guard):

@@ -47,7 +47,7 @@ from .derivpoly import (
     kj_sequence,
 )
 from .identities import CheckResult, _result
-from .precision import iv_midpoint, iv_prec, mp_prec, to_iv, to_mpf
+from .precision import ParameterError, iv_midpoint, iv_prec, mp_prec, to_iv, to_mpf
 
 RATE_BITS = 128
 
@@ -71,25 +71,25 @@ class ProbeConfig:
 
     def __post_init__(self):
         if self.m < 2:
-            raise ValueError("degree m must be >= 2")
+            raise ParameterError("degree m must be >= 2")
         if self.lambda_sign not in (1, -1):
-            raise ValueError("lambda_sign must be +1 or -1")
+            raise ParameterError("lambda_sign must be +1 or -1")
         theta = Fraction(self.theta)
         nu = Fraction(self.nu)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "nu", nu)
         if theta * self.m < 2:
-            raise ValueError("hypothesis violated: theta=%s < 2/m" % theta)
+            raise ParameterError("hypothesis violated: theta=%s < 2/m" % theta)
         if nu > theta:
-            raise ValueError("decay exponent nu=%s must not exceed theta=%s" % (nu, theta))
+            raise ParameterError("decay exponent nu=%s must not exceed theta=%s" % (nu, theta))
         if nu < theta and nu * self.m <= 2:
             # strict nu > 2/m is what the separated-exponent experiment needs
-            raise ValueError("hypothesis violated: nu=%s <= 2/m with nu < theta" % nu)
+            raise ParameterError("hypothesis violated: nu=%s <= 2/m with nu < theta" % nu)
         if nu * self.m < 2:
-            raise ValueError("hypothesis violated: nu=%s < 2/m" % nu)
+            raise ParameterError("hypothesis violated: nu=%s < 2/m" % nu)
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
         if any(k < 1 for k in self.k_values):
-            raise ValueError("orders must be >= 1")
+            raise ParameterError("orders must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -164,14 +164,14 @@ def estimate_rate(
     deterministic subsequences such as the k_j orders).
     """
     if not 0 < tail_fraction <= 1:
-        raise ValueError("tail_fraction must be in (0, 1]")
+        raise ParameterError("tail_fraction must be in (0, 1]")
     if min_records < 2:
-        raise ValueError("min_records must be >= 2")
+        raise ParameterError("min_records must be >= 2")
     records = list(records)
     count = max(1, int(len(records) * tail_fraction + 0.5))
     tail = records[-count:]
     if len(tail) < min_records:
-        raise ValueError("too few records in the tail: %d < %d" % (len(tail), min_records))
+        raise ParameterError("too few records in the tail: %d < %d" % (len(tail), min_records))
     with mp_prec(RATE_BITS):
         xs = [r.k * mp.log(r.k) for r in tail]
         ys = [r.log_dkg_f for r in tail]
@@ -196,14 +196,14 @@ def criterion_check(
     evaluations are exact.
     """
     if not isinstance(theta, int) or theta < 1:
-        raise ValueError("theta must be a positive integer for exact evaluation")
+        raise ParameterError("theta must be a positive integer for exact evaluation")
     if m * theta < 2:
-        raise ValueError("hypothesis violated: theta < 2/m")
+        raise ParameterError("hypothesis violated: theta < 2/m")
     s = Fraction(s)
     if not 0 < s < (m - 1) * Fraction(theta):
-        raise ValueError("hypothesis violated: need 0 < s < (m-1)*theta, got s=%s" % s)
+        raise ParameterError("hypothesis violated: need 0 < s < (m-1)*theta, got s=%s" % s)
     if j_max < 2:
-        raise ValueError("j_max must be >= 2 to compare increments")
+        raise ParameterError("j_max must be >= 2 to compare increments")
     seq = kj_sequence(m, j_max)
     k_top = seq.k(j_max)
     table = _table_covering(m, k_top, table)

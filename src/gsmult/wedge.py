@@ -22,6 +22,12 @@ never fuzzy.  The decision rules, applied in order:
     sits strictly below the wedge edge (m-1)*theta when theta < 1, and the
     gap between them is genuinely undecided, as is the excluded corner.
 
+The rules live in code only in ``_column_rules``, as exact s-intervals at
+one theta (the max(theta, 1) kink, the m = 3 side conditions and the
+Beurling corner are settled per column).  The point query, the grids and
+the disjointness audit all read them through ``_paint``, which classifies a
+sorted column of s values by bisection.
+
 Verdicts depend on the polynomial only through its degree m, so no
 coefficients are modeled.  The propagator exp(-i*t*p(D)) is the Fourier
 conjugate of a multiplier, which swaps the roles of theta and s; t = 0 is
@@ -36,13 +42,15 @@ Rule identifiers (the ``citation`` strings) are stable output, used in CSV:
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from ._util import format_fraction, pmap
+from ._util import format_fraction
 from .identities import CheckResult, _result
+from .precision import ParameterError
 
 
 class Space(enum.Enum):
@@ -84,11 +92,11 @@ class WedgeQuery:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "s", s)
         if theta <= 0 or s <= 0:
-            raise ValueError("theta and s must be positive")
+            raise ParameterError("theta and s must be positive")
         if self.m < 2:
-            raise ValueError("degree m must be >= 2")
+            raise ParameterError("degree m must be >= 2")
         if self.d < 1:
-            raise ValueError("dimension must be >= 1")
+            raise ParameterError("dimension must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -102,50 +110,49 @@ class WedgeVerdict:
             raise ValueError("decided verdicts require a citation")
 
 
-def space_is_trivial(space: Space, theta: Fraction, s: Fraction) -> bool:
-    if space is Space.ROUMIEU:
-        return s + theta < 1
-    return s + theta <= 1
+_TRIVIAL = WedgeVerdict(Verdict.TRIVIAL_SPACE, "nontrivial-threshold")
+_CORNER = WedgeVerdict(Verdict.UNKNOWN, "open-boundary-point", boundary_excluded=True)
+_WEDGE = WedgeVerdict(Verdict.CONTINUOUS, "continuity-wedge")
+_STRIP = WedgeVerdict(Verdict.NOT_CONTINUOUS, "discontinuity-strip")
+_MONOMIAL = WedgeVerdict(Verdict.NOT_CONTINUOUS, "monomial-criterion")
+_UNKNOWN = WedgeVerdict(Verdict.UNKNOWN, "")
 
 
-def in_continuity_wedge(theta: Fraction, s: Fraction, m: int) -> bool:
-    return s >= (m - 1) * theta and (m - 1) * theta >= 1
+def _column_rules(theta: Fraction, m: int, space: Space, mode: Mode, d: int) -> list[tuple]:
+    """Rules (a)-(d) at one theta, in order, as s-intervals
+    ``(lo, lo_open, hi, hi_open, verdict)``; ``hi`` is None when unbounded
+    and an interval may be empty.  The first rule holding s decides."""
+    roumieu = space is Space.ROUMIEU
+    edge = (m - 1) * theta
+    rules = [(0, True, 1 - theta, roumieu, _TRIVIAL)]
+    if edge >= 1:
+        if not roumieu and edge == 1:
+            rules.append((1, False, 1, False, _CORNER))
+        rules.append((edge, False, None, False, _WEDGE))
+    if d == 1:
+        if m != 3 or theta > 1 or (roumieu and theta == 1):
+            rules.append((1, not roumieu, m * theta - max(theta, 1), True, _STRIP))
+        if mode is Mode.PURE_MONOMIAL and m * theta >= 2:
+            rules.append((0, True, edge, True, _MONOMIAL))
+    return rules
 
 
-def is_open_boundary_point(theta: Fraction, s: Fraction, m: int) -> bool:
-    return theta == Fraction(1, m - 1) and s == 1
-
-
-def in_discontinuity_strip(space: Space, theta: Fraction, s: Fraction, m: int) -> bool:
-    upper = m * theta - max(theta, Fraction(1))
-    if space is Space.ROUMIEU:
-        if m == 3 and theta < 1:
-            return False
-        return 1 <= s < upper
-    if m == 3 and theta <= 1:
-        return False
-    return 1 < s < upper
-
-
-def monomial_discontinuous(theta: Fraction, s: Fraction, m: int) -> bool:
-    return 0 < s < (m - 1) * theta and m * theta >= 2
+def _paint(rules: list[tuple], svals: list[Fraction]) -> list[WedgeVerdict]:
+    """One verdict per value of the ascending list ``svals``: that of the
+    first rule whose interval holds it, else Unknown (rule (e)).  Rules are
+    painted last to first, so an earlier rule overwrites a later one."""
+    out = [_UNKNOWN] * len(svals)
+    for lo, lo_open, hi, hi_open, verdict in reversed(rules):
+        i = (bisect_right if lo_open else bisect_left)(svals, lo)
+        j = len(svals) if hi is None else (bisect_left if hi_open else bisect_right)(svals, hi)
+        if i < j:
+            out[i:j] = [verdict] * (j - i)
+    return out
 
 
 def classify_multiplier(q: WedgeQuery) -> WedgeVerdict:
     """Verdict for the multiplier operator; rules applied in the order above."""
-    theta, s, m = q.theta, q.s, q.m
-    if space_is_trivial(q.space, theta, s):
-        return WedgeVerdict(Verdict.TRIVIAL_SPACE, "nontrivial-threshold")
-    if in_continuity_wedge(theta, s, m):
-        if q.space is Space.BEURLING and is_open_boundary_point(theta, s, m):
-            return WedgeVerdict(Verdict.UNKNOWN, "open-boundary-point", boundary_excluded=True)
-        return WedgeVerdict(Verdict.CONTINUOUS, "continuity-wedge")
-    if q.d == 1:
-        if in_discontinuity_strip(q.space, theta, s, m):
-            return WedgeVerdict(Verdict.NOT_CONTINUOUS, "discontinuity-strip")
-        if q.mode is Mode.PURE_MONOMIAL and monomial_discontinuous(theta, s, m):
-            return WedgeVerdict(Verdict.NOT_CONTINUOUS, "monomial-criterion")
-    return WedgeVerdict(Verdict.UNKNOWN, "")
+    return _paint(_column_rules(q.theta, q.m, q.space, q.mode, q.d), [q.s])[0]
 
 
 def classify_propagator(q: WedgeQuery) -> WedgeVerdict:
@@ -179,11 +186,11 @@ class GridSpec:
         for name in ("theta_start", "theta_stop", "theta_step", "s_start", "s_stop", "s_step"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.theta_start <= 0 or self.s_start <= 0:
-            raise ValueError("grid must stay in the open positive quadrant")
+            raise ParameterError("grid must stay in the open positive quadrant")
         if self.theta_step <= 0 or self.s_step <= 0:
-            raise ValueError("grid steps must be positive")
+            raise ParameterError("grid steps must be positive")
         if self.theta_stop < self.theta_start or self.s_stop < self.s_start:
-            raise ValueError("grid stop must not precede start")
+            raise ParameterError("grid stop must not precede start")
 
     def theta_values(self) -> list[Fraction]:
         return _arange(self.theta_start, self.theta_stop, self.theta_step)
@@ -209,24 +216,15 @@ _VERDICT_COLORS = {
 }
 
 
-def _grid_verdicts(m, space, grid, mode):
-    thetas = grid.theta_values()
-    svals = grid.s_values()
-
-    def classify_column(theta):
-        return [
-            (theta, s, classify_multiplier(WedgeQuery(theta=theta, s=s, m=m, space=space, mode=mode)))
-            for s in svals
-        ]
-
-    return [cell for col in pmap(classify_column, thetas) for cell in col]
-
-
 def render_region_csv(m: int, space: Space, grid: GridSpec, mode: Mode = Mode.GENERAL_POLYNOMIAL) -> str:
     """Deterministic CSV of verdicts over the grid; header theta,s,verdict,citation."""
+    svals = grid.s_values()
+    s_strs = [format_fraction(s) for s in svals]
     lines = ["theta,s,verdict,citation"]
-    for theta, s, v in _grid_verdicts(m, space, grid, mode):
-        lines.append("%s,%s,%s,%s" % (format_fraction(theta), format_fraction(s), v.verdict.value, v.citation))
+    for theta in grid.theta_values():
+        theta_str = format_fraction(theta)
+        for s_str, v in zip(s_strs, _paint(_column_rules(theta, m, space, mode, 1), svals)):
+            lines.append("%s,%s,%s,%s" % (theta_str, s_str, v.verdict.value, v.citation))
     return "\n".join(lines) + "\n"
 
 
@@ -251,11 +249,13 @@ def render_region_svg(m: int, space: Space, grid: GridSpec, mode: Mode = Mode.GE
         % (width, height, width, height),
         '<rect x="0" y="0" width="%d" height="%d" fill="white"/>' % (width, height),
     ]
-    for theta, s, v in _grid_verdicts(m, space, grid, mode):
-        parts.append(
-            '<rect x="%.3f" y="%.3f" width="%.3f" height="%.3f" fill="%s"/>'
-            % (sx(theta), sy(s) - cell_h, cell_w, cell_h, _VERDICT_COLORS[v.verdict])
-        )
+    svals = grid.s_values()
+    ys = ["%.3f" % (sy(s) - cell_h) for s in svals]
+    size = 'width="%.3f" height="%.3f"' % (cell_w, cell_h)
+    for theta in grid.theta_values():
+        x = "%.3f" % sx(theta)
+        for y, v in zip(ys, _paint(_column_rules(theta, m, space, mode, 1), svals)):
+            parts.append('<rect x="%s" y="%s" %s fill="%s"/>' % (x, y, size, _VERDICT_COLORS[v.verdict]))
 
     def clip_line(slope: Fraction, intercept: Fraction) -> Optional[tuple]:
         # s = slope*theta + intercept clipped to the plotted box
@@ -309,7 +309,7 @@ def emit_region_grid(
     elif fmt == "svg":
         content = render_region_svg(m, space, grid, mode)
     else:
-        raise ValueError("format must be 'csv' or 'svg'")
+        raise ParameterError("format must be 'csv' or 'svg'")
     out_path.write_text(content, encoding="utf-8")
     return out_path
 
@@ -328,21 +328,17 @@ def audit_rule_disjointness(
     """
     thetas = grid.theta_values()
     svals = grid.s_values()
-
-    def audit_column(theta):
-        found = []
-        for s in svals:
-            if space_is_trivial(space, theta, s):
-                continue
-            cont = in_continuity_wedge(theta, s, m)
-            disc = in_discontinuity_strip(space, theta, s, m) or (
-                mode is Mode.PURE_MONOMIAL and monomial_discontinuous(theta, s, m)
-            )
-            if cont and disc:
-                found.append((format_fraction(theta), format_fraction(s)))
-        return found
-
-    conflicts = [w for col in pmap(audit_column, thetas) for w in col]
+    conflicts = []
+    for theta in thetas:
+        rules = _column_rules(theta, m, space, mode, 1)
+        # the excluded corner lies on the wedge's closed edge, so it counts as continuity
+        trivial, cont, disc = (
+            _paint([r for r in rules if r[4] in group], svals)
+            for group in ((_TRIVIAL,), (_CORNER, _WEDGE), (_STRIP, _MONOMIAL))
+        )
+        for s, t, c, dc in zip(svals, trivial, cont, disc):
+            if c.citation and dc.citation and not t.citation:
+                conflicts.append((format_fraction(theta), format_fraction(s)))
     params = {
         "m": m,
         "space": space.value,

@@ -38,7 +38,14 @@ class TestExitCodes:
     def test_threads_flag_rejected(self, tmp_path):
         assert run(["--threads", "2", "table", "--m", "2", "--kmax", "4", "--out", str(tmp_path / "t.json")]) == 2
 
-    @pytest.mark.parametrize("exc", [PrecisionError("budget of 256 bits\nexhausted"), RuntimeError("boom")])
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            PrecisionError("budget of 256 bits\nexhausted"),
+            RuntimeError("boom"),
+            ValueError("Exceeds the limit (4300 digits) for integer string conversion"),
+        ],
+    )
     def test_crash_exits_three(self, monkeypatch, capsys, exc):
         def crash(*args, **kwargs):
             raise exc

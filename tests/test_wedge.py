@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -21,6 +22,7 @@ from gsmult.wedge import (
     render_region_csv,
     render_region_svg,
 )
+from gsmult._util import format_fraction
 
 
 def q(theta, s, m, space, **kw):
@@ -198,3 +200,122 @@ class TestEmission:
             GridSpec(F(1), F(1), F(-1), F(1), F(1), F(1))
         with pytest.raises(ValueError):
             GridSpec(F(2), F(1), F(1), F(1), F(1), F(1))
+
+
+def reference_verdict(theta, s, m, space, mode=Mode.GENERAL_POLYNOMIAL, d=1):
+    """Rules (a)-(e) of the ``gsmult.wedge`` docstring, as literal 2-D predicates."""
+    beurling = space is Space.BEURLING
+    if (s + theta <= 1) if beurling else (s + theta < 1):  # (a)
+        return Verdict.TRIVIAL_SPACE, "nontrivial-threshold", False
+    if s >= (m - 1) * theta and (m - 1) * theta >= 1:  # (b)
+        if beurling and theta == F(1, m - 1) and s == 1:
+            return Verdict.UNKNOWN, "open-boundary-point", True
+        return Verdict.CONTINUOUS, "continuity-wedge", False
+    if d == 1:
+        upper = m * theta - max(theta, 1)
+        if beurling:  # (c)
+            in_strip = 1 < s < upper and (m != 3 or theta > 1)
+        else:
+            in_strip = 1 <= s < upper and (m != 3 or theta >= 1)
+        if in_strip:
+            return Verdict.NOT_CONTINUOUS, "discontinuity-strip", False
+        if mode is Mode.PURE_MONOMIAL and 0 < s < (m - 1) * theta and theta >= F(2, m):  # (d)
+            return Verdict.NOT_CONTINUOUS, "monomial-criterion", False
+    return Verdict.UNKNOWN, "", False  # (e)
+
+
+def boundary_points(m):
+    """Points on and beside every rule boundary for degree m."""
+    eps = F(1, 997)
+    corner = F(1, m - 1)
+    thetas = {F(1, 4), F(1, 2), F(3, 2), F(2)}
+    for t in (F(1), F(2, m), corner):
+        thetas.update((t - eps, t, t + eps))
+    points = {(corner, F(1)), (corner, 1 - eps), (corner, 1 + eps)}
+    for theta in thetas:
+        for s in (1 - theta, (m - 1) * theta, F(1), m * theta - max(theta, 1), F(1, 2), F(3)):
+            points.update((theta, s + e) for e in (-eps, 0, eps))
+    return sorted((theta, s) for theta, s in points if theta > 0 and s > 0)
+
+
+small_rationals = st.one_of(
+    st.fractions(min_value=F(1, 12), max_value=4, max_denominator=12), positive_rationals
+)
+
+
+class TestReferenceRules:
+    """The interval rules agree with the docstring's rules stated cell by cell."""
+
+    @given(
+        theta=small_rationals,
+        s=small_rationals,
+        m=st.integers(2, 6),
+        space=st.sampled_from(list(Space)),
+        mode=st.sampled_from(list(Mode)),
+        d=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=500)
+    def test_point_queries_match(self, theta, s, m, space, mode, d):
+        v = classify_multiplier(WedgeQuery(theta=theta, s=s, m=m, space=space, d=d, mode=mode))
+        assert (v.verdict, v.citation, v.boundary_excluded) == reference_verdict(theta, s, m, space, mode, d)
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_boundary_points_match(self, m):
+        for theta, s in boundary_points(m):
+            for space in Space:
+                for mode in Mode:
+                    for d in (1, 2):
+                        v = classify_multiplier(WedgeQuery(theta=theta, s=s, m=m, space=space, d=d, mode=mode))
+                        got = (v.verdict, v.citation, v.boundary_excluded)
+                        assert got == reference_verdict(theta, s, m, space, mode, d), (theta, s, space, mode, d)
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_grid_csv_matches(self, m):
+        # every boundary line of rules (a)-(d), and the corner, lies on this grid for m <= 6
+        grid = GridSpec(F(1, 60), F(3, 2), F(1, 60), F(1, 60), F(5, 2), F(1, 60))
+        for space in Space:
+            for mode in Mode:
+                lines = ["theta,s,verdict,citation"]
+                for theta in grid.theta_values():
+                    for s in grid.s_values():
+                        verdict, citation, _ = reference_verdict(theta, s, m, space, mode)
+                        lines.append("%s,%s,%s,%s" % (format_fraction(theta), format_fraction(s), verdict.value, citation))
+                assert render_region_csv(m, space, grid, mode) == "\n".join(lines) + "\n"
+
+
+# sha256 of the demo-grid files, pinned from the per-cell classifier they replaced
+GOLDEN_DIGESTS = {
+    (2, Space.ROUMIEU): (
+        "bb639537c765243c64bba5b73df4556adba6a7c847ca59e5206c8da92acc6afa",
+        "afdcf6b3a679e3a03e52c89b8b4efc42264b2362d833f04e318e01570be68b62",
+    ),
+    (2, Space.BEURLING): (
+        "f19e5c55d16108d3256b8bd6f92f4a11078555498fc703ba04d2798842aa4a06",
+        "fd79cb34023773e8dcf1abcbaea9829325a320ab86dd5433bd749a5dde8701da",
+    ),
+    (3, Space.ROUMIEU): (
+        "e173ad5bd5d1904852491bf1256fdb17678b1d1b7dd11b31d9afd0df4e33e92c",
+        "d90ec1ea9c5480e4d41cb52143f0d0cc201206639f419ff3938a00c2b0e81967",
+    ),
+    (3, Space.BEURLING): (
+        "49cf1fd182ea1db8d7b8064155c54244b39f0ddf15d95c15c0415601289b79d4",
+        "0aff5a2e816c5b8db2afde7b31a2316ed6e8223cd39db742373631ee7964aa2c",
+    ),
+    (4, Space.ROUMIEU): (
+        "881c3f4e1caab72429f6a4bc3dab632a7d4c5224d83389d519cef7c94f463d8c",
+        "eb4bab4f844ad4f924388106c51a0b05dc38b08918680754f23938d545b68f82",
+    ),
+    (4, Space.BEURLING): (
+        "98ef66ba12b783f8497c24e9d357ddbc7fb29fb41e689a7dde9fecf39a41b442",
+        "be5456811cc96429ed5668585c808e868dd73087a7e810cf1370a8baa9f80cd1",
+    ),
+}
+
+
+@pytest.mark.parametrize("m, space", list(GOLDEN_DIGESTS))
+def test_region_files_keep_their_bytes(m, space):
+    grid = GridSpec(F(1, 20), F(2), F(1, 20), F(1, 20), F(4), F(1, 20))
+    csv = render_region_csv(m, space, grid, Mode.PURE_MONOMIAL)
+    svg = render_region_svg(m, space, grid, Mode.PURE_MONOMIAL)
+    digests = (hashlib.sha256(csv.encode()).hexdigest(), hashlib.sha256(svg.encode()).hexdigest())
+    assert digests == GOLDEN_DIGESTS[(m, space)]

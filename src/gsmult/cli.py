@@ -14,7 +14,8 @@ numeric output is written as decimal (or exact ``p/q``) strings; identical
 argv gives identical bytes.  The environment variable GSM_PRECISION_BITS
 overrides the default precision when ``--precision-bits`` is not given; a
 value below 64 bits (128 for ``gs bound``) from either source is a usage
-error.
+error.  For ``probe run`` that precision is the one results are computed
+at; the interval engines size and escalate their own working budgets.
 """
 
 from __future__ import annotations

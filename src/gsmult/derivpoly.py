@@ -24,9 +24,10 @@ the result against two independent constructions.
 One term loop evaluates p_k(x) for lam = m * i**turn using only + - * and
 integer powers, so it runs unchanged over Python ints, Fractions and mpmath
 intervals.  Magnitudes |p_k(x)| for lam = +/- i*m are thus exact in Gaussian
-integers whenever x is a nonnegative integer; any other x (a Fraction, an
-mpf, or an interval enclosing a point such as k**theta) is enclosed, and the
-returned log-magnitude is certified to 2**-32 absolute error.
+integers whenever x is a nonnegative integer, their log rounded once at the
+result precision; any other x (a Fraction, an mpf, or an interval enclosing
+a point such as k**theta) is enclosed at a budget sized to the operand and
+doubled while too wide, and the log is certified to 2**-32 absolute error.
 |D^k g| = |d^k/dx^k g| since D = i^{-1} d/dx only changes the phase, so all
 magnitude-level results hold for either normalization.
 """
@@ -45,6 +46,7 @@ from mpmath import iv, mp
 from .precision import (
     ParameterError,
     PrecisionError,
+    escalate,
     half_log_of_int,
     iv_abs_width,
     iv_endpoints,
@@ -63,7 +65,7 @@ def row_length(m: int, k: int) -> int:
 
 
 def _budget_bits(m: int, k: int, base, exponent) -> int:
-    """Working precision for |p_k| at x = base**exponent, base >= 2.
+    """Interval working budget for p_k at x = base**exponent, base >= 2.
 
     ceil(k * (log2(m) + exponent*(m-1)*log2(base))) + 128: enough bits to
     hold the dominant term m**k * x**((m-1)*k) exactly, plus guard room for
@@ -74,7 +76,7 @@ def _budget_bits(m: int, k: int, base, exponent) -> int:
 
 
 def default_precision_bits(m: int, k: int, theta) -> int:
-    """Working-precision budget for evaluating |p_k| at x = k**theta."""
+    """Interval working budget for enclosing p_k at x = k**theta (never a result precision)."""
     return _budget_bits(m, k, max(k, 2), theta)
 
 
@@ -207,6 +209,8 @@ class LogMagnitude:
     When ``exact`` is set the value was rounded from an exact Gaussian
     integer modulus squared; otherwise an interval enclosure certified the
     absolute error below 2**-32.  log_mag is -inf when the value is 0.
+    precision_bits is the working precision used: the result precision on
+    the exact path, the last (possibly escalated) interval budget otherwise.
     """
 
     log_mag: mpmath.mpf
@@ -254,16 +258,17 @@ def gaussian_parts(poly: DerivPoly, lambda_sign: int, x: int) -> tuple[int, int]
     return _parts(poly, lambda_sign % 4, x)
 
 
-def _interval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, bits: int) -> LogMagnitude:
+def _interval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, out_bits: int, bits: int) -> LogMagnitude:
     with iv_prec(bits):
         re, im = _parts(poly, lambda_sign % 4, to_iv(x))
         mag2 = re * re + im * im
         if 0 in mag2:
-            raise PrecisionError("modulus enclosure touches zero; raise precision_bits")
+            raise PrecisionError("modulus enclosure touches zero", iv_abs_width(mag2))
         log_iv = iv.log(mag2) / 2
-        if iv_abs_width(log_iv) > mp.mpf(_LOG_ABS_ERROR_BOUND.numerator) / mp.mpf(_LOG_ABS_ERROR_BOUND.denominator):
-            raise PrecisionError("log enclosure wider than 2^-32; raise precision_bits")
-    return LogMagnitude(log_mag=iv_midpoint(log_iv, bits), exact=False, precision_bits=bits)
+        width = iv_abs_width(log_iv)
+        if width > mp.mpf(_LOG_ABS_ERROR_BOUND.numerator) / mp.mpf(_LOG_ABS_ERROR_BOUND.denominator):
+            raise PrecisionError("log enclosure width %s exceeds 2^-32" % mp.nstr(width, 8), width)
+    return LogMagnitude(log_mag=iv_midpoint(log_iv, out_bits), exact=False, precision_bits=bits)
 
 
 def eval_log_magnitude(
@@ -275,12 +280,14 @@ def eval_log_magnitude(
 ) -> LogMagnitude:
     """ln |p_k(x)| for lam = lambda_sign * i * m, with a certified error budget.
 
+    ``precision_bits`` is the result precision (None: the operand budget).
     Integer x (including Fractions with denominator one) goes through exact
-    Gaussian-integer arithmetic; the log is then correctly rounded at the
-    working precision.  Other x -- a Fraction, an mpf, or an mpmath interval
-    enclosing the point -- is evaluated by interval arithmetic and must
-    certify absolute error below 2**-32, else PrecisionError is raised.  The
-    default budget is taken at the upper end of x.  ``exact`` forces a path:
+    Gaussian-integer arithmetic; the log is correctly rounded at the result
+    precision.  Other x -- a Fraction, an mpf, or an mpmath interval
+    enclosing the point -- is evaluated by interval arithmetic from the
+    operand budget at the upper end of x, doubled while the enclosure is
+    too wide, and must certify absolute error below 2**-32, else (at once
+    for an exact zero) PrecisionError is raised.  ``exact`` forces a path:
     True rejects non-integer x, False forces the interval path even for
     integers (used by agreement tests).
     """
@@ -294,13 +301,10 @@ def eval_log_magnitude(
     lo, hi = iv_endpoints(x) if isinstance(x, iv.mpf) else (x, x)
     if not lo >= 0:
         raise ParameterError("x must be nonnegative")
-
-    if precision_bits is None:
-        bits = _budget_bits(poly.m, poly.k, max(float(hi), 2.0), 1)
-    else:
-        if precision_bits < MIN_EVAL_PRECISION_BITS:
-            raise ParameterError("precision_bits must be >= %d" % MIN_EVAL_PRECISION_BITS)
-        bits = precision_bits
+    if precision_bits is not None and precision_bits < MIN_EVAL_PRECISION_BITS:
+        raise ParameterError("precision_bits must be >= %d" % MIN_EVAL_PRECISION_BITS)
+    budget = _budget_bits(poly.m, poly.k, max(float(hi), 2.0), 1)
+    bits = precision_bits or budget
 
     use_exact = x_int is not None if exact is None else exact
     if use_exact:
@@ -310,7 +314,7 @@ def eval_log_magnitude(
         mag2 = re * re + im * im
         log_mag = half_log_of_int(mag2, bits) if mag2 else mp.ninf
         return LogMagnitude(log_mag=log_mag, exact=True, precision_bits=bits)
-    return _interval_log_magnitude(poly, lambda_sign, x, bits)
+    return escalate(lambda b: _interval_log_magnitude(poly, lambda_sign, x, bits, b), max(bits, budget))
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,16 @@ follow from k derivatives of (1+x**2) * g' = t*x*g (g = <x>**t) as
 O(k) exact Fraction operations per point instead of O(k^2) for the rows.
 
 Derivatives of f(x) = exp(-<x>**(1/theta)) = exp(h(x)) with h = -<x>**(1/theta)
-are produced by the Leibniz recursion
+come from f' = h' * f on the Taylor coefficients a_j = f^(j)/j!:
 
-    f^(k+1) = sum_{i=0}^{k} binom(k, i) * h^(i+1) * f^(k-i),
+    (j+1) * a_{j+1} = sum_{i=0}^{j} c_i * a_{j-i},   c_i = h^(i+1)/i!,
 
-mathematically identical to the partition-sum expansion of the chain rule
-but O(k^2) instead of exponential.  The whole recursion runs in interval
-arithmetic and each returned value is certified to relative error below
-2**-64, else PrecisionError is raised.
+the Leibniz recursion without binomials, O(k^2) instead of the exponential
+partition sum of the chain rule, with one interval multiply-add per step
+on mpmath's endpoint pairs.  It starts at the requested precision and
+doubles it while an enclosure is too wide; each value, rounded at the
+requested precision, is certified to relative error below 2**-64, else
+PrecisionError is raised.
 
 Seminorm estimators are truncated suprema over finitely many derivative
 orders, power orders and grid points, hence certified *lower* bounds of the
@@ -48,11 +50,12 @@ from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from mpmath import iv, mp
+from mpmath.libmp import from_int, fzero, mpi_add, mpi_div, mpi_mul
 
 from ._util import format_fraction, ols_slope
 from .derivpoly import _parts, build_coeff_table, derivative_poly
 from .identities import CheckResult, _result
-from .precision import ParameterError, certified_midpoint, iv_prec, mp_prec, to_iv, to_mpf
+from .precision import ParameterError, certified_midpoint, escalate, iv_prec, mp_prec, to_iv, to_mpf
 
 
 @dataclass(frozen=True)
@@ -188,11 +191,11 @@ _GS_REL_ERROR = Fraction(1, 2**64)
 def gs_derivative_series(theta, k_max: int, x, precision_bits: int = 256):
     """Certified values of d^k/dx^k exp(-<x>**(1/theta)) for k = 0..k_max.
 
-    x must be rational (int, float or Fraction): h^(i) = -<x>**t * r_i comes
-    from the exact bracket ratios r_i (t = 1/theta), each enclosed once.
-    Runs the h'-Leibniz recursion in interval arithmetic and certifies each
-    returned midpoint to relative error < 2**-64 (exact zeros are returned
-    as exact); raises PrecisionError otherwise.
+    x must be rational (int, float or Fraction): c_i = -<x>**t * r_{i+1}/i!
+    comes from the exact bracket ratios r_i (t = 1/theta), each enclosed
+    once.  Each returned midpoint, rounded at ``precision_bits``, is
+    certified to relative error < 2**-64 (exact zeros are returned as
+    exact); raises PrecisionError otherwise.
     """
     theta = Fraction(theta)
     if theta <= 0:
@@ -202,19 +205,22 @@ def gs_derivative_series(theta, k_max: int, x, precision_bits: int = 256):
     t = 1 / theta
     xf = Fraction(x)
     ratios = _bracket_ratios(t, xf, k_max)
-    with iv_prec(precision_bits):
-        bracket_pow = iv.exp(to_iv(t / 2) * iv.log(to_iv(1 + xf * xf)))  # <x>**t
-        f0 = iv.exp(-bracket_pow)
-        h = [None] + [-(bracket_pow * to_iv(r)) for r in ratios[1:]]
-        f = [f0]
+    scaled = [ratios[i + 1] / math.factorial(i) for i in range(k_max)]  # r_{i+1}/i!, exact
+
+    def series(bits):
+        with iv_prec(bits):
+            bracket_pow = iv.exp(to_iv(t / 2) * iv.log(to_iv(1 + xf * xf)))  # <x>**t
+            c = [(-(bracket_pow * to_iv(r)))._mpi_ for r in scaled]
+            a = [iv.exp(-bracket_pow)._mpi_]  # a_j = f^(j)/j!
         for j in range(k_max):
-            acc = iv.mpf(0)
-            b = 1
-            for i in range(j + 1):  # b = binom(j, i)
-                acc += iv.mpf(b) * h[i + 1] * f[j - i]
-                b = b * (j - i) // (i + 1)
-            f.append(acc)
-    return [certified_midpoint(fk, precision_bits, _GS_REL_ERROR) for fk in f]
+            acc = (fzero, fzero)
+            for c_i, a_ji in zip(c, reversed(a)):  # sum_i c_i * a_{j-i}
+                acc = mpi_add(acc, mpi_mul(c_i, a_ji, bits), bits)
+            a.append(mpi_div(acc, (from_int(j + 1),) * 2, bits))
+        f = (mpi_mul(a_j, (from_int(math.factorial(j)),) * 2, bits) for j, a_j in enumerate(a))
+        return [certified_midpoint(iv.make_mpf(f_j), precision_bits, _GS_REL_ERROR) for f_j in f]
+
+    return escalate(series, precision_bits)
 
 
 def gs_derivative(theta, k: int, x, precision_bits: int = 256):

@@ -11,6 +11,10 @@ Conversions round at most once at the requested precision; equal Fractions
 therefore always convert to bit-identical mpf values, which several
 determinism and dilation-identity checks rely on.
 
+An interval computation gets a working budget sized to its operands, which
+``escalate`` doubles while an enclosure is too wide; each result is rounded
+once, at the precision it is reported at.
+
 The package's two error types live here too: ``PrecisionError`` when an
 enclosure is too wide to certify, ``ParameterError`` when a caller-supplied
 value is rejected (the CLI maps only the latter to a usage error).
@@ -25,7 +29,11 @@ from mpmath import iv, mp
 
 
 class PrecisionError(ArithmeticError):
-    """An interval enclosure is too wide to certify the promised error bound."""
+    """An interval enclosure is too wide to certify; ``width`` says how wide (0: exact)."""
+
+    def __init__(self, message, width=None):
+        super().__init__(message)
+        self.width = width
 
 
 class ParameterError(ValueError):
@@ -103,34 +111,45 @@ def certified_midpoint(x, bits: int, max_rel_error: Fraction = Fraction(1, 2**64
     if a == b:
         with mp_prec(bits):
             return +mp.mpf(a)
-    if a <= 0 <= b:
-        raise PrecisionError("enclosure straddles zero; no relative bound certifiable")
     with mp_prec(bits + 16):
-        lo = min(abs(mp.mpf(a)), abs(mp.mpf(b)))
         width = mp.mpf(b) - mp.mpf(a)
+        if a <= 0 <= b:
+            raise PrecisionError("enclosure of width %s straddles zero" % mp.nstr(width, 8), width)
+        lo = min(abs(mp.mpf(a)), abs(mp.mpf(b)))
         if width > lo * to_mpf(max_rel_error):
-            raise PrecisionError(
-                "relative enclosure width %s exceeds the certification bound" % mp.nstr(width / lo, 8)
-            )
+            raise PrecisionError("relative width %s exceeds the certification bound" % mp.nstr(width / lo, 8), width / lo)
     return iv_midpoint(x, bits)
 
 
-def half_log_of_int(n: int, bits: int):
-    """ln(n)/2 for a positive integer n, rounded correctly to ``bits``.
+def escalate(compute, bits: int):
+    """``compute(bits)``, doubling ``bits`` on PrecisionError up to 16 times the start.
 
-    Recomputes with growing guard precision until two successive roundings
-    agree, so the returned value is the correctly rounded one except with
-    probability on the order of 2**-128.
+    An exact enclosure (width 0) and the error at the cap re-raise as they are.
+    """
+    for step in range(5):
+        try:
+            return compute(bits << step)
+        except PrecisionError as exc:
+            if exc.width == 0 or step == 4:
+                raise
+
+
+def half_log_of_int(n: int, bits: int):
+    """ln(n)/2 for a positive integer n, correctly rounded to ``bits``.
+
+    Ziv's rounding test: v is evaluated at bits + guard, within err (n and
+    the log each rounded once, with margin) of ln(n)/2; when v - err and
+    v + err round alike at ``bits`` so does ln(n)/2, else the guard doubles.
     """
     if n <= 0:
         raise ParameterError("positive integer required")
-    prev = None
-    for guard in (32, 64, 128, 256):
+    guard = 32
+    while n > 1:
         with mp_prec(bits + guard):
             v = mp.log(mp.mpf(n)) / 2
-        with mp_prec(bits):
-            r = +v
-        if prev is not None and r == prev:
-            return r
-        prev = r
-    return prev
+            err = (abs(v) + 1) * mp.ldexp(1, 3 - bits - guard)
+        with mp_prec(bits):  # v - err and v + err each rounded once, at bits
+            if v - err == v + err:
+                return +v
+        guard *= 2
+    return mp.mpf(0)  # ln 1, exactly

@@ -8,8 +8,13 @@ at x_k = k**theta,
     log |(D^k g)(x_k) f(x_k)| = log |p_k(x_k)| - <x_k>**(1/nu)
 
 with |p_k| from the exact Gaussian-integer evaluator whenever theta is an
-integer; otherwise x_k is enclosed in an interval at the working precision
-and |p_k| is certified on that enclosure.  Along k the leading behaviour is
+integer; otherwise x_k is enclosed in an interval and |p_k| is certified on
+that enclosure.  Two precisions are kept apart: only the enclosures get a
+budget sized to the operand (``default_precision_bits``, thousands of bits
+at large k), while the logs, the decay term, the rate and Delta are
+computed at the result precision RESULT_BITS = RATE_BITS + 64 (or
+``ProbeConfig.precision_bits``) and records are rounded at RATE_BITS.
+Along k the leading behaviour is
 
     log|p_k(x_k)| = k log m + theta (m-1) k log k + o(k),
 
@@ -50,6 +55,7 @@ from .identities import CheckResult, _result
 from .precision import ParameterError, iv_midpoint, iv_prec, mp_prec, to_iv, to_mpf
 
 RATE_BITS = 128
+RESULT_BITS = RATE_BITS + 64  # logs, decay, rate and Delta are computed at this precision
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,7 @@ class ProbeConfig:
     theta: Fraction
     nu: Fraction
     k_values: tuple[int, ...]
-    precision_bits: Optional[int] = None  # None: per-order default budget
+    precision_bits: Optional[int] = None  # result precision; None: RESULT_BITS
 
     def __post_init__(self):
         if self.m < 2:
@@ -126,27 +132,22 @@ def probe_series(cfg: ProbeConfig, table: Optional[CoeffTable] = None) -> list[P
         return []
     table = _table_covering(cfg.m, max(cfg.k_values), table)
     theta_int = cfg.theta.denominator == 1
+    bits = cfg.precision_bits or RESULT_BITS
     records = []
     for k in cfg.k_values:
-        bits = cfg.precision_bits or default_precision_bits(cfg.m, k, cfg.theta)
         if theta_int:
             x = x_enc = k ** cfg.theta.numerator
         else:
-            with iv_prec(bits):
+            with iv_prec(max(bits, default_precision_bits(cfg.m, k, cfg.theta))):
                 x_enc = iv.mpf(k) ** to_iv(cfg.theta)
             x = iv_midpoint(x_enc, bits)
         lm = eval_log_magnitude(derivative_poly(table, k), cfg.lambda_sign, x_enc, precision_bits=bits)
         decay = _decay(x, cfg.nu, bits)
         with mp_prec(bits):
             log_prod = lm.log_mag - decay
-            if k >= 2:
-                rate = (log_prod + decay) / (k * mp.log(k))
-            else:
-                rate = mp.mpf(0)
+            rate = (log_prod + decay) / (k * mp.log(k)) if k >= 2 else mp.mpf(0)
         with mp_prec(RATE_BITS):
-            records.append(
-                ProbeRecord(k=k, x=x, log_dkg_f=+log_prod, rate=+rate, exact=lm.exact)
-            )
+            records.append(ProbeRecord(k=k, x=x, log_dkg_f=+log_prod, rate=+rate, exact=lm.exact))
     return records
 
 
@@ -210,10 +211,9 @@ def criterion_check(
     deltas = []
     for j in range(1, j_max + 1):
         k = seq.k(j)
-        bits = default_precision_bits(m, k, theta)
-        lm = eval_log_magnitude(derivative_poly(table, k), lambda_sign, k**theta, precision_bits=bits)
-        with mp_prec(RATE_BITS):
-            deltas.append(+(lm.log_mag - to_mpf(s) * k * mp.log(k)))
+        lm = eval_log_magnitude(derivative_poly(table, k), lambda_sign, k**theta, precision_bits=RESULT_BITS)
+        with mp_prec(RESULT_BITS):
+            deltas.append(lm.log_mag - to_mpf(s) * k * mp.log(k))
     witnesses = []
     for j in range(1, j_max):
         if not deltas[j] > deltas[j - 1]:

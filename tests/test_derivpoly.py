@@ -16,6 +16,7 @@ from gsmult.derivpoly import (
     kj_sequence,
     row_length,
 )
+from gsmult import derivpoly as derivpoly_module
 from gsmult.precision import PrecisionError, iv_endpoints, iv_prec, to_iv
 
 from conftest import get_table
@@ -151,6 +152,36 @@ class TestEvalLogMagnitude:
         poly = derivative_poly(get_table(2, 4), 1)
         with pytest.raises(PrecisionError):
             eval_log_magnitude(poly, 1, Fraction(0), precision_bits=128, exact=False)
+
+    def test_exact_zero_raises_without_escalating(self, monkeypatch):
+        parts, calls = derivpoly_module._parts, []
+        monkeypatch.setattr(derivpoly_module, "_parts", lambda *args: calls.append(args) or parts(*args))
+        poly = derivative_poly(get_table(2, 4), 1)
+        with pytest.raises(PrecisionError) as info:
+            eval_log_magnitude(poly, 1, Fraction(0), precision_bits=128, exact=False)
+        assert len(calls) == 1 and info.value.width == 0
+
+    def test_interval_path_escalates_and_records_its_bits(self, monkeypatch):
+        # a 2**-100 bound cannot be certified from a 64-bit start: the budget doubles
+        poly = derivative_poly(get_table(3, 40), 40)
+        x = Fraction(7, 3)
+        reference = eval_log_magnitude(poly, 1, x, precision_bits=512, exact=False)
+        monkeypatch.setattr(derivpoly_module, "_budget_bits", lambda *args: 64)
+        monkeypatch.setattr(derivpoly_module, "_LOG_ABS_ERROR_BOUND", Fraction(1, 2**100))
+        lm = eval_log_magnitude(poly, 1, x, precision_bits=64)
+        assert lm.precision_bits in (128, 256) and not lm.exact
+        with mp.workprec(512):
+            assert abs(lm.log_mag - reference.log_mag) < abs(reference.log_mag) * mp.mpf(2) ** -63  # 64-bit midpoint
+
+    def test_exact_path_rounds_at_the_result_precision(self):
+        poly = derivative_poly(get_table(3, 60), 60)
+        re, im = gaussian_parts(poly, 1, 9)
+        lm = eval_log_magnitude(poly, 1, 9, precision_bits=192)
+        assert lm.exact and lm.precision_bits == 192
+        with mp.workprec(4 * 192):
+            ref = mp.log(mp.mpf(re * re + im * im)) / 2
+        with mp.workprec(192):
+            assert lm.log_mag == +ref
 
     def test_rejects_bad_inputs(self):
         poly = derivative_poly(get_table(2, 4), 2)

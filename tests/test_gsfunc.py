@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import iv, mp
+from mpmath.libmp import from_int
 
 from gsmult import gsfunc
 from gsmult.gsfunc import (
@@ -25,6 +27,7 @@ from gsmult.gsfunc import (
     verify_bracket_bound,
     verify_gs_bound,
 )
+from gsmult.precision import PrecisionError, certified_midpoint, iv_prec, to_iv
 
 rationals = st.fractions(min_value=-4, max_value=4)
 
@@ -180,6 +183,71 @@ class TestGsDerivative:
                 for k in range(5):
                     fd = (series_hi[k] - series_lo[k]) / (2 * mpmath.mpf(2) ** -20)
                     assert abs(fd - series[k + 1]) <= abs(series[k + 1]) * mp.mpf(10) ** -4
+
+
+def binomial_leibniz_series(theta, k_max, x, bits=256):
+    """The binomial Leibniz loop f^(j+1) = sum_i binom(j, i) * h^(i+1) * f^(j-i), kept literally
+    as the reference for the Taylor-coefficient engine; returns the raw enclosures."""
+    t = 1 / Fraction(theta)
+    xf = Fraction(x)
+    ratios = gsfunc._bracket_ratios(t, xf, k_max)
+    with iv_prec(bits):
+        bracket_pow = iv.exp(to_iv(t / 2) * iv.log(to_iv(1 + xf * xf)))  # <x>**t
+        f0 = iv.exp(-bracket_pow)
+        h = [None] + [-(bracket_pow * to_iv(r)) for r in ratios[1:]]
+        f = [f0]
+        for j in range(k_max):
+            acc = iv.mpf(0)
+            b = 1
+            for i in range(j + 1):  # b = binom(j, i)
+                acc += iv.mpf(b) * h[i + 1] * f[j - i]
+                b = b * (j - i) // (i + 1)
+            f.append(acc)
+    return f
+
+
+def iv_operator_taylor_series(theta, k_max, x, bits=256):
+    """The engine's Taylor-coefficient loop written with ``iv`` operators; raw enclosures."""
+    t = 1 / Fraction(theta)
+    xf = Fraction(x)
+    ratios = gsfunc._bracket_ratios(t, xf, k_max)
+    with iv_prec(bits):
+        bracket_pow = iv.exp(to_iv(t / 2) * iv.log(to_iv(1 + xf * xf)))
+        c = [-(bracket_pow * to_iv(ratios[i + 1] / math.factorial(i))) for i in range(k_max)]
+        a = [iv.exp(-bracket_pow)]
+        for j in range(k_max):
+            acc = iv.mpf(0)
+            for i in range(j + 1):
+                acc = acc + c[i] * a[j - i]
+            a.append(acc / (j + 1))
+        return [a_j * iv.make_mpf((from_int(math.factorial(j)),) * 2) for j, a_j in enumerate(a)]
+
+
+class TestTaylorKernel:
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(1, 3), Fraction(2, 3)])
+    def test_matches_binomial_leibniz_reference(self, theta):
+        for x in (Fraction(0), Fraction(1, 10), Fraction(3, 4), Fraction(5), Fraction(-3)):
+            got = gs_derivative_series(theta, 60, x)
+            ref = [certified_midpoint(v, 256) for v in binomial_leibniz_series(theta, 60, x)]
+            with mp.workprec(256):
+                for k, (g, r) in enumerate(zip(got, ref)):
+                    assert abs(g - r) <= abs(r) * mp.mpf(2) ** -200, (theta, x, k)
+
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(2, 3), Fraction(2)])
+    def test_libmp_loop_is_bit_identical_to_iv_operators(self, theta, monkeypatch):
+        monkeypatch.setattr(gsfunc, "certified_midpoint", lambda enc, bits, rel: enc._mpi_)
+        for x in (Fraction(0), Fraction(3, 4), Fraction(-3)):
+            ref = [v._mpi_ for v in iv_operator_taylor_series(theta, 40, x)]
+            assert gs_derivative_series(theta, 40, x) == ref
+
+    def test_escalates_where_the_starting_budget_runs_out(self, monkeypatch):
+        # `gs bound --theta 1/2 --kmax 400` needs this point; at the 256-bit start
+        # alone the enclosures are too wide, so a fixed budget raises
+        series = gs_derivative_series(Fraction(1, 2), 400, 25)
+        assert len(series) == 401 and all(mp.isfinite(v) and v != 0 for v in series)
+        monkeypatch.setattr(gsfunc, "escalate", lambda compute, bits: compute(bits))
+        with pytest.raises(PrecisionError):
+            gs_derivative_series(Fraction(1, 2), 400, 25)
 
 
 class TestGsBound:

@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp
 
 from gsmult.derivpoly import default_precision_bits, derivative_poly, eval_log_magnitude, kj_sequence
-from gsmult.probe import ProbeConfig, ProbeRecord, _decay, criterion_check, estimate_rate, probe_series
+from gsmult.probe import RATE_BITS, ProbeConfig, ProbeRecord, _decay, criterion_check, estimate_rate, probe_series
 
 from conftest import get_table
 
@@ -97,6 +97,22 @@ class TestProbeSeries:
             with mp.workprec(bits):
                 assert abs(rec.x - x) < mp.mpf(2) ** -64
                 assert abs(rec.log_dkg_f + _decay(rec.x, cfg.nu, bits) - exact.log_mag) < mp.mpf(2) ** -32
+
+    @pytest.mark.parametrize("m,theta", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_result_precision_matches_logs_at_the_operand_budget(self, m, theta):
+        # the records before logs were sized to their results: every step at the operand budget
+        table = get_table(m, 120)
+        cfg = config(m=m, theta=theta, ks=range(1, 121))
+        for rec in probe_series(cfg, table):
+            k, x = rec.k, rec.k**theta
+            bits = default_precision_bits(m, k, cfg.theta)
+            lm = eval_log_magnitude(derivative_poly(table, k), 1, x, precision_bits=bits)
+            decay = _decay(x, cfg.nu, bits)
+            with mp.workprec(bits):
+                log_prod = lm.log_mag - decay
+                rate = (log_prod + decay) / (k * mp.log(k)) if k >= 2 else mp.mpf(0)
+            with mp.workprec(RATE_BITS):
+                assert (rec.log_dkg_f, rec.rate) == (+log_prod, +rate), k
 
     def test_undersized_table_rejected(self):
         from gsmult.derivpoly import build_coeff_table

@@ -3,6 +3,9 @@ exact-string formats used by every file-emitting code path."""
 
 from __future__ import annotations
 
+import decimal
+import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -39,6 +42,33 @@ def parse_fraction(text: str) -> Fraction:
     if "." in text or "e" in text or "E" in text:
         return Fraction(text)
     return Fraction(int(text))
+
+
+_INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def format_int(n: int) -> str:
+    """Decimal string of an int of any size, without touching the process limit.
+
+    CPython's ``str`` refuses ints above ``sys.get_int_max_str_digits()``
+    digits (4300 by default); those go through ``decimal.Decimal``, whose
+    conversion has no digit limit.  Below the limit this is exactly ``str``.
+    """
+    limit = sys.get_int_max_str_digits()
+    # n has at most floor(bits * log10(2)) + 1 digits, and log10(2) < 0.30103
+    if not limit or n.bit_length() * 30103 <= (limit - 1) * 100000:
+        return str(n)
+    return str(decimal.Decimal(n))
+
+
+def parse_int(text) -> int:
+    """Inverse of ``format_int``: ``int(text)``, also for literals above the digit limit."""
+    limit = sys.get_int_max_str_digits()
+    if not isinstance(text, str) or not limit or len(text) <= limit:
+        return int(text)
+    if not _INT_LITERAL.fullmatch(text):
+        raise ValueError("invalid integer literal of %d characters" % len(text))
+    return int(decimal.Decimal(text))
 
 
 def format_fraction(q: Fraction) -> str:

@@ -30,7 +30,7 @@ from pathlib import Path
 import mpmath
 
 from . import derivpoly, gsfunc, identities, oracle, probe, wedge
-from ._util import format_fraction, format_mpf, parse_fraction
+from ._util import format_fraction, format_int, format_mpf, parse_fraction
 from .precision import ParameterError
 
 
@@ -160,7 +160,13 @@ def _print_check(result: identities.CheckResult) -> None:
         extra = "  extremal=%s" % format_mpf(result.extremal_ratio, 10)
     print("%-34s %s%s" % (result.name, status, extra))
     for w in result.witnesses[:10]:
-        print("    witness: %s" % (w,))
+        print("    witness: %s" % _witness_repr(w))
+
+
+def _witness_repr(w: tuple) -> str:
+    """``repr(w)``, with any int beyond CPython's digit limit still written out."""
+    parts = [format_int(x) if isinstance(x, int) else repr(x) for x in w]
+    return "(%s%s)" % (", ".join(parts), "," if len(parts) == 1 else "")
 
 
 def _cmd_table(args) -> int:
@@ -169,7 +175,8 @@ def _cmd_table(args) -> int:
         raise UsageError("--kmax must be >= 1")
     table = derivpoly.build_coeff_table(args.m, args.kmax)
     out = _resolve(args.out, args.out_dir)
-    out.write_text(table.to_json(indent=None, separators=(",", ":")) + "\n", encoding="utf-8")
+    with out.open("w", encoding="utf-8") as fp:
+        table.write_json(fp)
     print("wrote table m=%d kmax=%d to %s" % (args.m, args.kmax, out))
     return 0
 

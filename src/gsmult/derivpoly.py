@@ -43,6 +43,7 @@ from typing import Iterator, Optional
 import mpmath
 from mpmath import iv, mp
 
+from ._util import format_int, parse_int
 from .precision import (
     ParameterError,
     PrecisionError,
@@ -108,15 +109,28 @@ class CoeffTable:
         return {
             "m": self.m,
             "k_max": self.k_max,
-            "rows": [[str(c) for c in row] for row in self.rows],
+            "rows": [[format_int(c) for c in row] for row in self.rows],
         }
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_json_dict(), **kwargs)
 
+    def write_json(self, fp) -> None:
+        """Stream the compact export to the text file ``fp``, one row at a time.
+
+        Writes exactly ``to_json(separators=(",", ":"))`` and a newline,
+        without holding more than one row's decimal strings in memory.
+        """
+        fp.write('{"m":%d,"k_max":%d,"rows":[' % (self.m, self.k_max))
+        sep = '["'
+        for row in self.rows:
+            fp.write(sep + '","'.join(map(format_int, row)) + '"]')
+            sep = ',["'
+        fp.write("]}\n")
+
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoeffTable":
-        rows = tuple(tuple(int(c) for c in row) for row in data["rows"])
+        rows = tuple(tuple(parse_int(c) for c in row) for row in data["rows"])
         table = cls(m=int(data["m"]), k_max=int(data["k_max"]), rows=rows)
         table.validate()
         return table

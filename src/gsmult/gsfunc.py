@@ -253,11 +253,13 @@ def verify_gs_bound(
         raise ParameterError("theta must be positive")
     if k_max < 4:
         raise ParameterError("need k_max >= 4 for a slope over the top half")
-    if grid is None:
-        grid = geometric_grid(2 * Fraction(k_max) ** math.ceil(theta), 25)
+    grid = geometric_grid(2 * Fraction(k_max) ** math.ceil(theta), 25) if grid is None else tuple(grid)
     tau = max(1 / theta - 1, Fraction(0))
     best_log = [None] * (k_max + 1)
     with mp_prec(precision_bits):
+        tau_mpf = to_mpf(tau)
+        log_fact = [None] + [mp.log(mp.factorial(k)) for k in range(1, k_max + 1)]
+        k_tau = [k * tau_mpf for k in range(k_max + 1)]
         for x in grid:
             series = gs_derivative_series(theta, k_max, x, precision_bits)
             xf = Fraction(x)
@@ -266,7 +268,7 @@ def verify_gs_bound(
             for k in range(1, k_max + 1):
                 if series[k] == 0:
                     continue
-                lr = mp.log(abs(series[k])) - mp.log(mp.factorial(k)) - log_f0 - k * to_mpf(tau) * log_bracket
+                lr = mp.log(abs(series[k])) - log_fact[k] - log_f0 - k_tau[k] * log_bracket
                 if best_log[k] is None or lr > best_log[k]:
                     best_log[k] = lr
         orders = [k for k in range(1, k_max + 1) if best_log[k] is not None]
@@ -278,7 +280,7 @@ def verify_gs_bound(
     params = {
         "theta": format_fraction(theta),
         "k_max": k_max,
-        "grid_points": len(tuple(grid)),
+        "grid_points": len(grid),
         "slope": mp.nstr(slope, 10),
         "slope_tol": slope_tol,
     }

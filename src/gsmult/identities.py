@@ -14,7 +14,12 @@ Checked facts, for degree m >= 2 and the table coefficients C[k][n]:
 * closed form C[k][1] = (m-1)k(k-1)/2 for k >= 2.
 * fourth-power bound 2*C[k][2] <= m**2 * k**4 for k >= 4.
 * adjacent-ratio bound C[k][n+1] <= C[k][n] * m * k**(m*theta) for rational
-  theta >= 2/m, compared exactly via q-th powers for theta = p/q.
+  theta >= 2/m, compared exactly via q-th powers for theta = p/q.  Each cell
+  is first decided from bit lengths, which settles it exactly whenever the
+  two sides differ by more than about q bits; only the cells in that band
+  build the q-th powers.  The extremal ratio is the same float as a log of
+  every cell's exact powers would give: a float estimate per cell picks the
+  few cells near the maximum, and only those are evaluated exactly.
 * auxiliary function f(x) = (1+x)**(m*theta) - (1-1/m)*x**(m*theta-1) - 1
   is nonnegative on [0,1] (grid with downward rounding, plus the endpoint
   identities f(0) = 0 and f(1) = 2**(m*theta) - 2 + 1/m).
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
-from ._util import format_fraction
+from ._util import format_fraction, format_int
 from .derivpoly import CoeffTable, _table_covering, derivative_poly, gaussian_parts, kj_sequence
 from .precision import ParameterError, iv_endpoints, iv_prec, to_iv, to_mpf
 
@@ -62,7 +67,7 @@ class CheckResult:
             "name": self.name,
             "params": dict(self.params),
             "passed": self.passed,
-            "witnesses": [list(map(str, w)) for w in self.witnesses],
+            "witnesses": [[format_int(x) if isinstance(x, int) else str(x) for x in w] for w in self.witnesses],
             "extremal_ratio": None if self.extremal_ratio is None else str(self.extremal_ratio),
         }
 
@@ -126,11 +131,23 @@ def check_ck2_bound(table: CoeffTable) -> CheckResult:
     return _result("ck2-fourth-power-bound", {"m": m, "k_max": table.k_max}, witnesses, max_ratio)
 
 
+# The float estimate q*(ln a - ln b) - ln f of a cell is off by well under
+# 1e-10 for coefficients of a few thousand digits (the error grows like
+# q * bits * 2**-52), so every cell that could hold the exact maximum of the
+# log ratio lies within this slack of the largest estimate.
+_EXTREMAL_SLACK = 1e-6
+
+
 def check_ratio_bound(table: CoeffTable, theta: Fraction) -> CheckResult:
     """C[k][n+1] <= C[k][n] * m * k**(m*theta) exactly, via q-th powers.
 
-    For theta = p/q the comparison is C[k][n+1]**q <= C[k][n]**q * m**q * k**(m*p),
-    an exact integer statement.  Requires theta >= 2/m (the bound's hypothesis).
+    For theta = p/q the comparison is a**q <= b**q * f with a = C[k][n+1],
+    b = C[k][n] and f = m**q * k**(m*p), an exact integer statement.  Most
+    cells are settled by bit lengths alone (see ``_exceeds``); the q-th
+    powers are built only for the rest.  The extremal ratio is the maximum
+    of (ln a**q - ln(b**q * f)) / q, evaluated only on the cells whose float
+    estimate comes within ``_EXTREMAL_SLACK`` of the largest one.  Requires
+    theta >= 2/m (the bound's hypothesis).
     """
     theta = Fraction(theta)
     m = table.m
@@ -138,23 +155,46 @@ def check_ratio_bound(table: CoeffTable, theta: Fraction) -> CheckResult:
         raise ParameterError("hypothesis violated: theta=%s < 2/m for m=%d" % (theta, m))
     p, q = theta.numerator, theta.denominator
     witnesses = []
-    max_log_ratio = None
+    best = -math.inf
+    near_best = []  # (estimate, a, b, f) within the slack of ``best``
     m_q = m**q
     for k in range(2, table.k_max + 1):
         row = table.row(k)
         scale = m_q * k ** (m * p)
-        powers = [c**q for c in row]  # each C[k][n]**q serves both of its neighbours
+        ln_scale = math.log(scale)
+        logs = [math.log(c) for c in row]  # each ln C[k][n] serves both of its neighbours
         for n in range(len(row) - 1):
-            lhs = powers[n + 1]
-            rhs = powers[n] * scale
-            if lhs > rhs:
-                witnesses.append((k, n, row[n + 1], row[n]))
-            log_ratio = (math.log(lhs) - math.log(rhs)) / q
-            if max_log_ratio is None or log_ratio > max_log_ratio:
-                max_log_ratio = log_ratio
-    extremal = None if max_log_ratio is None else math.exp(max_log_ratio)
+            a, b = row[n + 1], row[n]
+            if _exceeds(a, b, scale, q):
+                witnesses.append((k, n, a, b))
+            estimate = q * (logs[n + 1] - logs[n]) - ln_scale
+            if estimate > best - _EXTREMAL_SLACK:
+                near_best.append((estimate, a, b, scale))
+                if estimate > best:
+                    best = estimate
+                    near_best = [c for c in near_best if c[0] > best - _EXTREMAL_SLACK]
+    extremal = None
+    if near_best:
+        extremal = math.exp(max((math.log(a**q) - math.log(b**q * f)) / q for _, a, b, f in near_best))
     params = {"m": m, "k_max": table.k_max, "theta": format_fraction(theta)}
     return _result("adjacent-ratio-bound", params, witnesses, extremal)
+
+
+def _exceeds(a: int, b: int, f: int, q: int) -> bool:
+    """a**q > b**q * f for positive ints, decided by bit lengths where they suffice.
+
+    With la, lb, lf the bit lengths, a**q >= 2**(q*(la-1)) and
+    b**q * f < 2**(q*lb + lf), so q*(la-lb-1) >= lf proves the excess;
+    a**q < 2**(q*la) and b**q * f >= 2**(q*(lb-1) + lf - 1), so
+    q*(la-lb+1) < lf rules it out.  Only the band between needs the powers.
+    """
+    gap = a.bit_length() - b.bit_length()
+    lf = f.bit_length()
+    if q * (gap - 1) >= lf:
+        return True
+    if q * (gap + 1) < lf:
+        return False
+    return a**q > b**q * f
 
 
 def _wedge_fn_exact(m: int, mt: int, x: Fraction) -> Fraction:

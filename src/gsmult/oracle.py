@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from itertools import count, islice
 from math import comb, perm
 
+from ._util import format_int
 from .derivpoly import CoeffTable, row_length
 from .precision import ParameterError
 
@@ -78,16 +79,31 @@ def _composition_cell(m: int, k: int, n: int, s: int) -> int:
 
     (k-n)! always divides k!, so k!/(k-n)! * S is divided by m**(k-n) alone.
     """
-    value, rem = divmod(perm(k, n) * s, m ** (k - n))
+    return _divide_exact(perm(k, n) * s, m ** (k - n), m, k, n)
+
+
+def _divide_exact(numerator: int, divisor: int, m: int, k: int, n: int) -> int:
+    value, rem = divmod(numerator, divisor)
     if rem:
         raise NonIntegralCoefficientError("prefactor does not divide at (m=%d, k=%d, n=%d)" % (m, k, n))
     return value
 
 
 def _composition_rows(m: int):
-    """Yield C[k][.] for k = 1, 2, ... from the composition sums S_k."""
+    """Yield C[k][.] for k = 1, 2, ... from the composition sums S_k.
+
+    Along a row, k!/(k-n)! and m**(k-n) are carried from n to n+1 by one
+    small-factor product and one exact division by m, instead of being
+    rebuilt for every cell as ``_composition_cell`` does.
+    """
     for k, sums in enumerate(islice(_composition_sums(m), 1, None), 1):
-        yield {n: _composition_cell(m, k, n, sums[k - n]) for n in range(row_length(m, k))}
+        row = {}
+        falling, power = 1, m**k  # k!/(k-n)! and m**(k-n) at n = 0
+        for n in range(row_length(m, k)):
+            row[n] = _divide_exact(falling * sums[k - n], power, m, k, n)
+            falling *= k - n
+            power //= m
+        yield row
 
 
 def gf_coefficient(m: int, power: int, degree: int) -> int:
@@ -239,6 +255,6 @@ def certify(table: CoeffTable) -> OracleReport:
         for n, value in enumerate(table.row(k)):
             for row in oracle_rows:
                 if value != row[n]:
-                    discrepancies.append((k, n, str(value), str(row[n])))
+                    discrepancies.append((k, n, format_int(value), format_int(row[n])))
                     break
     return OracleReport(m=m, k_range=(1, table.k_max), discrepancies=tuple(discrepancies))

@@ -8,7 +8,7 @@ import pytest
 
 from gsmult import gsfunc, identities
 from gsmult._util import format_mpf
-from gsmult.cli import dispatch
+from gsmult.cli import _print_check, _witness_repr, dispatch
 from gsmult.precision import PrecisionError
 
 
@@ -112,6 +112,20 @@ class TestTable:
     def test_out_dir_prefix(self, tmp_path):
         assert run(["--out-dir", str(tmp_path / "sub"), "table", "--m", "2", "--kmax", "2", "--out", "t.json"]) == 0
         assert (tmp_path / "sub" / "t.json").exists()
+
+
+class TestPrintCheck:
+    @pytest.mark.parametrize(
+        "w", [(4, 2, 123, 45), ("slope", "1.5e-3"), (7,), ("not-increasing", 3, "0.25"), (True, 0)]
+    )
+    def test_witness_line_is_the_tuple_repr(self, w):
+        assert _witness_repr(w) == repr(w)
+
+    def test_witness_beyond_the_int_digit_limit(self, capsys):
+        big = 10**5000 + 7
+        result = identities.CheckResult(name="x", params={}, passed=False, witnesses=((2, 1, big, 1),))
+        _print_check(result)
+        assert "witness: (2, 1, 1%s7, 1)" % ("0" * 4999) in capsys.readouterr().out
 
 
 class TestVerifyIdentities:

@@ -1,3 +1,7 @@
+import io
+import json
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -89,6 +93,51 @@ class TestBuildCoeffTable:
         rows[3][1] = -rows[3][1]
         with pytest.raises(ValueError):
             CoeffTable(m=2, k_max=6, rows=tuple(tuple(r) for r in rows)).validate()
+
+
+class TestJsonExport:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_write_json_is_the_compact_to_json(self, m):
+        table = get_table(m, 60)
+        buf = io.StringIO()
+        table.write_json(buf)
+        assert buf.getvalue() == table.to_json(separators=(",", ":")) + "\n"
+
+    def test_write_json_streams(self):
+        # the writer never holds the document: its peak stays far below the file size
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        table = get_table(4, 300)
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            table.write_json(sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sink.size / 4
+
+    def test_ints_beyond_the_str_digit_limit_round_trip(self):
+        limit = sys.get_int_max_str_digits()
+        big = 10**5000 + 7
+        table = CoeffTable(m=2, k_max=2, rows=((1,), (1, big)))
+        buf = io.StringIO()
+        table.write_json(buf)
+        assert buf.getvalue() == table.to_json(separators=(",", ":")) + "\n"
+        data = json.loads(buf.getvalue())
+        assert data["rows"][1][1] == "1" + "0" * 4999 + "7"
+        assert CoeffTable.from_json_dict(data) == table
+        assert CoeffTable.from_json_dict(table.to_json_dict()) == table
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_from_json_rejects_a_long_non_integer(self):
+        data = {"m": 2, "k_max": 2, "rows": [["1"], ["1", "1" * 5000 + ".5"]]}
+        with pytest.raises(ValueError):
+            CoeffTable.from_json_dict(data)
 
 
 class TestDerivPoly:

@@ -267,6 +267,13 @@ class TestGsBound:
         with pytest.raises(ValueError):
             verify_gs_bound(1, 3)
 
+    def test_generator_grid_is_read_once(self):
+        points = (0, Fraction(1, 2), 2, 5)
+        from_tuple = verify_gs_bound(1, 12, grid=points, slope_tol=1)
+        from_generator = verify_gs_bound(1, 12, grid=(x for x in points), slope_tol=1)
+        assert from_generator.params["grid_points"] == "4"
+        assert from_generator.to_json() == from_tuple.to_json()
+
 
 class TestGrids:
     def test_geometric_grid_contains_zero_and_max(self):

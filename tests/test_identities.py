@@ -1,9 +1,17 @@
+import json
+import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gsmult._util import format_fraction
+from gsmult.derivpoly import CoeffTable
 from gsmult.identities import (
     CheckResult,
+    _result,
     _wedge_fn_exact,
     check_ck1_closed_form,
     check_ck2_bound,
@@ -87,6 +95,125 @@ class TestRatioBound:
         result = check_ratio_bound(get_table(4, 64), Fraction(1, 2))
         assert result.passed
         assert result.extremal_ratio > 0.1
+
+
+def reference_ratio_bound(table, theta):
+    """The adjacent-ratio check as exact q-th powers of every cell, literally."""
+    theta = Fraction(theta)
+    m = table.m
+    p, q = theta.numerator, theta.denominator
+    witnesses = []
+    max_log_ratio = None
+    m_q = m**q
+    for k in range(2, table.k_max + 1):
+        row = table.row(k)
+        scale = m_q * k ** (m * p)
+        powers = [c**q for c in row]  # each C[k][n]**q serves both of its neighbours
+        for n in range(len(row) - 1):
+            lhs = powers[n + 1]
+            rhs = powers[n] * scale
+            if lhs > rhs:
+                witnesses.append((k, n, row[n + 1], row[n]))
+            log_ratio = (math.log(lhs) - math.log(rhs)) / q
+            if max_log_ratio is None or log_ratio > max_log_ratio:
+                max_log_ratio = log_ratio
+    extremal = None if max_log_ratio is None else math.exp(max_log_ratio)
+    params = {"m": m, "k_max": table.k_max, "theta": format_fraction(theta)}
+    return _result("adjacent-ratio-bound", params, witnesses, extremal)
+
+
+def _theta_for(m, data):
+    q = data.draw(st.integers(1, 6))
+    p = data.draw(st.integers(-(-2 * q // m), 3 * q))  # theta = p/q >= 2/m
+    return Fraction(p, q)
+
+
+def _edited(table, edits):
+    rows = [list(r) for r in table.rows]
+    for k, n, value in edits:
+        rows[k - 1][n] = value
+    return CoeffTable(m=table.m, k_max=table.k_max, rows=tuple(map(tuple, rows)))
+
+
+def _cell(table, data):
+    k = data.draw(st.integers(2, table.k_max))
+    n = data.draw(st.integers(1, len(table.row(k)) - 1))
+    return k, n
+
+
+class TestRatioBoundMatchesReference:
+    """The bit-length pre-decision must not move a witness or the extremal ratio."""
+
+    @staticmethod
+    def assert_same(table, theta):
+        got = check_ratio_bound(table, theta)
+        assert got.to_json() == reference_ratio_bound(table, theta).to_json()
+        return got
+
+    @pytest.mark.parametrize(
+        "m, k_max, theta",
+        [(4, 120, Fraction(1, 2)), (3, 120, Fraction(5, 6)), (6, 80, Fraction(1, 3)), (2, 120, 1), (5, 80, Fraction(7, 5))],
+    )
+    def test_clean_tables(self, m, k_max, theta):
+        assert self.assert_same(get_table(m, k_max), theta).passed
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_tampered_tables(self, data):
+        m = data.draw(st.integers(2, 6))
+        table = get_table(m, data.draw(st.integers(2, 40)))
+        theta = _theta_for(m, data)
+        edits = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            k, n = _cell(table, data)
+            old = table.coeff(k, n)
+            edits.append((k, n, data.draw(st.sampled_from([old + 1, max(1, old - 1), old * 2**40, 1, old * 7 + 3]))))
+        self.assert_same(_edited(table, edits), theta)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_cells_on_equality(self, data):
+        # k = j**q makes f = m**q * k**(m*p) the q-th power of m * j**(m*p), so
+        # a = b * m * j**(m*p) puts the cell exactly on a**q == b**q * f
+        m = data.draw(st.integers(2, 6))
+        theta = _theta_for(m, data)
+        p, q = theta.numerator, theta.denominator
+        j = data.draw(st.integers(2, max(2, int(64 ** (1 / q)))))
+        k = j**q  # at most 64 for q <= 6
+        table = get_table(m, 64)
+        n = data.draw(st.integers(1, len(table.row(k)) - 1))
+        b = table.coeff(k, n - 1)
+        a = b * m * j ** (m * p)
+        assert a**q == b**q * m**q * k ** (m * p)
+        result = self.assert_same(_edited(table, [(k, n, a)]), theta)
+        assert (k, n - 1, a, b) not in result.witnesses
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_cells_one_bit_either_side_of_each_test(self, data):
+        m = data.draw(st.integers(2, 6))
+        table = get_table(m, data.draw(st.integers(2, 40)))
+        theta = _theta_for(m, data)
+        p, q = theta.numerator, theta.denominator
+        k, n = _cell(table, data)
+        b = table.coeff(k, n - 1)
+        lb, lf = b.bit_length(), (m**q * k ** (m * p)).bit_length()
+        exceeds_from = lb + 1 + -(-lf // q)  # least la with q*(la-lb-1) >= lf
+        within_to = lb - 1 + (lf - 1) // q  # largest la with q*(la-lb+1) < lf
+        la = data.draw(st.sampled_from([exceeds_from - 1, exceeds_from, within_to, within_to + 1]))
+        la = max(la, 1)
+        a = data.draw(st.sampled_from([2 ** (la - 1), 2**la - 1, data.draw(st.integers(2 ** (la - 1), 2**la - 1))]))
+        self.assert_same(_edited(table, [(k, n, a)]), theta)
+
+
+class TestCheckResultJson:
+    def test_witness_beyond_the_int_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        big = 10**5000 + 7
+        result = CheckResult(name="x", params={}, passed=False, witnesses=((3, big, "s"),))
+        data = json.loads(result.to_json())
+        assert data["witnesses"] == [["3", "1" + "0" * 4999 + "7", "s"]]
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestWedgeFnNonneg:

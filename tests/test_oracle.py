@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gsmult import oracle as oracle_module
 from gsmult.derivpoly import CoeffTable, row_length
 from gsmult.oracle import (
+    NonIntegralCoefficientError,
     certify,
     coeff_oracle,
     gf_coefficient,
@@ -172,6 +174,18 @@ class TestCertify:
                             break
             assert certify(t).discrepancies == tuple(expected)
         assert len(certify(corrupt).discrepancies) == 2
+
+    def test_non_integral_prefactor_is_caught_along_the_row(self, monkeypatch):
+        # the carried k!/(k-n)! and m**(k-n) keep the exact-division check per cell
+        real = oracle_module._composition_sums
+
+        def perturbed(m):
+            for k, sums in enumerate(real(m)):
+                yield [s + 1 for s in sums] if k == 7 else sums
+
+        monkeypatch.setattr(oracle_module, "_composition_sums", perturbed)
+        with pytest.raises(NonIntegralCoefficientError):
+            certify(get_table(3, 10))
 
     def test_json_shape(self):
         from gsmult.derivpoly import build_coeff_table

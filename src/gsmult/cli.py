@@ -173,10 +173,9 @@ def _cmd_table(args) -> int:
     _require_m(args.m)
     if args.kmax < 1:
         raise UsageError("--kmax must be >= 1")
-    table = derivpoly.build_coeff_table(args.m, args.kmax)
     out = _resolve(args.out, args.out_dir)
     with out.open("w", encoding="utf-8") as fp:
-        table.write_json(fp)
+        derivpoly.write_table_json(fp, args.m, args.kmax, derivpoly.coeff_rows(args.m, args.kmax))
     print("wrote table m=%d kmax=%d to %s" % (args.m, args.kmax, out))
     return 0
 

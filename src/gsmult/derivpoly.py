@@ -121,12 +121,7 @@ class CoeffTable:
         Writes exactly ``to_json(separators=(",", ":"))`` and a newline,
         without holding more than one row's decimal strings in memory.
         """
-        fp.write('{"m":%d,"k_max":%d,"rows":[' % (self.m, self.k_max))
-        sep = '["'
-        for row in self.rows:
-            fp.write(sep + '","'.join(map(format_int, row)) + '"]')
-            sep = ',["'
-        fp.write("]}\n")
+        write_table_json(fp, self.m, self.k_max, self.rows)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoeffTable":
@@ -142,32 +137,60 @@ class CoeffTable:
         if len(self.rows) != self.k_max:
             raise ParameterError("row count %d does not match k_max %d" % (len(self.rows), self.k_max))
         for k, row in enumerate(self.rows, start=1):
-            if len(row) != row_length(self.m, k):
-                raise ParameterError("row %d has length %d, expected %d" % (k, len(row), row_length(self.m, k)))
-            if row[0] != 1:
-                raise ParameterError("row %d does not start with 1" % k)
-            if any(c <= 0 for c in row):
-                raise ParameterError("row %d contains a nonpositive entry" % k)
+            _check_row(self.m, k, row)
 
 
-def build_coeff_table(m: int, k_max: int) -> CoeffTable:
-    """Build the coefficient table for degree m up to derivative order k_max."""
+def _check_row(m: int, k: int, row: tuple[int, ...]) -> None:
+    """Row k of a degree-m table: its length, leading 1 and positivity."""
+    if len(row) != row_length(m, k):
+        raise ParameterError("row %d has length %d, expected %d" % (k, len(row), row_length(m, k)))
+    if row[0] != 1:
+        raise ParameterError("row %d does not start with 1" % k)
+    if any(c <= 0 for c in row):
+        raise ParameterError("row %d contains a nonpositive entry" % k)
+
+
+def write_table_json(fp, m: int, k_max: int, rows) -> None:
+    """Write the compact JSON export of a table given by its rows to ``fp``.
+
+    ``rows`` may be any iterable, such as ``coeff_rows``: each row is checked
+    as ``CoeffTable.validate`` does and written before the next is read, so
+    at most one row is held.
+    """
+    fp.write('{"m":%d,"k_max":%d,"rows":[' % (m, k_max))
+    sep = '["'
+    count = 0
+    for count, row in enumerate(rows, start=1):
+        _check_row(m, count, row)
+        fp.write(sep + '","'.join(map(format_int, row)) + '"]')
+        sep = ',["'
+    if count != k_max:
+        raise ParameterError("row count %d does not match k_max %d" % (count, k_max))
+    fp.write("]}\n")
+
+
+def coeff_rows(m: int, k_max: int) -> Iterator[tuple[int, ...]]:
+    """Rows 1..k_max of the degree-m table, each made from the one before."""
     if not isinstance(m, int) or m < 2:
         raise ParameterError("degree m must be an integer >= 2, got %r" % (m,))
     if not isinstance(k_max, int) or k_max < 1:
         raise ParameterError("k_max must be an integer >= 1, got %r" % (k_max,))
-    rows = [(1,)]
+    prev = (1,)
+    yield prev
     for k in range(1, k_max):
-        prev = rows[-1]
-        new_len = row_length(m, k + 1)
         row = []
-        for n in range(new_len):
+        for n in range(row_length(m, k + 1)):
             c = prev[n] if n < len(prev) else 0
             if n >= 1:
                 c += prev[n - 1] * ((m - 1) * k - m * (n - 1))
             row.append(c)
-        rows.append(tuple(row))
-    table = CoeffTable(m=m, k_max=k_max, rows=tuple(rows))
+        prev = tuple(row)
+        yield prev
+
+
+def build_coeff_table(m: int, k_max: int) -> CoeffTable:
+    """Build the coefficient table for degree m up to derivative order k_max."""
+    table = CoeffTable(m=m, k_max=k_max, rows=tuple(coeff_rows(m, k_max)))
     table.validate()
     return table
 

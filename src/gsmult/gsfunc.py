@@ -21,7 +21,8 @@ follow from k derivatives of (1+x**2) * g' = t*x*g (g = <x>**t) as
     r_0 = 1,   r_1 = t*x / (1+x**2),
     r_{k+1} = ((t - 2k) * x * r_k + k * (t - k + 1) * r_{k-1}) / (1+x**2),
 
-O(k) exact Fraction operations per point instead of O(k^2) for the rows.
+O(k) exact operations per point instead of O(k^2) for the rows; with
+t = a/b and x = p/q they run on ints alone, as r_k = n_k / (b*(p**2+q**2))**k.
 
 Derivatives of f(x) = exp(-<x>**(1/theta)) = exp(h(x)) with h = -<x>**(1/theta)
 come from f' = h' * f on the Taylor coefficients a_j = f^(j)/j!:
@@ -29,10 +30,14 @@ come from f' = h' * f on the Taylor coefficients a_j = f^(j)/j!:
     (j+1) * a_{j+1} = sum_{i=0}^{j} c_i * a_{j-i},   c_i = h^(i+1)/i!,
 
 the Leibniz recursion without binomials, O(k^2) instead of the exponential
-partition sum of the chain rule, with one interval multiply-add per step
-on mpmath's endpoint pairs.  It starts at the requested precision and
-doubles it while an enclosure is too wide; each value, rounded at the
-requested precision, is certified to relative error below 2**-64, else
+partition sum of the chain rule.  It runs in fixed point on Python ints: an
+enclosure is [lo, hi] * 2**e, and each order is one exact dot product of
+the nonzero terms followed by a single outward rounding (floor on the lower
+end, ceiling on the upper), where mpmath interval operators would round
+each of the 2(j+1) multiplies and adds.  Only <x>**t and exp(-<x>**t) come
+from mpmath.  The kernel starts at the requested precision and doubles it
+while an enclosure is too wide; each value, rounded once at the requested
+precision, is certified to relative error below 2**-64, else
 PrecisionError is raised.
 
 Seminorm estimators are truncated suprema over finitely many derivative
@@ -50,12 +55,21 @@ from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from mpmath import iv, mp
-from mpmath.libmp import from_int, fzero, mpi_add, mpi_div, mpi_mul
 
 from ._util import format_fraction, ols_slope
-from .derivpoly import _parts, build_coeff_table, derivative_poly
 from .identities import CheckResult, _result
-from .precision import ParameterError, certified_midpoint, escalate, iv_prec, mp_prec, to_iv, to_mpf
+from .precision import (
+    ParameterError,
+    certified_fixed_midpoint,
+    escalate,
+    fixed_outward,
+    fixed_scaled,
+    iv_fixed,
+    iv_prec,
+    mp_prec,
+    to_iv,
+    to_mpf,
+)
 
 
 @dataclass(frozen=True)
@@ -115,14 +129,39 @@ def bracket_derivative_series(t, k_max: int) -> tuple[BracketDerivPoly, ...]:
     return tuple(BracketDerivPoly(t=tf, k=k, coeffs=rows[k]) for k in range(k_max + 1))
 
 
+def _bracket_ratio_numerators(t: Fraction, x: Fraction, k_max: int) -> tuple[list[int], int]:
+    """Ints n_0..n_k_max and d with r_k = n_k / d**k exactly, for k_max >= 0.
+
+    For t = a/b, x = p/q and w = p**2 + q**2, the ratio recurrence multiplied
+    through by (b*w)**(k+1) / q**(k+1) is, on m_k = n_k / q**k,
+
+        m_0 = 1,   m_1 = a*p,
+        m_{k+1} = (a - 2k*b) * p * m_k + k * (a - (k-1)*b) * b * w * m_{k-1},
+
+    so d = b*w and the whole walk runs on ints, without a gcd.
+    """
+    a, b, p, q = t.numerator, t.denominator, x.numerator, x.denominator
+    bw = b * (p * p + q * q)
+    m = [1, a * p]
+    for k in range(1, k_max):
+        m.append((a - 2 * k * b) * p * m[k] + k * (a - (k - 1) * b) * bw * m[k - 1])
+    q_pow = 1
+    nums = []
+    for m_k in m[: k_max + 1]:
+        nums.append(m_k * q_pow)
+        q_pow *= q
+    return nums, bw
+
+
 def _bracket_ratios(t: Fraction, x, k_max: int) -> list[Fraction]:
     """Exact r_k = q_k(x) / (1+x**2)**k for k = 0..k_max at a rational x."""
-    x = Fraction(x)
-    u = 1 + x * x
-    r = [Fraction(1), t * x / u]
-    for k in range(1, k_max):
-        r.append(((t - 2 * k) * x * r[k] + k * (t - k + 1) * r[k - 1]) / u)
-    return r[: k_max + 1]
+    nums, d = _bracket_ratio_numerators(t, Fraction(x), k_max)
+    out = []
+    d_pow = 1
+    for n in nums:
+        out.append(Fraction(n, d_pow))
+        d_pow *= d
+    return out
 
 
 def bracket_eval(t, k: int, x, precision_bits: int = 192):
@@ -185,17 +224,71 @@ def verify_bracket_bound(t, k_max: int, grid: Optional[Sequence] = None, precisi
 
 
 MIN_GS_PRECISION_BITS = 128
-_GS_REL_ERROR = Fraction(1, 2**64)
+_GS_REL_ERROR_BITS = 64  # certified relative error of each returned value: < 2**-64
+_GUARD_BITS = 32
+
+
+def _taylor_kernel(c, a_0, k_max: int, prec: int):
+    """Enclosures of a_0..a_k_max from (j+1) * a_{j+1} = sum_i c_i * a_{j-i}.
+
+    Enclosures are (lo, hi, e, top) as made by ``fixed_outward``, None for
+    an exact zero; no c_i straddles zero.  Order j sums the exact products of
+    its nonzero terms at one exponent, prec bits below the largest term's
+    magnitude bound (each lower end shifted with floor, each upper end with
+    ceiling), then floor/ceil-divides by j+1 and trims outward to prec bits.
+    """
+    nonzero = [(i,) + c_i for i, c_i in enumerate(c) if c_i is not None]
+    a = [a_0]
+    for j in range(k_max):
+        products = []
+        top = None
+        for i, c_lo, c_hi, c_e, c_top in nonzero:
+            if i > j:
+                break
+            a_k = a[j - i]
+            if a_k is None:
+                continue
+            a_lo, a_hi, a_e, a_top = a_k
+            if c_lo >= 0:  # the endpoints of [c_lo, c_hi] * [a_lo, a_hi], exactly
+                p_lo = (c_lo if a_lo >= 0 else c_hi) * a_lo
+                p_hi = (c_hi if a_hi >= 0 else c_lo) * a_hi
+            else:
+                p_lo = (c_lo if a_hi >= 0 else c_hi) * a_hi
+                p_hi = (c_hi if a_lo >= 0 else c_lo) * a_lo
+            products.append((p_lo, p_hi, c_e + a_e))
+            if top is None or c_top + a_top > top:
+                top = c_top + a_top
+        if top is None:
+            a.append(None)
+            continue
+        base = top - prec
+        lo = hi = 0
+        for p_lo, p_hi, p_e in products:
+            shift = p_e - base
+            if shift >= 0:
+                lo += p_lo << shift
+                hi += p_hi << shift
+            else:
+                lo += p_lo >> -shift
+                hi -= -p_hi >> -shift
+        a.append(fixed_outward(lo // (j + 1), -(-hi // (j + 1)), base, prec))
+    return a
 
 
 def gs_derivative_series(theta, k_max: int, x, precision_bits: int = 256):
     """Certified values of d^k/dx^k exp(-<x>**(1/theta)) for k = 0..k_max.
 
-    x must be rational (int, float or Fraction): c_i = -<x>**t * r_{i+1}/i!
-    comes from the exact bracket ratios r_i (t = 1/theta), each enclosed
-    once.  Each returned midpoint, rounded at ``precision_bits``, is
+    x must be rational (int, float or Fraction).  At a working budget of
+    ``bits``, mpmath encloses <x>**t (t = 1/theta) and exp(-<x>**t) once;
+    everything after runs on ints, an enclosure being [lo, hi] * 2**e kept
+    to bits + 32 bits.  c_i = -<x>**t * r_{i+1}/i! comes from the exact
+    bracket ratios r_i by one floor and one ceiling division, and each
+    order of the Taylor recursion costs one exact dot product and one
+    outward rounding (``_taylor_kernel``); exact zeros (c_i for i >= 2 at
+    theta = 1/2, the odd orders at x = 0) are skipped and stay exact.  Each
+    returned value, f^(j) = a_j * j! rounded once at ``precision_bits``, is
     certified to relative error < 2**-64 (exact zeros are returned as
-    exact); raises PrecisionError otherwise.
+    exact), the budget doubling while it is not; PrecisionError otherwise.
     """
     theta = Fraction(theta)
     if theta <= 0:
@@ -204,21 +297,28 @@ def gs_derivative_series(theta, k_max: int, x, precision_bits: int = 256):
         raise ParameterError("precision_bits must be >= %d" % MIN_GS_PRECISION_BITS)
     t = 1 / theta
     xf = Fraction(x)
-    ratios = _bracket_ratios(t, xf, k_max)
-    scaled = [ratios[i + 1] / math.factorial(i) for i in range(k_max)]  # r_{i+1}/i!, exact
+    nums, d = _bracket_ratio_numerators(t, xf, k_max)
+    scaled = []  # r_{i+1}/i! = n_{i+1} / (d**(i+1) * i!), exact
+    den = 1
+    for i in range(k_max):
+        den *= d * (i or 1)
+        scaled.append((nums[i + 1], den))
 
     def series(bits):
+        prec = bits + _GUARD_BITS
         with iv_prec(bits):
             bracket_pow = iv.exp(to_iv(t / 2) * iv.log(to_iv(1 + xf * xf)))  # <x>**t
-            c = [(-(bracket_pow * to_iv(r)))._mpi_ for r in scaled]
-            a = [iv.exp(-bracket_pow)._mpi_]  # a_j = f^(j)/j!
-        for j in range(k_max):
-            acc = (fzero, fzero)
-            for c_i, a_ji in zip(c, reversed(a)):  # sum_i c_i * a_{j-i}
-                acc = mpi_add(acc, mpi_mul(c_i, a_ji, bits), bits)
-            a.append(mpi_div(acc, (from_int(j + 1),) * 2, bits))
-        f = (mpi_mul(a_j, (from_int(math.factorial(j)),) * 2, bits) for j, a_j in enumerate(a))
-        return [certified_midpoint(iv.make_mpf(f_j), precision_bits, _GS_REL_ERROR) for f_j in f]
+            a_0 = iv_fixed(iv.exp(-bracket_pow))
+        bracket_pow = iv_fixed(bracket_pow)
+        c = [fixed_scaled(bracket_pow, -n, den, prec) for n, den in scaled]  # c_i = -<x>**t * r_{i+1}/i!
+        a = _taylor_kernel(c, fixed_outward(*a_0, prec), k_max, prec)
+        out = []
+        fact = 1
+        for j, a_j in enumerate(a):
+            fact *= j or 1
+            lo, hi, e = a_j[:3] if a_j else (0, 0, 0)
+            out.append(certified_fixed_midpoint(lo * fact, hi * fact, e, precision_bits, _GS_REL_ERROR_BITS))
+        return out
 
     return escalate(series, precision_bits)
 
@@ -299,24 +399,18 @@ class GSFunction:
 
 
 class Gaussian:
-    """f(x) = exp(-x**2): derivatives via the m = 2 coefficient table at lam = -2."""
+    """f(x) = exp(-x**2): f^(k) = (-1)**k * H_k(x) * f(x), physicists' Hermite H_k, exact at rational x."""
 
     name = "gaussian"
 
-    def __init__(self):
-        self._table = None
-
     def derivatives(self, x, k_max: int, precision_bits: int):
-        if self._table is None or self._table.k_max < max(k_max, 1):
-            self._table = build_coeff_table(2, max(k_max, 1))
         xf = Fraction(x)
+        hermite = [Fraction(1), 2 * xf]  # H_k = 2x * H_{k-1} - 2(k-1) * H_{k-2}
+        for k in range(2, k_max + 1):
+            hermite.append(2 * xf * hermite[k - 1] - 2 * (k - 1) * hermite[k - 2])
         with mp_prec(precision_bits):
             fx = mp.exp(to_mpf(-xf * xf))
-            out = [fx]
-            for k in range(1, k_max + 1):
-                re, _ = _parts(derivative_poly(self._table, k), 2, xf)  # p_k(x) for lam = -2 = 2 * i**2
-                out.append(to_mpf(re) * fx)
-        return out
+            return [fx] + [to_mpf(-hermite[k] if k % 2 else hermite[k]) * fx for k in range(1, k_max + 1)]
 
 
 class SampledDerivatives:

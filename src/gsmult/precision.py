@@ -15,6 +15,12 @@ An interval computation gets a working budget sized to its operands, which
 ``escalate`` doubles while an enclosure is too wide; each result is rounded
 once, at the precision it is reported at.
 
+Kernels that sum exact products keep an enclosure in fixed point instead:
+ints [lo, hi] * 2**e (``iv_fixed`` reads one off an interval), rounded
+outward only where they are trimmed or divided, the lower end with floor and
+the upper with ceiling (``fixed_outward``, ``fixed_scaled``), and certified
+with ``certified_midpoint``'s rule on the ints (``certified_fixed_midpoint``).
+
 The package's two error types live here too: ``PrecisionError`` when an
 enclosure is too wide to certify, ``ParameterError`` when a caller-supplied
 value is rejected (the CLI maps only the latter to a usage error).
@@ -26,6 +32,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from mpmath import iv, mp
+from mpmath.libmp import from_man_exp, mpf_sub, round_ceiling, round_nearest, to_man_exp
 
 
 class PrecisionError(ArithmeticError):
@@ -86,10 +93,9 @@ def iv_endpoints(x):
 
 
 def iv_abs_width(x, bits: int = 64):
-    """Upper bound for the absolute width b - a of an interval."""
-    a, b = iv_endpoints(x)
-    with mp_prec(bits):
-        return mp.mpf(b) - mp.mpf(a)  # rounding up is not needed: checks add margin
+    """Upper bound for the absolute width b - a of an interval, rounded up at ``bits``."""
+    a, b = x._mpi_
+    return mp.make_mpf(mpf_sub(b, a, bits, round_ceiling))
 
 
 def iv_midpoint(x, bits: int):
@@ -119,6 +125,61 @@ def certified_midpoint(x, bits: int, max_rel_error: Fraction = Fraction(1, 2**64
         if width > lo * to_mpf(max_rel_error):
             raise PrecisionError("relative width %s exceeds the certification bound" % mp.nstr(width / lo, 8), width / lo)
     return iv_midpoint(x, bits)
+
+
+def iv_fixed(x):
+    """(lo, hi, e) of ints with x = [lo * 2**e, hi * 2**e] exactly: an interval's endpoints over one exponent."""
+    ends = []
+    for v in x._mpi_:
+        man, exp = to_man_exp(v)  # ValueError for an infinite endpoint
+        ends.append((-man if v[0] else man, exp))
+    (lo, e_lo), (hi, e_hi) = ends
+    e = min(e_lo, e_hi)
+    return lo << (e_lo - e), hi << (e_hi - e), e
+
+
+def fixed_outward(lo: int, hi: int, e: int, prec: int):
+    """[lo, hi] * 2**e trimmed outward to ``prec`` bits, as (lo, hi, e, top) with
+    |value| < 2**top; None for the exact zero."""
+    size = max(lo.bit_length(), hi.bit_length())
+    if not size:
+        return None
+    if size > prec:
+        shift = size - prec
+        lo, hi, e = lo >> shift, -(-hi >> shift), e + shift
+        size = max(lo.bit_length(), hi.bit_length())  # prec, or prec + 1 when hi rounds up to 2**prec
+    return lo, hi, e, e + size
+
+
+def fixed_scaled(x, p: int, q: int, prec: int):
+    """The enclosure x = (lo, hi, e, ...) times the exact p/q (q > 0), by one floor
+    and one ceiling division, as ``fixed_outward`` makes it; None when p = 0.
+    It straddles zero only if x does."""
+    n_lo, n_hi = sorted((x[0] * p, x[1] * p))
+    shift = max(0, prec + q.bit_length() - max(n_lo.bit_length(), n_hi.bit_length()))
+    return fixed_outward((n_lo << shift) // q, -((-n_hi << shift) // q), x[2] - shift, prec)
+
+
+def certified_fixed_midpoint(lo: int, hi: int, e: int, bits: int, rel_error_bits: int = 64):
+    """``certified_midpoint``'s rule for the enclosure [lo, hi] * 2**e of ints.
+
+    An exact enclosure returns its value rounded at ``bits``.  One that
+    straddles zero, or whose width exceeds 2**-rel_error_bits times its
+    smallest endpoint modulus, raises PrecisionError; otherwise the exact
+    midpoint (lo + hi) * 2**(e-1) is rounded once, at ``bits``.
+    """
+    if lo == hi:
+        return mp.make_mpf(from_man_exp(lo, e, bits, round_nearest))
+    width = hi - lo
+    if lo <= 0 <= hi:
+        abs_width = mp.ldexp(width, e)
+        raise PrecisionError("enclosure of width %s straddles zero" % mp.nstr(abs_width, 8), abs_width)
+    near = -hi if hi < 0 else lo  # the smaller endpoint modulus
+    if width << rel_error_bits > near:
+        with mp_prec(53):
+            rel = mp.mpf(width) / near
+        raise PrecisionError("relative width %s exceeds the certification bound" % mp.nstr(rel, 8), rel)
+    return mp.make_mpf(from_man_exp(lo + hi, e - 1, bits, round_nearest))
 
 
 def escalate(compute, bits: int):

@@ -13,12 +13,14 @@ from mpmath import mp
 from gsmult.derivpoly import (
     CoeffTable,
     build_coeff_table,
+    coeff_rows,
     default_precision_bits,
     derivative_poly,
     eval_log_magnitude,
     gaussian_parts,
     kj_sequence,
     row_length,
+    write_table_json,
 )
 from gsmult import derivpoly as derivpoly_module
 from gsmult.precision import PrecisionError, iv_endpoints, iv_prec, to_iv
@@ -120,6 +122,43 @@ class TestJsonExport:
         finally:
             tracemalloc.stop()
         assert peak < sink.size / 4
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_streamed_rows_write_the_table_bytes(self, m):
+        buf = io.StringIO()
+        write_table_json(buf, m, 60, coeff_rows(m, 60))
+        assert buf.getvalue() == get_table(m, 60).to_json(separators=(",", ":")) + "\n"
+        assert tuple(coeff_rows(m, 60)) == get_table(m, 60).rows
+
+    def test_streamed_build_holds_no_table(self):
+        # rows go from the build into the writer one at a time; a built table
+        # held first peaks at about two thirds of the file size here
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            write_table_json(sink, 4, 300, coeff_rows(4, 300))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sink.size / 20
+
+    def test_streamed_rows_are_checked_as_validate_does(self):
+        rows = [list(r) for r in get_table(3, 8).rows]
+        rows[5][2] = 0
+        with pytest.raises(ValueError, match="row 6 contains a nonpositive entry"):
+            write_table_json(io.StringIO(), 3, 8, map(tuple, rows))
+        with pytest.raises(ValueError, match="row 2 does not start with 1"):
+            write_table_json(io.StringIO(), 3, 8, [(1,), (2, 2)])
+        with pytest.raises(ValueError, match="row 3 has length"):
+            write_table_json(io.StringIO(), 3, 8, [(1,), (1, 2), (1,)])
+        with pytest.raises(ValueError, match="row count 7 does not match k_max 8"):
+            write_table_json(io.StringIO(), 3, 8, coeff_rows(3, 7))
 
     def test_ints_beyond_the_str_digit_limit_round_trip(self):
         limit = sys.get_int_max_str_digits()

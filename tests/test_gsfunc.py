@@ -27,7 +27,17 @@ from gsmult.gsfunc import (
     verify_bracket_bound,
     verify_gs_bound,
 )
-from gsmult.precision import PrecisionError, certified_midpoint, iv_prec, to_iv
+from gsmult.derivpoly import _parts, build_coeff_table, derivative_poly
+from gsmult.precision import (
+    PrecisionError,
+    certified_midpoint,
+    fixed_outward,
+    fixed_scaled,
+    iv_fixed,
+    iv_prec,
+    to_iv,
+    to_mpf,
+)
 
 rationals = st.fractions(min_value=-4, max_value=4)
 
@@ -233,12 +243,102 @@ class TestTaylorKernel:
                 for k, (g, r) in enumerate(zip(got, ref)):
                     assert abs(g - r) <= abs(r) * mp.mpf(2) ** -200, (theta, x, k)
 
-    @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(2, 3), Fraction(2)])
-    def test_libmp_loop_is_bit_identical_to_iv_operators(self, theta, monkeypatch):
-        monkeypatch.setattr(gsfunc, "certified_midpoint", lambda enc, bits, rel: enc._mpi_)
-        for x in (Fraction(0), Fraction(3, 4), Fraction(-3)):
-            ref = [v._mpi_ for v in iv_operator_taylor_series(theta, 40, x)]
-            assert gs_derivative_series(theta, 40, x) == ref
+    @given(
+        c=st.lists(
+            st.tuples(st.integers(-(2**40), 2**40), st.integers(0, 2**8), st.integers(-60, 60), st.booleans()),
+            min_size=1,
+            max_size=12,
+        ),
+        a_0=st.tuples(st.integers(1, 2**40), st.integers(-60, 60)),
+        prec=st.integers(8, 80),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_integer_kernel_encloses_the_exact_recurrence(self, c, a_0, prec):
+        # c_i = [n, n + w] * 2**e on one side of zero (w = 0: an exact point) and an exact a_0,
+        # held at 64 bits; the exact recurrence runs on one endpoint of each c_i.  The kernel
+        # rounds at a small prec, so every shift, division and trim is exercised
+        def dyadic(n, e):
+            return n * Fraction(2) ** e
+
+        ends = [(n, n + w) if n > 0 else (n - w, n) if n < 0 else (0, 0) for n, w, _, _ in c]
+        enc_c = [fixed_outward(lo, hi, e, 64) for (lo, hi), (_, _, e, _) in zip(ends, c)]
+        got = gsfunc._taylor_kernel(enc_c, fixed_outward(a_0[0], a_0[0], a_0[1], 64), len(c), prec)
+        exact_c = [dyadic(hi if upper else lo, e) for (lo, hi), (_, _, e, upper) in zip(ends, c)]
+        exact = [dyadic(*a_0)]
+        for j in range(len(c)):
+            exact.append(sum(exact_c[i] * exact[j - i] for i in range(j + 1)) / (j + 1))
+        for j, (enc, v) in enumerate(zip(got, exact)):
+            if enc is None:
+                assert v == 0, j
+            else:
+                lo, hi, e, top = enc
+                assert dyadic(lo, e) <= v <= dyadic(hi, e), j
+                assert max(-dyadic(lo, e), dyadic(hi, e)) < Fraction(2) ** top, j
+
+    @given(
+        lo=st.integers(-(2**200), 2**200),
+        width=st.integers(0, 2**120),
+        e=st.integers(-300, 300),
+        prec=st.integers(8, 120),
+    )
+    @settings(max_examples=200)
+    def test_outward_trim_encloses_its_input(self, lo, width, e, prec):
+        hi = lo + width
+        enc = fixed_outward(lo, hi, e, prec)
+        if enc is None:
+            assert lo == hi == 0
+            return
+        t_lo, t_hi, t_e, top = enc
+        scale, t_scale = Fraction(2) ** e, Fraction(2) ** t_e
+        assert t_lo * t_scale <= lo * scale and hi * scale <= t_hi * t_scale
+        assert max(t_lo.bit_length(), t_hi.bit_length()) <= prec + 1
+        assert max(-t_lo, t_hi) * t_scale < Fraction(2) ** top
+
+    @given(
+        b=st.integers(1, 2**80),
+        width=st.integers(0, 2**20),
+        e=st.integers(-100, 100),
+        p=st.integers(-(2**90), 2**90),
+        q=st.integers(1, 2**90),
+        prec=st.integers(8, 120),
+    )
+    @settings(max_examples=200)
+    def test_scaled_coefficient_encloses_the_exact_product(self, b, width, e, p, q, prec):
+        # c = -<x>**t * p/q from the enclosure [b, b + width] * 2**e of <x>**t
+        enc = fixed_scaled((b, b + width, e), -p, q, prec)
+        if p == 0:
+            assert enc is None
+            return
+        lo, hi, c_e, _ = enc
+        ends = sorted(-v * Fraction(2) ** e * Fraction(p, q) for v in (b, b + width))
+        assert lo * Fraction(2) ** c_e <= ends[0] and ends[1] <= hi * Fraction(2) ** c_e
+        assert lo >= 0 or hi <= 0  # the kernel relies on a definite sign
+
+    def test_encloses_the_high_precision_reference_no_wider_than_iv_operators(self, monkeypatch):
+        # the raw enclosure of f^(k) = a_k * k! at the 256-bit start, against the loop written with iv operators
+        monkeypatch.setattr(gsfunc, "certified_fixed_midpoint", lambda lo, hi, e, bits, rel: (lo, hi, e))
+        contained = 0
+        for theta in (Fraction(1, 2), Fraction(2, 3), Fraction(2), Fraction(1), Fraction(1, 3)):
+            for x in (Fraction(0), Fraction(3, 4), Fraction(-3), Fraction(5), Fraction(25)):
+                got = gs_derivative_series(theta, 40, x)
+                ref = iv_operator_taylor_series(theta, 40, x, bits=1024)
+                ops = iv_operator_taylor_series(theta, 40, x, bits=256)
+                for k, ((lo, hi, e), r, o) in enumerate(zip(got, ref, ops)):
+                    r_lo, r_hi, r_e = iv_fixed(r)
+                    o_lo, o_hi, o_e = iv_fixed(o)
+                    scale = Fraction(2) ** e
+                    assert lo * scale <= Fraction(r_lo + r_hi, 2) * Fraction(2) ** r_e <= hi * scale, (theta, x, k)
+                    assert (hi - lo) * scale <= (o_hi - o_lo) * Fraction(2) ** o_e, (theta, x, k)
+                    contained += 1
+        assert contained == 5 * 5 * 41
+
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(2, 3)])
+    def test_odd_orders_at_the_origin_stay_exact_zeros(self, theta, monkeypatch):
+        series = gs_derivative_series(theta, 40, 0)
+        assert all(series[k] == 0 for k in range(1, 41, 2))
+        assert all(series[k] != 0 for k in range(0, 41, 2))
+        monkeypatch.setattr(gsfunc, "certified_fixed_midpoint", lambda lo, hi, e, bits, rel: (lo, hi))
+        assert all(enc == (0, 0) for enc in gs_derivative_series(theta, 40, 0)[1::2])
 
     def test_escalates_where_the_starting_budget_runs_out(self, monkeypatch):
         # `gs bound --theta 1/2 --kmax 400` needs this point; at the 256-bit start
@@ -324,6 +424,18 @@ class TestSeminorm:
             for k, h in enumerate(hermite):
                 value = (-1) ** k * Fraction(h)
                 assert got[k] == mp.mpf(value.numerator) / value.denominator * fx
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7), Fraction(22, 7), Fraction(-1, 8)])
+    def test_gaussian_hermite_recurrence_matches_the_table_path(self, x):
+        # the m = 2 table at lam = -2 gives the same Fractions, hence the same mpf values
+        table = build_coeff_table(2, 40)
+        got = Gaussian().derivatives(x, 40, 192)
+        with mp.workprec(192):
+            fx = mp.exp(to_mpf(-x * x))
+            assert got[0] == fx
+            for k in range(1, 41):
+                re, _ = _parts(derivative_poly(table, k), 2, x)
+                assert got[k] == to_mpf(re) * fx, k
 
     def test_gs_function_finite_plateau(self):
         f = GSFunction(1)

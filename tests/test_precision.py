@@ -1,9 +1,26 @@
 import random
+from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
-from gsmult.precision import ParameterError, PrecisionError, escalate, half_log_of_int
+from gsmult.precision import (
+    ParameterError,
+    PrecisionError,
+    certified_fixed_midpoint,
+    escalate,
+    half_log_of_int,
+    iv_abs_width,
+    iv_endpoints,
+    iv_fixed,
+    iv_prec,
+)
+
+
+def exact(v):
+    """An mpf as the Fraction it is."""
+    sign, man, exp, _ = v._mpf_
+    return (-man if sign else man) * Fraction(2) ** exp
 
 
 class TestEscalate:
@@ -72,3 +89,45 @@ class TestHalfLogOfInt:
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
             half_log_of_int(0, 128)
+
+
+class TestIntervalWidth:
+    def test_rounds_up_where_nearest_would_round_down(self):
+        with mp.workprec(200), iv_prec(200):
+            x = iv.mpf([mp.mpf(-1) / 3, mp.mpf(5) / 7])
+        a, b = iv_endpoints(x)
+        width = exact(b) - exact(a)
+        with mp.workprec(64):
+            assert exact(b - a) < width  # a case round-to-nearest gets wrong
+        assert exact(iv_abs_width(x)) >= width
+        assert exact(iv_abs_width(x)) - width < width / 2**62
+
+
+class TestFixedPoint:
+    def test_endpoints_are_exact_over_one_exponent(self):
+        with iv_prec(100):
+            x = iv.mpf([mp.mpf(-3) / 8, mp.mpf(5) / 7])
+        a, b = iv_endpoints(x)
+        lo, hi, e = iv_fixed(x)
+        assert lo * Fraction(2) ** e == exact(a) and hi * Fraction(2) ** e == exact(b)
+
+    def test_exact_enclosure_is_its_value_rounded(self):
+        v = certified_fixed_midpoint(2**200 + 1, 2**200 + 1, -3, 128)
+        with mp.workprec(128):
+            assert v == mp.mpf(2**200 + 1) / 8
+        assert certified_fixed_midpoint(0, 0, 0, 128) == 0
+
+    def test_midpoint_is_rounded_once(self):
+        # the exact midpoint 2**200 + 2**136 + 1 lies just above a tie at 64 bits; rounded
+        # first at 80 bits it would land on the tie and then round to even, 2**200
+        v = certified_fixed_midpoint(2**200 + 2**136, 2**200 + 2**136 + 2, 0, 64)
+        assert exact(v) == 2**200 + 2**137
+
+    def test_straddling_and_wide_enclosures_raise_with_their_width(self):
+        with pytest.raises(PrecisionError) as info:
+            certified_fixed_midpoint(-1, 3, -2, 128)
+        assert info.value.width == 1
+        with pytest.raises(PrecisionError) as info:
+            certified_fixed_midpoint(-(2**64) - 2, -(2**64), 0, 128)  # width 2 > |hi| * 2**-64
+        assert info.value.width > 0
+        assert certified_fixed_midpoint(-(2**64) - 1, -(2**64), 0, 128) < 0  # width 1: at the bound

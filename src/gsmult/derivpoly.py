@@ -49,15 +49,15 @@ from .precision import (
     PrecisionError,
     escalate,
     half_log_of_int,
-    iv_abs_width,
+    fixed_midpoint,
     iv_endpoints,
-    iv_midpoint,
+    iv_fixed,
     iv_prec,
     to_iv,
 )
 
 MIN_EVAL_PRECISION_BITS = 64
-_LOG_ABS_ERROR_BOUND = Fraction(1, 2**32)
+_LOG_ABS_ERROR_BITS = 32  # certified absolute error of an interval log: <= 2**-32
 
 
 def row_length(m: int, k: int) -> int:
@@ -114,14 +114,6 @@ class CoeffTable:
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_json_dict(), **kwargs)
-
-    def write_json(self, fp) -> None:
-        """Stream the compact export to the text file ``fp``, one row at a time.
-
-        Writes exactly ``to_json(separators=(",", ":"))`` and a newline,
-        without holding more than one row's decimal strings in memory.
-        """
-        write_table_json(fp, self.m, self.k_max, self.rows)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoeffTable":
@@ -223,9 +215,6 @@ class DerivPoly:
     def exponent(self, n: int) -> int:
         return (self.m - 1) * self.k - n * self.m
 
-    def lambda_power(self, n: int) -> int:
-        return self.k - n
-
     def terms(self) -> Iterator[tuple[int, int, int, int]]:
         """Yield (n, lambda_power, x_exponent, coefficient) by ascending n."""
         for n, c in enumerate(self.coeffs):
@@ -299,13 +288,15 @@ def _interval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, out_bits: int,
     with iv_prec(bits):
         re, im = _parts(poly, lambda_sign % 4, to_iv(x))
         mag2 = re * re + im * im
-        if 0 in mag2:
-            raise PrecisionError("modulus enclosure touches zero", iv_abs_width(mag2))
-        log_iv = iv.log(mag2) / 2
-        width = iv_abs_width(log_iv)
-        if width > mp.mpf(_LOG_ABS_ERROR_BOUND.numerator) / mp.mpf(_LOG_ABS_ERROR_BOUND.denominator):
-            raise PrecisionError("log enclosure width %s exceeds 2^-32" % mp.nstr(width, 8), width)
-    return LogMagnitude(log_mag=iv_midpoint(log_iv, out_bits), exact=False, precision_bits=bits)
+        lo, hi, e = iv_fixed(mag2)
+        if lo <= 0 <= hi:
+            raise PrecisionError("modulus enclosure touches zero", mp.ldexp(hi - lo, e))
+        lo, hi, e = iv_fixed(iv.log(mag2) / 2)
+    shift = e + _LOG_ABS_ERROR_BITS  # the width (hi - lo) * 2**e may be at most 2**-_LOG_ABS_ERROR_BITS
+    if (hi - lo) << max(shift, 0) > 1 << max(-shift, 0):
+        width = mp.ldexp(hi - lo, e)
+        raise PrecisionError("log enclosure width %s exceeds 2^-%d" % (mp.nstr(width, 8), _LOG_ABS_ERROR_BITS), width)
+    return LogMagnitude(log_mag=fixed_midpoint(lo, hi, e, out_bits), exact=False, precision_bits=bits)
 
 
 def eval_log_magnitude(
@@ -313,7 +304,6 @@ def eval_log_magnitude(
     lambda_sign: int,
     x,
     precision_bits: Optional[int] = None,
-    exact: Optional[bool] = None,
 ) -> LogMagnitude:
     """ln |p_k(x)| for lam = lambda_sign * i * m, with a certified error budget.
 
@@ -324,9 +314,8 @@ def eval_log_magnitude(
     enclosing the point -- is evaluated by interval arithmetic from the
     operand budget at the upper end of x, doubled while the enclosure is
     too wide, and must certify absolute error below 2**-32, else (at once
-    for an exact zero) PrecisionError is raised.  ``exact`` forces a path:
-    True rejects non-integer x, False forces the interval path even for
-    integers (used by agreement tests).
+    for an exact zero) PrecisionError is raised.  An integral mpf or
+    interval point takes the interval path too.
     """
     if lambda_sign not in (1, -1):
         raise ParameterError("lambda_sign must be +1 or -1")
@@ -343,10 +332,7 @@ def eval_log_magnitude(
     budget = _budget_bits(poly.m, poly.k, max(float(hi), 2.0), 1)
     bits = precision_bits or budget
 
-    use_exact = x_int is not None if exact is None else exact
-    if use_exact:
-        if x_int is None:
-            raise ParameterError("exact evaluation requires an integer x")
+    if x_int is not None:
         re, im = gaussian_parts(poly, lambda_sign, x_int)
         mag2 = re * re + im * im
         log_mag = half_log_of_int(mag2, bits) if mag2 else mp.ninf

@@ -87,17 +87,10 @@ class BracketDerivPoly:
         return acc
 
 
-_BRACKET_ROWS: dict[Fraction, list[tuple[Fraction, ...]]] = {}
-
-
 def _bracket_rows(t: Fraction, k_max: int) -> list[tuple[Fraction, ...]]:
-    """Rows q_0, q_1, ... of the recursion for t, at least up to q_{k_max}.
-
-    One list per t grows on demand, so callers index or slice a prefix and
-    no row is ever built twice.
-    """
-    rows = _BRACKET_ROWS.setdefault(t, [(Fraction(1),)])
-    for k in range(len(rows) - 1, k_max):
+    """Rows q_0..q_{k_max} of the recursion for t, built afresh on each call."""
+    rows = [(Fraction(1),)]
+    for k in range(k_max):
         q = rows[-1]
         nxt = [Fraction(0)] * (k + 2)
         for i in range(1, len(q)):  # q' and q' * x**2
@@ -109,22 +102,17 @@ def _bracket_rows(t: Fraction, k_max: int) -> list[tuple[Fraction, ...]]:
     return rows
 
 
-def _as_fraction_t(t) -> Fraction:
-    # floats such as 2.5 convert exactly; reject anything non-rational
-    return Fraction(t)
-
-
 def bracket_derivative(t, k: int) -> BracketDerivPoly:
     """The exact polynomial part of the k-th derivative of <x>**t."""
     if k < 0:
         raise ParameterError("derivative order must be >= 0")
-    tf = _as_fraction_t(t)
+    tf = Fraction(t)
     return BracketDerivPoly(t=tf, k=k, coeffs=_bracket_rows(tf, k)[k])
 
 
 def bracket_derivative_series(t, k_max: int) -> tuple[BracketDerivPoly, ...]:
     """All orders 0..k_max at once (one recursion pass)."""
-    tf = _as_fraction_t(t)
+    tf = Fraction(t)
     rows = _bracket_rows(tf, k_max)
     return tuple(BracketDerivPoly(t=tf, k=k, coeffs=rows[k]) for k in range(k_max + 1))
 
@@ -168,7 +156,7 @@ def bracket_eval(t, k: int, x, precision_bits: int = 192):
     """d^k/dx^k <x>**t at a rational x (int, float or Fraction), as an mpf."""
     if k < 0:
         raise ParameterError("derivative order must be >= 0")
-    tf = _as_fraction_t(t)
+    tf = Fraction(t)
     xf = Fraction(x)
     r_k = _bracket_ratios(tf, xf, k)[k]
     with mp_prec(precision_bits):
@@ -199,7 +187,7 @@ def verify_bracket_bound(t, k_max: int, grid: Optional[Sequence] = None, precisi
     is evaluated on the grid; the check asserts the maximum is finite and
     reports it as the empirical C_t.
     """
-    tf = _as_fraction_t(t)
+    tf = Fraction(t)
     if grid is None:
         grid = uniform_grid(Fraction(-10), Fraction(10), 81)
     max_ratio = None

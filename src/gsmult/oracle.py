@@ -39,7 +39,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from itertools import count, islice
-from math import comb, perm
+from math import comb
 
 from ._util import format_int
 from .derivpoly import CoeffTable, row_length
@@ -74,33 +74,21 @@ def _composition_sums(m: int):
         yield row
 
 
-def _composition_cell(m: int, k: int, n: int, s: int) -> int:
-    """C[k][n] = k! * S / (m**(k-n) * (k-n)!), which must divide exactly.
-
-    (k-n)! always divides k!, so k!/(k-n)! * S is divided by m**(k-n) alone.
-    """
-    return _divide_exact(perm(k, n) * s, m ** (k - n), m, k, n)
-
-
-def _divide_exact(numerator: int, divisor: int, m: int, k: int, n: int) -> int:
-    value, rem = divmod(numerator, divisor)
-    if rem:
-        raise NonIntegralCoefficientError("prefactor does not divide at (m=%d, k=%d, n=%d)" % (m, k, n))
-    return value
-
-
 def _composition_rows(m: int):
     """Yield C[k][.] for k = 1, 2, ... from the composition sums S_k.
 
-    Along a row, k!/(k-n)! and m**(k-n) are carried from n to n+1 by one
-    small-factor product and one exact division by m, instead of being
-    rebuilt for every cell as ``_composition_cell`` does.
+    C[k][n] = k! * S_k[k-n] / (m**(k-n) * (k-n)!), and (k-n)! always divides
+    k!, so k!/(k-n)! * S_k[k-n] is divided by m**(k-n) alone; the division
+    must be exact.  Along a row, k!/(k-n)! and m**(k-n) are carried from n
+    to n+1 by one small-factor product and one exact division by m.
     """
     for k, sums in enumerate(islice(_composition_sums(m), 1, None), 1):
         row = {}
         falling, power = 1, m**k  # k!/(k-n)! and m**(k-n) at n = 0
         for n in range(row_length(m, k)):
-            row[n] = _divide_exact(falling * sums[k - n], power, m, k, n)
+            row[n], rem = divmod(falling * sums[k - n], power)
+            if rem:
+                raise NonIntegralCoefficientError("prefactor does not divide at (m=%d, k=%d, n=%d)" % (m, k, n))
             falling *= k - n
             power //= m
         yield row
@@ -115,14 +103,14 @@ def gf_coefficient(m: int, power: int, degree: int) -> int:
 
 
 def coeff_oracle(m: int, k: int, n: int) -> int:
-    """C[k][n] from the composition-sum formula, exactly."""
+    """C[k][n] from the composition-sum formula, exactly; walks ``_composition_rows`` to order k."""
     if m < 2:
         raise ParameterError("degree m must be >= 2")
     if k < 1:
         raise ParameterError("order k must be >= 1")
     if not 0 <= n <= k * (m - 1) // m:
         raise ParameterError("index n=%d outside 0..%d" % (n, k * (m - 1) // m))
-    return _composition_cell(m, k, n, gf_coefficient(m, k - n, k))
+    return next(islice(_composition_rows(m), k - 1, None))[n]
 
 
 def _symbolic_rows(m: int):

@@ -12,14 +12,16 @@ therefore always convert to bit-identical mpf values, which several
 determinism and dilation-identity checks rely on.
 
 An interval computation gets a working budget sized to its operands, which
-``escalate`` doubles while an enclosure is too wide; each result is rounded
-once, at the precision it is reported at.
+``escalate`` doubles while an enclosure is too wide.
 
-Kernels that sum exact products keep an enclosure in fixed point instead:
-ints [lo, hi] * 2**e (``iv_fixed`` reads one off an interval), rounded
-outward only where they are trimmed or divided, the lower end with floor and
-the upper with ceiling (``fixed_outward``, ``fixed_scaled``), and certified
-with ``certified_midpoint``'s rule on the ints (``certified_fixed_midpoint``).
+An enclosure becomes a number in one way only: ``iv_fixed`` reads an
+interval exactly as ints [lo, hi] * 2**e, and the exact midpoint
+(lo + hi) * 2**(e-1) is rounded once, at the precision it is reported at
+(``fixed_midpoint``; ``certified_fixed_midpoint`` first checks the width
+against the smaller endpoint modulus on the same ints).  Kernels that sum
+exact products keep their enclosures in this form throughout, rounded
+outward only where they are trimmed or divided, the lower end with floor
+and the upper with ceiling (``fixed_outward``, ``fixed_scaled``).
 
 The package's two error types live here too: ``PrecisionError`` when an
 enclosure is too wide to certify, ``ParameterError`` when a caller-supplied
@@ -32,7 +34,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from mpmath import iv, mp
-from mpmath.libmp import from_man_exp, mpf_sub, round_ceiling, round_nearest, to_man_exp
+from mpmath.libmp import from_man_exp, round_nearest
 
 
 class PrecisionError(ArithmeticError):
@@ -92,50 +94,34 @@ def iv_endpoints(x):
     return mp.make_mpf(a), mp.make_mpf(b)
 
 
-def iv_abs_width(x, bits: int = 64):
-    """Upper bound for the absolute width b - a of an interval, rounded up at ``bits``."""
-    a, b = x._mpi_
-    return mp.make_mpf(mpf_sub(b, a, bits, round_ceiling))
-
-
-def iv_midpoint(x, bits: int):
-    """Interval midpoint rounded to ``bits`` of precision."""
-    a, b = iv_endpoints(x)
-    with mp_prec(bits + 16):
-        m_ = (mp.mpf(a) + mp.mpf(b)) / 2
-    with mp_prec(bits):
-        return +m_
-
-
-def certified_midpoint(x, bits: int, max_rel_error: Fraction = Fraction(1, 2**64)):
-    """Midpoint of an interval whose relative width certifies ``max_rel_error``.
-
-    Raises PrecisionError when the interval straddles zero (unless it is the
-    exact point 0) or is too wide relative to its smallest endpoint modulus.
-    """
-    a, b = iv_endpoints(x)
-    if a == b:
-        with mp_prec(bits):
-            return +mp.mpf(a)
-    with mp_prec(bits + 16):
-        width = mp.mpf(b) - mp.mpf(a)
-        if a <= 0 <= b:
-            raise PrecisionError("enclosure of width %s straddles zero" % mp.nstr(width, 8), width)
-        lo = min(abs(mp.mpf(a)), abs(mp.mpf(b)))
-        if width > lo * to_mpf(max_rel_error):
-            raise PrecisionError("relative width %s exceeds the certification bound" % mp.nstr(width / lo, 8), width / lo)
-    return iv_midpoint(x, bits)
-
-
 def iv_fixed(x):
-    """(lo, hi, e) of ints with x = [lo * 2**e, hi * 2**e] exactly: an interval's endpoints over one exponent."""
+    """(lo, hi, e) of ints with x = [lo * 2**e, hi * 2**e] exactly: an interval's endpoints over one exponent.
+
+    An infinite endpoint raises PrecisionError, which ``escalate`` retries.
+    """
     ends = []
-    for v in x._mpi_:
-        man, exp = to_man_exp(v)  # ValueError for an infinite endpoint
-        ends.append((-man if v[0] else man, exp))
+    for sign, man, exp, _ in x._mpi_:
+        if not man and exp:  # an infinity (or nan) has no mantissa and exponent
+            raise PrecisionError("enclosure has an infinite endpoint", mp.inf)
+        ends.append((-man if sign else man, exp))
     (lo, e_lo), (hi, e_hi) = ends
     e = min(e_lo, e_hi)
     return lo << (e_lo - e), hi << (e_hi - e), e
+
+
+def fixed_midpoint(lo: int, hi: int, e: int, bits: int):
+    """The exact midpoint (lo + hi) * 2**(e-1) of [lo, hi] * 2**e, rounded once at ``bits``."""
+    return mp.make_mpf(from_man_exp(lo + hi, e - 1, bits, round_nearest))
+
+
+def iv_midpoint(x, bits: int):
+    """The exact midpoint of an interval, rounded once at ``bits``."""
+    return fixed_midpoint(*iv_fixed(x), bits)
+
+
+def certified_midpoint(x, bits: int, rel_error_bits: int = 64):
+    """``certified_fixed_midpoint`` of an interval, read exactly by ``iv_fixed``."""
+    return certified_fixed_midpoint(*iv_fixed(x), bits, rel_error_bits)
 
 
 def fixed_outward(lo: int, hi: int, e: int, prec: int):
@@ -161,17 +147,15 @@ def fixed_scaled(x, p: int, q: int, prec: int):
 
 
 def certified_fixed_midpoint(lo: int, hi: int, e: int, bits: int, rel_error_bits: int = 64):
-    """``certified_midpoint``'s rule for the enclosure [lo, hi] * 2**e of ints.
+    """The midpoint of the enclosure [lo, hi] * 2**e of ints, certified.
 
-    An exact enclosure returns its value rounded at ``bits``.  One that
-    straddles zero, or whose width exceeds 2**-rel_error_bits times its
-    smallest endpoint modulus, raises PrecisionError; otherwise the exact
-    midpoint (lo + hi) * 2**(e-1) is rounded once, at ``bits``.
+    An enclosure that straddles zero (other than the exact 0), or whose
+    width exceeds 2**-rel_error_bits times its smaller endpoint modulus,
+    raises PrecisionError; otherwise the exact midpoint is rounded once, at
+    ``bits`` (an exact enclosure is its value rounded).
     """
-    if lo == hi:
-        return mp.make_mpf(from_man_exp(lo, e, bits, round_nearest))
     width = hi - lo
-    if lo <= 0 <= hi:
+    if width and lo <= 0 <= hi:
         abs_width = mp.ldexp(width, e)
         raise PrecisionError("enclosure of width %s straddles zero" % mp.nstr(abs_width, 8), abs_width)
     near = -hi if hi < 0 else lo  # the smaller endpoint modulus
@@ -179,7 +163,7 @@ def certified_fixed_midpoint(lo: int, hi: int, e: int, bits: int, rel_error_bits
         with mp_prec(53):
             rel = mp.mpf(width) / near
         raise PrecisionError("relative width %s exceeds the certification bound" % mp.nstr(rel, 8), rel)
-    return mp.make_mpf(from_man_exp(lo + hi, e - 1, bits, round_nearest))
+    return fixed_midpoint(lo, hi, e, bits)
 
 
 def escalate(compute, bits: int):

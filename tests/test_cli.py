@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -230,6 +231,9 @@ class TestProbeCli:
         assert [int(r[0]) for r in rows] == list(range(1, 21))
         assert all(mpmath.isfinite(mpmath.mpf(v)) for r in rows for v in r[1:])
         assert rows[3][1] == format_mpf(mpmath.mpf(8))  # x_4 = 4**(3/2), printed as the enclosure midpoint
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "11afc8b62cf630d78cbadff3b1591f44cac30fa8def79f47287b5c6e3e9e0478"
+        )
 
     def test_criterion(self, capsys):
         assert run(["probe", "criterion", "--m", "2", "--theta", "1", "--s", "1/2", "--jmax", "4"]) == 0

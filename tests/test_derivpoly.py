@@ -102,7 +102,7 @@ class TestJsonExport:
     def test_write_json_is_the_compact_to_json(self, m):
         table = get_table(m, 60)
         buf = io.StringIO()
-        table.write_json(buf)
+        write_table_json(buf, m, 60, table.rows)
         assert buf.getvalue() == table.to_json(separators=(",", ":")) + "\n"
 
     def test_write_json_streams(self):
@@ -117,7 +117,7 @@ class TestJsonExport:
         sink = Sink()
         tracemalloc.start()
         try:
-            table.write_json(sink)
+            write_table_json(sink, 4, 300, table.rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -165,7 +165,7 @@ class TestJsonExport:
         big = 10**5000 + 7
         table = CoeffTable(m=2, k_max=2, rows=((1,), (1, big)))
         buf = io.StringIO()
-        table.write_json(buf)
+        write_table_json(buf, 2, 2, table.rows)
         assert buf.getvalue() == table.to_json(separators=(",", ":")) + "\n"
         data = json.loads(buf.getvalue())
         assert data["rows"][1][1] == "1" + "0" * 4999 + "7"
@@ -239,23 +239,23 @@ class TestEvalLogMagnitude:
     def test_interval_path_rejects_exact_zero(self):
         poly = derivative_poly(get_table(2, 4), 1)
         with pytest.raises(PrecisionError):
-            eval_log_magnitude(poly, 1, Fraction(0), precision_bits=128, exact=False)
+            eval_log_magnitude(poly, 1, mpmath.mpf(0), precision_bits=128)
 
     def test_exact_zero_raises_without_escalating(self, monkeypatch):
         parts, calls = derivpoly_module._parts, []
         monkeypatch.setattr(derivpoly_module, "_parts", lambda *args: calls.append(args) or parts(*args))
         poly = derivative_poly(get_table(2, 4), 1)
         with pytest.raises(PrecisionError) as info:
-            eval_log_magnitude(poly, 1, Fraction(0), precision_bits=128, exact=False)
+            eval_log_magnitude(poly, 1, mpmath.mpf(0), precision_bits=128)
         assert len(calls) == 1 and info.value.width == 0
 
     def test_interval_path_escalates_and_records_its_bits(self, monkeypatch):
         # a 2**-100 bound cannot be certified from a 64-bit start: the budget doubles
         poly = derivative_poly(get_table(3, 40), 40)
         x = Fraction(7, 3)
-        reference = eval_log_magnitude(poly, 1, x, precision_bits=512, exact=False)
+        reference = eval_log_magnitude(poly, 1, x, precision_bits=512)
         monkeypatch.setattr(derivpoly_module, "_budget_bits", lambda *args: 64)
-        monkeypatch.setattr(derivpoly_module, "_LOG_ABS_ERROR_BOUND", Fraction(1, 2**100))
+        monkeypatch.setattr(derivpoly_module, "_LOG_ABS_ERROR_BITS", 100)
         lm = eval_log_magnitude(poly, 1, x, precision_bits=64)
         assert lm.precision_bits in (128, 256) and not lm.exact
         with mp.workprec(512):
@@ -279,8 +279,6 @@ class TestEvalLogMagnitude:
             eval_log_magnitude(poly, 1, -3)
         with pytest.raises(ValueError):
             eval_log_magnitude(poly, 1, 1, precision_bits=32)
-        with pytest.raises(ValueError):
-            eval_log_magnitude(poly, 1, Fraction(1, 3), exact=True)
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("k", [5, 17, 40])
@@ -289,7 +287,7 @@ class TestEvalLogMagnitude:
         poly = derivative_poly(get_table(m, 40), k)
         bits = default_precision_bits(m, k, 1) + 64
         exact = eval_log_magnitude(poly, 1, x, precision_bits=bits)
-        boxed = eval_log_magnitude(poly, 1, Fraction(x), precision_bits=bits, exact=False)
+        boxed = eval_log_magnitude(poly, 1, mpmath.mpf(x), precision_bits=bits)
         assert exact.exact and not boxed.exact
         with mp.workprec(bits):
             assert abs(exact.log_mag - boxed.log_mag) < mp.mpf(2) ** -32

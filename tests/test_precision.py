@@ -9,10 +9,11 @@ from gsmult.precision import (
     PrecisionError,
     certified_fixed_midpoint,
     escalate,
+    certified_midpoint,
     half_log_of_int,
-    iv_abs_width,
     iv_endpoints,
     iv_fixed,
+    iv_midpoint,
     iv_prec,
 )
 
@@ -91,18 +92,6 @@ class TestHalfLogOfInt:
             half_log_of_int(0, 128)
 
 
-class TestIntervalWidth:
-    def test_rounds_up_where_nearest_would_round_down(self):
-        with mp.workprec(200), iv_prec(200):
-            x = iv.mpf([mp.mpf(-1) / 3, mp.mpf(5) / 7])
-        a, b = iv_endpoints(x)
-        width = exact(b) - exact(a)
-        with mp.workprec(64):
-            assert exact(b - a) < width  # a case round-to-nearest gets wrong
-        assert exact(iv_abs_width(x)) >= width
-        assert exact(iv_abs_width(x)) - width < width / 2**62
-
-
 class TestFixedPoint:
     def test_endpoints_are_exact_over_one_exponent(self):
         with iv_prec(100):
@@ -122,6 +111,22 @@ class TestFixedPoint:
         # first at 80 bits it would land on the tie and then round to even, 2**200
         v = certified_fixed_midpoint(2**200 + 2**136, 2**200 + 2**136 + 2, 0, 64)
         assert exact(v) == 2**200 + 2**137
+
+    def test_infinite_endpoint_raises_precision_error(self):
+        with iv_prec(64):
+            x = iv.mpf([1, mp.inf])
+        with pytest.raises(PrecisionError):
+            iv_fixed(x)
+
+    def test_interval_midpoint_is_rounded_once(self):
+        # the exact midpoint 1 + 2**-53 + 2**-80 lies just above a tie at 53 bits; rounded
+        # first at 69 bits it would land on the tie and then round to even, 1
+        with mp.workprec(100), iv_prec(100):
+            x = iv.mpf([1, 1 + mp.ldexp(1, -52) + mp.ldexp(1, -79)])
+        assert exact(iv_midpoint(x, 53)) == 1 + Fraction(1, 2**52)
+        assert exact(certified_midpoint(x, 53, rel_error_bits=32)) == 1 + Fraction(1, 2**52)
+        with pytest.raises(PrecisionError):
+            certified_midpoint(x, 53)  # relative width 2**-52 exceeds the default 2**-64
 
     def test_straddling_and_wide_enclosures_raise_with_their_width(self):
         with pytest.raises(PrecisionError) as info:

@@ -9,7 +9,6 @@ from .derivpoly import (
     KjSequence,
     LogMagnitude,
     build_coeff_table,
-    default_precision_bits,
     derivative_poly,
     eval_log_magnitude,
     gaussian_parts,
@@ -47,7 +46,6 @@ from .oracle import (
     OracleReport,
     certify,
     coeff_oracle,
-    gf_coefficient,
     hermite_oracle,
     symbolic_recursion_oracle,
 )

@@ -11,18 +11,16 @@ library rejects with ``ParameterError``), 3 when the program itself fails (a
 reported as one line on stderr) -- so the verifiers double as CI tests and a
 crash is never mistaken for a failed check or a rejected argument.  All
 numeric output is written as decimal (or exact ``p/q``) strings; identical
-argv gives identical bytes.  The environment variable GSM_PRECISION_BITS
-overrides the default precision when ``--precision-bits`` is not given; a
-value below 64 bits (128 for ``gs bound``) from either source is a usage
-error.  For ``probe run`` that precision is the one results are computed
-at; the interval engines size and escalate their own working budgets.
+argv gives identical bytes.  ``--precision-bits`` sets the precision
+results are computed at; a value below 64 bits (128 for ``gs bound``) is a
+usage error.  The interval engines start a few guard bits above it and
+double their working precision while an enclosure is too wide.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -374,14 +372,6 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code else 0
-    if args.precision_bits is None:
-        env_bits = os.environ.get("GSM_PRECISION_BITS")
-        if env_bits:
-            try:
-                args.precision_bits = int(env_bits)
-            except ValueError:
-                print("invalid GSM_PRECISION_BITS: %r" % env_bits, file=sys.stderr)
-                return 2
     if args.precision_bits is not None and args.precision_bits < derivpoly.MIN_EVAL_PRECISION_BITS:
         print("usage error: precision bits must be >= %d" % derivpoly.MIN_EVAL_PRECISION_BITS, file=sys.stderr)
         return 2

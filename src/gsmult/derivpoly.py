@@ -26,8 +26,9 @@ integer powers, so it runs unchanged over Python ints, Fractions and mpmath
 intervals.  Magnitudes |p_k(x)| for lam = +/- i*m are thus exact in Gaussian
 integers whenever x is a nonnegative integer, their log rounded once at the
 result precision; any other x (a Fraction, an mpf, or an interval enclosing
-a point such as k**theta) is enclosed at a budget sized to the operand and
-doubled while too wide, and the log is certified to 2**-32 absolute error.
+a point such as k**theta) is enclosed from the result precision plus guard
+bits, doubled while too wide, and the log is certified to 2**-32 absolute
+error.
 |D^k g| = |d^k/dx^k g| since D = i^{-1} d/dx only changes the phase, so all
 magnitude-level results hold for either normalization.
 """
@@ -35,7 +36,6 @@ magnitude-level results hold for either normalization.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -57,28 +57,14 @@ from .precision import (
 )
 
 MIN_EVAL_PRECISION_BITS = 64
+RESULT_BITS = 192  # default result precision of a log
+_GUARD_BITS = 64  # an interval evaluation starts this far above its result precision
 _LOG_ABS_ERROR_BITS = 32  # certified absolute error of an interval log: <= 2**-32
 
 
 def row_length(m: int, k: int) -> int:
     """Number of table entries for order k: floor(k*(m-1)/m) + 1."""
     return k * (m - 1) // m + 1
-
-
-def _budget_bits(m: int, k: int, base, exponent) -> int:
-    """Interval working budget for p_k at x = base**exponent, base >= 2.
-
-    ceil(k * (log2(m) + exponent*(m-1)*log2(base))) + 128: enough bits to
-    hold the dominant term m**k * x**((m-1)*k) exactly, plus guard room for
-    sums and logs.
-    """
-    need = math.ceil(k * (math.log2(m) + float(exponent) * (m - 1) * math.log2(base)))
-    return max(MIN_EVAL_PRECISION_BITS, need + 128)
-
-
-def default_precision_bits(m: int, k: int, theta) -> int:
-    """Interval working budget for enclosing p_k at x = k**theta (never a result precision)."""
-    return _budget_bits(m, k, max(k, 2), theta)
 
 
 @dataclass(frozen=True)
@@ -236,7 +222,8 @@ class LogMagnitude:
     integer modulus squared; otherwise an interval enclosure certified the
     absolute error below 2**-32.  log_mag is -inf when the value is 0.
     precision_bits is the working precision used: the result precision on
-    the exact path, the last (possibly escalated) interval budget otherwise.
+    the exact path; on the interval path the precision that certified, from
+    _GUARD_BITS above the result precision, doubled while too wide.
     """
 
     log_mag: mpmath.mpf
@@ -299,45 +286,36 @@ def _interval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, out_bits: int,
     return LogMagnitude(log_mag=fixed_midpoint(lo, hi, e, out_bits), exact=False, precision_bits=bits)
 
 
-def eval_log_magnitude(
-    poly: DerivPoly,
-    lambda_sign: int,
-    x,
-    precision_bits: Optional[int] = None,
-) -> LogMagnitude:
+def eval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, precision_bits: int = RESULT_BITS) -> LogMagnitude:
     """ln |p_k(x)| for lam = lambda_sign * i * m, with a certified error budget.
 
-    ``precision_bits`` is the result precision (None: the operand budget).
-    Integer x (including Fractions with denominator one) goes through exact
-    Gaussian-integer arithmetic; the log is correctly rounded at the result
-    precision.  Other x -- a Fraction, an mpf, or an mpmath interval
-    enclosing the point -- is evaluated by interval arithmetic from the
-    operand budget at the upper end of x, doubled while the enclosure is
-    too wide, and must certify absolute error below 2**-32, else (at once
-    for an exact zero) PrecisionError is raised.  An integral mpf or
-    interval point takes the interval path too.
+    ``precision_bits`` is the result precision.  Integer x (including
+    Fractions with denominator one) goes through exact Gaussian-integer
+    arithmetic; the log is correctly rounded at the result precision.
+    Other x -- a Fraction, an mpf, or an mpmath interval enclosing the
+    point -- is evaluated by interval arithmetic from the result precision
+    plus _GUARD_BITS, doubled while the enclosure is too wide, and must
+    certify absolute error below 2**-32, else (at once for an exact zero)
+    PrecisionError is raised.  An integral mpf or interval point takes the
+    interval path too.
     """
     if lambda_sign not in (1, -1):
         raise ParameterError("lambda_sign must be +1 or -1")
-    x_int = None
-    if isinstance(x, int):
-        x_int = x
-    elif isinstance(x, Fraction) and x.denominator == 1:
-        x_int = x.numerator
-    lo, hi = iv_endpoints(x) if isinstance(x, iv.mpf) else (x, x)
+    x_int = x.numerator if isinstance(x, (int, Fraction)) and x.denominator == 1 else None
+    lo = iv_endpoints(x)[0] if isinstance(x, iv.mpf) else x
     if not lo >= 0:
         raise ParameterError("x must be nonnegative")
-    if precision_bits is not None and precision_bits < MIN_EVAL_PRECISION_BITS:
+    if precision_bits < MIN_EVAL_PRECISION_BITS:
         raise ParameterError("precision_bits must be >= %d" % MIN_EVAL_PRECISION_BITS)
-    budget = _budget_bits(poly.m, poly.k, max(float(hi), 2.0), 1)
-    bits = precision_bits or budget
 
     if x_int is not None:
         re, im = gaussian_parts(poly, lambda_sign, x_int)
         mag2 = re * re + im * im
-        log_mag = half_log_of_int(mag2, bits) if mag2 else mp.ninf
-        return LogMagnitude(log_mag=log_mag, exact=True, precision_bits=bits)
-    return escalate(lambda b: _interval_log_magnitude(poly, lambda_sign, x, bits, b), max(bits, budget))
+        log_mag = half_log_of_int(mag2, precision_bits) if mag2 else mp.ninf
+        return LogMagnitude(log_mag=log_mag, exact=True, precision_bits=precision_bits)
+    return escalate(
+        lambda b: _interval_log_magnitude(poly, lambda_sign, x, precision_bits, b), precision_bits + _GUARD_BITS
+    )
 
 
 @dataclass(frozen=True)

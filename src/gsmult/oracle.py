@@ -94,14 +94,6 @@ def _composition_rows(m: int):
         yield row
 
 
-def gf_coefficient(m: int, power: int, degree: int) -> int:
-    """[y**degree] ((1+y)**m - 1)**power, exactly; walks ``_composition_sums``."""
-    if power < 0 or degree < 0:
-        raise ParameterError("power and degree must be nonnegative")
-    sums = next(islice(_composition_sums(m), degree, None))
-    return sums[power] if power < len(sums) else 0
-
-
 def coeff_oracle(m: int, k: int, n: int) -> int:
     """C[k][n] from the composition-sum formula, exactly; walks ``_composition_rows`` to order k."""
     if m < 2:

@@ -11,8 +11,9 @@ Conversions round at most once at the requested precision; equal Fractions
 therefore always convert to bit-identical mpf values, which several
 determinism and dilation-identity checks rely on.
 
-An interval computation gets a working budget sized to its operands, which
-``escalate`` doubles while an enclosure is too wide.
+An interval computation starts a few guard bits above the precision of its
+result, and ``escalate`` doubles that while an enclosure is too wide: Ziv's
+strategy, as ``half_log_of_int`` applies it to one log.
 
 An enclosure becomes a number in one way only: ``iv_fixed`` reads an
 interval exactly as ints [lo, hi] * 2**e, and the exact midpoint
@@ -112,11 +113,6 @@ def iv_fixed(x):
 def fixed_midpoint(lo: int, hi: int, e: int, bits: int):
     """The exact midpoint (lo + hi) * 2**(e-1) of [lo, hi] * 2**e, rounded once at ``bits``."""
     return mp.make_mpf(from_man_exp(lo + hi, e - 1, bits, round_nearest))
-
-
-def iv_midpoint(x, bits: int):
-    """The exact midpoint of an interval, rounded once at ``bits``."""
-    return fixed_midpoint(*iv_fixed(x), bits)
 
 
 def certified_midpoint(x, bits: int, rel_error_bits: int = 64):

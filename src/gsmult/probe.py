@@ -8,12 +8,12 @@ at x_k = k**theta,
     log |(D^k g)(x_k) f(x_k)| = log |p_k(x_k)| - <x_k>**(1/nu)
 
 with |p_k| from the exact Gaussian-integer evaluator whenever theta is an
-integer; otherwise x_k is enclosed in an interval and |p_k| is certified on
-that enclosure.  Two precisions are kept apart: only the enclosures get a
-budget sized to the operand (``default_precision_bits``, thousands of bits
-at large k), while the logs, the decay term, the rate and Delta are
-computed at the result precision RESULT_BITS = RATE_BITS + 64 (or
-``ProbeConfig.precision_bits``) and records are rounded at RATE_BITS.
+integer; otherwise x_k is enclosed in an interval, |p_k| is certified on
+that enclosure, and both are made again at doubled precision until x_k
+rounds to one value at the result precision (Ziv's test).  Logs, the decay
+term, the rate and Delta are computed at that result precision,
+RESULT_BITS = RATE_BITS + 64 (or ``ProbeConfig.precision_bits``), and
+records are rounded at RATE_BITS.
 Along k the leading behaviour is
 
     log|p_k(x_k)| = k log m + theta (m-1) k log k + o(k),
@@ -44,18 +44,20 @@ from mpmath import iv, mp
 
 from ._util import format_fraction, ols_slope
 from .derivpoly import (
+    _GUARD_BITS,
+    MIN_EVAL_PRECISION_BITS,
+    RESULT_BITS,
     CoeffTable,
+    _interval_log_magnitude,
     _table_covering,
-    default_precision_bits,
     derivative_poly,
     eval_log_magnitude,
     kj_sequence,
 )
 from .identities import CheckResult, _result
-from .precision import ParameterError, iv_midpoint, iv_prec, mp_prec, to_iv, to_mpf
+from .precision import ParameterError, PrecisionError, escalate, fixed_midpoint, iv_fixed, iv_prec, mp_prec, to_iv, to_mpf
 
-RATE_BITS = 128
-RESULT_BITS = RATE_BITS + 64  # logs, decay, rate and Delta are computed at this precision
+RATE_BITS = RESULT_BITS - 64  # records are rounded at this precision; logs, decay, rate and Delta at RESULT_BITS
 
 
 @dataclass(frozen=True)
@@ -96,16 +98,18 @@ class ProbeConfig:
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
         if any(k < 1 for k in self.k_values):
             raise ParameterError("orders must be >= 1")
+        if self.precision_bits and self.precision_bits < MIN_EVAL_PRECISION_BITS:
+            raise ParameterError("precision_bits must be >= %d" % MIN_EVAL_PRECISION_BITS)
 
 
 @dataclass(frozen=True)
 class ProbeRecord:
     """One sample: order k, point x_k, logged product, running rate estimate.
 
-    x is k**theta itself for integer theta, else the midpoint of its
-    enclosure.  rate = (log_dkg_f + <x_k>**(1/nu)) / (k*log k) is the
-    per-record point estimate of the growth exponent (0 for k < 2 where the
-    scale vanishes).
+    x is k**theta itself for integer theta, else k**theta correctly rounded
+    at the result precision.  rate = (log_dkg_f + <x_k>**(1/nu)) / (k*log k)
+    is the per-record point estimate of the growth exponent (0 for k < 2
+    where the scale vanishes).
     """
 
     k: int
@@ -126,6 +130,18 @@ def _decay(x, nu: Fraction, bits: int):
         return mp.exp(to_mpf(1 / (2 * nu)) * mp.log(base))
 
 
+def _enclosed_point(poly, cfg: ProbeConfig, k: int, bits: int, work: int):
+    """(x, ln|p_k(x)|) at x = k**theta from one enclosure of x at ``work`` bits; x is
+    k**theta correctly rounded at ``bits``, certified by both endpoints rounding to it."""
+    with iv_prec(work):
+        x_enc = iv.mpf(k) ** to_iv(cfg.theta)
+    lo, hi, e = iv_fixed(x_enc)
+    x = fixed_midpoint(lo, lo, e, bits)
+    if x != fixed_midpoint(hi, hi, e, bits):
+        raise PrecisionError("enclosure of x_%d rounds apart at %d bits" % (k, bits), mp.ldexp(hi - lo, e))
+    return x, _interval_log_magnitude(poly, cfg.lambda_sign, x_enc, bits, work)
+
+
 def probe_series(cfg: ProbeConfig, table: Optional[CoeffTable] = None) -> list[ProbeRecord]:
     """Evaluate the logged product per order; deterministic for a fixed config."""
     if not cfg.k_values:
@@ -135,13 +151,12 @@ def probe_series(cfg: ProbeConfig, table: Optional[CoeffTable] = None) -> list[P
     bits = cfg.precision_bits or RESULT_BITS
     records = []
     for k in cfg.k_values:
+        poly = derivative_poly(table, k)
         if theta_int:
-            x = x_enc = k ** cfg.theta.numerator
+            x = k**cfg.theta.numerator
+            lm = eval_log_magnitude(poly, cfg.lambda_sign, x, precision_bits=bits)
         else:
-            with iv_prec(max(bits, default_precision_bits(cfg.m, k, cfg.theta))):
-                x_enc = iv.mpf(k) ** to_iv(cfg.theta)
-            x = iv_midpoint(x_enc, bits)
-        lm = eval_log_magnitude(derivative_poly(table, k), cfg.lambda_sign, x_enc, precision_bits=bits)
+            x, lm = escalate(lambda work: _enclosed_point(poly, cfg, k, bits, work), bits + _GUARD_BITS)
         decay = _decay(x, cfg.nu, bits)
         with mp_prec(bits):
             log_prod = lm.log_mag - decay

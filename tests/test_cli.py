@@ -57,23 +57,16 @@ class TestExitCodes:
         assert err.count("\n") == 1 and type(exc).__name__ in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "flag, env, argv",
+        "flag, argv",
         [
-            (["--precision-bits", "-3"], None, ["verify", "identities", "--m", "3", "--kmax", "10", "--theta", "5/6"]),
-            (["--precision-bits", "0"], None, ["verify", "identities", "--m", "3", "--kmax", "10", "--theta", "5/6"]),
-            (["--precision-bits", "63"], None, ["probe", "run", "--m", "2", "--theta", "1", "--nu", "1", "--kmax", "4"]),
-            ([], "0", ["gs", "seminorm", "--kind", "h", "--h", "1/2", "--theta", "1", "--s", "1", "--kmax", "2"]),
-            ([], "-3", ["verify", "identities", "--m", "3", "--kmax", "10", "--theta", "5/6"]),
-            (["--precision-bits", "64"], None, ["gs", "bound", "--theta", "1/2", "--kmax", "10"]),
-            ([], "127", ["gs", "bound", "--theta", "1/2", "--kmax", "10"]),
+            (["--precision-bits", "-3"], ["verify", "identities", "--m", "3", "--kmax", "10", "--theta", "5/6"]),
+            (["--precision-bits", "0"], ["verify", "identities", "--m", "3", "--kmax", "10", "--theta", "5/6"]),
+            (["--precision-bits", "63"], ["probe", "run", "--m", "2", "--theta", "1", "--nu", "1", "--kmax", "4"]),
+            (["--precision-bits", "64"], ["gs", "bound", "--theta", "1/2", "--kmax", "10"]),
         ],
-        ids=["flag-negative", "flag-zero", "flag-63", "env-zero", "env-negative", "gs-bound-flag-64", "gs-bound-env-127"],
+        ids=["flag-negative", "flag-zero", "flag-63", "gs-bound-flag-64"],
     )
-    def test_bad_precision_is_usage_error(self, tmp_path, monkeypatch, capsys, flag, env, argv):
-        if env is None:
-            monkeypatch.delenv("GSM_PRECISION_BITS", raising=False)
-        else:
-            monkeypatch.setenv("GSM_PRECISION_BITS", env)
+    def test_bad_precision_is_usage_error(self, tmp_path, capsys, flag, argv):
         if argv[:2] == ["probe", "run"]:
             argv = argv + ["--csv", str(tmp_path / "p.csv")]
         assert run(flag + argv) == 2
@@ -149,7 +142,8 @@ class TestVerifyIdentities:
     def test_rejects_theta_below_threshold(self):
         assert run(["verify", "identities", "--m", "2", "--kmax", "12", "--theta", "1/4"]) == 2
 
-    @pytest.mark.parametrize("flag, env, bits", [([], None, 192), (["--precision-bits", "320"], None, 320), ([], "256", 256)])
+    # the environment does not set the precision: identical argv gives identical results
+    @pytest.mark.parametrize("flag, env, bits", [([], None, 192), (["--precision-bits", "320"], None, 320), ([], "320", 192)])
     def test_precision_reaches_wedge_check(self, monkeypatch, capsys, flag, env, bits):
         seen = []
         real = identities.check_wedge_fn_nonneg
@@ -223,17 +217,28 @@ class TestProbeCli:
         ks = [int(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
         assert ks == [8, 16]
 
-    def test_run_non_integer_theta(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "m, theta, kmax, digest",
+        [
+            ("3", "3/2", 20, "11afc8b62cf630d78cbadff3b1591f44cac30fa8def79f47287b5c6e3e9e0478"),
+            ("3", "3/2", 60, "ae3db82c8abb9c250f68fa3abe83f4dcf978b9c2775df705a7bb3a2ffe42eff2"),
+            ("2", "5/3", 40, "318a99f133c63db34a74717236b9fc1369c6c42b60b8e595b012825fcf6a9bda"),
+            ("4", "2/3", 40, "229865546aee97b9fbef98ca1e64b5032c973facdffc6854c202321ec8ab2520"),
+            ("3", "5/6", 40, "82743eea4320471dbac8bf4241dacc1547f994e2a569db483f73c5f839fc8613"),
+            ("5", "1/2", 30, "56a1f7aee88037c83e39f2adb34ec929ffeebf1a40942494b50e11f45d893d97"),
+        ],
+        ids=["3-3/2-20", "3-3/2-60", "2-5/3-40", "4-2/3-40", "3-5/6-40", "5-1/2-30"],
+    )
+    def test_run_non_integer_theta(self, tmp_path, capsys, m, theta, kmax, digest):
         out = tmp_path / "pf.csv"
-        code = run(["probe", "run", "--m", "3", "--theta", "3/2", "--nu", "3/2", "--kmax", "20", "--csv", str(out)])
+        code = run(["probe", "run", "--m", m, "--theta", theta, "--nu", theta, "--kmax", str(kmax), "--csv", str(out)])
         assert code == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-        assert [int(r[0]) for r in rows] == list(range(1, 21))
+        assert [int(r[0]) for r in rows] == list(range(1, kmax + 1))
         assert all(mpmath.isfinite(mpmath.mpf(v)) for r in rows for v in r[1:])
-        assert rows[3][1] == format_mpf(mpmath.mpf(8))  # x_4 = 4**(3/2), printed as the enclosure midpoint
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "11afc8b62cf630d78cbadff3b1591f44cac30fa8def79f47287b5c6e3e9e0478"
-        )
+        if theta == "3/2":
+            assert rows[3][1] == format_mpf(mpmath.mpf(8))  # x_4 = 4**(3/2), printed correctly rounded
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_criterion(self, capsys):
         assert run(["probe", "criterion", "--m", "2", "--theta", "1", "--s", "1/2", "--jmax", "4"]) == 0
@@ -280,17 +285,6 @@ class TestSeminormCli:
         assert run(
             ["gs", "seminorm", "--kind", "a", "--a", "1", "--theta", "1", "--s", "1", "--kmax", "1", "--grid", "oops"]
         ) == 2
-
-
-class TestEnvPrecision:
-    def test_env_override_parses(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("GSM_PRECISION_BITS", "192")
-        out = tmp_path / "p.csv"
-        assert run(["probe", "run", "--m", "2", "--theta", "1", "--nu", "1", "--kmax", "4", "--csv", str(out)]) == 0
-
-    def test_env_invalid_rejected(self, monkeypatch, capsys):
-        monkeypatch.setenv("GSM_PRECISION_BITS", "lots")
-        assert run(["verify", "coeffs", "--m", "2", "--kmax", "4"]) == 2
 
 
 def test_console_entry_point_runs():

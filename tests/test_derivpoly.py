@@ -12,9 +12,9 @@ from mpmath import mp
 
 from gsmult.derivpoly import (
     CoeffTable,
+    DerivPoly,
     build_coeff_table,
     coeff_rows,
-    default_precision_bits,
     derivative_poly,
     eval_log_magnitude,
     gaussian_parts,
@@ -99,54 +99,37 @@ class TestBuildCoeffTable:
 
 class TestJsonExport:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-    def test_write_json_is_the_compact_to_json(self, m):
-        table = get_table(m, 60)
-        buf = io.StringIO()
-        write_table_json(buf, m, 60, table.rows)
-        assert buf.getvalue() == table.to_json(separators=(",", ":")) + "\n"
-
-    def test_write_json_streams(self):
-        # the writer never holds the document: its peak stays far below the file size
-        class Sink:
-            size = 0
-
-            def write(self, text):
-                self.size += len(text)
-
-        table = get_table(4, 300)
-        sink = Sink()
-        tracemalloc.start()
-        try:
-            write_table_json(sink, 4, 300, table.rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < sink.size / 4
-
-    @pytest.mark.parametrize("m", [2, 4, 6])
     def test_streamed_rows_write_the_table_bytes(self, m):
-        buf = io.StringIO()
-        write_table_json(buf, m, 60, coeff_rows(m, 60))
-        assert buf.getvalue() == get_table(m, 60).to_json(separators=(",", ":")) + "\n"
-        assert tuple(coeff_rows(m, 60)) == get_table(m, 60).rows
+        # a held table and the streamed build both write the compact to_json
+        table = get_table(m, 60)
+        for rows in (table.rows, coeff_rows(m, 60)):
+            buf = io.StringIO()
+            write_table_json(buf, m, 60, rows)
+            assert buf.getvalue() == table.to_json(separators=(",", ":")) + "\n"
+        assert tuple(coeff_rows(m, 60)) == table.rows
 
     def test_streamed_build_holds_no_table(self):
-        # rows go from the build into the writer one at a time; a built table
-        # held first peaks at about two thirds of the file size here
+        # the writer never holds the document, and the streamed build holds one row at a
+        # time; a built table held first peaks at about two thirds of the file size here
         class Sink:
             size = 0
 
             def write(self, text):
                 self.size += len(text)
 
-        sink = Sink()
-        tracemalloc.start()
-        try:
-            write_table_json(sink, 4, 300, coeff_rows(4, 300))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < sink.size / 20
+        def peak_and_size(rows):
+            sink = Sink()
+            tracemalloc.start()
+            try:
+                write_table_json(sink, 4, 300, rows)
+                return tracemalloc.get_traced_memory()[1], sink.size
+            finally:
+                tracemalloc.stop()
+
+        peak, size = peak_and_size(get_table(4, 300).rows)
+        assert peak < size / 4
+        peak, size = peak_and_size(coeff_rows(4, 300))
+        assert peak < size / 20
 
     def test_streamed_rows_are_checked_as_validate_does(self):
         rows = [list(r) for r in get_table(3, 8).rows]
@@ -250,14 +233,13 @@ class TestEvalLogMagnitude:
         assert len(calls) == 1 and info.value.width == 0
 
     def test_interval_path_escalates_and_records_its_bits(self, monkeypatch):
-        # a 2**-100 bound cannot be certified from a 64-bit start: the budget doubles
+        # a 2**-130 bound cannot be certified from a 128-bit start: the working precision doubles
         poly = derivative_poly(get_table(3, 40), 40)
         x = Fraction(7, 3)
         reference = eval_log_magnitude(poly, 1, x, precision_bits=512)
-        monkeypatch.setattr(derivpoly_module, "_budget_bits", lambda *args: 64)
-        monkeypatch.setattr(derivpoly_module, "_LOG_ABS_ERROR_BITS", 100)
+        monkeypatch.setattr(derivpoly_module, "_LOG_ABS_ERROR_BITS", 130)
         lm = eval_log_magnitude(poly, 1, x, precision_bits=64)
-        assert lm.precision_bits in (128, 256) and not lm.exact
+        assert lm.precision_bits == 256 and not lm.exact
         with mp.workprec(512):
             assert abs(lm.log_mag - reference.log_mag) < abs(reference.log_mag) * mp.mpf(2) ** -63  # 64-bit midpoint
 
@@ -284,13 +266,25 @@ class TestEvalLogMagnitude:
     @pytest.mark.parametrize("k", [5, 17, 40])
     @pytest.mark.parametrize("x", [1, 2, 7])
     def test_exact_float_agreement(self, m, k, x):
+        # the interval path at the default result precision against an exact 4096-bit reference
         poly = derivative_poly(get_table(m, 40), k)
-        bits = default_precision_bits(m, k, 1) + 64
-        exact = eval_log_magnitude(poly, 1, x, precision_bits=bits)
-        boxed = eval_log_magnitude(poly, 1, mpmath.mpf(x), precision_bits=bits)
+        exact = eval_log_magnitude(poly, 1, x, precision_bits=4096)
+        boxed = eval_log_magnitude(poly, 1, mpmath.mpf(x))
         assert exact.exact and not boxed.exact
-        with mp.workprec(bits):
+        with mp.workprec(4096):
             assert abs(exact.log_mag - boxed.log_mag) < mp.mpf(2) ** -32
+
+    def test_heavy_cancellation_escalates_past_the_start_and_certifies(self):
+        # at m=4, x=16/3 the terms of p_1200 cancel so far that a 256-bit start cannot
+        # separate |p| from zero; one doubling certifies it
+        for row in coeff_rows(4, 1200):
+            pass
+        poly = DerivPoly(m=4, k=1200, coeffs=row)
+        lm = eval_log_magnitude(poly, 1, Fraction(16, 3), precision_bits=192)
+        reference = eval_log_magnitude(poly, 1, Fraction(16, 3), precision_bits=2048)
+        assert lm.precision_bits == 512 and not lm.exact
+        with mp.workprec(2048):
+            assert abs(lm.log_mag - reference.log_mag) < mp.mpf(2) ** -32
 
     def test_fraction_with_unit_denominator_goes_exact(self):
         poly = derivative_poly(get_table(2, 4), 2)
@@ -305,7 +299,7 @@ class TestEvalLogMagnitude:
             point = mpmath.iv.mpf(10) / 2
         for x in (point, mpmath.mpf(5)):
             lm = eval_log_magnitude(poly, sign, x)
-            assert not lm.exact and lm.precision_bits == exact.precision_bits
+            assert not lm.exact and lm.precision_bits == exact.precision_bits + derivpoly_module._GUARD_BITS
             with mp.workprec(exact.precision_bits):
                 assert abs(lm.log_mag - exact.log_mag) < mp.mpf(2) ** -32
 
@@ -349,12 +343,6 @@ class TestKjSequence:
             kj_sequence(2, 0)
         with pytest.raises(ValueError):
             kj_sequence(2, 3).k(4)
-
-
-def test_default_precision_bits_monotone():
-    assert default_precision_bits(2, 1, 1) >= 64
-    assert default_precision_bits(2, 50, 2) > default_precision_bits(2, 10, 2)
-    assert default_precision_bits(6, 20, 1) > default_precision_bits(2, 20, 1)
 
 
 def test_row_length_helper():

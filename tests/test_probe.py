@@ -4,8 +4,20 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from gsmult.derivpoly import default_precision_bits, derivative_poly, eval_log_magnitude, kj_sequence
-from gsmult.probe import RATE_BITS, ProbeConfig, ProbeRecord, _decay, criterion_check, estimate_rate, probe_series
+from gsmult import derivpoly as derivpoly_module
+from gsmult import probe as probe_module
+from gsmult.derivpoly import derivative_poly, eval_log_magnitude, kj_sequence
+from gsmult.precision import PrecisionError
+from gsmult.probe import (
+    RATE_BITS,
+    ProbeConfig,
+    ProbeRecord,
+    _decay,
+    _enclosed_point,
+    criterion_check,
+    estimate_rate,
+    probe_series,
+)
 
 from conftest import get_table
 
@@ -92,20 +104,49 @@ class TestProbeSeries:
         table = get_table(3, 9)
         for rec, x in zip(probe_series(cfg, table), (8, 27)):
             assert not rec.exact
-            bits = default_precision_bits(3, rec.k, cfg.theta)
+            bits = 4096
             exact = eval_log_magnitude(derivative_poly(table, rec.k), sign, x, precision_bits=bits)
             with mp.workprec(bits):
                 assert abs(rec.x - x) < mp.mpf(2) ** -64
                 assert abs(rec.log_dkg_f + _decay(rec.x, cfg.nu, bits) - exact.log_mag) < mp.mpf(2) ** -32
 
+    def test_non_integer_theta_escalates_the_point_with_the_log(self, monkeypatch):
+        # a 2**-300 log bound cannot be certified from the 256-bit start: x_k and the log
+        # are enclosed again, together, at 512 bits, and x_k stays k**theta correctly rounded
+        monkeypatch.setattr(derivpoly_module, "_LOG_ABS_ERROR_BITS", 300)
+        real, seen = probe_module._interval_log_magnitude, []
+
+        def spy(poly, sign, x, out_bits, bits):
+            seen.append(bits)
+            return real(poly, sign, x, out_bits, bits)
+
+        monkeypatch.setattr(probe_module, "_interval_log_magnitude", spy)
+        records = probe_series(config(m=3, theta=Fraction(3, 2), ks=(4, 9)), get_table(3, 9))
+        assert seen == [256, 512, 256, 512]
+        assert [rec.x for rec in records] == [8, 27] and not any(rec.exact for rec in records)
+
+    def test_point_is_certified_by_both_endpoints_rounding_alike(self):
+        # x_5 = 5**(3/2) enclosed at the result precision itself is a few units wide there and
+        # its endpoints round apart; 64 guard bits later both round to 5**(3/2) correctly rounded
+        cfg = config(m=3, theta=Fraction(3, 2), ks=(5,))
+        poly = derivative_poly(get_table(3, 5), 5)
+        with pytest.raises(PrecisionError):
+            _enclosed_point(poly, cfg, 5, 192, 192)
+        x, _ = _enclosed_point(poly, cfg, 5, 192, 256)
+        with mp.workprec(1024):
+            reference = 5 * mp.sqrt(5)
+        with mp.workprec(192):
+            assert x == +reference
+
     @pytest.mark.parametrize("m,theta", [(2, 1), (2, 2), (3, 1), (3, 2)])
     def test_result_precision_matches_logs_at_the_operand_budget(self, m, theta):
-        # the records before logs were sized to their results: every step at the operand budget
+        # the records before logs were sized to their results: every step at 4096 bits,
+        # above the operand budget of each order here (at most 3,634 bits, at m=3, theta=2, k=120)
         table = get_table(m, 120)
         cfg = config(m=m, theta=theta, ks=range(1, 121))
+        bits = 4096
         for rec in probe_series(cfg, table):
             k, x = rec.k, rec.k**theta
-            bits = default_precision_bits(m, k, cfg.theta)
             lm = eval_log_magnitude(derivative_poly(table, k), 1, x, precision_bits=bits)
             decay = _decay(x, cfg.nu, bits)
             with mp.workprec(bits):

@@ -99,37 +99,54 @@ class TestBuildCoeffTable:
 
 class TestJsonExport:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-    def test_streamed_rows_write_the_table_bytes(self, m):
-        # a held table and the streamed build both write the compact to_json
+    def test_write_json_is_the_compact_to_json(self, m):
         table = get_table(m, 60)
-        for rows in (table.rows, coeff_rows(m, 60)):
-            buf = io.StringIO()
-            write_table_json(buf, m, 60, rows)
-            assert buf.getvalue() == table.to_json(separators=(",", ":")) + "\n"
-        assert tuple(coeff_rows(m, 60)) == table.rows
+        buf = io.StringIO()
+        write_table_json(buf, m, 60, table.rows)
+        assert buf.getvalue() == table.to_json(separators=(",", ":")) + "\n"
 
-    def test_streamed_build_holds_no_table(self):
-        # the writer never holds the document, and the streamed build holds one row at a
-        # time; a built table held first peaks at about two thirds of the file size here
+    def test_write_json_streams(self):
+        # the writer never holds the document: its peak stays far below the file size
         class Sink:
             size = 0
 
             def write(self, text):
                 self.size += len(text)
 
-        def peak_and_size(rows):
-            sink = Sink()
-            tracemalloc.start()
-            try:
-                write_table_json(sink, 4, 300, rows)
-                return tracemalloc.get_traced_memory()[1], sink.size
-            finally:
-                tracemalloc.stop()
+        table = get_table(4, 300)
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            write_table_json(sink, 4, 300, table.rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sink.size / 4
 
-        peak, size = peak_and_size(get_table(4, 300).rows)
-        assert peak < size / 4
-        peak, size = peak_and_size(coeff_rows(4, 300))
-        assert peak < size / 20
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_streamed_rows_write_the_table_bytes(self, m):
+        buf = io.StringIO()
+        write_table_json(buf, m, 60, coeff_rows(m, 60))
+        assert buf.getvalue() == get_table(m, 60).to_json(separators=(",", ":")) + "\n"
+        assert tuple(coeff_rows(m, 60)) == get_table(m, 60).rows
+
+    def test_streamed_build_holds_no_table(self):
+        # rows go from the build into the writer one at a time; a built table
+        # held first peaks at about two thirds of the file size here
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            write_table_json(sink, 4, 300, coeff_rows(4, 300))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sink.size / 20
 
     def test_streamed_rows_are_checked_as_validate_does(self):
         rows = [list(r) for r in get_table(3, 8).rows]

@@ -38,8 +38,8 @@ show(check_ck2_bound(table))
 show(check_ratio_bound(table, Fraction(1, 2)))
 show(check_ratio_bound(table, Fraction(1)))
 
-# the auxiliary function (1+x)^(m t) - (1-1/m)x^(m t - 1) - 1 on [0,1]
-show(check_wedge_fn_nonneg(4, Fraction(1, 2), grid_size=512))
+# the auxiliary function (1+x)^(m t) - (1-1/m)x^(m t - 1) - 1 is >= 0 on all of [0,1]
+show(check_wedge_fn_nonneg(4, Fraction(1, 2)))
 
 # evaluated at x = k_j^theta with lam = +/- i*m, the polynomial modulus
 # dominates half the top term: 4|p|^2 >= m^(2k) k^(2 theta k (m-1)) exactly

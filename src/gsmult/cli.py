@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident.add_argument("--kmax", type=int, required=True)
     p_ident.add_argument("--theta", type=_fraction_arg, required=True, help="rational, e.g. 2/3")
     p_ident.add_argument("--jmax", type=int, default=3)
-    p_ident.add_argument("--grid-size", type=int, default=256)
     p_ident.add_argument("--json", type=Path, default=None)
 
     p_gs = sub.add_parser("gs", help="derivative-bound sweeps and seminorm estimates")
@@ -209,9 +208,7 @@ def _cmd_verify_identities(args) -> int:
         identities.check_ck1_closed_form(table),
         identities.check_ck2_bound(table),
         identities.check_ratio_bound(table, theta),
-        identities.check_wedge_fn_nonneg(
-            args.m, theta, grid_size=args.grid_size, precision_bits=args.precision_bits or 192
-        ),
+        identities.check_wedge_fn_nonneg(args.m, theta, precision_bits=args.precision_bits or 192),
     ]
     if theta.denominator == 1:
         results.append(

@@ -355,3 +355,19 @@ def kj_sequence(m: int, j_max: int) -> KjSequence:
             raise AssertionError("half floor index for k_%d=%d is not 2j" % (j, kj))
         entries.append(kj)
     return KjSequence(m=m, entries=tuple(entries))
+
+
+def _kj_polys(m: int, theta: int, j_max: int, table: Optional[CoeffTable]) -> Iterator[tuple[int, int, DerivPoly]]:
+    """(j, k_j, p_{k_j}) for j = 1..j_max, the walk of the exact checks along the k_j.
+
+    theta must be a positive integer with m*theta >= 2, so that each point
+    k_j**theta is an integer; ``table`` must cover k_{j_max} and is built
+    when None.  The arguments are checked when the walk is created.
+    """
+    if not isinstance(theta, int) or theta < 1:
+        raise ParameterError("theta must be a positive integer for exact evaluation")
+    if m * theta < 2:
+        raise ParameterError("hypothesis violated: theta < 2/m")
+    seq = kj_sequence(m, j_max)
+    table = _table_covering(m, seq.k(j_max), table)
+    return ((j, k, derivative_poly(table, k)) for j, k in enumerate(seq.entries, start=1))

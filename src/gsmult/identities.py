@@ -21,8 +21,10 @@ Checked facts, for degree m >= 2 and the table coefficients C[k][n]:
   every cell's exact powers would give: a float estimate per cell picks the
   few cells near the maximum, and only those are evaluated exactly.
 * auxiliary function f(x) = (1+x)**(m*theta) - (1-1/m)*x**(m*theta-1) - 1
-  is nonnegative on [0,1] (grid with downward rounding, plus the endpoint
-  identities f(0) = 0 and f(1) = 2**(m*theta) - 2 + 1/m).
+  is nonnegative on [0,1], proved on all of it: a monotone lower bound of f
+  on each box [2**-(j+1), 2**-j], j < 40, bisected while not positive, and
+  below 2**-40 a lemma from Bernoulli's inequality; plus the endpoint
+  identities f(0) = 0 and f(1) = 2**(m*theta) - 2 + 1/m.  No grid.
 * evaluation lower bound: for lam = +/- i*m, integer theta >= 1, and the
   k_j orders, 4*|p_{k_j}(k_j**theta)|**2 >= m**(2 k_j) * k_j**(2 theta k_j (m-1))
   as exact integers (the |.|**2 is an exact Gaussian-integer modulus squared).
@@ -39,8 +41,8 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from ._util import format_fraction, format_int
-from .derivpoly import CoeffTable, _table_covering, derivative_poly, gaussian_parts, kj_sequence
-from .precision import ParameterError, iv_endpoints, iv_prec, to_iv, to_mpf
+from .derivpoly import CoeffTable, _kj_polys, gaussian_parts
+from .precision import ParameterError, iv_endpoints, iv_prec, to_iv
 
 
 @dataclass(frozen=True)
@@ -197,70 +199,69 @@ def _exceeds(a: int, b: int, f: int, q: int) -> bool:
     return a**q > b**q * f
 
 
-def _wedge_fn_exact(m: int, mt: int, x: Fraction) -> Fraction:
-    return (1 + x) ** mt - Fraction(m - 1, m) * x ** (mt - 1) - 1
+# Boxes [2**-(j+1), 2**-j] for j < _WEDGE_TAIL_EXP cover [2**-_WEDGE_TAIL_EXP, 1];
+# a box whose lower bound is not positive is bisected, at most _WEDGE_MAX_DEPTH times.
+_WEDGE_TAIL_EXP = 40
+_WEDGE_MAX_DEPTH = 10
 
 
-def check_wedge_fn_nonneg(
-    m: int, theta: Fraction, grid_size: int = 256, precision_bits: int = 192
-) -> CheckResult:
-    """f(x) = (1+x)**(m*theta) - (1-1/m)*x**(m*theta-1) - 1 >= 0 on [0,1].
+def _wedge_fn_enclosure(a, c, lo: Fraction, hi: Fraction):
+    """Interval holding (1+lo)**a - c*hi**(a-1) - 1, for intervals a >= 2 and c.
 
-    Evaluated on the uniform grid i/grid_size with the result rounded
-    downward (exact rational arithmetic when m*theta is an integer, interval
-    lower endpoints otherwise) and compared against -2**-64.  The endpoint
-    identities f(0) = 0 and f(1) = 2**(m*theta) - 2 + 1/m are checked as well.
+    Both powers increase in x, so this is a lower bound of
+    f(x) = (1+x)**a - c*x**(a-1) - 1 on [lo, hi]; at lo == hi it encloses f(lo).
+    """
+    return (1 + to_iv(lo)) ** a - c * to_iv(hi) ** (a - 1) - 1
+
+
+def _wedge_box_bound(a, c, lo: Fraction, hi: Fraction, depth: int, witnesses: list) -> float:
+    """A lower bound of f on [lo, hi], bisecting while it is not positive.
+
+    A box still not positive after _WEDGE_MAX_DEPTH bisections is a witness.
+    """
+    lower = iv_endpoints(_wedge_fn_enclosure(a, c, lo, hi))[0]
+    if lower > 0 or depth == _WEDGE_MAX_DEPTH:
+        if not lower > 0:
+            witnesses.append((format_fraction(lo), format_fraction(hi), str(lower)))
+        return float(lower)
+    mid = (lo + hi) / 2
+    return min(
+        _wedge_box_bound(a, c, lo, mid, depth + 1, witnesses),
+        _wedge_box_bound(a, c, mid, hi, depth + 1, witnesses),
+    )
+
+
+def check_wedge_fn_nonneg(m: int, theta: Fraction, precision_bits: int = 192) -> CheckResult:
+    """f(x) = (1+x)**a - (1-1/m)*x**(a-1) - 1 >= 0 on [0,1], for a = m*theta >= 2.
+
+    A proof over all of [0,1] in outward-rounded intervals at
+    ``precision_bits``, one path for every rational a.  Each box
+    [2**-(j+1), 2**-j], j < 40, gets the lower bound
+    (1+lo)**a - (1-1/m)*hi**(a-1) - 1 of f, bisected while not positive;
+    a box that stays so is a witness.  Below 2**-40, Bernoulli's inequality
+    and x**(a-1) <= x give f(x) >= (a - 1 + 1/m)*x > 0.  The endpoint
+    identities f(0) = 0 and f(1) = 2**a - 2 + 1/m are checked on the same
+    enclosure.  The extremal ratio is the least of f(0) = 0 and the box
+    lower bounds: 0.0, the minimum of f, on a pass.
     """
     theta = Fraction(theta)
     if theta < Fraction(2, m):
         raise ParameterError("hypothesis violated: theta=%s < 2/m for m=%d" % (theta, m))
-    if grid_size < 1:
-        raise ParameterError("grid_size must be >= 1")
-    mt = m * theta
-    tol = Fraction(-1, 2**64)
     witnesses = []
-    min_value = None
-
-    if mt.denominator == 1:
-        mt_int = mt.numerator
-        for i in range(grid_size + 1):
-            x = Fraction(i, grid_size)
-            fx = _wedge_fn_exact(m, mt_int, x)
-            if fx < tol:
-                witnesses.append((format_fraction(x), str(fx)))
-            fxf = float(fx)
-            if min_value is None or fxf < min_value:
-                min_value = fxf
-        f0 = _wedge_fn_exact(m, mt_int, Fraction(0))
-        f1 = _wedge_fn_exact(m, mt_int, Fraction(1))
-        if f0 != 0:
-            witnesses.append(("endpoint-0", str(f0)))
-        if f1 != Fraction(2) ** mt_int - 2 + Fraction(1, m):
-            witnesses.append(("endpoint-1", str(f1)))
-    else:
-        with iv_prec(precision_bits):
-            mt_iv = to_iv(mt)
-            for i in range(grid_size + 1):
-                x = Fraction(i, grid_size)
-                xi = to_iv(x)
-                if i == 0:
-                    fx = to_iv(0)  # x**(m*theta-1) = 0 at x = 0 since m*theta > 1
-                else:
-                    one_plus = (1 + xi) ** mt_iv
-                    tail = to_iv(Fraction(m - 1, m)) * xi ** (mt_iv - 1)
-                    fx = one_plus - tail - 1
-                lower, _ = iv_endpoints(fx)
-                if lower < to_mpf(tol):
-                    witnesses.append((format_fraction(x), str(lower)))
-                if min_value is None or float(lower) < min_value:
-                    min_value = float(lower)
-            f1 = to_iv(2) ** mt_iv - 2 + to_iv(Fraction(1, m))
-            f1_direct = (1 + to_iv(1)) ** mt_iv - to_iv(Fraction(m - 1, m)) - 1
-            gap = f1 - f1_direct
-            lo, hi = iv_endpoints(gap)
-            if not (lo <= 0 <= hi):
-                witnesses.append(("endpoint-1", str(lo)))
-    params = {"m": m, "theta": format_fraction(theta), "grid_size": grid_size}
+    with iv_prec(precision_bits):
+        a, c = to_iv(m * theta), to_iv(Fraction(m - 1, m))
+        f0 = iv_endpoints(_wedge_fn_enclosure(a, c, Fraction(0), Fraction(0)))
+        if f0 != (0, 0):
+            witnesses.append(("endpoint-0", str(f0[0])))
+        gap = _wedge_fn_enclosure(a, c, Fraction(1), Fraction(1)) - (to_iv(2) ** a - 2 + to_iv(Fraction(1, m)))
+        lo, hi = iv_endpoints(gap)
+        if not lo <= 0 <= hi:
+            witnesses.append(("endpoint-1", str(lo)))
+        min_value = 0.0  # f(0)
+        for j in reversed(range(_WEDGE_TAIL_EXP)):
+            bound = _wedge_box_bound(a, c, Fraction(1, 2 ** (j + 1)), Fraction(1, 2**j), 0, witnesses)
+            min_value = min(min_value, bound)
+    params = {"m": m, "theta": format_fraction(theta)}
     return _result("auxiliary-function-nonneg", params, witnesses, min_value)
 
 
@@ -277,19 +278,10 @@ def check_lower_bound(
     integer and the Gaussian-integer modulus squared is exact.  The k_j
     construction invariants are re-asserted by kj_sequence itself.
     """
-    if not isinstance(theta, int) or theta < 1:
-        raise ParameterError("theta must be a positive integer for exact evaluation")
-    if m * theta < 2:
-        raise ParameterError("hypothesis violated: theta < 2/m")
-    seq = kj_sequence(m, j_max)
-    k_top = seq.k(j_max)
-    table = _table_covering(m, k_top, table)
     witnesses = []
     min_log_ratio = None
-    for j in range(1, j_max + 1):
-        k = seq.k(j)
-        x = k**theta
-        re, im = gaussian_parts(derivative_poly(table, k), lambda_sign, x)
+    for j, k, poly in _kj_polys(m, theta, j_max, table):
+        re, im = gaussian_parts(poly, lambda_sign, k**theta)
         lhs = 4 * (re * re + im * im)
         rhs = m ** (2 * k) * k ** (2 * theta * k * (m - 1))
         if lhs < rhs:

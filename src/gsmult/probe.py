@@ -49,10 +49,10 @@ from .derivpoly import (
     RESULT_BITS,
     CoeffTable,
     _interval_log_magnitude,
+    _kj_polys,
     _table_covering,
     derivative_poly,
     eval_log_magnitude,
-    kj_sequence,
 )
 from .identities import CheckResult, _result
 from .precision import ParameterError, PrecisionError, escalate, fixed_midpoint, iv_fixed, iv_prec, mp_prec, to_iv, to_mpf
@@ -211,24 +211,18 @@ def criterion_check(
     constants can absorb.  theta must be a positive integer so the
     evaluations are exact.
     """
-    if not isinstance(theta, int) or theta < 1:
-        raise ParameterError("theta must be a positive integer for exact evaluation")
-    if m * theta < 2:
-        raise ParameterError("hypothesis violated: theta < 2/m")
-    s = Fraction(s)
-    if not 0 < s < (m - 1) * Fraction(theta):
-        raise ParameterError("hypothesis violated: need 0 < s < (m-1)*theta, got s=%s" % s)
     if j_max < 2:
         raise ParameterError("j_max must be >= 2 to compare increments")
-    seq = kj_sequence(m, j_max)
-    k_top = seq.k(j_max)
-    table = _table_covering(m, k_top, table)
+    walk = _kj_polys(m, theta, j_max, table)
+    s = Fraction(s)
+    if not 0 < s < (m - 1) * theta:
+        raise ParameterError("hypothesis violated: need 0 < s < (m-1)*theta, got s=%s" % s)
     deltas = []
-    for j in range(1, j_max + 1):
-        k = seq.k(j)
-        lm = eval_log_magnitude(derivative_poly(table, k), lambda_sign, k**theta, precision_bits=RESULT_BITS)
+    for _, k, poly in walk:
+        lm = eval_log_magnitude(poly, lambda_sign, k**theta, precision_bits=RESULT_BITS)
         with mp_prec(RESULT_BITS):
             deltas.append(lm.log_mag - to_mpf(s) * k * mp.log(k))
+    k_top = k  # the last order walked, k_{j_max}
     witnesses = []
     for j in range(1, j_max):
         if not deltas[j] > deltas[j - 1]:

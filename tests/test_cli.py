@@ -82,10 +82,9 @@ class TestExitCodes:
             ["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "1", "--s", "0", "--kmax", "2"],
             ["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "1", "--s", "1", "--kmax", "2", "--max-power", "-1"],
             ["verify", "identities", "--m", "3", "--kmax", "10", "--theta", "1", "--jmax", "0"],
-            ["verify", "identities", "--m", "3", "--kmax", "10", "--theta", "1", "--grid-size", "0"],
         ],
         ids=["bound-theta-0", "seminorm-h-0", "seminorm-a-neg", "seminorm-theta-0", "seminorm-s-0",
-             "seminorm-max-power-neg", "identities-jmax-0", "identities-grid-size-0"],
+             "seminorm-max-power-neg", "identities-jmax-0"],
     )
     def test_invalid_value_is_usage_error(self, capsys, argv):
         assert run(argv) == 2
@@ -157,7 +156,7 @@ class TestVerifyIdentities:
             monkeypatch.setenv("GSM_PRECISION_BITS", env)
         else:
             monkeypatch.delenv("GSM_PRECISION_BITS", raising=False)
-        assert run(flag + ["verify", "identities", "--m", "3", "--kmax", "8", "--theta", "5/6", "--grid-size", "8"]) == 0
+        assert run(flag + ["verify", "identities", "--m", "3", "--kmax", "8", "--theta", "5/6"]) == 0
         assert seen == [bits]
 
 

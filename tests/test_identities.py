@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsmult import identities
 from gsmult._util import format_fraction
 from gsmult.derivpoly import CoeffTable
 from gsmult.identities import (
     CheckResult,
     _result,
-    _wedge_fn_exact,
+    _wedge_fn_enclosure,
     check_ck1_closed_form,
     check_ck2_bound,
     check_floor_identities,
@@ -20,6 +21,7 @@ from gsmult.identities import (
     check_ratio_bound,
     check_wedge_fn_nonneg,
 )
+from gsmult.precision import iv_endpoints, iv_fixed, iv_prec, to_iv
 
 from conftest import get_table
 
@@ -216,22 +218,114 @@ class TestCheckResultJson:
         assert sys.get_int_max_str_digits() == limit
 
 
+def _exact_root(v: Fraction, n: int) -> Fraction:
+    """The n-th root of a rational that is an exact n-th power."""
+    root = Fraction(round(v.numerator ** (1 / n)), round(v.denominator ** (1 / n)))
+    assert root**n == v
+    return root
+
+
+def reference_wedge_fn(m, theta, x):
+    """f(x) = (1+x)**a - (1-1/m)*x**(a-1) - 1 as an exact Fraction, a = m*theta = p/q;
+    1+x and x must be exact q-th powers."""
+    a = m * Fraction(theta)
+    p, q = a.numerator, a.denominator
+    return _exact_root(1 + x, q) ** p - Fraction(m - 1, m) * _exact_root(x, q) ** (p - q) - 1
+
+
+def _enclose_wedge_fn(m, theta, lo, hi, bits=192):
+    with iv_prec(bits):
+        return _wedge_fn_enclosure(to_iv(m * Fraction(theta)), to_iv(Fraction(m - 1, m)), lo, hi)
+
+
+def _contains(enc, value: Fraction) -> bool:
+    lo, hi, e = iv_fixed(enc)
+    return lo * Fraction(2) ** e <= value <= hi * Fraction(2) ** e
+
+
+# between the points 128/256 and 129/256 of a uniform 257-point grid on [0,1]
+_DIP = (Fraction(1, 2) + Fraction(1, 1024), Fraction(1, 2) + Fraction(2, 1024))
+
+
 class TestWedgeFnNonneg:
     def test_exact_integer_exponent(self):
-        result = check_wedge_fn_nonneg(2, Fraction(1), grid_size=128)
+        result = check_wedge_fn_nonneg(2, Fraction(1))
         assert result.passed
+        assert result.params == {"m": "2", "theta": "1"}
 
     def test_half_point_value(self):
         # m = 2, theta = 1: f(1/2) = 2.25 - 0.25 - 1 = 1
-        assert _wedge_fn_exact(2, 2, Fraction(1, 2)) == 1
+        x = Fraction(1, 2)
+        assert reference_wedge_fn(2, 1, x) == 1
+        assert _contains(_enclose_wedge_fn(2, 1, x, x), Fraction(1))
 
     def test_endpoints(self):
-        assert _wedge_fn_exact(3, 3, Fraction(0)) == 0
-        assert _wedge_fn_exact(3, 3, Fraction(1)) == Fraction(2) ** 3 - 2 + Fraction(1, 3)
+        assert iv_endpoints(_enclose_wedge_fn(3, 1, Fraction(0), Fraction(0))) == (0, 0)
+        one = Fraction(1)
+        assert _contains(_enclose_wedge_fn(3, 1, one, one), Fraction(2) ** 3 - 2 + Fraction(1, 3))
+
+    @pytest.mark.parametrize(
+        "m, theta, x",
+        [
+            (3, 1, Fraction(1, 3)),
+            (4, Fraction(1, 2), Fraction(3, 4)),
+            (5, 1, Fraction(1, 1024)),
+            (6, 1, Fraction(1, 2**40)),
+            (7, Fraction(9, 7), Fraction(255, 256)),
+            (2, Fraction(5, 4), Fraction(9, 16)),  # a = 5/2: 1+x = (5/4)**2, x = (3/4)**2
+            (5, Fraction(1, 2), Fraction(9, 16)),
+            (3, Fraction(5, 6), Fraction(0)),
+        ],
+    )
+    def test_degenerate_box_encloses_the_exact_value(self, m, theta, x):
+        assert _contains(_enclose_wedge_fn(m, theta, x, x), reference_wedge_fn(m, theta, x))
+
+    def test_box_bound_lies_below_f_on_the_box(self):
+        lo, hi = Fraction(1, 4), Fraction(1, 2)
+        lower = iv_endpoints(_enclose_wedge_fn(3, 1, lo, hi))[0]
+        assert 0 < lower
+        for i in range(17):
+            x = lo + (hi - lo) * Fraction(i, 16)
+            assert lower <= iv_endpoints(_enclose_wedge_fn(3, 1, x, x))[0]
 
     def test_interval_path_fractional_exponent(self):
-        result = check_wedge_fn_nonneg(3, Fraction(5, 6), grid_size=64)
+        result = check_wedge_fn_nonneg(3, Fraction(5, 6))
         assert result.passed
+
+    def test_dip_between_grid_points_fails_with_a_witness_box(self, monkeypatch):
+        real = identities._wedge_fn_enclosure
+
+        def dipped(a, c, lo, hi):
+            # a lower bound of f - 10 on the open dip, of f elsewhere
+            enc = real(a, c, lo, hi)
+            return enc - 10 if lo < _DIP[1] and hi > _DIP[0] else enc
+
+        monkeypatch.setattr(identities, "_wedge_fn_enclosure", dipped)
+        with iv_prec(192):
+            a, c = to_iv(2), to_iv(Fraction(3, 4))
+            grid = [Fraction(i, 256) for i in range(257)]
+            assert all(iv_endpoints(dipped(a, c, x, x))[0] >= 0 for x in grid)  # a grid misses the dip
+        result = check_wedge_fn_nonneg(4, Fraction(1, 2))
+        assert not result.passed
+        assert result.extremal_ratio < 0
+        for lo, hi, lower in result.witnesses:
+            assert Fraction(128, 256) < Fraction(lo) < Fraction(hi) < Fraction(129, 256)
+            assert Fraction(lo) < _DIP[1] and Fraction(hi) > _DIP[0]
+            assert float(lower) < 0
+
+    @pytest.mark.parametrize(
+        "m, theta",
+        [(m, Fraction(2, m)) for m in range(2, 9)]
+        + [(2, Fraction(7, 5)), (3, Fraction(5, 6)), (3, Fraction(2)), (7, Fraction(9, 7)), (100, Fraction(1, 50))],
+    )
+    def test_sweep_passes_with_minimum_zero_and_no_bisection(self, monkeypatch, m, theta):
+        calls = []
+        real = identities._wedge_fn_enclosure
+        monkeypatch.setattr(identities, "_wedge_fn_enclosure", lambda *args: calls.append(args) or real(*args))
+        result = check_wedge_fn_nonneg(m, theta)
+        assert result.passed
+        assert result.extremal_ratio == 0.0 and isinstance(result.extremal_ratio, float)
+        assert len(calls) == identities._WEDGE_TAIL_EXP + 2  # one per box, plus f(0) and f(1)
 
     def test_rejects_hypothesis_violation(self):
         with pytest.raises(ValueError):

@@ -5,16 +5,18 @@ Subcommands mirror the library modules: ``table``, ``verify coeffs``,
 ``wedge figure``, ``probe run``, ``probe criterion``.
 
 Exit status contract: 0 on success with all checks passing, 1 when any
-check reports a failure, 2 on usage errors (including an argument value the
-library rejects with ``ParameterError``), 3 when the program itself fails (a
-``PrecisionError``, a bare ``ValueError`` or any other unexpected exception,
-reported as one line on stderr) -- so the verifiers double as CI tests and a
-crash is never mistaken for a failed check or a rejected argument.  All
-numeric output is written as decimal (or exact ``p/q``) strings; identical
-argv gives identical bytes.  ``--precision-bits`` sets the precision
-results are computed at; a value below 64 bits (128 for ``gs bound``) is a
-usage error.  The interval engines start a few guard bits above it and
-double their working precision while an enclosure is too wide.
+check reports a failure, 2 on usage errors (each argument is checked once,
+by the library function that owns it, and a rejected value raises
+``ParameterError`` before any file is made), 3 when the program itself
+fails (a ``PrecisionError``, a bare ``ValueError`` or any other unexpected
+exception); each error is one line on stderr, so the verifiers double as CI
+tests and a crash is never mistaken for a failed check or a rejected
+argument.  All numeric output is written as decimal (or exact ``p/q``)
+strings; identical argv gives identical bytes.  ``--precision-bits`` sets
+the precision results are computed at, the library default when not given;
+a value below 64 bits (128 for ``gs bound``) is a usage error.  The
+interval engines start a few guard bits above it and double their working
+precision while an enclosure is too wide.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ from ._util import format_fraction, format_int, format_mpf, parse_fraction
 from .precision import ParameterError
 
 
-class UsageError(Exception):
-    pass
-
-
 def _fraction_arg(text: str) -> Fraction:
     try:
         return parse_fraction(text)
@@ -45,11 +43,12 @@ def _fraction_arg(text: str) -> Fraction:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gsmult", description=__doc__.split("\n")[0])
-    parser.add_argument("--precision-bits", type=int, default=None, help="override default working precision")
+    parser.add_argument("--precision-bits", type=int, default=None, help="result precision (default: the library's)")
     parser.add_argument("--out-dir", type=Path, default=None, help="directory prefixed to relative output paths")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="build a coefficient table and export it as JSON")
+    p_table.set_defaults(run=_cmd_table)
     p_table.add_argument("--m", type=int, required=True)
     p_table.add_argument("--kmax", type=int, required=True)
     p_table.add_argument("--out", type=Path, required=True)
@@ -58,11 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify_sub = p_verify.add_subparsers(dest="verify_command", required=True)
 
     p_coeffs = verify_sub.add_parser("coeffs", help="certify the table against the independent oracles")
+    p_coeffs.set_defaults(run=_cmd_verify_coeffs)
     p_coeffs.add_argument("--m", type=int, required=True)
     p_coeffs.add_argument("--kmax", type=int, required=True)
     p_coeffs.add_argument("--json", type=Path, default=None, help="write the oracle report as JSON")
 
     p_ident = verify_sub.add_parser("identities", help="run the exact identity and bound checks")
+    p_ident.set_defaults(run=_cmd_verify_identities)
     p_ident.add_argument("--m", type=int, required=True)
     p_ident.add_argument("--kmax", type=int, required=True)
     p_ident.add_argument("--theta", type=_fraction_arg, required=True, help="rational, e.g. 2/3")
@@ -73,11 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     gs_sub = p_gs.add_subparsers(dest="gs_command", required=True)
 
     p_bound = gs_sub.add_parser("bound", help="empirical factorial bound for exp(-<x>**(1/theta))")
+    p_bound.set_defaults(run=_cmd_gs_bound)
     p_bound.add_argument("--theta", type=_fraction_arg, required=True)
     p_bound.add_argument("--kmax", type=int, required=True)
     p_bound.add_argument("--slope-tol", type=float, default=1e-3)
 
     p_semi = gs_sub.add_parser("seminorm", help="truncated seminorm estimate, cells to CSV")
+    p_semi.set_defaults(run=_cmd_gs_seminorm)
     p_semi.add_argument("--kind", choices=("a", "h"), required=True)
     p_semi.add_argument("--a", type=_fraction_arg, default=None)
     p_semi.add_argument("--h", type=_fraction_arg, default=None)
@@ -93,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     wedge_sub = p_wedge.add_subparsers(dest="wedge_command", required=True)
 
     p_cls = wedge_sub.add_parser("classify", help="classify one (theta, s) query")
+    p_cls.set_defaults(run=_cmd_wedge_classify)
     p_cls.add_argument("--theta", type=_fraction_arg, required=True)
     p_cls.add_argument("--s", type=_fraction_arg, required=True)
     p_cls.add_argument("--m", type=int, required=True)
@@ -103,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--t-zero", action="store_true", help="propagator at time t = 0 (the identity)")
 
     p_fig = wedge_sub.add_parser("figure", help="emit the region quadrant as CSV or SVG")
+    p_fig.set_defaults(run=_cmd_wedge_figure)
     p_fig.add_argument("--m", type=int, required=True)
     p_fig.add_argument("--space", choices=("roumieu", "beurling"), default="roumieu")
     p_fig.add_argument("--format", choices=("csv", "svg"), required=True)
@@ -119,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     probe_sub = p_probe.add_subparsers(dest="probe_command", required=True)
 
     p_run = probe_sub.add_parser("run", help="emit per-order records as CSV")
+    p_run.set_defaults(run=_cmd_probe_run)
     p_run.add_argument("--m", type=int, required=True)
     p_run.add_argument("--theta", type=_fraction_arg, required=True)
     p_run.add_argument("--nu", type=_fraction_arg, required=True)
@@ -128,6 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--csv", type=Path, required=True)
 
     p_crit = probe_sub.add_parser("criterion", help="multiplier-criterion divergence check")
+    p_crit.set_defaults(run=_cmd_probe_criterion)
     p_crit.add_argument("--m", type=int, required=True)
     p_crit.add_argument("--theta", type=int, required=True)
     p_crit.add_argument("--s", type=_fraction_arg, required=True)
@@ -137,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(path: Path | None, out_dir: Path | None) -> Path | None:
+    """``path`` under ``out_dir`` when relative; makes ``out_dir``, so call it once the arguments are checked."""
     if path is None:
         return None
     if out_dir is not None and not path.is_absolute():
@@ -145,9 +153,8 @@ def _resolve(path: Path | None, out_dir: Path | None) -> Path | None:
     return path
 
 
-def _require_m(m: int) -> None:
-    if m < 2:
-        raise UsageError("--m must be an integer >= 2")
+def _precision_kwargs(args) -> dict:
+    return {} if args.precision_bits is None else {"precision_bits": args.precision_bits}
 
 
 def _print_check(result: identities.CheckResult) -> None:
@@ -167,20 +174,15 @@ def _witness_repr(w: tuple) -> str:
 
 
 def _cmd_table(args) -> int:
-    _require_m(args.m)
-    if args.kmax < 1:
-        raise UsageError("--kmax must be >= 1")
+    rows = derivpoly.coeff_rows(args.m, args.kmax)
     out = _resolve(args.out, args.out_dir)
     with out.open("w", encoding="utf-8") as fp:
-        derivpoly.write_table_json(fp, args.m, args.kmax, derivpoly.coeff_rows(args.m, args.kmax))
+        derivpoly.write_table_json(fp, args.m, args.kmax, rows)
     print("wrote table m=%d kmax=%d to %s" % (args.m, args.kmax, out))
     return 0
 
 
 def _cmd_verify_coeffs(args) -> int:
-    _require_m(args.m)
-    if args.kmax < 1:
-        raise UsageError("--kmax must be >= 1")
     table = derivpoly.build_coeff_table(args.m, args.kmax)
     report = oracle.certify(table)
     json_path = _resolve(args.json, args.out_dir)
@@ -196,23 +198,21 @@ def _cmd_verify_coeffs(args) -> int:
 
 
 def _cmd_verify_identities(args) -> int:
-    _require_m(args.m)
     if args.kmax < 2:
-        raise UsageError("--kmax must be >= 2")
-    theta = args.theta
-    if theta < Fraction(2, args.m):
-        raise UsageError("--theta must be >= 2/m")
+        raise ParameterError("--kmax must be >= 2")
+    floor = identities.check_floor_identities(args.m, args.kmax)  # these two check m and theta before the table
+    wedge_fn = identities.check_wedge_fn_nonneg(args.m, args.theta, **_precision_kwargs(args))
     table = derivpoly.build_coeff_table(args.m, max(args.kmax, 4))
     results = [
-        identities.check_floor_identities(args.m, args.kmax),
+        floor,
         identities.check_ck1_closed_form(table),
         identities.check_ck2_bound(table),
-        identities.check_ratio_bound(table, theta),
-        identities.check_wedge_fn_nonneg(args.m, theta, precision_bits=args.precision_bits or 192),
+        identities.check_ratio_bound(table, args.theta),
+        wedge_fn,
     ]
-    if theta.denominator == 1:
+    if args.theta.denominator == 1:
         results.append(
-            identities.check_lower_bound(args.m, 1, theta.numerator, args.jmax)
+            identities.check_lower_bound(args.m, 1, args.theta.numerator, args.jmax)
         )
     else:
         print("evaluation-lower-bound skipped: requires an integer --theta")
@@ -226,10 +226,7 @@ def _cmd_verify_identities(args) -> int:
 
 
 def _cmd_gs_bound(args) -> int:
-    if args.kmax < 4:
-        raise UsageError("--kmax must be >= 4")
-    bits = args.precision_bits or 256
-    result = gsfunc.verify_gs_bound(args.theta, args.kmax, precision_bits=bits, slope_tol=args.slope_tol)
+    result = gsfunc.verify_gs_bound(args.theta, args.kmax, slope_tol=args.slope_tol, **_precision_kwargs(args))
     _print_check(result)
     return 0 if result.passed else 1
 
@@ -239,15 +236,12 @@ def _parse_grid_spec(text: str):
         xmax, points = text.split(":")
         return gsfunc.geometric_grid(parse_fraction(xmax), int(points))
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError("--grid expects XMAX:N, got %r" % text) from exc
+        raise ParameterError("--grid expects XMAX:N, got %r" % text) from exc
 
 
 def _cmd_gs_seminorm(args) -> int:
-    if args.kmax < 0:
-        raise UsageError("--kmax must be >= 0")
     grid = _parse_grid_spec(args.grid) if args.grid else None
     f_spec = gsfunc.GSFunction(args.theta) if args.f == "gs" else gsfunc.Gaussian()
-    bits = args.precision_bits or 192
     cells = gsfunc.seminorm_cells(
         args.kind,
         f_spec,
@@ -258,7 +252,7 @@ def _cmd_gs_seminorm(args) -> int:
         max_deriv=args.kmax,
         max_power=args.max_power,
         grid=grid,
-        precision_bits=bits,
+        **_precision_kwargs(args),
     )
     estimate = max((value for _, _, value in cells), default=mpmath.mpf(0))
     csv_path = _resolve(args.csv, args.out_dir)
@@ -272,7 +266,6 @@ def _cmd_gs_seminorm(args) -> int:
 
 
 def _cmd_wedge_classify(args) -> int:
-    _require_m(args.m)
     query = wedge.WedgeQuery(
         theta=args.theta,
         s=args.s,
@@ -294,7 +287,6 @@ def _cmd_wedge_classify(args) -> int:
 
 
 def _cmd_wedge_figure(args) -> int:
-    _require_m(args.m)
     grid = wedge.GridSpec(
         theta_start=args.theta_min,
         theta_stop=args.theta_max,
@@ -303,17 +295,18 @@ def _cmd_wedge_figure(args) -> int:
         s_stop=args.s_max,
         s_step=args.s_step,
     )
-    out = _resolve(args.out, args.out_dir)
     mode = wedge.Mode.PURE_MONOMIAL if args.monomial else wedge.Mode.GENERAL_POLYNOMIAL
-    wedge.emit_region_grid(args.m, wedge.Space(args.space), grid, args.format, out, mode=mode)
+    render = wedge.render_region_csv if args.format == "csv" else wedge.render_region_svg
+    text = render(args.m, wedge.Space(args.space), grid, mode)
+    out = _resolve(args.out, args.out_dir)
+    out.write_text(text, encoding="utf-8")
     print("wrote %s region grid to %s" % (args.format, out))
     return 0
 
 
 def _cmd_probe_run(args) -> int:
-    _require_m(args.m)
     if args.kmax < 1:
-        raise UsageError("--kmax must be >= 1")
+        raise ParameterError("--kmax must be >= 1")
     sign = 1 if args.sign == "+" else -1
     if args.kj_only:  # k_j >= 4j, so j <= kmax/4 reaches every k_j <= kmax
         k_values = [k for k in derivpoly.kj_sequence(args.m, max(1, args.kmax // 4)).entries if k <= args.kmax]
@@ -325,7 +318,7 @@ def _cmd_probe_run(args) -> int:
         theta=args.theta,
         nu=args.nu,
         k_values=k_values,
-        precision_bits=args.precision_bits,
+        **_precision_kwargs(args),
     )
     records = probe.probe_series(cfg)
     csv_path = _resolve(args.csv, args.out_dir)
@@ -342,23 +335,9 @@ def _cmd_probe_run(args) -> int:
 
 
 def _cmd_probe_criterion(args) -> int:
-    _require_m(args.m)
     result = probe.criterion_check(args.m, args.theta, args.s, args.jmax)
     _print_check(result)
     return 0 if result.passed else 1
-
-
-_HANDLERS = {
-    ("table", None): _cmd_table,
-    ("verify", "coeffs"): _cmd_verify_coeffs,
-    ("verify", "identities"): _cmd_verify_identities,
-    ("gs", "bound"): _cmd_gs_bound,
-    ("gs", "seminorm"): _cmd_gs_seminorm,
-    ("wedge", "classify"): _cmd_wedge_classify,
-    ("wedge", "figure"): _cmd_wedge_figure,
-    ("probe", "run"): _cmd_probe_run,
-    ("probe", "criterion"): _cmd_probe_criterion,
-}
 
 
 def dispatch(argv) -> int:
@@ -369,14 +348,11 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code else 0
-    if args.precision_bits is not None and args.precision_bits < derivpoly.MIN_EVAL_PRECISION_BITS:
-        print("usage error: precision bits must be >= %d" % derivpoly.MIN_EVAL_PRECISION_BITS, file=sys.stderr)
-        return 2
-    subcommand = getattr(args, "%s_command" % args.command, None)
-    handler = _HANDLERS[(args.command, subcommand)]
     try:
-        return handler(args)
-    except (UsageError, ParameterError) as exc:
+        if args.precision_bits is not None and args.precision_bits < derivpoly.MIN_EVAL_PRECISION_BITS:
+            raise ParameterError("precision bits must be >= %d" % derivpoly.MIN_EVAL_PRECISION_BITS)
+        return args.run(args)
+    except ParameterError as exc:
         print("usage error: %s" % " ".join(str(exc).split()), file=sys.stderr)
         return 2
     except Exception as exc:  # a crash must not read as a failed check

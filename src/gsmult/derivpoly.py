@@ -148,11 +148,18 @@ def write_table_json(fp, m: int, k_max: int, rows) -> None:
 
 
 def coeff_rows(m: int, k_max: int) -> Iterator[tuple[int, ...]]:
-    """Rows 1..k_max of the degree-m table, each made from the one before."""
+    """Rows 1..k_max of the degree-m table, each made from the one before.
+
+    The arguments are checked when the walk is created, before any row.
+    """
     if not isinstance(m, int) or m < 2:
         raise ParameterError("degree m must be an integer >= 2, got %r" % (m,))
     if not isinstance(k_max, int) or k_max < 1:
         raise ParameterError("k_max must be an integer >= 1, got %r" % (k_max,))
+    return _rows(m, k_max)
+
+
+def _rows(m: int, k_max: int) -> Iterator[tuple[int, ...]]:
     prev = (1,)
     yield prev
     for k in range(1, k_max):
@@ -340,7 +347,7 @@ class KjSequence:
 def kj_sequence(m: int, j_max: int) -> KjSequence:
     """The k_j sequence for degree m, for j = 1..j_max, with invariant checks."""
     if not isinstance(m, int) or m < 2:
-        raise ParameterError("degree m must be an integer >= 2")
+        raise ParameterError("degree m must be an integer >= 2, got %r" % (m,))
     if j_max < 1:
         raise ParameterError("j_max must be >= 1")
     entries = []

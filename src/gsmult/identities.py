@@ -89,8 +89,10 @@ def _result(name, params, witnesses, extremal=None) -> CheckResult:
 
 def check_floor_identities(m: int, k_max: int) -> CheckResult:
     """Exhaustive integer check of the floor-step behaviour for 1 <= k <= k_max."""
-    if m < 2:
-        raise ParameterError("degree m must be >= 2")
+    if not isinstance(m, int) or m < 2:
+        raise ParameterError("degree m must be an integer >= 2, got %r" % (m,))
+    if k_max < 1:
+        raise ParameterError("k_max must be >= 1, got %r" % (k_max,))
     witnesses = []
     for k in range(1, k_max + 1):
         cur = k * (m - 1) // m
@@ -244,6 +246,8 @@ def check_wedge_fn_nonneg(m: int, theta: Fraction, precision_bits: int = 192) ->
     enclosure.  The extremal ratio is the least of f(0) = 0 and the box
     lower bounds: 0.0, the minimum of f, on a pass.
     """
+    if not isinstance(m, int) or m < 2:
+        raise ParameterError("degree m must be an integer >= 2, got %r" % (m,))
     theta = Fraction(theta)
     if theta < Fraction(2, m):
         raise ParameterError("hypothesis violated: theta=%s < 2/m for m=%d" % (theta, m))

@@ -79,7 +79,7 @@ class ProbeConfig:
 
     def __post_init__(self):
         if self.m < 2:
-            raise ParameterError("degree m must be >= 2")
+            raise ParameterError("degree m must be an integer >= 2, got %r" % (self.m,))
         if self.lambda_sign not in (1, -1):
             raise ParameterError("lambda_sign must be +1 or -1")
         theta = Fraction(self.theta)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -21,9 +22,6 @@ class TestExitCodes:
     def test_verify_coeffs_ok(self, capsys):
         assert run(["verify", "coeffs", "--m", "3", "--kmax", "10"]) == 0
         assert "certified" in capsys.readouterr().out
-
-    def test_verify_coeffs_rejects_m1(self, capsys):
-        assert run(["verify", "coeffs", "--m", "1", "--kmax", "5"]) == 2
 
     def test_unknown_flag_rejected(self):
         assert run(["verify", "coeffs", "--m", "3", "--kmax", "5", "--bogus"]) == 2
@@ -82,14 +80,31 @@ class TestExitCodes:
             ["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "1", "--s", "0", "--kmax", "2"],
             ["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "1", "--s", "1", "--kmax", "2", "--max-power", "-1"],
             ["verify", "identities", "--m", "3", "--kmax", "10", "--theta", "1", "--jmax", "0"],
+            ["table", "--m", "1", "--kmax", "5", "--out", "t.json"],
+            ["table", "--m", "2", "--kmax", "0", "--out", "t.json"],
+            ["verify", "coeffs", "--m", "1", "--kmax", "5", "--json", "r.json"],
+            ["verify", "identities", "--m", "0", "--kmax", "10", "--theta", "1", "--json", "i.json"],
+            ["verify", "identities", "--m", "2", "--kmax", "12", "--theta", "1/4", "--json", "i.json"],
+            ["gs", "bound", "--theta", "1", "--kmax", "3"],
+            ["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "1", "--s", "1", "--kmax", "-1", "--csv", "c.csv"],
+            ["wedge", "classify", "--theta", "1", "--s", "1", "--m", "1", "--space", "roumieu"],
+            ["wedge", "figure", "--m", "1", "--format", "csv", "--out", "f.csv"],
+            ["wedge", "figure", "--m", "1", "--format", "svg", "--out", "f.svg"],
+            ["probe", "run", "--m", "1", "--theta", "2", "--nu", "2", "--kmax", "4", "--csv", "p.csv"],
+            ["probe", "criterion", "--m", "1", "--theta", "2", "--s", "1/2", "--jmax", "4"],
         ],
         ids=["bound-theta-0", "seminorm-h-0", "seminorm-a-neg", "seminorm-theta-0", "seminorm-s-0",
-             "seminorm-max-power-neg", "identities-jmax-0"],
+             "seminorm-max-power-neg", "identities-jmax-0", "table-m-1", "table-kmax-0", "coeffs-m-1",
+             "identities-m-0", "identities-theta-below-2-over-m", "bound-kmax-3", "seminorm-kmax-neg",
+             "classify-m-1", "figure-csv-m-1", "figure-svg-m-1", "probe-run-m-1", "criterion-m-1"],
     )
-    def test_invalid_value_is_usage_error(self, capsys, argv):
-        assert run(argv) == 2
+    def test_invalid_value_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        # the library rejects the value before any file or directory is made
+        monkeypatch.chdir(tmp_path)
+        assert run(["--out-dir", "od"] + argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_fraction_rejected(self):
         assert run(["wedge", "classify", "--theta", "x/y", "--s", "1", "--m", "2", "--space", "roumieu"]) == 2
@@ -138,9 +153,6 @@ class TestVerifyIdentities:
         assert code == 0
         assert "skipped" in capsys.readouterr().out
 
-    def test_rejects_theta_below_threshold(self):
-        assert run(["verify", "identities", "--m", "2", "--kmax", "12", "--theta", "1/4"]) == 2
-
     # the environment does not set the precision: identical argv gives identical results
     @pytest.mark.parametrize("flag, env, bits", [([], None, 192), (["--precision-bits", "320"], None, 320), ([], "320", 192)])
     def test_precision_reaches_wedge_check(self, monkeypatch, capsys, flag, env, bits):
@@ -148,7 +160,9 @@ class TestVerifyIdentities:
         real = identities.check_wedge_fn_nonneg
 
         def spy(*args, **kwargs):
-            seen.append(kwargs["precision_bits"])
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments["precision_bits"])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(identities, "check_wedge_fn_nonneg", spy)

@@ -23,7 +23,7 @@ from gsmult.derivpoly import (
     write_table_json,
 )
 from gsmult import derivpoly as derivpoly_module
-from gsmult.precision import PrecisionError, iv_endpoints, iv_prec, to_iv
+from gsmult.precision import ParameterError, PrecisionError, iv_endpoints, iv_prec, to_iv
 
 from conftest import get_table
 
@@ -45,6 +45,12 @@ class TestBuildCoeffTable:
             build_coeff_table(1, 5)
         with pytest.raises(ValueError):
             build_coeff_table(2, 0)
+
+    @pytest.mark.parametrize("m, k_max", [(1, 5), (2, 0)])
+    def test_rows_checked_at_the_call(self, m, k_max):
+        # not at the first row, after a writer has begun its output
+        with pytest.raises(ParameterError):
+            coeff_rows(m, k_max)
 
     @given(m=st.integers(2, 6), k=st.integers(1, 40))
     def test_row_length_and_index_bounds(self, m, k):

@@ -21,7 +21,7 @@ from gsmult.identities import (
     check_ratio_bound,
     check_wedge_fn_nonneg,
 )
-from gsmult.precision import iv_endpoints, iv_fixed, iv_prec, to_iv
+from gsmult.precision import ParameterError, iv_endpoints, iv_fixed, iv_prec, to_iv
 
 from conftest import get_table
 
@@ -49,6 +49,10 @@ class TestFloorIdentities:
     def test_rejects_m1(self):
         with pytest.raises(ValueError):
             check_floor_identities(1, 10)
+
+    def test_rejects_kmax_below_one(self):
+        with pytest.raises(ParameterError):
+            check_floor_identities(3, 0)
 
 
 class TestCk1ClosedForm:
@@ -330,6 +334,11 @@ class TestWedgeFnNonneg:
     def test_rejects_hypothesis_violation(self):
         with pytest.raises(ValueError):
             check_wedge_fn_nonneg(2, Fraction(1, 4))
+
+    @pytest.mark.parametrize("m", [0, 1, -1])
+    def test_rejects_degree_below_two(self, m):
+        with pytest.raises(ParameterError):
+            check_wedge_fn_nonneg(m, Fraction(2))
 
 
 class TestLowerBound:

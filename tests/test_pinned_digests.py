@@ -1,9 +1,10 @@
-"""The benchmark's pinned stdout of the identity and criterion jobs, in-process.
+"""The benchmark's pinned outputs, in-process.
 
 Each job's argv is read from ``bench/workloads.py`` and run through
-``cli.dispatch``; the sha256 of what it prints must equal the digest pinned
-in ``bench/digests.json``.  These jobs write no files, so stdout is all
-their output.  Both bench files are only read.
+``cli.dispatch`` in an empty working directory; the sha256 of what it prints
+and of every file it emits must equal the digests pinned in
+``bench/digests.json``.  Every job with a pinned digest is covered (a job
+that only counts rows has none).  Both bench files are only read.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ import pytest
 from gsmult.cli import dispatch
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-JOB_IDS = ("ident-m4-t1_2", "ident-m3-t5_6", "ident-m3-t2-j30", "criterion-m4")
+DIGESTS = json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))
 
 
 def _jobs():
@@ -26,12 +27,24 @@ def _jobs():
     return {job.id: job for jobs in module.WORKLOADS.values() for job in jobs}
 
 
-@pytest.mark.parametrize("job_id", JOB_IDS)
-def test_stdout_matches_the_pinned_digest(capsys, job_id):
-    job = _jobs()[job_id]
-    assert not job.files
-    pinned = json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))[job_id]["stdout"]
+JOBS = _jobs()
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_every_pinned_job_is_a_workload_job():
+    assert sorted(DIGESTS) == sorted(job_id for job_id, job in JOBS.items() if job.rows is None)
+
+
+@pytest.mark.parametrize("job_id", sorted(DIGESTS))
+def test_stdout_matches_the_pinned_digest(tmp_path, monkeypatch, capsys, job_id):
+    job, pinned = JOBS[job_id], DIGESTS[job_id]
+    monkeypatch.chdir(tmp_path)
     capsys.readouterr()
     assert dispatch(job.argv) == 0
-    stdout = capsys.readouterr().out
-    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == pinned
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == pinned["stdout"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(job.files) == sorted(pinned["files"])
+    for name in job.files:
+        assert _sha256((tmp_path / name).read_bytes()) == pinned["files"][name], name

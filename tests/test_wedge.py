@@ -23,6 +23,7 @@ from gsmult.wedge import (
     render_region_svg,
 )
 from gsmult._util import format_fraction
+from gsmult.precision import ParameterError
 
 
 def q(theta, s, m, space, **kw):
@@ -192,6 +193,12 @@ class TestEmission:
         grid = GridSpec(F(1), F(1), F(1), F(1), F(1), F(1))
         with pytest.raises(ValueError):
             emit_region_grid(2, Space.ROUMIEU, grid, "png", tmp_path / "x.png")
+
+    @pytest.mark.parametrize("region", [render_region_csv, render_region_svg, audit_rule_disjointness])
+    def test_region_paths_reject_degree_below_two(self, region):
+        grid = GridSpec(F(1), F(1), F(1), F(1), F(1), F(1))
+        with pytest.raises(ParameterError):
+            region(1, Space.ROUMIEU, grid)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

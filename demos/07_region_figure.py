@@ -5,10 +5,11 @@ s >= (m-1)*theta >= 1, discontinuous (in dimension one) on the strip
 1 <=/< s < m*theta - max(theta, 1), trivial below the nontriviality
 threshold, and genuinely undecided in between; the pure-monomial criterion
 enlarges the discontinuity region to all of s < (m-1)*theta, theta >= 2/m.
+The m = 4 region map is written to region_m4.csv and region_m4.svg in the
+current directory.
 """
 
 from fractions import Fraction as F
-from pathlib import Path
 
 from gsmult import (
     GridSpec,
@@ -42,9 +43,7 @@ audit = audit_rule_disjointness(4, Space.ROUMIEU, grid, mode=Mode.PURE_MONOMIAL)
 print("\ndisjointness audit over %s cells: %s" % (audit.params["cells"], "no conflicts" if audit.passed else "CONFLICTS"))
 
 # emit the quadrant for m = 4 (the degree where the undecided gap is widest)
-out_dir = Path(__file__).resolve().parent / "output"
-out_dir.mkdir(exist_ok=True)
 fig_grid = GridSpec(F(1, 20), F(2), F(1, 20), F(1, 20), F(4), F(1, 20))
 for fmt in ("csv", "svg"):
-    path = emit_region_grid(4, Space.BEURLING, fig_grid, fmt, out_dir / ("region_m4.%s" % fmt))
+    path = emit_region_grid(4, Space.BEURLING, fig_grid, fmt, "region_m4.%s" % fmt)
     print("wrote", path)

@@ -10,7 +10,13 @@ from fractions import Fraction
 
 import mpmath
 
-from .precision import mp_prec, to_mpf
+from .precision import ParameterError, mp_prec, to_mpf
+
+
+def require_degree(m) -> None:
+    """Reject a degree m that is not an integer >= 2."""
+    if not isinstance(m, int) or m < 2:
+        raise ParameterError("degree m must be an integer >= 2, got %r" % (m,))
 
 
 def pmap(fn, items):

@@ -200,8 +200,9 @@ def _cmd_verify_coeffs(args) -> int:
 def _cmd_verify_identities(args) -> int:
     if args.kmax < 2:
         raise ParameterError("--kmax must be >= 2")
-    floor = identities.check_floor_identities(args.m, args.kmax)  # these two check m and theta before the table
+    floor = identities.check_floor_identities(args.m, args.kmax)  # these three check m, theta and --jmax before the table
     wedge_fn = identities.check_wedge_fn_nonneg(args.m, args.theta, **_precision_kwargs(args))
+    lower = [identities.check_lower_bound(args.m, 1, args.theta.numerator, args.jmax)] if args.theta.denominator == 1 else []
     table = derivpoly.build_coeff_table(args.m, max(args.kmax, 4))
     results = [
         floor,
@@ -209,12 +210,8 @@ def _cmd_verify_identities(args) -> int:
         identities.check_ck2_bound(table),
         identities.check_ratio_bound(table, args.theta),
         wedge_fn,
-    ]
-    if args.theta.denominator == 1:
-        results.append(
-            identities.check_lower_bound(args.m, 1, args.theta.numerator, args.jmax)
-        )
-    else:
+    ] + lower
+    if not lower:
         print("evaluation-lower-bound skipped: requires an integer --theta")
     for r in results:
         _print_check(r)

@@ -21,14 +21,15 @@ two boundary cases of the step (top index present or absent, depending on
 whether m divides k) a single uniform formula; the oracle module certifies
 the result against two independent constructions.
 
-One term loop evaluates p_k(x) for lam = m * i**turn using only + - * and
-integer powers, so it runs unchanged over Python ints, Fractions and mpmath
-intervals.  Magnitudes |p_k(x)| for lam = +/- i*m are thus exact in Gaussian
-integers whenever x is a nonnegative integer, their log rounded once at the
-result precision; any other x (a Fraction, an mpf, or an interval enclosing
-a point such as k**theta) is enclosed from the result precision plus guard
-bits, doubled while too wide, and the log is certified to 2**-32 absolute
-error.
+One Horner loop in m*x**m evaluates p_k(x) for lam = m * i**turn using only
++ - * and integer powers, so it runs unchanged over Python ints, Fractions
+and mpmath intervals.  Magnitudes |p_k(x)| for lam = +/- i*m are thus exact
+in Gaussian integers whenever x is a nonnegative integer; any other x (a
+Fraction, an mpf, or an interval enclosing a point such as k**theta) is
+enclosed from the result precision plus guard bits, doubled while too wide.
+On both paths the log is enclosed and correctly rounded at the result
+precision by ``precision.fixed_rounded``, so the value does not depend on
+the path.
 |D^k g| = |d^k/dx^k g| since D = i^{-1} d/dx only changes the phase, so all
 magnitude-level results hold for either normalization.
 """
@@ -43,13 +44,13 @@ from typing import Iterator, Optional
 import mpmath
 from mpmath import iv, mp
 
-from ._util import format_int, parse_int
+from ._util import format_int, parse_int, require_degree
 from .precision import (
     ParameterError,
     PrecisionError,
     escalate,
+    fixed_rounded,
     half_log_of_int,
-    fixed_midpoint,
     iv_endpoints,
     iv_fixed,
     iv_prec,
@@ -59,7 +60,6 @@ from .precision import (
 MIN_EVAL_PRECISION_BITS = 64
 RESULT_BITS = 192  # default result precision of a log
 _GUARD_BITS = 64  # an interval evaluation starts this far above its result precision
-_LOG_ABS_ERROR_BITS = 32  # certified absolute error of an interval log: <= 2**-32
 
 
 def row_length(m: int, k: int) -> int:
@@ -110,8 +110,7 @@ class CoeffTable:
 
     def validate(self) -> None:
         """Structural invariants: row lengths, positivity, leading ones."""
-        if self.m < 2:
-            raise ParameterError("degree m must be >= 2")
+        require_degree(self.m)
         if len(self.rows) != self.k_max:
             raise ParameterError("row count %d does not match k_max %d" % (len(self.rows), self.k_max))
         for k, row in enumerate(self.rows, start=1):
@@ -152,8 +151,7 @@ def coeff_rows(m: int, k_max: int) -> Iterator[tuple[int, ...]]:
 
     The arguments are checked when the walk is created, before any row.
     """
-    if not isinstance(m, int) or m < 2:
-        raise ParameterError("degree m must be an integer >= 2, got %r" % (m,))
+    require_degree(m)
     if not isinstance(k_max, int) or k_max < 1:
         raise ParameterError("k_max must be an integer >= 1, got %r" % (k_max,))
     return _rows(m, k_max)
@@ -225,9 +223,9 @@ def derivative_poly(table: CoeffTable, k: int) -> DerivPoly:
 class LogMagnitude:
     """Natural log of |p_k(x)| with provenance of how it was computed.
 
-    When ``exact`` is set the value was rounded from an exact Gaussian
-    integer modulus squared; otherwise an interval enclosure certified the
-    absolute error below 2**-32.  log_mag is -inf when the value is 0.
+    log_mag is correctly rounded at the result precision, -inf when the
+    value is 0.  When ``exact`` is set it was rounded from an exact Gaussian
+    integer modulus squared; otherwise from an interval enclosure of p_k(x).
     precision_bits is the working precision used: the result precision on
     the exact path; on the interval path the precision that certified, from
     _GUARD_BITS above the result precision, doubled while too wide.
@@ -241,28 +239,29 @@ class LogMagnitude:
 def _parts(poly: DerivPoly, turn: int, x):
     """(re, im) of p_k(x) for lam = m * i**turn, turn in 0..3.
 
-    Term n carries i**(turn*(k-n)), whose quarter cycle picks the part and
-    the sign.  Only + - * and integer powers touch x, so the same loop is
-    exact over ints and Fractions and an outward-rounded enclosure over
-    mpmath intervals.
+    Horner in y = m * x**m over the row: coefficient n is turned by
+    i**(-turn*n), whose quarter cycle picks the part and the sign, and the
+    sum is turned by i**(turn*k) and scaled by m**(k-n_top) * x**e_top once.
+    Only + - * and integer powers touch x, so the same loop is exact over ints
+    and Fractions and an outward-rounded enclosure over mpmath intervals.
     """
     m, k = poly.m, poly.k
     n_top = len(poly.coeffs) - 1
+    y = m * x**m
     parts = [0, 0]
-    x_step = x**m
-    x_pow = x ** poly.exponent(n_top)
-    m_pow = m ** (k - n_top)
-    for n in range(n_top, -1, -1):
-        t = poly.coeffs[n] * m_pow * x_pow
-        q = turn * (k - n) % 4
+    for n, c in enumerate(poly.coeffs):
+        parts[0] *= y
+        parts[1] *= y
+        q = -turn * n % 4
         if q < 2:
-            parts[q] += t
+            parts[q] += c
         else:
-            parts[q - 2] -= t
-        if n:
-            x_pow *= x_step
-            m_pow *= m
-    return parts[0], parts[1]
+            parts[q - 2] -= c
+    re, im = parts
+    for _ in range(turn * k % 4):
+        re, im = -im, re
+    scale = m ** (k - n_top) * x ** poly.exponent(n_top)
+    return re * scale, im * scale
 
 
 def gaussian_parts(poly: DerivPoly, lambda_sign: int, x: int) -> tuple[int, int]:
@@ -285,26 +284,21 @@ def _interval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, out_bits: int,
         lo, hi, e = iv_fixed(mag2)
         if lo <= 0 <= hi:
             raise PrecisionError("modulus enclosure touches zero", mp.ldexp(hi - lo, e))
-        lo, hi, e = iv_fixed(iv.log(mag2) / 2)
-    shift = e + _LOG_ABS_ERROR_BITS  # the width (hi - lo) * 2**e may be at most 2**-_LOG_ABS_ERROR_BITS
-    if (hi - lo) << max(shift, 0) > 1 << max(-shift, 0):
-        width = mp.ldexp(hi - lo, e)
-        raise PrecisionError("log enclosure width %s exceeds 2^-%d" % (mp.nstr(width, 8), _LOG_ABS_ERROR_BITS), width)
-    return LogMagnitude(log_mag=fixed_midpoint(lo, hi, e, out_bits), exact=False, precision_bits=bits)
+        log_mag = fixed_rounded(*iv_fixed(iv.log(mag2) / 2), out_bits)
+    return LogMagnitude(log_mag=log_mag, exact=False, precision_bits=bits)
 
 
 def eval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, precision_bits: int = RESULT_BITS) -> LogMagnitude:
-    """ln |p_k(x)| for lam = lambda_sign * i * m, with a certified error budget.
+    """ln |p_k(x)| for lam = lambda_sign * i * m, correctly rounded at ``precision_bits``.
 
     ``precision_bits`` is the result precision.  Integer x (including
     Fractions with denominator one) goes through exact Gaussian-integer
-    arithmetic; the log is correctly rounded at the result precision.
-    Other x -- a Fraction, an mpf, or an mpmath interval enclosing the
-    point -- is evaluated by interval arithmetic from the result precision
-    plus _GUARD_BITS, doubled while the enclosure is too wide, and must
-    certify absolute error below 2**-32, else (at once for an exact zero)
-    PrecisionError is raised.  An integral mpf or interval point takes the
-    interval path too.
+    arithmetic.  Other x -- a Fraction, an mpf, or an mpmath interval
+    enclosing the point -- is evaluated by interval arithmetic from the
+    result precision plus _GUARD_BITS, doubled while the log's enclosure
+    rounds apart at the result precision; at the cap (at once for an exact
+    zero) PrecisionError is raised.  An integral mpf or interval point takes
+    the interval path too, and gets the same value as the exact path.
     """
     if lambda_sign not in (1, -1):
         raise ParameterError("lambda_sign must be +1 or -1")
@@ -346,8 +340,7 @@ class KjSequence:
 
 def kj_sequence(m: int, j_max: int) -> KjSequence:
     """The k_j sequence for degree m, for j = 1..j_max, with invariant checks."""
-    if not isinstance(m, int) or m < 2:
-        raise ParameterError("degree m must be an integer >= 2, got %r" % (m,))
+    require_degree(m)
     if j_max < 1:
         raise ParameterError("j_max must be >= 1")
     entries = []
@@ -368,13 +361,21 @@ def _kj_polys(m: int, theta: int, j_max: int, table: Optional[CoeffTable]) -> It
     """(j, k_j, p_{k_j}) for j = 1..j_max, the walk of the exact checks along the k_j.
 
     theta must be a positive integer with m*theta >= 2, so that each point
-    k_j**theta is an integer; ``table`` must cover k_{j_max} and is built
-    when None.  The arguments are checked when the walk is created.
+    k_j**theta is an integer; ``table`` must cover k_{j_max}.  The arguments,
+    a passed table's coverage among them, are checked when the walk is
+    created; a missing table is built when the walk starts.
     """
     if not isinstance(theta, int) or theta < 1:
         raise ParameterError("theta must be a positive integer for exact evaluation")
     if m * theta < 2:
         raise ParameterError("hypothesis violated: theta < 2/m")
     seq = kj_sequence(m, j_max)
-    table = _table_covering(m, seq.k(j_max), table)
-    return ((j, k, derivative_poly(table, k)) for j, k in enumerate(seq.entries, start=1))
+    if table is not None:
+        _table_covering(m, seq.k(j_max), table)
+    return _kj_walk(seq, table)
+
+
+def _kj_walk(seq: KjSequence, table: Optional[CoeffTable]) -> Iterator[tuple[int, int, DerivPoly]]:
+    table = _table_covering(seq.m, seq.entries[-1], table)
+    for j, k in enumerate(seq.entries, start=1):
+        yield j, k, derivative_poly(table, k)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
-from ._util import format_fraction, format_int
+from ._util import format_fraction, format_int, require_degree
 from .derivpoly import CoeffTable, _kj_polys, gaussian_parts
 from .precision import ParameterError, iv_endpoints, iv_prec, to_iv
 
@@ -89,8 +89,7 @@ def _result(name, params, witnesses, extremal=None) -> CheckResult:
 
 def check_floor_identities(m: int, k_max: int) -> CheckResult:
     """Exhaustive integer check of the floor-step behaviour for 1 <= k <= k_max."""
-    if not isinstance(m, int) or m < 2:
-        raise ParameterError("degree m must be an integer >= 2, got %r" % (m,))
+    require_degree(m)
     if k_max < 1:
         raise ParameterError("k_max must be >= 1, got %r" % (k_max,))
     witnesses = []
@@ -246,8 +245,7 @@ def check_wedge_fn_nonneg(m: int, theta: Fraction, precision_bits: int = 192) ->
     enclosure.  The extremal ratio is the least of f(0) = 0 and the box
     lower bounds: 0.0, the minimum of f, on a pass.
     """
-    if not isinstance(m, int) or m < 2:
-        raise ParameterError("degree m must be an integer >= 2, got %r" % (m,))
+    require_degree(m)
     theta = Fraction(theta)
     if theta < Fraction(2, m):
         raise ParameterError("hypothesis violated: theta=%s < 2/m for m=%d" % (theta, m))

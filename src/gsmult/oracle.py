@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import count, islice
 from math import comb
 
-from ._util import format_int
+from ._util import format_int, require_degree
 from .derivpoly import CoeffTable, row_length
 from .precision import ParameterError
 
@@ -96,8 +96,7 @@ def _composition_rows(m: int):
 
 def coeff_oracle(m: int, k: int, n: int) -> int:
     """C[k][n] from the composition-sum formula, exactly; walks ``_composition_rows`` to order k."""
-    if m < 2:
-        raise ParameterError("degree m must be >= 2")
+    require_degree(m)
     if k < 1:
         raise ParameterError("order k must be >= 1")
     if not 0 <= n <= k * (m - 1) // m:
@@ -143,8 +142,7 @@ def symbolic_recursion_oracle(m: int, k: int) -> dict[int, int]:
 
     Walks ``_symbolic_rows`` up to order k; independent of ``build_coeff_table``.
     """
-    if m < 2:
-        raise ParameterError("degree m must be >= 2")
+    require_degree(m)
     if k < 1:
         raise ParameterError("order k must be >= 1")
     return next(islice(_symbolic_rows(m), k - 1, None))

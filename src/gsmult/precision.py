@@ -13,13 +13,15 @@ determinism and dilation-identity checks rely on.
 
 An interval computation starts a few guard bits above the precision of its
 result, and ``escalate`` doubles that while an enclosure is too wide: Ziv's
-strategy, as ``half_log_of_int`` applies it to one log.
+strategy, with its rounding test as the one rule for every certified log
+and for the probe's point.
 
-An enclosure becomes a number in one way only: ``iv_fixed`` reads an
-interval exactly as ints [lo, hi] * 2**e, and the exact midpoint
-(lo + hi) * 2**(e-1) is rounded once, at the precision it is reported at
-(``fixed_midpoint``; ``certified_fixed_midpoint`` first checks the width
-against the smaller endpoint modulus on the same ints).  Kernels that sum
+An enclosure is read in one way only: ``iv_fixed`` reads an interval
+exactly as ints [lo, hi] * 2**e.  ``fixed_rounded`` gives the value both
+endpoints round to at the result precision, hence correctly rounded, or
+raises; ``fixed_midpoint`` rounds the exact midpoint once, and
+``certified_fixed_midpoint`` first checks the width against the smaller
+endpoint modulus on the same ints.  Kernels that sum
 exact products keep their enclosures in this form throughout, rounded
 outward only where they are trimmed or divided, the lower end with floor
 and the upper with ceiling (``fixed_outward``, ``fixed_scaled``).
@@ -115,6 +117,16 @@ def fixed_midpoint(lo: int, hi: int, e: int, bits: int):
     return mp.make_mpf(from_man_exp(lo + hi, e - 1, bits, round_nearest))
 
 
+def fixed_rounded(lo: int, hi: int, e: int, bits: int):
+    """The value both endpoints of [lo, hi] * 2**e round to at ``bits``: rounding is
+    monotone, so every point of the enclosure rounds to it.  Endpoints that round
+    apart raise PrecisionError carrying the width, which ``escalate`` retries."""
+    value = from_man_exp(lo, e, bits, round_nearest)
+    if value != from_man_exp(hi, e, bits, round_nearest):
+        raise PrecisionError("enclosure rounds apart at %d bits" % bits, mp.ldexp(hi - lo, e))
+    return mp.make_mpf(value)
+
+
 def certified_midpoint(x, bits: int, rel_error_bits: int = 64):
     """``certified_fixed_midpoint`` of an interval, read exactly by ``iv_fixed``."""
     return certified_fixed_midpoint(*iv_fixed(x), bits, rel_error_bits)
@@ -178,19 +190,15 @@ def escalate(compute, bits: int):
 def half_log_of_int(n: int, bits: int):
     """ln(n)/2 for a positive integer n, correctly rounded to ``bits``.
 
-    Ziv's rounding test: v is evaluated at bits + guard, within err (n and
-    the log each rounded once, with margin) of ln(n)/2; when v - err and
-    v + err round alike at ``bits`` so does ln(n)/2, else the guard doubles.
+    ln(n)/2 is enclosed by ``iv.log`` from bits + 32 and rounded by
+    ``fixed_rounded``; ``escalate`` doubles the working precision while the
+    enclosure rounds apart.
     """
     if n <= 0:
         raise ParameterError("positive integer required")
-    guard = 32
-    while n > 1:
-        with mp_prec(bits + guard):
-            v = mp.log(mp.mpf(n)) / 2
-            err = (abs(v) + 1) * mp.ldexp(1, 3 - bits - guard)
-        with mp_prec(bits):  # v - err and v + err each rounded once, at bits
-            if v - err == v + err:
-                return +v
-        guard *= 2
-    return mp.mpf(0)  # ln 1, exactly
+
+    def compute(work):
+        with iv_prec(work):
+            return fixed_rounded(*iv_fixed(iv.log(iv.mpf(n)) / 2), bits)
+
+    return escalate(compute, bits + 32)

@@ -8,10 +8,11 @@ at x_k = k**theta,
     log |(D^k g)(x_k) f(x_k)| = log |p_k(x_k)| - <x_k>**(1/nu)
 
 with |p_k| from the exact Gaussian-integer evaluator whenever theta is an
-integer; otherwise x_k is enclosed in an interval, |p_k| is certified on
-that enclosure, and both are made again at doubled precision until x_k
-rounds to one value at the result precision (Ziv's test).  Logs, the decay
-term, the rate and Delta are computed at that result precision,
+integer; otherwise x_k is enclosed in an interval, |p_k| is enclosed on
+that enclosure, and both are made again at doubled precision until x_k and
+the log each round to one value at the result precision (Ziv's test,
+``precision.fixed_rounded``).  Either way the log is correctly rounded.
+Logs, the decay term, the rate and Delta are computed at that result precision,
 RESULT_BITS = RATE_BITS + 64 (or ``ProbeConfig.precision_bits``), and
 records are rounded at RATE_BITS.
 Along k the leading behaviour is
@@ -42,7 +43,7 @@ from typing import Optional, Sequence
 import mpmath
 from mpmath import iv, mp
 
-from ._util import format_fraction, ols_slope
+from ._util import format_fraction, ols_slope, require_degree
 from .derivpoly import (
     _GUARD_BITS,
     MIN_EVAL_PRECISION_BITS,
@@ -55,7 +56,7 @@ from .derivpoly import (
     eval_log_magnitude,
 )
 from .identities import CheckResult, _result
-from .precision import ParameterError, PrecisionError, escalate, fixed_midpoint, iv_fixed, iv_prec, mp_prec, to_iv, to_mpf
+from .precision import ParameterError, escalate, fixed_rounded, iv_fixed, iv_prec, mp_prec, to_iv, to_mpf
 
 RATE_BITS = RESULT_BITS - 64  # records are rounded at this precision; logs, decay, rate and Delta at RESULT_BITS
 
@@ -78,8 +79,7 @@ class ProbeConfig:
     precision_bits: Optional[int] = None  # result precision; None: RESULT_BITS
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ParameterError("degree m must be an integer >= 2, got %r" % (self.m,))
+        require_degree(self.m)
         if self.lambda_sign not in (1, -1):
             raise ParameterError("lambda_sign must be +1 or -1")
         theta = Fraction(self.theta)
@@ -122,12 +122,7 @@ class ProbeRecord:
 def _decay(x, nu: Fraction, bits: int):
     """<x>**(1/nu) = (1 + x**2)**(1/(2 nu)) at the working precision."""
     with mp_prec(bits):
-        if isinstance(x, int):
-            base = to_mpf(1 + x * x)
-        else:
-            xm = to_mpf(x)
-            base = 1 + xm * xm
-        return mp.exp(to_mpf(1 / (2 * nu)) * mp.log(base))
+        return mp.exp(to_mpf(1 / (2 * nu)) * mp.log(to_mpf(1 + x * x)))
 
 
 def _enclosed_point(poly, cfg: ProbeConfig, k: int, bits: int, work: int):
@@ -135,10 +130,7 @@ def _enclosed_point(poly, cfg: ProbeConfig, k: int, bits: int, work: int):
     k**theta correctly rounded at ``bits``, certified by both endpoints rounding to it."""
     with iv_prec(work):
         x_enc = iv.mpf(k) ** to_iv(cfg.theta)
-    lo, hi, e = iv_fixed(x_enc)
-    x = fixed_midpoint(lo, lo, e, bits)
-    if x != fixed_midpoint(hi, hi, e, bits):
-        raise PrecisionError("enclosure of x_%d rounds apart at %d bits" % (k, bits), mp.ldexp(hi - lo, e))
+    x = fixed_rounded(*iv_fixed(x_enc), bits)
     return x, _interval_log_magnitude(poly, cfg.lambda_sign, x_enc, bits, work)
 
 

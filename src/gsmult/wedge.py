@@ -48,7 +48,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from ._util import format_fraction
+from ._util import format_fraction, require_degree
 from .identities import CheckResult, _result
 from .precision import ParameterError
 
@@ -93,8 +93,7 @@ class WedgeQuery:
         object.__setattr__(self, "s", s)
         if theta <= 0 or s <= 0:
             raise ParameterError("theta and s must be positive")
-        if self.m < 2:
-            raise ParameterError("degree m must be an integer >= 2, got %r" % (self.m,))
+        require_degree(self.m)
         if self.d < 1:
             raise ParameterError("dimension must be >= 1")
 
@@ -122,8 +121,7 @@ def _column_rules(theta: Fraction, m: int, space: Space, mode: Mode, d: int) -> 
     """Rules (a)-(d) at one theta, in order, as s-intervals
     ``(lo, lo_open, hi, hi_open, verdict)``; ``hi`` is None when unbounded
     and an interval may be empty.  The first rule holding s decides."""
-    if not isinstance(m, int) or m < 2:
-        raise ParameterError("degree m must be an integer >= 2, got %r" % (m,))
+    require_degree(m)
     roumieu = space is Space.ROUMIEU
     edge = (m - 1) * theta
     rules = [(0, True, 1 - theta, roumieu, _TRIVIAL)]

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from gsmult import gsfunc, identities
+from gsmult import derivpoly, gsfunc, identities
 from gsmult._util import format_mpf
 from gsmult.cli import _print_check, _witness_repr, dispatch
 from gsmult.precision import PrecisionError
@@ -105,6 +105,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["probe", "criterion", "--m", "4", "--theta", "1", "--s", "100", "--jmax", "200"],
+            ["verify", "identities", "--m", "4", "--kmax", "600", "--theta", "1", "--jmax", "0"],
+        ],
+        ids=["criterion-s-too-large", "identities-jmax-0"],
+    )
+    def test_rejected_before_any_table_is_built(self, monkeypatch, argv):
+        real, calls = derivpoly.coeff_rows, []
+        monkeypatch.setattr(derivpoly, "coeff_rows", lambda *args: calls.append(args) or real(*args))
+        assert run(argv) == 2
+        assert calls == []
 
     def test_bad_fraction_rejected(self):
         assert run(["wedge", "classify", "--theta", "x/y", "--s", "1", "--m", "2", "--space", "roumieu"]) == 2

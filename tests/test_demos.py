@@ -16,8 +16,8 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
-def test_demo_exits_zero(script):
+def test_demo_exits_zero(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]

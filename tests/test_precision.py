@@ -11,6 +11,7 @@ from gsmult.precision import (
     escalate,
     certified_midpoint,
     fixed_midpoint,
+    fixed_rounded,
     half_log_of_int,
     iv_endpoints,
     iv_fixed,
@@ -90,6 +91,24 @@ class TestHalfLogOfInt:
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
             half_log_of_int(0, 128)
+
+
+class TestFixedRounded:
+    def test_point_enclosure_is_its_value_rounded(self):
+        with mp.workprec(128):
+            assert fixed_rounded(2**200 + 1, 2**200 + 1, -3, 128) == mp.mpf(2**200 + 1) / 8
+        assert fixed_rounded(0, 0, 0, 128) == 0
+
+    def test_enclosure_inside_one_rounding_cell_rounds_to_its_value(self):
+        # at 53 bits the representable values above 2**53 are 2 apart: [2**53 + 1/4, 2**53 + 3/4]
+        # lies below the boundary 2**53 + 1 and every point of it rounds to 2**53
+        assert exact(fixed_rounded(2**55 + 1, 2**55 + 3, -2, 53)) == 2**53
+
+    def test_enclosure_straddling_a_rounding_boundary_raises_with_its_width(self):
+        # [2**53 + 3/4, 2**53 + 5/4] holds the boundary 2**53 + 1: its endpoints round apart
+        with pytest.raises(PrecisionError) as info:
+            fixed_rounded(2**55 + 3, 2**55 + 5, -2, 53)
+        assert info.value.width == Fraction(1, 2)
 
 
 class TestFixedPoint:

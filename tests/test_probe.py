@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from gsmult import derivpoly as derivpoly_module
 from gsmult import probe as probe_module
 from gsmult.derivpoly import derivative_poly, eval_log_magnitude, kj_sequence
 from gsmult.precision import PrecisionError
@@ -111,9 +110,12 @@ class TestProbeSeries:
                 assert abs(rec.log_dkg_f + _decay(rec.x, cfg.nu, bits) - exact.log_mag) < mp.mpf(2) ** -32
 
     def test_non_integer_theta_escalates_the_point_with_the_log(self, monkeypatch):
-        # a 2**-300 log bound cannot be certified from the 256-bit start: x_k and the log
-        # are enclosed again, together, at 512 bits, and x_k stays k**theta correctly rounded
-        monkeypatch.setattr(derivpoly_module, "_LOG_ABS_ERROR_BITS", 300)
+        # started at the 192-bit result precision itself, the enclosures round apart there
+        # (the log's for x_4, x_9's own before its log is tried): x_k and the log are enclosed
+        # again, together, at 384 bits, and the records are those of the 256-bit start
+        cfg = config(m=3, theta=Fraction(3, 2), ks=(4, 9))
+        reference = probe_series(cfg, get_table(3, 9))
+        monkeypatch.setattr(probe_module, "_GUARD_BITS", 0)
         real, seen = probe_module._interval_log_magnitude, []
 
         def spy(poly, sign, x, out_bits, bits):
@@ -121,8 +123,9 @@ class TestProbeSeries:
             return real(poly, sign, x, out_bits, bits)
 
         monkeypatch.setattr(probe_module, "_interval_log_magnitude", spy)
-        records = probe_series(config(m=3, theta=Fraction(3, 2), ks=(4, 9)), get_table(3, 9))
-        assert seen == [256, 512, 256, 512]
+        records = probe_series(cfg, get_table(3, 9))
+        assert seen == [192, 384, 384]
+        assert records == reference
         assert [rec.x for rec in records] == [8, 27] and not any(rec.exact for rec in records)
 
     def test_point_is_certified_by_both_endpoints_rounding_alike(self):

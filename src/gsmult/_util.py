@@ -1,16 +1,24 @@
-"""Small cross-cutting helpers: ordered map, least squares, and the
-exact-string formats used by every file-emitting code path."""
+"""The light base every module builds on, with no mpmath at import.
+
+It holds ``ParameterError``, the ``CheckResult`` every verifier returns,
+the degree check, and the exact-string formats used by every
+file-emitting code path.  ``format_mpf`` imports mpmath when first called,
+so the exact-rational ``wedge`` commands never load it.
+"""
 
 from __future__ import annotations
 
 import decimal
+import json
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any, Optional
 
-import mpmath
 
-from .precision import ParameterError, mp_prec, to_mpf
+class ParameterError(ValueError):
+    """A caller-supplied argument or value lies outside what the function accepts."""
 
 
 def require_degree(m) -> None:
@@ -22,21 +30,6 @@ def require_degree(m) -> None:
 def pmap(fn, items):
     """Map ``fn`` over ``items`` in order and return the results as a list."""
     return [fn(it) for it in items]
-
-
-def ols_slope(xs, ys, bits: int = 128):
-    """Ordinary least squares slope of ys against xs at ``bits`` precision."""
-    n = len(xs)
-    if n < 2:
-        raise ValueError("need at least two points for a slope")
-    with mp_prec(bits):
-        xm = [to_mpf(x) for x in xs]
-        ym = [to_mpf(y) for y in ys]
-        mean_x = sum(xm) / n
-        mean_y = sum(ym) / n
-        sxx = sum((x - mean_x) ** 2 for x in xm)
-        sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xm, ym))
-        return sxy / sxx
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -87,8 +80,52 @@ def format_fraction(q: Fraction) -> str:
 
 def format_mpf(x, digits: int = 24) -> str:
     """Deterministic decimal string for an mpf value."""
+    import mpmath
+
     if x == mpmath.inf:
         return "inf"
     if x == mpmath.ninf:
         return "-inf"
     return mpmath.nstr(x, digits)
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One verified (or falsified) statement with its counterexamples.
+
+    pass iff witnesses is empty; extremal_ratio is a tightness diagnostic
+    (how close the worst tested case came to the bound), not part of the
+    verdict.
+    """
+
+    name: str
+    params: dict[str, str]
+    passed: bool
+    witnesses: tuple[tuple, ...]
+    extremal_ratio: Optional[Any] = None
+
+    def __post_init__(self):
+        if self.passed != (not self.witnesses):
+            raise ValueError("pass flag inconsistent with witness list")
+
+    def to_json_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "params": dict(self.params),
+            "passed": self.passed,
+            "witnesses": [[format_int(x) if isinstance(x, int) else str(x) for x in w] for w in self.witnesses],
+            "extremal_ratio": None if self.extremal_ratio is None else str(self.extremal_ratio),
+        }
+
+    def to_json(self, **kwargs) -> str:
+        return json.dumps(self.to_json_dict(), **kwargs)
+
+
+def _result(name, params, witnesses, extremal=None) -> CheckResult:
+    return CheckResult(
+        name=name,
+        params={k: str(v) for k, v in params.items()},
+        passed=not witnesses,
+        witnesses=tuple(witnesses),
+        extremal_ratio=extremal,
+    )

@@ -27,11 +27,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
-
-from . import derivpoly, gsfunc, identities, oracle, probe, wedge
-from ._util import format_fraction, format_int, format_mpf, parse_fraction
-from .precision import ParameterError
+from . import derivpoly, gsfunc, identities, oracle, precision, probe, wedge
+from ._util import CheckResult, ParameterError, format_fraction, format_int, format_mpf, parse_fraction
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -157,7 +154,7 @@ def _precision_kwargs(args) -> dict:
     return {} if args.precision_bits is None else {"precision_bits": args.precision_bits}
 
 
-def _print_check(result: identities.CheckResult) -> None:
+def _print_check(result: CheckResult) -> None:
     status = "PASS" if result.passed else "FAIL"
     extra = ""
     if result.extremal_ratio is not None:
@@ -202,8 +199,13 @@ def _cmd_verify_identities(args) -> int:
         raise ParameterError("--kmax must be >= 2")
     floor = identities.check_floor_identities(args.m, args.kmax)  # these three check m, theta and --jmax before the table
     wedge_fn = identities.check_wedge_fn_nonneg(args.m, args.theta, **_precision_kwargs(args))
-    lower = [identities.check_lower_bound(args.m, 1, args.theta.numerator, args.jmax)] if args.theta.denominator == 1 else []
-    table = derivpoly.build_coeff_table(args.m, max(args.kmax, 4))
+    exact_theta = args.theta.denominator == 1
+    k_checks = max(args.kmax, 4)
+    k_lower = derivpoly.kj_sequence(args.m, args.jmax).entries[-1] if exact_theta else 0
+    # one table serves every check; the table checks read it up to k_checks only
+    full = derivpoly.build_coeff_table(args.m, max(k_checks, k_lower))
+    table = derivpoly.CoeffTable(m=args.m, k_max=k_checks, rows=full.rows[:k_checks])
+    lower = [identities.check_lower_bound(args.m, 1, args.theta.numerator, args.jmax, full)] if exact_theta else []
     results = [
         floor,
         identities.check_ck1_closed_form(table),
@@ -251,7 +253,7 @@ def _cmd_gs_seminorm(args) -> int:
         grid=grid,
         **_precision_kwargs(args),
     )
-    estimate = max((value for _, _, value in cells), default=mpmath.mpf(0))
+    estimate = max((value for _, _, value in cells), default=precision.to_mpf(0))
     csv_path = _resolve(args.csv, args.out_dir)
     if csv_path is not None:
         lines = ["k,x,value"]

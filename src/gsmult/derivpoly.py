@@ -44,9 +44,8 @@ from typing import Iterator, Optional
 import mpmath
 from mpmath import iv, mp
 
-from ._util import format_int, parse_int, require_degree
+from ._util import ParameterError, format_int, parse_int, require_degree
 from .precision import (
-    ParameterError,
     PrecisionError,
     escalate,
     fixed_rounded,

@@ -56,10 +56,8 @@ from typing import Any, Optional, Sequence
 
 from mpmath import iv, mp
 
-from ._util import format_fraction, ols_slope
-from .identities import CheckResult, _result
+from ._util import CheckResult, ParameterError, _result, format_fraction
 from .precision import (
-    ParameterError,
     certified_fixed_midpoint,
     escalate,
     fixed_outward,
@@ -67,6 +65,7 @@ from .precision import (
     iv_fixed,
     iv_prec,
     mp_prec,
+    ols_slope,
     to_iv,
     to_mpf,
 )

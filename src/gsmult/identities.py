@@ -34,57 +34,13 @@ Rational parameters are plain fractions.Fraction values throughout.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Optional
 
-from ._util import format_fraction, format_int, require_degree
+from ._util import CheckResult, ParameterError, _result, format_fraction, require_degree
 from .derivpoly import CoeffTable, _kj_polys, gaussian_parts
-from .precision import ParameterError, iv_endpoints, iv_prec, to_iv
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One verified (or falsified) statement with its counterexamples.
-
-    pass iff witnesses is empty; extremal_ratio is a tightness diagnostic
-    (how close the worst tested case came to the bound), not part of the
-    verdict.
-    """
-
-    name: str
-    params: dict[str, str]
-    passed: bool
-    witnesses: tuple[tuple, ...]
-    extremal_ratio: Optional[Any] = None
-
-    def __post_init__(self):
-        if self.passed != (not self.witnesses):
-            raise ValueError("pass flag inconsistent with witness list")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": dict(self.params),
-            "passed": self.passed,
-            "witnesses": [[format_int(x) if isinstance(x, int) else str(x) for x in w] for w in self.witnesses],
-            "extremal_ratio": None if self.extremal_ratio is None else str(self.extremal_ratio),
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
-
-def _result(name, params, witnesses, extremal=None) -> CheckResult:
-    return CheckResult(
-        name=name,
-        params={k: str(v) for k, v in params.items()},
-        passed=not witnesses,
-        witnesses=tuple(witnesses),
-        extremal_ratio=extremal,
-    )
+from .precision import iv_endpoints, iv_prec, to_iv
 
 
 def check_floor_identities(m: int, k_max: int) -> CheckResult:

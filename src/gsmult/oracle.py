@@ -41,9 +41,8 @@ from dataclasses import dataclass
 from itertools import count, islice
 from math import comb
 
-from ._util import format_int, require_degree
+from ._util import ParameterError, format_int, require_degree
 from .derivpoly import CoeffTable, row_length
-from .precision import ParameterError
 
 
 class NonIntegralCoefficientError(ArithmeticError):

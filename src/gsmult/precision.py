@@ -26,9 +26,11 @@ exact products keep their enclosures in this form throughout, rounded
 outward only where they are trimmed or divided, the lower end with floor
 and the upper with ceiling (``fixed_outward``, ``fixed_scaled``).
 
-The package's two error types live here too: ``PrecisionError`` when an
-enclosure is too wide to certify, ``ParameterError`` when a caller-supplied
-value is rejected (the CLI maps only the latter to a usage error).
+``PrecisionError`` lives here: an enclosure too wide to certify.  The
+package's other error type, ``ParameterError`` for a rejected
+caller-supplied value (the only one the CLI maps to a usage error), is
+defined in ``_util`` and imported here.  ``ols_slope``, the least-squares
+fit of the rate and bound estimators, sits next to the conversions it uses.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from fractions import Fraction
 from mpmath import iv, mp
 from mpmath.libmp import from_man_exp, round_nearest
 
+from ._util import ParameterError
+
 
 class PrecisionError(ArithmeticError):
     """An interval enclosure is too wide to certify; ``width`` says how wide (0: exact)."""
@@ -46,10 +50,6 @@ class PrecisionError(ArithmeticError):
     def __init__(self, message, width=None):
         super().__init__(message)
         self.width = width
-
-
-class ParameterError(ValueError):
-    """A caller-supplied argument or value lies outside what the function accepts."""
 
 
 @contextmanager
@@ -79,6 +79,21 @@ def to_mpf(value):
     if isinstance(value, Fraction):
         return mp.mpf(value.numerator) / mp.mpf(value.denominator)
     return mp.mpf(value)
+
+
+def ols_slope(xs, ys, bits: int = 128):
+    """Ordinary least squares slope of ys against xs at ``bits`` precision."""
+    n = len(xs)
+    if n < 2:
+        raise ValueError("need at least two points for a slope")
+    with mp_prec(bits):
+        xm = [to_mpf(x) for x in xs]
+        ym = [to_mpf(y) for y in ys]
+        mean_x = sum(xm) / n
+        mean_y = sum(ym) / n
+        sxx = sum((x - mean_x) ** 2 for x in xm)
+        sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xm, ym))
+        return sxy / sxx
 
 
 def to_iv(value):

@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 import mpmath
 from mpmath import iv, mp
 
-from ._util import format_fraction, ols_slope, require_degree
+from ._util import CheckResult, ParameterError, _result, format_fraction, require_degree
 from .derivpoly import (
     _GUARD_BITS,
     MIN_EVAL_PRECISION_BITS,
@@ -55,8 +55,7 @@ from .derivpoly import (
     derivative_poly,
     eval_log_magnitude,
 )
-from .identities import CheckResult, _result
-from .precision import ParameterError, escalate, fixed_rounded, iv_fixed, iv_prec, mp_prec, to_iv, to_mpf
+from .precision import escalate, fixed_rounded, iv_fixed, iv_prec, mp_prec, ols_slope, to_iv, to_mpf
 
 RATE_BITS = RESULT_BITS - 64  # records are rounded at this precision; logs, decay, rate and Delta at RESULT_BITS
 

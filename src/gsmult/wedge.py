@@ -48,9 +48,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from ._util import format_fraction, require_degree
-from .identities import CheckResult, _result
-from .precision import ParameterError
+from ._util import CheckResult, ParameterError, _result, format_fraction, require_degree
 
 
 class Space(enum.Enum):

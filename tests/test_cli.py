@@ -162,6 +162,15 @@ class TestVerifyIdentities:
         assert "evaluation-lower-bound" in names
         assert all(entry["passed"] for entry in payload)
 
+    @pytest.mark.parametrize("kmax, k_top", [(20, 60), (80, 80)], ids=["kj-beyond-kmax", "kmax-beyond-kj"])
+    def test_one_table_serves_every_check(self, monkeypatch, capsys, kmax, k_top):
+        # k_10 = 60 at m=3: the lower-bound check and the table checks share one table
+        real, calls = derivpoly.coeff_rows, []
+        monkeypatch.setattr(derivpoly, "coeff_rows", lambda *args: calls.append(args) or real(*args))
+        argv = ["verify", "identities", "--m", "3", "--kmax", str(kmax), "--theta", "1", "--jmax", "10"]
+        assert run(argv) == 0
+        assert calls == [(3, k_top)]
+
     def test_fractional_theta_skips_lower_bound(self, capsys):
         code = run(["verify", "identities", "--m", "3", "--kmax", "12", "--theta", "2/3"])
         assert code == 0

@@ -14,9 +14,10 @@ tests and a crash is never mistaken for a failed check or a rejected
 argument.  All numeric output is written as decimal (or exact ``p/q``)
 strings; identical argv gives identical bytes.  ``--precision-bits`` sets
 the precision results are computed at, the library default when not given;
-a value below 64 bits (128 for ``gs bound``) is a usage error.  The
-interval engines start a few guard bits above it and double their working
-precision while an enclosure is too wide.
+the function that uses it rejects a value below 64 bits (128 for ``gs
+bound``).  The interval engines start a few guard bits above it and double
+their working precision while an enclosure is too wide.  No command holds a
+coefficient table: each walks the rows it needs (``derivpoly.coeff_rows``).
 """
 
 from __future__ import annotations
@@ -180,8 +181,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify_coeffs(args) -> int:
-    table = derivpoly.build_coeff_table(args.m, args.kmax)
-    report = oracle.certify(table)
+    report = oracle.certify(derivpoly.coeff_rows(args.m, args.kmax))
     json_path = _resolve(args.json, args.out_dir)
     if json_path is not None:
         json_path.write_text(report.to_json(indent=2) + "\n", encoding="utf-8")
@@ -197,20 +197,16 @@ def _cmd_verify_coeffs(args) -> int:
 def _cmd_verify_identities(args) -> int:
     if args.kmax < 2:
         raise ParameterError("--kmax must be >= 2")
-    floor = identities.check_floor_identities(args.m, args.kmax)  # these three check m, theta and --jmax before the table
+    floor = identities.check_floor_identities(args.m, args.kmax)  # these three check every argument before any row
     wedge_fn = identities.check_wedge_fn_nonneg(args.m, args.theta, **_precision_kwargs(args))
     exact_theta = args.theta.denominator == 1
-    k_checks = max(args.kmax, 4)
-    k_lower = derivpoly.kj_sequence(args.m, args.jmax).entries[-1] if exact_theta else 0
-    # one table serves every check; the table checks read it up to k_checks only
-    full = derivpoly.build_coeff_table(args.m, max(k_checks, k_lower))
-    table = derivpoly.CoeffTable(m=args.m, k_max=k_checks, rows=full.rows[:k_checks])
-    lower = [identities.check_lower_bound(args.m, 1, args.theta.numerator, args.jmax, full)] if exact_theta else []
+    lower = [identities.check_lower_bound(args.m, 1, args.theta.numerator, args.jmax)] if exact_theta else []
+    rows = derivpoly.coeff_rows(args.m, max(args.kmax, 4))  # each check walks it afresh; none holds the table
     results = [
         floor,
-        identities.check_ck1_closed_form(table),
-        identities.check_ck2_bound(table),
-        identities.check_ratio_bound(table, args.theta),
+        identities.check_ck1_closed_form(rows),
+        identities.check_ck2_bound(rows),
+        identities.check_ratio_bound(rows, args.theta),
         wedge_fn,
     ] + lower
     if not lower:
@@ -348,8 +344,6 @@ def dispatch(argv) -> int:
         code = exc.code
         return int(code) if code else 0
     try:
-        if args.precision_bits is not None and args.precision_bits < derivpoly.MIN_EVAL_PRECISION_BITS:
-            raise ParameterError("precision bits must be >= %d" % derivpoly.MIN_EVAL_PRECISION_BITS)
         return args.run(args)
     except ParameterError as exc:
         print("usage error: %s" % " ".join(str(exc).split()), file=sys.stderr)

@@ -39,12 +39,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from itertools import islice
+from typing import Iterator
 
 import mpmath
 from mpmath import iv, mp
 
-from ._util import ParameterError, format_int, parse_int, require_degree
+from ._util import ParameterError, format_int, parse_int, require_degree, require_precision
 from .precision import (
     PrecisionError,
     escalate,
@@ -56,7 +57,6 @@ from .precision import (
     to_iv,
 )
 
-MIN_EVAL_PRECISION_BITS = 64
 RESULT_BITS = 192  # default result precision of a log
 _GUARD_BITS = 64  # an interval evaluation starts this far above its result precision
 
@@ -77,6 +77,9 @@ class CoeffTable:
     m: int
     k_max: int
     rows: tuple[tuple[int, ...], ...]
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self.rows)
 
     def row(self, k: int) -> tuple[int, ...]:
         if not 1 <= k <= self.k_max:
@@ -122,7 +125,7 @@ def _check_row(m: int, k: int, row: tuple[int, ...]) -> None:
         raise ParameterError("row %d has length %d, expected %d" % (k, len(row), row_length(m, k)))
     if row[0] != 1:
         raise ParameterError("row %d does not start with 1" % k)
-    if any(c <= 0 for c in row):
+    if min(row) <= 0:
         raise ParameterError("row %d contains a nonpositive entry" % k)
 
 
@@ -145,45 +148,44 @@ def write_table_json(fp, m: int, k_max: int, rows) -> None:
     fp.write("]}\n")
 
 
-def coeff_rows(m: int, k_max: int) -> Iterator[tuple[int, ...]]:
-    """Rows 1..k_max of the degree-m table, each made from the one before.
+@dataclass(frozen=True)
+class CoeffRows:
+    """A table that holds no rows: like a ``CoeffTable`` it has ``m`` and ``k_max`` and
+    iterates over rows 1..k_max, but each iteration makes every row from the one before
+    and checks it as ``CoeffTable.validate`` does.  Made by ``coeff_rows``."""
 
-    The arguments are checked when the walk is created, before any row.
-    """
+    m: int
+    k_max: int
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        m, row = self.m, (1,)  # p_0 = 1
+        for k in range(self.k_max):  # C[k+1][n] = C[k][n] + C[k][n-1] * w, w = (m-1)k - m(n-1)
+            padded = row + (0,) if row_length(m, k + 1) > len(row) else row
+            row = row[:1] + tuple([a + b * w for a, b, w in zip(padded[1:], row, range((m - 1) * k, -1, -m))])
+            _check_row(m, k + 1, row)
+            yield row
+
+
+def coeff_rows(m: int, k_max: int) -> CoeffRows:
+    """Rows 1..k_max of the degree-m table as a walk; the arguments are checked here, before any row."""
     require_degree(m)
     if not isinstance(k_max, int) or k_max < 1:
         raise ParameterError("k_max must be an integer >= 1, got %r" % (k_max,))
-    return _rows(m, k_max)
-
-
-def _rows(m: int, k_max: int) -> Iterator[tuple[int, ...]]:
-    prev = (1,)
-    yield prev
-    for k in range(1, k_max):
-        row = []
-        for n in range(row_length(m, k + 1)):
-            c = prev[n] if n < len(prev) else 0
-            if n >= 1:
-                c += prev[n - 1] * ((m - 1) * k - m * (n - 1))
-            row.append(c)
-        prev = tuple(row)
-        yield prev
+    return CoeffRows(m, k_max)
 
 
 def build_coeff_table(m: int, k_max: int) -> CoeffTable:
-    """Build the coefficient table for degree m up to derivative order k_max."""
-    table = CoeffTable(m=m, k_max=k_max, rows=tuple(coeff_rows(m, k_max)))
-    table.validate()
-    return table
+    """The coefficient table for degree m up to order k_max, held; ``coeff_rows`` holds none."""
+    return CoeffTable(m=m, k_max=k_max, rows=tuple(coeff_rows(m, k_max)))
 
 
-def _table_covering(m: int, k_top: int, table: Optional[CoeffTable]) -> CoeffTable:
-    """``table`` checked to be of degree m and to reach k_top; built when None."""
+def _rows_to(m: int, k_top: int, table: CoeffTable | CoeffRows | None) -> Iterator[tuple[int, ...]]:
+    """Rows 1..k_top of ``table``, checked to be of degree m and to reach k_top; walked when None."""
     if table is None:
-        return build_coeff_table(m, k_top)
-    if table.m != m or table.k_max < k_top:
+        table = coeff_rows(m, k_top)
+    elif table.m != m or table.k_max < k_top:
         raise ParameterError("table does not cover m=%d up to k=%d" % (m, k_top))
-    return table
+    return islice(table, k_top)
 
 
 @dataclass(frozen=True)
@@ -305,8 +307,7 @@ def eval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, precision_bits: int
     lo = iv_endpoints(x)[0] if isinstance(x, iv.mpf) else x
     if not lo >= 0:
         raise ParameterError("x must be nonnegative")
-    if precision_bits < MIN_EVAL_PRECISION_BITS:
-        raise ParameterError("precision_bits must be >= %d" % MIN_EVAL_PRECISION_BITS)
+    require_precision(precision_bits)
 
     if x_int is not None:
         re, im = gaussian_parts(poly, lambda_sign, x_int)
@@ -356,25 +357,19 @@ def kj_sequence(m: int, j_max: int) -> KjSequence:
     return KjSequence(m=m, entries=tuple(entries))
 
 
-def _kj_polys(m: int, theta: int, j_max: int, table: Optional[CoeffTable]) -> Iterator[tuple[int, int, DerivPoly]]:
+def _kj_polys(
+    m: int, theta: int, j_max: int, table: CoeffTable | CoeffRows | None
+) -> Iterator[tuple[int, int, DerivPoly]]:
     """(j, k_j, p_{k_j}) for j = 1..j_max, the walk of the exact checks along the k_j.
 
-    theta must be a positive integer with m*theta >= 2, so that each point
-    k_j**theta is an integer; ``table`` must cover k_{j_max}.  The arguments,
-    a passed table's coverage among them, are checked when the walk is
-    created; a missing table is built when the walk starts.
+    theta must be a positive integer with m*theta >= 2, so each k_j**theta is an integer;
+    a ``table`` must cover k_{j_max}.  Arguments are checked at once, rows read as it goes.
     """
     if not isinstance(theta, int) or theta < 1:
         raise ParameterError("theta must be a positive integer for exact evaluation")
     if m * theta < 2:
         raise ParameterError("hypothesis violated: theta < 2/m")
-    seq = kj_sequence(m, j_max)
-    if table is not None:
-        _table_covering(m, seq.k(j_max), table)
-    return _kj_walk(seq, table)
-
-
-def _kj_walk(seq: KjSequence, table: Optional[CoeffTable]) -> Iterator[tuple[int, int, DerivPoly]]:
-    table = _table_covering(seq.m, seq.entries[-1], table)
-    for j, k in enumerate(seq.entries, start=1):
-        yield j, k, derivative_poly(table, k)
+    entries = kj_sequence(m, j_max).entries
+    j_at = {k: j for j, k in enumerate(entries, start=1)}
+    rows = enumerate(_rows_to(m, entries[-1], table), start=1)
+    return ((j_at[k], k, DerivPoly(m=m, k=k, coeffs=row)) for k, row in rows if k in j_at)

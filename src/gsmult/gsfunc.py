@@ -56,7 +56,7 @@ from typing import Any, Optional, Sequence
 
 from mpmath import iv, mp
 
-from ._util import CheckResult, ParameterError, _result, format_fraction
+from ._util import CheckResult, ParameterError, _result, format_fraction, require_precision
 from .precision import (
     certified_fixed_midpoint,
     escalate,
@@ -280,8 +280,7 @@ def gs_derivative_series(theta, k_max: int, x, precision_bits: int = 256):
     theta = Fraction(theta)
     if theta <= 0:
         raise ParameterError("theta must be positive")
-    if precision_bits < MIN_GS_PRECISION_BITS:
-        raise ParameterError("precision_bits must be >= %d" % MIN_GS_PRECISION_BITS)
+    require_precision(precision_bits, MIN_GS_PRECISION_BITS)
     t = 1 / theta
     xf = Fraction(x)
     nums, d = _bracket_ratio_numerators(t, xf, k_max)
@@ -481,6 +480,7 @@ def seminorm_cells(
         raise ParameterError("kind must be 'a' or 'h'")
     if max_deriv < 0 or max_power < 0:
         raise ParameterError("max_deriv and max_power must be >= 0")
+    require_precision(precision_bits)
     if grid is None:
         grid = geometric_grid(2 * Fraction(max(max_deriv, 1)) ** math.ceil(theta), 25)
     grid = tuple(Fraction(g) for g in grid)

@@ -29,6 +29,7 @@ Checked facts, for degree m >= 2 and the table coefficients C[k][n]:
   k_j orders, 4*|p_{k_j}(k_j**theta)|**2 >= m**(2 k_j) * k_j**(2 theta k_j (m-1))
   as exact integers (the |.|**2 is an exact Gaussian-integer modulus squared).
 
+A table is a ``CoeffTable`` or a ``coeff_rows`` walk, read once in ascending k.
 Rational parameters are plain fractions.Fraction values throughout.
 """
 
@@ -36,10 +37,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
+from itertools import islice
 
-from ._util import CheckResult, ParameterError, _result, format_fraction, require_degree
-from .derivpoly import CoeffTable, _kj_polys, gaussian_parts
+from ._util import CheckResult, ParameterError, _result, format_fraction, require_degree, require_precision
+from .derivpoly import CoeffRows, CoeffTable, _kj_polys, gaussian_parts
 from .precision import iv_endpoints, iv_prec, to_iv
 
 
@@ -58,29 +59,29 @@ def check_floor_identities(m: int, k_max: int) -> CheckResult:
     return _result("floor-step", {"m": m, "k_max": k_max}, witnesses)
 
 
-def check_ck1_closed_form(table: CoeffTable) -> CheckResult:
+def check_ck1_closed_form(table: CoeffTable | CoeffRows) -> CheckResult:
     """C[k][1] == (m-1)k(k-1)/2 exactly, for every 2 <= k <= k_max."""
     if table.k_max < 2:
         raise ParameterError("table must reach k >= 2")
     m = table.m
     witnesses = []
-    for k in range(2, table.k_max + 1):
+    for k, row in islice(enumerate(table, start=1), 1, None):
         expected = (m - 1) * k * (k - 1) // 2
-        got = table.coeff(k, 1)
+        got = row[1]
         if got != expected:
             witnesses.append((k, got, expected))
     return _result("ck1-closed-form", {"m": m, "k_max": table.k_max}, witnesses)
 
 
-def check_ck2_bound(table: CoeffTable) -> CheckResult:
+def check_ck2_bound(table: CoeffTable | CoeffRows) -> CheckResult:
     """2*C[k][2] <= m**2 * k**4 exactly for 4 <= k <= k_max; records the max ratio."""
     if table.k_max < 4:
         raise ParameterError("table must reach k >= 4")
     m = table.m
     witnesses = []
     max_ratio = None
-    for k in range(4, table.k_max + 1):
-        lhs = 2 * table.coeff(k, 2)
+    for k, row in islice(enumerate(table, start=1), 3, None):
+        lhs = 2 * row[2]
         rhs = m * m * k**4
         if lhs > rhs:
             witnesses.append((k, lhs, rhs))
@@ -97,7 +98,7 @@ def check_ck2_bound(table: CoeffTable) -> CheckResult:
 _EXTREMAL_SLACK = 1e-6
 
 
-def check_ratio_bound(table: CoeffTable, theta: Fraction) -> CheckResult:
+def check_ratio_bound(table: CoeffTable | CoeffRows, theta: Fraction) -> CheckResult:
     """C[k][n+1] <= C[k][n] * m * k**(m*theta) exactly, via q-th powers.
 
     For theta = p/q the comparison is a**q <= b**q * f with a = C[k][n+1],
@@ -117,8 +118,7 @@ def check_ratio_bound(table: CoeffTable, theta: Fraction) -> CheckResult:
     best = -math.inf
     near_best = []  # (estimate, a, b, f) within the slack of ``best``
     m_q = m**q
-    for k in range(2, table.k_max + 1):
-        row = table.row(k)
+    for k, row in islice(enumerate(table, start=1), 1, None):
         scale = m_q * k ** (m * p)
         ln_scale = math.log(scale)
         logs = [math.log(c) for c in row]  # each ln C[k][n] serves both of its neighbours
@@ -202,6 +202,7 @@ def check_wedge_fn_nonneg(m: int, theta: Fraction, precision_bits: int = 192) ->
     lower bounds: 0.0, the minimum of f, on a pass.
     """
     require_degree(m)
+    require_precision(precision_bits)
     theta = Fraction(theta)
     if theta < Fraction(2, m):
         raise ParameterError("hypothesis violated: theta=%s < 2/m for m=%d" % (theta, m))
@@ -228,7 +229,7 @@ def check_lower_bound(
     lambda_sign: int,
     theta: int,
     j_max: int,
-    table: Optional[CoeffTable] = None,
+    table: CoeffTable | CoeffRows | None = None,
 ) -> CheckResult:
     """4*|p_{k_j}(k_j**theta)|**2 >= m**(2 k_j) * k_j**(2 theta k_j (m-1)), exactly.
 

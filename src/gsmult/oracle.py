@@ -27,8 +27,8 @@ Three constructions of C[k][n] that share no code with the convolution in
   recovered from the integer coefficients of H_k.
 
 Each oracle has one stepping generator; the point functions walk it to
-order k, and ``certify`` walks all of them once, in lockstep, over the
-whole table.
+order k, and ``certify`` walks all of them once, in lockstep, along the
+rows of a table.
 
 Everything here is exact integer/rational arithmetic; no floating point.
 """
@@ -42,7 +42,7 @@ from itertools import count, islice
 from math import comb
 
 from ._util import ParameterError, format_int, require_degree
-from .derivpoly import CoeffTable, row_length
+from .derivpoly import CoeffRows, CoeffTable, row_length
 
 
 class NonIntegralCoefficientError(ArithmeticError):
@@ -214,22 +214,22 @@ class OracleReport:
         return json.dumps(self.to_json_dict(), **kwargs)
 
 
-def certify(table: CoeffTable) -> OracleReport:
+def certify(table: CoeffTable | CoeffRows) -> OracleReport:
     """Compare every table entry against every applicable oracle.
 
-    One walk over k = 1..k_max advances the composition-sum, symbolic and
-    (for m = 2) Hermite recursions one order at a time.  A cell is reported
-    at most once, with the value of the first disagreeing oracle in that
-    order.  Discrepancies are data, not errors: fault-injection tests rely
-    on getting a report back rather than an exception.
+    One walk over the rows k = 1..k_max (a walk holds none) advances the
+    composition-sum, symbolic and (for m = 2) Hermite recursions one order
+    at a time.  A cell is reported at most once, with the value of the first
+    disagreeing oracle in that order.  Discrepancies are data, not errors:
+    fault-injection tests rely on getting a report back.
     """
     m = table.m
     walks = [_composition_rows(m), _symbolic_rows(m)]
     if m == 2:
         walks.append(_hermite_rows())
     discrepancies = []
-    for k, *oracle_rows in zip(range(1, table.k_max + 1), *walks):
-        for n, value in enumerate(table.row(k)):
+    for k, (table_row, *oracle_rows) in enumerate(zip(table, *walks), start=1):
+        for n, value in enumerate(table_row):
             for row in oracle_rows:
                 if value != row[n]:
                     discrepancies.append((k, n, format_int(value), format_int(row[n])))

@@ -43,16 +43,16 @@ from typing import Optional, Sequence
 import mpmath
 from mpmath import iv, mp
 
-from ._util import CheckResult, ParameterError, _result, format_fraction, require_degree
+from ._util import CheckResult, ParameterError, _result, format_fraction, require_degree, require_precision
 from .derivpoly import (
     _GUARD_BITS,
-    MIN_EVAL_PRECISION_BITS,
     RESULT_BITS,
+    CoeffRows,
     CoeffTable,
+    DerivPoly,
     _interval_log_magnitude,
     _kj_polys,
-    _table_covering,
-    derivative_poly,
+    _rows_to,
     eval_log_magnitude,
 )
 from .precision import escalate, fixed_rounded, iv_fixed, iv_prec, mp_prec, ols_slope, to_iv, to_mpf
@@ -97,8 +97,8 @@ class ProbeConfig:
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
         if any(k < 1 for k in self.k_values):
             raise ParameterError("orders must be >= 1")
-        if self.precision_bits and self.precision_bits < MIN_EVAL_PRECISION_BITS:
-            raise ParameterError("precision_bits must be >= %d" % MIN_EVAL_PRECISION_BITS)
+        if self.precision_bits is not None:
+            require_precision(self.precision_bits)
 
 
 @dataclass(frozen=True)
@@ -133,16 +133,19 @@ def _enclosed_point(poly, cfg: ProbeConfig, k: int, bits: int, work: int):
     return x, _interval_log_magnitude(poly, cfg.lambda_sign, x_enc, bits, work)
 
 
-def probe_series(cfg: ProbeConfig, table: Optional[CoeffTable] = None) -> list[ProbeRecord]:
-    """Evaluate the logged product per order; deterministic for a fixed config."""
+def probe_series(cfg: ProbeConfig, table: CoeffTable | CoeffRows | None = None) -> list[ProbeRecord]:
+    """Evaluate the logged product per order, in the order of ``cfg.k_values``; deterministic for a
+    fixed config.  Rows are read once, in ascending k, and without a ``table`` none is held."""
     if not cfg.k_values:
         return []
-    table = _table_covering(cfg.m, max(cfg.k_values), table)
+    wanted = set(cfg.k_values)
     theta_int = cfg.theta.denominator == 1
     bits = cfg.precision_bits or RESULT_BITS
-    records = []
-    for k in cfg.k_values:
-        poly = derivative_poly(table, k)
+    records = {}
+    for k, row in enumerate(_rows_to(cfg.m, max(wanted), table), start=1):
+        if k not in wanted:
+            continue
+        poly = DerivPoly(m=cfg.m, k=k, coeffs=row)
         if theta_int:
             x = k**cfg.theta.numerator
             lm = eval_log_magnitude(poly, cfg.lambda_sign, x, precision_bits=bits)
@@ -153,8 +156,8 @@ def probe_series(cfg: ProbeConfig, table: Optional[CoeffTable] = None) -> list[P
             log_prod = lm.log_mag - decay
             rate = (log_prod + decay) / (k * mp.log(k)) if k >= 2 else mp.mpf(0)
         with mp_prec(RATE_BITS):
-            records.append(ProbeRecord(k=k, x=x, log_dkg_f=+log_prod, rate=+rate, exact=lm.exact))
-    return records
+            records[k] = ProbeRecord(k=k, x=x, log_dkg_f=+log_prod, rate=+rate, exact=lm.exact)
+    return [records[k] for k in cfg.k_values]
 
 
 def estimate_rate(
@@ -191,7 +194,7 @@ def criterion_check(
     s: Fraction,
     j_max: int,
     lambda_sign: int = 1,
-    table: Optional[CoeffTable] = None,
+    table: CoeffTable | CoeffRows | None = None,
 ) -> CheckResult:
     """Divergence of Delta(j) = log|p_{k_j}(k_j**theta)| - s*k_j*log(k_j).
 
@@ -204,12 +207,12 @@ def criterion_check(
     """
     if j_max < 2:
         raise ParameterError("j_max must be >= 2 to compare increments")
-    walk = _kj_polys(m, theta, j_max, table)
+    require_degree(m)  # before the s hypothesis, which reads m; no walk is made until every argument passes
     s = Fraction(s)
     if not 0 < s < (m - 1) * theta:
         raise ParameterError("hypothesis violated: need 0 < s < (m-1)*theta, got s=%s" % s)
     deltas = []
-    for _, k, poly in walk:
+    for _, k, poly in _kj_polys(m, theta, j_max, table):
         lm = eval_log_magnitude(poly, lambda_sign, k**theta, precision_bits=RESULT_BITS)
         with mp_prec(RESULT_BITS):
             deltas.append(lm.log_mag - to_mpf(s) * k * mp.log(k))

@@ -1,8 +1,9 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from gsmult.derivpoly import CoeffTable, build_coeff_table
+from gsmult.derivpoly import CoeffTable, build_coeff_table, coeff_rows
 
 _CACHE: dict[int, object] = {}
 
@@ -15,6 +16,21 @@ def get_table(m: int, k_max: int):
         table = build_coeff_table(m, k_max)
         _CACHE[m] = table
     return CoeffTable(m=m, k_max=k_max, rows=table.rows[:k_max])
+
+
+def held_and_walk(m: int, k_max: int):
+    """The same table twice: held as a ``CoeffTable`` and as a ``coeff_rows`` walk."""
+    return get_table(m, k_max), coeff_rows(m, k_max)
+
+
+def traced_peak(fn):
+    """``(fn(), peak bytes allocated while it ran)``, measured by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -61,8 +61,10 @@ class TestExitCodes:
             (["--precision-bits", "0"], ["verify", "identities", "--m", "3", "--kmax", "10", "--theta", "5/6"]),
             (["--precision-bits", "63"], ["probe", "run", "--m", "2", "--theta", "1", "--nu", "1", "--kmax", "4"]),
             (["--precision-bits", "64"], ["gs", "bound", "--theta", "1/2", "--kmax", "10"]),
+            (["--precision-bits", "0"], ["probe", "run", "--m", "2", "--theta", "1", "--nu", "1", "--kmax", "4"]),
+            (["--precision-bits", "63"], ["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "1", "--s", "1", "--kmax", "2"]),
         ],
-        ids=["flag-negative", "flag-zero", "flag-63", "gs-bound-flag-64"],
+        ids=["flag-negative", "flag-zero", "flag-63", "gs-bound-flag-64", "probe-flag-zero", "seminorm-flag-63"],
     )
     def test_bad_precision_is_usage_error(self, tmp_path, capsys, flag, argv):
         if argv[:2] == ["probe", "run"]:
@@ -136,6 +138,28 @@ class TestTable:
         assert (tmp_path / "sub" / "t.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--m", "3", "--kmax", "30", "--out", "t.json"],
+        ["verify", "coeffs", "--m", "3", "--kmax", "30"],
+        ["verify", "identities", "--m", "3", "--kmax", "30", "--theta", "1", "--jmax", "4"],
+        ["probe", "run", "--m", "3", "--theta", "1", "--nu", "1", "--kmax", "20", "--csv", "p.csv"],
+        ["probe", "run", "--m", "3", "--theta", "1", "--nu", "1", "--kmax", "40", "--kj-only", "--csv", "p.csv"],
+        ["probe", "criterion", "--m", "3", "--theta", "1", "--s", "1", "--jmax", "4"],
+    ],
+    ids=["table", "verify-coeffs", "verify-identities", "probe-run", "probe-run-kj", "probe-criterion"],
+)
+def test_command_holds_no_table(tmp_path, monkeypatch, capsys, argv):
+    # every command walks the rows it needs; none makes a CoeffTable
+    made = []
+    real = derivpoly.CoeffTable.__init__
+    monkeypatch.setattr(derivpoly.CoeffTable, "__init__", lambda self, *a, **kw: made.append(kw) or real(self, *a, **kw))
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    assert made == []
+
+
 class TestPrintCheck:
     @pytest.mark.parametrize(
         "w", [(4, 2, 123, 45), ("slope", "1.5e-3"), (7,), ("not-increasing", 3, "0.25"), (True, 0)]
@@ -162,14 +186,18 @@ class TestVerifyIdentities:
         assert "evaluation-lower-bound" in names
         assert all(entry["passed"] for entry in payload)
 
-    @pytest.mark.parametrize("kmax, k_top", [(20, 60), (80, 80)], ids=["kj-beyond-kmax", "kmax-beyond-kj"])
-    def test_one_table_serves_every_check(self, monkeypatch, capsys, kmax, k_top):
-        # k_10 = 60 at m=3: the lower-bound check and the table checks share one table
+    @pytest.mark.parametrize(
+        "kmax, walks", [(20, [(3, 20), (3, 60)]), (80, [(3, 60), (3, 80)])], ids=["kj-beyond-kmax", "kmax-beyond-kj"]
+    )
+    def test_builds_no_table(self, monkeypatch, capsys, kmax, walks):
+        # k_10 = 60 at m=3: the lower-bound check walks the rows to k_10, the table checks to --kmax
+        built = []
+        monkeypatch.setattr(derivpoly, "build_coeff_table", lambda *args: built.append(args))
         real, calls = derivpoly.coeff_rows, []
         monkeypatch.setattr(derivpoly, "coeff_rows", lambda *args: calls.append(args) or real(*args))
         argv = ["verify", "identities", "--m", "3", "--kmax", str(kmax), "--theta", "1", "--jmax", "10"]
         assert run(argv) == 0
-        assert calls == [(3, k_top)]
+        assert built == [] and sorted(calls) == walks
 
     def test_fractional_theta_skips_lower_bound(self, capsys):
         code = run(["verify", "identities", "--m", "3", "--kmax", "12", "--theta", "2/3"])

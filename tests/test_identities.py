@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gsmult import identities
 from gsmult._util import format_fraction
-from gsmult.derivpoly import CoeffTable
+from gsmult.derivpoly import CoeffTable, build_coeff_table, coeff_rows
 from gsmult.identities import (
     CheckResult,
     _result,
@@ -23,7 +23,15 @@ from gsmult.identities import (
 )
 from gsmult.precision import ParameterError, iv_endpoints, iv_fixed, iv_prec, to_iv
 
-from conftest import get_table
+from conftest import get_table, held_and_walk, traced_peak
+
+
+def check_both(check, m, k_max, *args):
+    """``check`` on the held table, asserted equal to ``check`` on its ``coeff_rows`` walk."""
+    held, walk = held_and_walk(m, k_max)
+    result = check(held, *args)
+    assert check(walk, *args) == result
+    return result
 
 
 class TestCheckResult:
@@ -59,38 +67,36 @@ class TestCk1ClosedForm:
     def test_examples(self):
         assert get_table(3, 4).coeff(4, 1) == 12 == (3 - 1) * 4 * 3 // 2
         assert get_table(2, 2).coeff(2, 1) == 1
-        assert check_ck1_closed_form(get_table(6, 100)).passed
+        assert check_both(check_ck1_closed_form, 6, 100).passed
 
     def test_all_small_degrees(self):
         for m in range(2, 7):
-            assert check_ck1_closed_form(get_table(m, 64)).passed
+            assert check_both(check_ck1_closed_form, m, 64).passed
 
 
 class TestCk2Bound:
     def test_examples(self):
         assert 2 * get_table(3, 4).coeff(4, 2) == 40 <= 9 * 256
         assert 2 * get_table(2, 4).coeff(4, 2) == 6 <= 4 * 256
-        result = check_ck2_bound(get_table(6, 128))
+        result = check_both(check_ck2_bound, 6, 128)
         assert result.passed
         assert 0 < result.extremal_ratio < 1
 
     def test_requires_k4(self):
-        from gsmult.derivpoly import build_coeff_table
-
         with pytest.raises(ValueError):
             check_ck2_bound(build_coeff_table(2, 3))
 
 
 class TestRatioBound:
     def test_theta_one_small(self):
-        result = check_ratio_bound(get_table(2, 32), Fraction(1))
+        result = check_both(check_ratio_bound, 2, 32, Fraction(1))
         assert result.passed
         assert result.extremal_ratio <= 1
 
     def test_exact_power_instance(self):
         # m = 3, theta = 2/3, k = 4, n = 1: 20**3 <= 12**3 * 27 * 4**6
         assert 20**3 <= 12**3 * 27 * 4**6
-        assert check_ratio_bound(get_table(3, 32), Fraction(2, 3)).passed
+        assert check_both(check_ratio_bound, 3, 32, Fraction(2, 3)).passed
 
     def test_rejects_below_two_over_m(self):
         with pytest.raises(ValueError):
@@ -98,9 +104,15 @@ class TestRatioBound:
 
     def test_tightness_near_two_over_m(self):
         # at theta = 2/m the recorded ratio comes within an order of magnitude of 1
-        result = check_ratio_bound(get_table(4, 64), Fraction(1, 2))
+        result = check_both(check_ratio_bound, 4, 64, Fraction(1, 2))
         assert result.passed
         assert result.extremal_ratio > 0.1
+
+    def test_walk_holds_no_table(self):
+        # the check reads one row at a time, so a walk is checked without the table
+        table_bytes = traced_peak(lambda: build_coeff_table(4, 300))[1]
+        result, peak = traced_peak(lambda: check_ratio_bound(coeff_rows(4, 300), Fraction(1, 2)))
+        assert result.passed and peak < table_bytes / 4
 
 
 def reference_ratio_bound(table, theta):
@@ -161,7 +173,9 @@ class TestRatioBoundMatchesReference:
         [(4, 120, Fraction(1, 2)), (3, 120, Fraction(5, 6)), (6, 80, Fraction(1, 3)), (2, 120, 1), (5, 80, Fraction(7, 5))],
     )
     def test_clean_tables(self, m, k_max, theta):
-        assert self.assert_same(get_table(m, k_max), theta).passed
+        result = self.assert_same(get_table(m, k_max), theta)
+        assert result.passed
+        assert check_ratio_bound(coeff_rows(m, k_max), theta) == result
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gsmult import oracle as oracle_module
-from gsmult.derivpoly import CoeffTable, row_length
+from gsmult.derivpoly import CoeffTable, build_coeff_table, coeff_rows, row_length
 from gsmult.oracle import (
     NonIntegralCoefficientError,
     certify,
@@ -17,7 +17,7 @@ from gsmult.oracle import (
     symbolic_recursion_oracle,
 )
 
-from conftest import get_table
+from conftest import get_table, held_and_walk, traced_peak
 
 
 class TestCoeffOracle:
@@ -121,14 +121,16 @@ class TestGeneratingFunction:
 
 class TestCertify:
     def test_m3_kmax10_clean(self):
-        from gsmult.derivpoly import build_coeff_table
-
-        report = certify(build_coeff_table(3, 10))
+        held, walk = held_and_walk(3, 10)
+        report = certify(held)
         assert report.certified and report.k_range == (1, 10)
+        assert certify(walk) == report
 
     def test_m2_kmax25_with_hermite(self):
-        report = certify(get_table(2, 25))
+        held, walk = held_and_walk(2, 25)
+        report = certify(held)
         assert report.certified
+        assert certify(walk) == report
 
     def test_fault_injection_single_cell(self):
         table = get_table(3, 6)
@@ -142,8 +144,16 @@ class TestCertify:
         assert int(got) == int(want) + 1
 
     def test_m4_kmax300_certified(self):
-        report = certify(get_table(4, 300))
+        held, walk = held_and_walk(4, 300)
+        report = certify(held)
         assert report.certified and report.k_range == (1, 300)
+        assert certify(walk) == report
+
+    def test_walk_holds_no_table(self):
+        # certifying a walk holds one row of the table at a time, not all of them
+        table_bytes = traced_peak(lambda: build_coeff_table(4, 300))[1]
+        report, peak = traced_peak(lambda: certify(coeff_rows(4, 300)))
+        assert report.certified and peak < table_bytes / 4
 
     def test_m4_kmax300_memory_bounded(self):
         # every oracle keeps a bounded window of rows, not every power or order
@@ -192,8 +202,6 @@ class TestCertify:
             certify(get_table(3, 10))
 
     def test_json_shape(self):
-        from gsmult.derivpoly import build_coeff_table
-
         data = certify(build_coeff_table(2, 5)).to_json_dict()
         assert data["certified"] is True
         assert data["k_range"] == [1, 5]

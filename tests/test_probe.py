@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp
 
 from gsmult import probe as probe_module
-from gsmult.derivpoly import derivative_poly, eval_log_magnitude, kj_sequence
+from gsmult.derivpoly import build_coeff_table, derivative_poly, eval_log_magnitude, kj_sequence
 from gsmult.precision import PrecisionError
 from gsmult.probe import (
     RATE_BITS,
@@ -18,7 +18,7 @@ from gsmult.probe import (
     probe_series,
 )
 
-from conftest import get_table
+from conftest import get_table, traced_peak
 
 
 def config(m=2, theta=1, nu=None, ks=(1, 2, 3), sign=1, bits=None):
@@ -65,6 +65,20 @@ class TestProbeSeries:
 
     def test_empty_orders_give_empty_list(self):
         assert probe_series(config(ks=())) == []
+
+    @pytest.mark.parametrize("theta", [1, Fraction(3, 2)], ids=["exact", "enclosed"])
+    def test_records_come_back_in_the_callers_order(self, theta):
+        # the rows are walked once, in ascending k; the records follow k_values
+        ks = (7, 3, 7, 1, 12, 3)
+        records = probe_series(config(m=3, theta=theta, ks=ks))
+        single = {k: probe_series(config(m=3, theta=theta, ks=(k,)))[0] for k in set(ks)}
+        assert records == [single[k] for k in ks]
+
+    def test_walk_holds_no_table(self):
+        # without a table the rows are made as they are walked, and none is held
+        table_bytes = traced_peak(lambda: build_coeff_table(4, 300))[1]
+        records, peak = traced_peak(lambda: probe_series(config(m=4, ks=range(1, 301))))
+        assert len(records) == 300 and peak < table_bytes / 4
 
     def test_k8_meets_paper_scale_lower_bound(self):
         records = probe_series(config(ks=(8,)))

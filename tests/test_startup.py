@@ -39,8 +39,9 @@ def _fresh(code: str, cwd: Path):
         ["--help"],
         ["wedge", "classify", "--theta", "1/2", "--s", "1", "--m", "3", "--space", "beurling"],
         ["wedge", "figure", "--m", "3", "--space", "beurling", "--monomial", "--format", "svg", "--out", "b3.svg"],
+        ["--precision-bits", "128", "wedge", "classify", "--theta", "1/2", "--s", "1", "--m", "3", "--space", "beurling"],
     ],
-    ids=["help", "wedge-classify", "wedge-figure-svg"],
+    ids=["help", "wedge-classify", "wedge-figure-svg", "wedge-classify-precision-flag"],
 )
 def test_command_loads_no_mpmath(tmp_path, argv):
     code = (

@@ -52,13 +52,19 @@ def parse_fraction(text: str) -> Fraction:
 _INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
-def format_int(n: int) -> str:
-    """Decimal string of an int of any size, without touching the process limit.
+def format_int(n) -> str:
+    """Decimal string of an int of any size, or of an integer held as a ``decimal.Decimal``.
 
     CPython's ``str`` refuses ints above ``sys.get_int_max_str_digits()``
     digits (4300 by default); those go through ``decimal.Decimal``, whose
     conversion has no digit limit.  Below the limit this is exactly ``str``.
+    A Decimal is written by its own ``str``, in time linear in its digits
+    (an int's takes quadratic time), and must be an integer with exponent 0.
     """
+    if isinstance(n, decimal.Decimal):
+        if not n.same_quantum(1):
+            raise ValueError("Decimal %.40s is not an integer with exponent 0" % n)
+        return str(n)
     limit = sys.get_int_max_str_digits()
     # n has at most floor(bits * log10(2)) + 1 digits, and log10(2) < 0.30103
     if not limit or n.bit_length() * 30103 <= (limit - 1) * 100000:

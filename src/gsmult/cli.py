@@ -172,7 +172,7 @@ def _witness_repr(w: tuple) -> str:
 
 
 def _cmd_table(args) -> int:
-    rows = derivpoly.coeff_rows(args.m, args.kmax)
+    rows = derivpoly.coeff_rows(args.m, args.kmax).decimals()  # arguments checked before the file is made
     out = _resolve(args.out, args.out_dir)
     with out.open("w", encoding="utf-8") as fp:
         derivpoly.write_table_json(fp, args.m, args.kmax, rows)

@@ -21,6 +21,15 @@ two boundary cases of the step (top index present or absent, depending on
 whether m divides k) a single uniform formula; the oracle module certifies
 the result against two independent constructions.
 
+The step is written once, in ``_next_row``; only + and * by an int touch
+the entries, so it walks Python ints (``coeff_rows``, for every consumer
+that reads the values) and exact ``decimal.Decimal`` integers
+(``CoeffRows.decimals``, for the JSON export: a Decimal's ``str`` takes
+time linear in its digits, an int's quadratic).  The Decimal walk runs each
+step in a context of maximal precision that traps every rounding, so a
+digit cannot be lost silently.  Nothing here loads mpmath until a
+magnitude is evaluated, so ``table`` and ``verify coeffs`` never load it.
+
 One Horner loop in m*x**m evaluates p_k(x) for lam = m * i**turn using only
 + - * and integer powers, so it runs unchanged over Python ints, Fractions
 and mpmath intervals.  Magnitudes |p_k(x)| for lam = +/- i*m are thus exact
@@ -36,29 +45,29 @@ magnitude-level results hold for either normalization.
 
 from __future__ import annotations
 
+import decimal
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import mpmath
-from mpmath import iv, mp
-
+from . import precision  # lazy: its body, and mpmath, load at the first evaluation
 from ._util import ParameterError, format_int, parse_int, require_degree, require_precision
-from .precision import (
-    PrecisionError,
-    escalate,
-    fixed_rounded,
-    half_log_of_int,
-    iv_endpoints,
-    iv_fixed,
-    iv_prec,
-    to_iv,
-)
+
+if TYPE_CHECKING:
+    import mpmath
 
 RESULT_BITS = 192  # default result precision of a log
 _GUARD_BITS = 64  # an interval evaluation starts this far above its result precision
+
+# Exact integer arithmetic on Decimals: a result that would need rounding raises instead.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation],
+)
 
 
 def row_length(m: int, k: int) -> int:
@@ -119,8 +128,8 @@ class CoeffTable:
             _check_row(self.m, k, row)
 
 
-def _check_row(m: int, k: int, row: tuple[int, ...]) -> None:
-    """Row k of a degree-m table: its length, leading 1 and positivity."""
+def _check_row(m: int, k: int, row: tuple) -> None:
+    """Row k of a degree-m table, of ints or Decimals: its length, leading 1 and positivity."""
     if len(row) != row_length(m, k):
         raise ParameterError("row %d has length %d, expected %d" % (k, len(row), row_length(m, k)))
     if row[0] != 1:
@@ -132,9 +141,10 @@ def _check_row(m: int, k: int, row: tuple[int, ...]) -> None:
 def write_table_json(fp, m: int, k_max: int, rows) -> None:
     """Write the compact JSON export of a table given by its rows to ``fp``.
 
-    ``rows`` may be any iterable, such as ``coeff_rows``: each row is checked
-    as ``CoeffTable.validate`` does and written before the next is read, so
-    at most one row is held.
+    ``rows`` may be any iterable of rows of ints or of integral Decimals,
+    such as ``coeff_rows(m, k_max).decimals()``: each row is checked as
+    ``CoeffTable.validate`` does and written by ``format_int`` before the
+    next is read, so at most one row is held.
     """
     fp.write('{"m":%d,"k_max":%d,"rows":[' % (m, k_max))
     sep = '["'
@@ -158,12 +168,36 @@ class CoeffRows:
     k_max: int
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        m, row = self.m, (1,)  # p_0 = 1
-        for k in range(self.k_max):  # C[k+1][n] = C[k][n] + C[k][n-1] * w, w = (m-1)k - m(n-1)
-            padded = row + (0,) if row_length(m, k + 1) > len(row) else row
-            row = row[:1] + tuple([a + b * w for a, b, w in zip(padded[1:], row, range((m - 1) * k, -1, -m))])
-            _check_row(m, k + 1, row)
+        row = (1,)  # p_0 = 1
+        for k in range(self.k_max):
+            row = _next_row(self.m, k, row)
+            _check_row(self.m, k + 1, row)
             yield row
+
+    def decimals(self) -> Iterator[tuple[decimal.Decimal, ...]]:
+        """The same rows as exact ``decimal.Decimal`` integers, for export.
+
+        Each step runs under ``_EXACT``, so a rounded digit raises instead of
+        being written; the context is set per step and never held across a
+        ``yield``, so the caller's context holds between rows and after an
+        abandoned walk.  The rows are left to their reader to check, as
+        ``write_table_json`` does.
+        """
+        row = (decimal.Decimal(1),)
+        for k in range(self.k_max):
+            with decimal.localcontext(_EXACT):
+                row = _next_row(self.m, k, row)
+            yield row
+
+
+def _next_row(m: int, k: int, row: tuple) -> tuple:
+    """Row k+1 from row k: C[k+1][n] = C[k][n] + C[k][n-1] * w, w = (m-1)k - m(n-1).
+
+    Only + and * by an int touch the entries, so the step is the same over
+    ints and exact Decimals.
+    """
+    padded = row + (0,) if row_length(m, k + 1) > len(row) else row
+    return row[:1] + tuple([a + b * w for a, b, w in zip(padded[1:], row, range((m - 1) * k, -1, -m))])
 
 
 def coeff_rows(m: int, k_max: int) -> CoeffRows:
@@ -279,13 +313,13 @@ def gaussian_parts(poly: DerivPoly, lambda_sign: int, x: int) -> tuple[int, int]
 
 
 def _interval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, out_bits: int, bits: int) -> LogMagnitude:
-    with iv_prec(bits):
-        re, im = _parts(poly, lambda_sign % 4, to_iv(x))
+    with precision.iv_prec(bits) as iv:
+        re, im = _parts(poly, lambda_sign % 4, precision.to_iv(x))
         mag2 = re * re + im * im
-        lo, hi, e = iv_fixed(mag2)
+        lo, hi, e = precision.iv_fixed(mag2)
         if lo <= 0 <= hi:
-            raise PrecisionError("modulus enclosure touches zero", mp.ldexp(hi - lo, e))
-        log_mag = fixed_rounded(*iv_fixed(iv.log(mag2) / 2), out_bits)
+            raise precision.PrecisionError("modulus enclosure touches zero", precision.mp.ldexp(hi - lo, e))
+        log_mag = precision.fixed_rounded(*precision.iv_fixed(iv.log(mag2) / 2), out_bits)
     return LogMagnitude(log_mag=log_mag, exact=False, precision_bits=bits)
 
 
@@ -304,7 +338,7 @@ def eval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, precision_bits: int
     if lambda_sign not in (1, -1):
         raise ParameterError("lambda_sign must be +1 or -1")
     x_int = x.numerator if isinstance(x, (int, Fraction)) and x.denominator == 1 else None
-    lo = iv_endpoints(x)[0] if isinstance(x, iv.mpf) else x
+    lo = precision.iv_endpoints(x)[0] if isinstance(x, precision.iv.mpf) else x
     if not lo >= 0:
         raise ParameterError("x must be nonnegative")
     require_precision(precision_bits)
@@ -312,9 +346,9 @@ def eval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, precision_bits: int
     if x_int is not None:
         re, im = gaussian_parts(poly, lambda_sign, x_int)
         mag2 = re * re + im * im
-        log_mag = half_log_of_int(mag2, precision_bits) if mag2 else mp.ninf
+        log_mag = precision.half_log_of_int(mag2, precision_bits) if mag2 else precision.mp.ninf
         return LogMagnitude(log_mag=log_mag, exact=True, precision_bits=precision_bits)
-    return escalate(
+    return precision.escalate(
         lambda b: _interval_log_magnitude(poly, lambda_sign, x, precision_bits, b), precision_bits + _GUARD_BITS
     )
 

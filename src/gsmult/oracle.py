@@ -73,34 +73,39 @@ def _composition_sums(m: int):
         yield row
 
 
-def _composition_rows(m: int):
-    """Yield C[k][.] for k = 1, 2, ... from the composition sums S_k.
+def _composition_cells(m: int):
+    """Yield, for k = 1, 2, ..., the pairs (k!/(k-n)! * S_k[k-n], m**(k-n)), n = 0..floor(k(m-1)/m).
 
     C[k][n] = k! * S_k[k-n] / (m**(k-n) * (k-n)!), and (k-n)! always divides
-    k!, so k!/(k-n)! * S_k[k-n] is divided by m**(k-n) alone; the division
-    must be exact.  Along a row, k!/(k-n)! and m**(k-n) are carried from n
-    to n+1 by one small-factor product and one exact division by m.
+    k!, so C[k][n] is the first of its pair divided by the second, and the
+    division must be exact.  Along a row, k!/(k-n)! and m**(k-n) are carried
+    from n to n+1 by one small-factor product and one exact division by m.
     """
     for k, sums in enumerate(islice(_composition_sums(m), 1, None), 1):
-        row = {}
-        falling, power = 1, m**k  # k!/(k-n)! and m**(k-n) at n = 0
+        cells, falling, power = [], 1, m**k  # k!/(k-n)! and m**(k-n) at n = 0
         for n in range(row_length(m, k)):
-            row[n], rem = divmod(falling * sums[k - n], power)
-            if rem:
-                raise NonIntegralCoefficientError("prefactor does not divide at (m=%d, k=%d, n=%d)" % (m, k, n))
+            cells.append((falling * sums[k - n], power))
             falling *= k - n
             power //= m
-        yield row
+        yield cells
+
+
+def _composition_value(m: int, k: int, n: int, cell: tuple[int, int]) -> int:
+    """C[k][n] from its composition-sum pair; NonIntegralCoefficientError unless the division is exact."""
+    value, rem = divmod(*cell)
+    if rem:
+        raise NonIntegralCoefficientError("prefactor does not divide at (m=%d, k=%d, n=%d)" % (m, k, n))
+    return value
 
 
 def coeff_oracle(m: int, k: int, n: int) -> int:
-    """C[k][n] from the composition-sum formula, exactly; walks ``_composition_rows`` to order k."""
+    """C[k][n] from the composition-sum formula, exactly; walks ``_composition_cells`` to order k."""
     require_degree(m)
     if k < 1:
         raise ParameterError("order k must be >= 1")
     if not 0 <= n <= k * (m - 1) // m:
         raise ParameterError("index n=%d outside 0..%d" % (n, k * (m - 1) // m))
-    return next(islice(_composition_rows(m), k - 1, None))[n]
+    return _composition_value(m, k, n, next(islice(_composition_cells(m), k - 1, None))[n])
 
 
 def _symbolic_rows(m: int):
@@ -220,18 +225,28 @@ def certify(table: CoeffTable | CoeffRows) -> OracleReport:
     One walk over the rows k = 1..k_max (a walk holds none) advances the
     composition-sum, symbolic and (for m = 2) Hermite recursions one order
     at a time.  A cell is reported at most once, with the value of the first
-    disagreeing oracle in that order.  Discrepancies are data, not errors:
+    disagreeing oracle in that order.  The composition sum is checked
+    without division, as C[k][n] * m**(k-n) == k!/(k-n)! * S_k[k-n]; only a
+    cell that fails it is divided, to report the oracle's value (or raise
+    ``NonIntegralCoefficientError``).  Discrepancies are data, not errors:
     fault-injection tests rely on getting a report back.
     """
     m = table.m
-    walks = [_composition_rows(m), _symbolic_rows(m)]
+    walks = [_symbolic_rows(m)]
     if m == 2:
         walks.append(_hermite_rows())
     discrepancies = []
-    for k, (table_row, *oracle_rows) in enumerate(zip(table, *walks), start=1):
+    for k, (table_row, cells, *oracle_rows) in enumerate(zip(table, _composition_cells(m), *walks), start=1):
         for n, value in enumerate(table_row):
-            for row in oracle_rows:
-                if value != row[n]:
-                    discrepancies.append((k, n, format_int(value), format_int(row[n])))
-                    break
+            numerator, power = cells[n]
+            if value * power == numerator:
+                for row in oracle_rows:
+                    if value != row[n]:
+                        expected = row[n]
+                        break
+                else:
+                    continue
+            else:
+                expected = _composition_value(m, k, n, cells[n])
+            discrepancies.append((k, n, format_int(value), format_int(expected)))
     return OracleReport(m=m, k_range=(1, table.k_max), discrepancies=tuple(discrepancies))

@@ -1,8 +1,10 @@
+import decimal
 import io
 import json
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
@@ -23,6 +25,7 @@ from gsmult.derivpoly import (
     write_table_json,
 )
 from gsmult import derivpoly as derivpoly_module
+from gsmult._util import format_int
 from gsmult.precision import ParameterError, PrecisionError, iv_endpoints, iv_fixed, iv_prec, to_iv
 
 from conftest import get_table
@@ -177,6 +180,53 @@ class TestJsonExport:
         data = {"m": 2, "k_max": 2, "rows": [["1"], ["1", "1" * 5000 + ".5"]]}
         with pytest.raises(ValueError):
             CoeffTable.from_json_dict(data)
+
+
+class TestDecimalWalk:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_entries_print_as_the_int_walk(self, m):
+        decimals = coeff_rows(m, 300).decimals()
+        for ints, row in zip(coeff_rows(m, 300), decimals, strict=True):
+            assert all(type(c) is decimal.Decimal for c in row)
+            assert list(map(str, row)) == list(map(format_int, ints))
+
+    def test_callers_context_holds_between_rows_after_and_when_abandoned(self):
+        with decimal.localcontext(decimal.Context(prec=7, traps=[])) as ours:
+            walk = coeff_rows(6, 200).decimals()
+            for _ in islice(walk, 150):
+                assert decimal.getcontext() is ours and ours.prec == 7
+            assert ours.flags[decimal.Rounded] is False
+            walk.close()  # abandoned after 150 of 200 rows
+            assert decimal.getcontext() is ours
+            assert sum(1 for _ in coeff_rows(3, 40).decimals()) == 40
+            assert decimal.getcontext() is ours and ours.prec == 7
+
+    def test_a_rounded_digit_raises(self, monkeypatch):
+        exact = derivpoly_module._EXACT
+        assert exact.prec == decimal.MAX_PREC
+        for signal in (decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation):
+            assert exact.traps[signal]
+        # the same traps at 40 digits stop the walk at the first row that would need more
+        monkeypatch.setattr(derivpoly_module, "_EXACT", exact.copy())
+        derivpoly_module._EXACT.prec = 40
+        walk = coeff_rows(4, 200).decimals()
+        with pytest.raises((decimal.Inexact, decimal.Rounded)):
+            for row in walk:
+                assert max(row).adjusted() < 40
+
+    def test_export_checks_each_row_once(self, monkeypatch):
+        seen = []
+        real = derivpoly_module._check_row
+        monkeypatch.setattr(derivpoly_module, "_check_row", lambda m, k, row: seen.append(k) or real(m, k, row))
+        buf = io.StringIO()
+        write_table_json(buf, 4, 80, coeff_rows(4, 80).decimals())
+        assert seen == list(range(1, 81))
+        assert buf.getvalue() == get_table(4, 80).to_json(separators=(",", ":")) + "\n"
+
+    def test_writer_rejects_a_decimal_that_is_not_an_integer(self):
+        for bad in ("2.0", "2E+1", "Infinity"):
+            with pytest.raises(ValueError, match="not an integer with exponent 0"):
+                write_table_json(io.StringIO(), 2, 2, [(decimal.Decimal(1),), (decimal.Decimal(1), decimal.Decimal(bad))])
 
 
 class TestDerivPoly:

@@ -143,6 +143,20 @@ class TestCertify:
         assert (k, n) == (4, 2)
         assert int(got) == int(want) + 1
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_only_a_disagreeing_cell_is_divided(self, monkeypatch, m):
+        # a clean table is checked as C[k][n] * m**(k-n) == k!/(k-n)! * S_k[k-n], with no division;
+        # a corrupted cell is divided once and reported with the oracle's value
+        divided = []
+        real = oracle_module._composition_value
+        monkeypatch.setattr(oracle_module, "_composition_value", lambda *a: divided.append(a[1:3]) or real(*a))
+        assert certify(coeff_rows(m, 60)).certified and divided == []
+        rows = [list(r) for r in get_table(m, 60).rows]
+        rows[49][5] -= 3
+        report = certify(CoeffTable(m=m, k_max=60, rows=tuple(map(tuple, rows))))
+        assert divided == [(50, 5)]
+        assert report.discrepancies == ((50, 5, str(rows[49][5]), str(coeff_oracle(m, 50, 5))),)
+
     def test_m4_kmax300_certified(self):
         held, walk = held_and_walk(4, 300)
         report = certify(held)

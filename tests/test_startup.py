@@ -1,8 +1,9 @@
 """Start-up contract: what ``import gsmult`` and the CLI load, and the lazy exports.
 
 The numeric submodules are registered in ``sys.modules`` when the package is
-imported, but each one's body runs on first use; ``wedge`` commands and
-``--help`` therefore never import mpmath.  Each start-up check runs in a
+imported, but each one's body runs on first use; ``wedge`` commands,
+``--help`` and the exact-integer ``table`` and ``verify coeffs`` therefore
+never import mpmath.  Each start-up check runs in a
 fresh interpreter, since this test process has long since loaded everything.
 """
 
@@ -40,8 +41,10 @@ def _fresh(code: str, cwd: Path):
         ["wedge", "classify", "--theta", "1/2", "--s", "1", "--m", "3", "--space", "beurling"],
         ["wedge", "figure", "--m", "3", "--space", "beurling", "--monomial", "--format", "svg", "--out", "b3.svg"],
         ["--precision-bits", "128", "wedge", "classify", "--theta", "1/2", "--s", "1", "--m", "3", "--space", "beurling"],
+        ["table", "--m", "4", "--kmax", "40", "--out", "t4.json"],
+        ["verify", "coeffs", "--m", "2", "--kmax", "40", "--json", "v2.json"],  # m = 2 runs the Hermite oracle too
     ],
-    ids=["help", "wedge-classify", "wedge-figure-svg", "wedge-classify-precision-flag"],
+    ids=["help", "wedge-classify", "wedge-figure-svg", "wedge-classify-precision-flag", "table", "verify-coeffs"],
 )
 def test_command_loads_no_mpmath(tmp_path, argv):
     code = (

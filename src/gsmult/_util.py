@@ -2,8 +2,8 @@
 
 It holds ``ParameterError``, the ``CheckResult`` every verifier returns,
 the degree check, and the exact-string formats used by every
-file-emitting code path.  ``format_mpf`` imports mpmath when first called,
-so the exact-rational ``wedge`` commands never load it.
+file-emitting code path.  ``format_mpf`` imports mpmath only for an mpmath
+value, so the exact commands, which print Python floats, never load it.
 """
 
 from __future__ import annotations
@@ -91,7 +91,13 @@ def format_fraction(q: Fraction) -> str:
 
 
 def format_mpf(x, digits: int = 24) -> str:
-    """Deterministic decimal string for an mpf value."""
+    """Deterministic decimal string for an mpf value, ``mpmath.nstr(x, digits)``.
+
+    A Python int or float is ``str(x)``, which is what ``nstr`` returns for
+    it, so it is written without importing mpmath.
+    """
+    if isinstance(x, (int, float)):
+        return str(x)
     import mpmath
 
     if x == mpmath.inf:

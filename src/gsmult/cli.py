@@ -201,14 +201,8 @@ def _cmd_verify_identities(args) -> int:
     wedge_fn = identities.check_wedge_fn_nonneg(args.m, args.theta, **_precision_kwargs(args))
     exact_theta = args.theta.denominator == 1
     lower = [identities.check_lower_bound(args.m, 1, args.theta.numerator, args.jmax)] if exact_theta else []
-    rows = derivpoly.coeff_rows(args.m, max(args.kmax, 4))  # each check walks it afresh; none holds the table
-    results = [
-        floor,
-        identities.check_ck1_closed_form(rows),
-        identities.check_ck2_bound(rows),
-        identities.check_ratio_bound(rows, args.theta),
-        wedge_fn,
-    ] + lower
+    rows = derivpoly.coeff_rows(args.m, max(args.kmax, 4))  # made once, row by row, for the three table checks
+    results = [floor, *identities.check_table_bounds(rows, args.theta), wedge_fn] + lower
     if not lower:
         print("evaluation-lower-bound skipped: requires an integer --theta")
     for r in results:

@@ -199,6 +199,22 @@ class TestVerifyIdentities:
         assert run(argv) == 0
         assert built == [] and sorted(calls) == walks
 
+    @pytest.mark.parametrize(
+        "argv, steps",
+        [
+            (["--kmax", "20", "--theta", "5/6"], 20),
+            (["--kmax", "2", "--theta", "5/6"], 4),  # the ck2 bound needs k >= 4
+            (["--kmax", "20", "--theta", "1", "--jmax", "10"], 20 + 60),  # plus the walk to k_10 = 60
+        ],
+        ids=["rational", "kmax-below-4", "integer"],
+    )
+    def test_makes_each_row_once(self, monkeypatch, capsys, argv, steps):
+        # one walk feeds the three table checks, so each of its rows is made once
+        real, calls = derivpoly._next_row, []
+        monkeypatch.setattr(derivpoly, "_next_row", lambda *args: calls.append(args[1]) or real(*args))
+        assert run(["verify", "identities", "--m", "3"] + argv) == 0
+        assert len(calls) == steps
+
     def test_fractional_theta_skips_lower_bound(self, capsys):
         code = run(["verify", "identities", "--m", "3", "--kmax", "12", "--theta", "2/3"])
         assert code == 0

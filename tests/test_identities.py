@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,15 +14,15 @@ from gsmult.derivpoly import CoeffTable, build_coeff_table, coeff_rows
 from gsmult.identities import (
     CheckResult,
     _result,
-    _wedge_fn_enclosure,
     check_ck1_closed_form,
     check_ck2_bound,
     check_floor_identities,
     check_lower_bound,
     check_ratio_bound,
+    check_table_bounds,
     check_wedge_fn_nonneg,
 )
-from gsmult.precision import ParameterError, iv_endpoints, iv_fixed, iv_prec, to_iv
+from gsmult.precision import ParameterError, iv_fixed, iv_prec, to_iv
 
 from conftest import get_table, held_and_walk, traced_peak
 
@@ -226,6 +227,57 @@ class TestRatioBoundMatchesReference:
         self.assert_same(_edited(table, [(k, n, a)]), theta)
 
 
+class TestTableBounds:
+    """The three table checks from one walk give what each gives on its own."""
+
+    @pytest.mark.parametrize(
+        "m, k_max, theta",
+        [(4, 120, Fraction(1, 2)), (3, 60, Fraction(5, 6)), (2, 4, Fraction(1)), (6, 40, Fraction(7, 3))],
+    )
+    def test_one_walk_gives_the_three_checks(self, m, k_max, theta):
+        held, walk = held_and_walk(m, k_max)
+        expected = [check_ck1_closed_form(held), check_ck2_bound(held), check_ratio_bound(held, theta)]
+        assert all(r.passed for r in expected)
+        assert check_table_bounds(walk, theta) == check_table_bounds(held, theta) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_tampered_tables(self, data):
+        m = data.draw(st.integers(2, 6))
+        table = get_table(m, data.draw(st.integers(4, 40)))
+        theta = _theta_for(m, data)
+        edits = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            k, n = _cell(table, data)
+            edits.append((k, n, table.coeff(k, n) * data.draw(st.sampled_from([2, 3, 2**40]))))
+        tampered = _edited(table, edits)
+        results = check_table_bounds(tampered, theta)
+        alone = [check_ck1_closed_form(tampered), check_ck2_bound(tampered), check_ratio_bound(tampered, theta)]
+        assert results == alone
+        assert results[0].passed == all(n != 1 for _, n, _ in edits)  # every edit moves its cell
+        assert results[2].to_json() == reference_ratio_bound(tampered, theta).to_json()
+
+    @pytest.mark.parametrize(
+        "k_max, theta", [(3, Fraction(1)), (10, Fraction(1, 4))], ids=["below-k4", "theta-below-2-over-m"]
+    )
+    def test_rejected_before_any_row(self, k_max, theta):
+        class Rows:
+            m = 2
+
+            def __iter__(self):
+                raise AssertionError("a row was read")
+
+        rows = Rows()
+        rows.k_max = k_max
+        with pytest.raises(ParameterError):
+            check_table_bounds(rows, theta)
+
+    def test_walk_holds_no_table(self):
+        table_bytes = traced_peak(lambda: build_coeff_table(4, 300))[1]
+        results, peak = traced_peak(lambda: check_table_bounds(coeff_rows(4, 300), Fraction(1, 2)))
+        assert all(r.passed for r in results) and peak < table_bytes / 4
+
+
 class TestCheckResultJson:
     def test_witness_beyond_the_int_digit_limit(self):
         limit = sys.get_int_max_str_digits()
@@ -251,18 +303,75 @@ def reference_wedge_fn(m, theta, x):
     return _exact_root(1 + x, q) ** p - Fraction(m - 1, m) * _exact_root(x, q) ** (p - q) - 1
 
 
-def _enclose_wedge_fn(m, theta, lo, hi, bits=192):
+def _wedge_bounds(m, theta, lo, hi, bits=192 + identities._WEDGE_GUARD_BITS):
+    """(lower, upper) bounds of f on [lo, hi] from the integer path; at lo == hi they bracket f(lo)."""
+    a = m * Fraction(theta)
+    p, q = a.numerator, a.denominator
+    return tuple(identities._wedge_fn_bound(p, q, m, lo, hi, bits, up=up) for up in (False, True))
+
+
+def _interval_reference(m, theta, lo, hi, bits):
+    """The outward-rounded interval enclosure of (1+lo)**a - (1-1/m)*hi**(a-1) - 1, as exact Fractions."""
     with iv_prec(bits):
-        return _wedge_fn_enclosure(to_iv(m * Fraction(theta)), to_iv(Fraction(m - 1, m)), lo, hi)
-
-
-def _contains(enc, value: Fraction) -> bool:
-    lo, hi, e = iv_fixed(enc)
-    return lo * Fraction(2) ** e <= value <= hi * Fraction(2) ** e
+        a, c = to_iv(m * Fraction(theta)), to_iv(Fraction(m - 1, m))
+        enc = (1 + to_iv(lo)) ** a - c * to_iv(hi) ** (a - 1) - 1
+        lo_end, hi_end, e = iv_fixed(enc)
+    return lo_end * Fraction(2) ** e, hi_end * Fraction(2) ** e
 
 
 # between the points 128/256 and 129/256 of a uniform 257-point grid on [0,1]
 _DIP = (Fraction(1, 2) + Fraction(1, 1024), Fraction(1, 2) + Fraction(2, 1024))
+
+_SWEEP = [(m, Fraction(2, m)) for m in range(2, 9)] + [
+    (2, Fraction(7, 5)),
+    (3, Fraction(5, 6)),
+    (3, Fraction(2)),
+    (7, Fraction(9, 7)),
+    (100, Fraction(1, 50)),
+]
+
+
+def _count_lower_bounds(monkeypatch):
+    """Record every lower-bound evaluation of f that ``check_wedge_fn_nonneg`` makes."""
+    calls = []
+    real = identities._wedge_fn_bound
+
+    def spy(*args, up=False):
+        if not up:
+            calls.append(args)
+        return real(*args, up=up)
+
+    monkeypatch.setattr(identities, "_wedge_fn_bound", spy)
+    return calls
+
+
+class TestPowerBound:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 2**52),
+        st.integers(0, 52),
+        st.integers(1, 40),
+        st.integers(1, 7),
+        st.sampled_from([96, 160, 224]),
+    )
+    def test_brackets_the_rational_power(self, num, e, p, q, bits):
+        # lower <= x**(p/q) <= upper, decided exactly as lower**q <= x**p <= upper**q
+        x = Fraction(num, 2**e)
+        lower = identities._power_bound(x, p, q, bits, False)
+        upper = identities._power_bound(x, p, q, bits, True)
+        assert lower**q <= x**p <= upper**q
+        assert 0 < upper - lower <= upper * 16 * p * Fraction(1, 2**bits) or lower == upper
+
+    @pytest.mark.parametrize(
+        "x, q", [(Fraction(9, 16), 2), (Fraction(25, 16), 2), (Fraction(1), 5), (Fraction(27, 64), 3)]
+    )
+    def test_exact_roots_are_found_exactly(self, x, q):
+        root = _exact_root(x, q)
+        assert identities._power_bound(x, 5, q, 96, False) == root**5 == identities._power_bound(x, 5, q, 96, True)
+
+    def test_zero(self):
+        zero = Fraction(0)
+        assert identities._power_bound(zero, 3, 2, 96, False) == 0 == identities._power_bound(zero, 3, 2, 96, True)
 
 
 class TestWedgeFnNonneg:
@@ -275,12 +384,14 @@ class TestWedgeFnNonneg:
         # m = 2, theta = 1: f(1/2) = 2.25 - 0.25 - 1 = 1
         x = Fraction(1, 2)
         assert reference_wedge_fn(2, 1, x) == 1
-        assert _contains(_enclose_wedge_fn(2, 1, x, x), Fraction(1))
+        lower, upper = _wedge_bounds(2, 1, x, x)
+        assert lower <= 1 <= upper
 
     def test_endpoints(self):
-        assert iv_endpoints(_enclose_wedge_fn(3, 1, Fraction(0), Fraction(0))) == (0, 0)
+        assert _wedge_bounds(3, 1, Fraction(0), Fraction(0)) == (0, 0)
         one = Fraction(1)
-        assert _contains(_enclose_wedge_fn(3, 1, one, one), Fraction(2) ** 3 - 2 + Fraction(1, 3))
+        lower, upper = _wedge_bounds(3, 1, one, one)
+        assert lower <= Fraction(2) ** 3 - 2 + Fraction(1, 3) <= upper
 
     @pytest.mark.parametrize(
         "m, theta, x",
@@ -296,33 +407,46 @@ class TestWedgeFnNonneg:
         ],
     )
     def test_degenerate_box_encloses_the_exact_value(self, m, theta, x):
-        assert _contains(_enclose_wedge_fn(m, theta, x, x), reference_wedge_fn(m, theta, x))
+        lower, upper = _wedge_bounds(m, theta, x, x)
+        assert lower <= reference_wedge_fn(m, theta, x) <= upper
 
     def test_box_bound_lies_below_f_on_the_box(self):
         lo, hi = Fraction(1, 4), Fraction(1, 2)
-        lower = iv_endpoints(_enclose_wedge_fn(3, 1, lo, hi))[0]
+        lower, upper = _wedge_bounds(3, 1, lo, hi)
         assert 0 < lower
         for i in range(17):
             x = lo + (hi - lo) * Fraction(i, 16)
-            assert lower <= iv_endpoints(_enclose_wedge_fn(3, 1, x, x))[0]
+            assert lower <= _wedge_bounds(3, 1, x, x)[0] <= reference_wedge_fn(3, 1, x) <= upper
 
-    def test_interval_path_fractional_exponent(self):
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bounds_agree_with_an_interval_enclosure(self, data):
+        # the integer lower bound of (1+lo)**a - c*hi**(a-1) - 1 never exceeds the upper end of
+        # the interval enclosure of the same number, and likewise for the upper bound with lo, hi swapped
+        m, theta = data.draw(st.sampled_from(_SWEEP + [(2, Fraction(1001, 1000)), (3, Fraction(1, 1))]))
+        bits = data.draw(st.sampled_from([64, 128, 192]))
+        scale = 2 ** data.draw(st.integers(1, 50))
+        lo = Fraction(data.draw(st.integers(0, scale)), scale)
+        hi = Fraction(data.draw(st.integers(int(lo * scale), scale)), scale)
+        lower, upper = _wedge_bounds(m, theta, lo, hi, bits + identities._WEDGE_GUARD_BITS)
+        assert lower <= _interval_reference(m, theta, lo, hi, bits)[1]
+        assert _interval_reference(m, theta, hi, lo, bits)[0] <= upper
+
+    def test_fractional_exponent(self):
         result = check_wedge_fn_nonneg(3, Fraction(5, 6))
         assert result.passed
 
     def test_dip_between_grid_points_fails_with_a_witness_box(self, monkeypatch):
-        real = identities._wedge_fn_enclosure
+        real = identities._wedge_fn_bound
 
-        def dipped(a, c, lo, hi):
+        def dipped(p, q, m, lo, hi, bits, up=False):
             # a lower bound of f - 10 on the open dip, of f elsewhere
-            enc = real(a, c, lo, hi)
-            return enc - 10 if lo < _DIP[1] and hi > _DIP[0] else enc
+            bound = real(p, q, m, lo, hi, bits, up=up)
+            return bound - 10 if not up and lo < _DIP[1] and hi > _DIP[0] else bound
 
-        monkeypatch.setattr(identities, "_wedge_fn_enclosure", dipped)
-        with iv_prec(192):
-            a, c = to_iv(2), to_iv(Fraction(3, 4))
-            grid = [Fraction(i, 256) for i in range(257)]
-            assert all(iv_endpoints(dipped(a, c, x, x))[0] >= 0 for x in grid)  # a grid misses the dip
+        monkeypatch.setattr(identities, "_wedge_fn_bound", dipped)
+        grid = [Fraction(i, 256) for i in range(257)]
+        assert all(dipped(2, 1, 4, x, x, 224) >= 0 for x in grid)  # a grid misses the dip
         result = check_wedge_fn_nonneg(4, Fraction(1, 2))
         assert not result.passed
         assert result.extremal_ratio < 0
@@ -331,19 +455,31 @@ class TestWedgeFnNonneg:
             assert Fraction(lo) < _DIP[1] and Fraction(hi) > _DIP[0]
             assert float(lower) < 0
 
-    @pytest.mark.parametrize(
-        "m, theta",
-        [(m, Fraction(2, m)) for m in range(2, 9)]
-        + [(2, Fraction(7, 5)), (3, Fraction(5, 6)), (3, Fraction(2)), (7, Fraction(9, 7)), (100, Fraction(1, 50))],
-    )
+    @pytest.mark.parametrize("m, theta", _SWEEP)
     def test_sweep_passes_with_minimum_zero_and_no_bisection(self, monkeypatch, m, theta):
-        calls = []
-        real = identities._wedge_fn_enclosure
-        monkeypatch.setattr(identities, "_wedge_fn_enclosure", lambda *args: calls.append(args) or real(*args))
+        calls = _count_lower_bounds(monkeypatch)
         result = check_wedge_fn_nonneg(m, theta)
         assert result.passed
         assert result.extremal_ratio == 0.0 and isinstance(result.extremal_ratio, float)
         assert len(calls) == identities._WEDGE_TAIL_EXP + 2  # one per box, plus f(0) and f(1)
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_sweep_passes_at_lower_precision(self, monkeypatch, bits):
+        calls = _count_lower_bounds(monkeypatch)
+        for m, theta in _SWEEP:
+            del calls[:]
+            result = check_wedge_fn_nonneg(m, theta, precision_bits=bits)
+            assert result.passed and result.extremal_ratio == 0.0
+            assert len(calls) == identities._WEDGE_TAIL_EXP + 2
+
+    @pytest.mark.parametrize("bits", [64, 192])
+    @pytest.mark.parametrize("m, theta", [(2, Fraction(1001, 1000)), (3, Fraction(2001, 3))])
+    def test_large_exponents_pass_quickly(self, m, theta, bits):
+        # a = 1001/500 and a = 2001: the cost follows log p and log q, not p or q
+        start = time.perf_counter()
+        result = check_wedge_fn_nonneg(m, theta, precision_bits=bits)
+        assert time.perf_counter() - start < 2
+        assert result.passed and result.extremal_ratio == 0.0
 
     def test_rejects_hypothesis_violation(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,8 @@
 
 The numeric submodules are registered in ``sys.modules`` when the package is
 imported, but each one's body runs on first use; ``wedge`` commands,
-``--help`` and the exact-integer ``table`` and ``verify coeffs`` therefore
-never import mpmath.  Each start-up check runs in a
+``--help`` and the exact-integer ``table``, ``verify coeffs`` and ``verify
+identities`` therefore never import mpmath.  Each start-up check runs in a
 fresh interpreter, since this test process has long since loaded everything.
 """
 
@@ -43,8 +43,19 @@ def _fresh(code: str, cwd: Path):
         ["--precision-bits", "128", "wedge", "classify", "--theta", "1/2", "--s", "1", "--m", "3", "--space", "beurling"],
         ["table", "--m", "4", "--kmax", "40", "--out", "t4.json"],
         ["verify", "coeffs", "--m", "2", "--kmax", "40", "--json", "v2.json"],  # m = 2 runs the Hermite oracle too
+        ["verify", "identities", "--m", "3", "--kmax", "40", "--theta", "5/6"],
+        ["verify", "identities", "--m", "3", "--kmax", "40", "--theta", "2", "--jmax", "30", "--json", "i.json"],
     ],
-    ids=["help", "wedge-classify", "wedge-figure-svg", "wedge-classify-precision-flag", "table", "verify-coeffs"],
+    ids=[
+        "help",
+        "wedge-classify",
+        "wedge-figure-svg",
+        "wedge-classify-precision-flag",
+        "table",
+        "verify-coeffs",
+        "verify-identities-rational",
+        "verify-identities-integer",
+    ],
 )
 def test_command_loads_no_mpmath(tmp_path, argv):
     code = (

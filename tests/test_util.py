@@ -1,9 +1,15 @@
-"""The degree check every public entry point that takes m makes through ``_util.require_degree``."""
+"""``_util``: the degree check every public entry point that takes m makes through
+``_util.require_degree``, and ``format_mpf`` on plain Python numbers."""
 
+import math
 import re
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gsmult import (
     CoeffTable,
@@ -25,6 +31,7 @@ from gsmult import (
     render_region_svg,
     symbolic_recursion_oracle,
 )
+from gsmult._util import format_mpf
 from gsmult.derivpoly import coeff_rows
 
 GRID = GridSpec(1, 2, 1, 1, 2, 1)
@@ -55,3 +62,24 @@ def test_degree_must_be_an_integer_of_at_least_two(entry, m, tmp_path):
     with pytest.raises(ParameterError, match="^degree m must be an integer >= 2, got %s$" % re.escape(repr(m))):
         ENTRY_POINTS[entry](m, tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+_PLAIN = [0, 7, -12, 10**40, True, 0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 0.10963587152777757, -2.5]
+
+
+@pytest.mark.parametrize("digits", [10, 24])
+@pytest.mark.parametrize("x", _PLAIN, ids=repr)
+def test_format_mpf_of_a_plain_number_is_nstr(x, digits):
+    assert format_mpf(x, digits) == mpmath.nstr(x, digits)
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True) | st.integers(), st.sampled_from([10, 24]))
+def test_format_mpf_of_any_float_or_int_is_nstr(x, digits):
+    assert format_mpf(x, digits) == mpmath.nstr(x, digits)
+
+
+def test_format_mpf_of_a_float_loads_no_mpmath(monkeypatch):
+    monkeypatch.setitem(sys.modules, "mpmath", None)  # an import of mpmath would now raise
+    assert format_mpf(0.5, 10) == "0.5" and format_mpf(-3) == "-3"
+    with pytest.raises(ImportError):
+        format_mpf(Fraction(1, 2))

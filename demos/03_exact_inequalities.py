@@ -1,8 +1,9 @@
 """Machine-checked certificates for the coefficient identities and bounds.
 
 Every check here is exact: integer comparisons, q-th-power comparisons for
-rational exponents, or outward-rounded interval arithmetic.  A reported
-PASS is a certificate at the tested parameters, not a float heuristic.
+rational exponents, or a lemma whose hypothesis is compared exactly.  A
+reported PASS is a certificate at the tested parameters, not a float
+heuristic.
 """
 
 from fractions import Fraction
@@ -38,7 +39,8 @@ show(check_ck2_bound(table))
 show(check_ratio_bound(table, Fraction(1, 2)))
 show(check_ratio_bound(table, Fraction(1)))
 
-# the auxiliary function (1+x)^(m t) - (1-1/m)x^(m t - 1) - 1 is >= 0 on all of [0,1]
+# the auxiliary function (1+x)^(m t) - (1-1/m)x^(m t - 1) - 1 is >= 0 on all of [0,1]:
+# for m t >= 2, Bernoulli's inequality bounds it below by (m t - 1 + 1/m) x
 show(check_wedge_fn_nonneg(4, Fraction(1, 2)))
 
 # evaluated at x = k_j^theta with lam = +/- i*m, the polynomial modulus

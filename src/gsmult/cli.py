@@ -12,12 +12,14 @@ fails (a ``PrecisionError``, a bare ``ValueError`` or any other unexpected
 exception); each error is one line on stderr, so the verifiers double as CI
 tests and a crash is never mistaken for a failed check or a rejected
 argument.  All numeric output is written as decimal (or exact ``p/q``)
-strings; identical argv gives identical bytes.  ``--precision-bits`` sets
-the precision results are computed at, the library default when not given;
-the function that uses it rejects a value below 64 bits (128 for ``gs
-bound``).  The interval engines start a few guard bits above it and double
-their working precision while an enclosure is too wide.  No command holds a
-coefficient table: each walks the rows it needs (``derivpoly.coeff_rows``).
+strings; identical argv gives identical bytes.  ``--precision-bits``, an
+option of ``gs bound``, ``gs seminorm`` and ``probe run`` only, sets the
+precision their results are computed at, the library default when not
+given; the function that uses it rejects a value below 64 bits (128 for
+``gs bound``), and every other command rejects the option itself.  The
+interval engines start a few guard bits above it and double their working
+precision while an enclosure is too wide.  No command holds a coefficient
+table: each walks the rows it needs (``derivpoly.coeff_rows``).
 """
 
 from __future__ import annotations
@@ -41,9 +43,11 @@ def _fraction_arg(text: str) -> Fraction:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gsmult", description=__doc__.split("\n")[0])
-    parser.add_argument("--precision-bits", type=int, default=None, help="result precision (default: the library's)")
     parser.add_argument("--out-dir", type=Path, default=None, help="directory prefixed to relative output paths")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the option of the commands that compute at a precision, and of no other
+    precise = argparse.ArgumentParser(add_help=False)
+    precise.add_argument("--precision-bits", type=int, default=None, help="result precision (default: the library's)")
 
     p_table = sub.add_parser("table", help="build a coefficient table and export it as JSON")
     p_table.set_defaults(run=_cmd_table)
@@ -71,13 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gs = sub.add_parser("gs", help="derivative-bound sweeps and seminorm estimates")
     gs_sub = p_gs.add_subparsers(dest="gs_command", required=True)
 
-    p_bound = gs_sub.add_parser("bound", help="empirical factorial bound for exp(-<x>**(1/theta))")
+    p_bound = gs_sub.add_parser("bound", parents=[precise], help="empirical factorial bound for exp(-<x>**(1/theta))")
     p_bound.set_defaults(run=_cmd_gs_bound)
     p_bound.add_argument("--theta", type=_fraction_arg, required=True)
     p_bound.add_argument("--kmax", type=int, required=True)
     p_bound.add_argument("--slope-tol", type=float, default=1e-3)
 
-    p_semi = gs_sub.add_parser("seminorm", help="truncated seminorm estimate, cells to CSV")
+    p_semi = gs_sub.add_parser("seminorm", parents=[precise], help="truncated seminorm estimate, cells to CSV")
     p_semi.set_defaults(run=_cmd_gs_seminorm)
     p_semi.add_argument("--kind", choices=("a", "h"), required=True)
     p_semi.add_argument("--a", type=_fraction_arg, default=None)
@@ -121,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe = sub.add_parser("probe", help="growth probe along k")
     probe_sub = p_probe.add_subparsers(dest="probe_command", required=True)
 
-    p_run = probe_sub.add_parser("run", help="emit per-order records as CSV")
+    p_run = probe_sub.add_parser("run", parents=[precise], help="emit per-order records as CSV")
     p_run.set_defaults(run=_cmd_probe_run)
     p_run.add_argument("--m", type=int, required=True)
     p_run.add_argument("--theta", type=_fraction_arg, required=True)
@@ -198,7 +202,7 @@ def _cmd_verify_identities(args) -> int:
     if args.kmax < 2:
         raise ParameterError("--kmax must be >= 2")
     floor = identities.check_floor_identities(args.m, args.kmax)  # these three check every argument before any row
-    wedge_fn = identities.check_wedge_fn_nonneg(args.m, args.theta, **_precision_kwargs(args))
+    wedge_fn = identities.check_wedge_fn_nonneg(args.m, args.theta)
     exact_theta = args.theta.denominator == 1
     lower = [identities.check_lower_bound(args.m, 1, args.theta.numerator, args.jmax)] if exact_theta else []
     rows = derivpoly.coeff_rows(args.m, max(args.kmax, 4))  # made once, row by row, for the three table checks

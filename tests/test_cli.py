@@ -55,22 +55,43 @@ class TestExitCodes:
         assert err.count("\n") == 1 and type(exc).__name__ in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "flag, argv",
+        "argv, flag",
         [
-            (["--precision-bits", "-3"], ["verify", "identities", "--m", "3", "--kmax", "10", "--theta", "5/6"]),
-            (["--precision-bits", "0"], ["verify", "identities", "--m", "3", "--kmax", "10", "--theta", "5/6"]),
-            (["--precision-bits", "63"], ["probe", "run", "--m", "2", "--theta", "1", "--nu", "1", "--kmax", "4"]),
-            (["--precision-bits", "64"], ["gs", "bound", "--theta", "1/2", "--kmax", "10"]),
-            (["--precision-bits", "0"], ["probe", "run", "--m", "2", "--theta", "1", "--nu", "1", "--kmax", "4"]),
-            (["--precision-bits", "63"], ["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "1", "--s", "1", "--kmax", "2"]),
+            (["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "1", "--s", "1", "--kmax", "2"], "-3"),
+            (["gs", "bound", "--theta", "1/2", "--kmax", "10"], "0"),
+            (["probe", "run", "--m", "2", "--theta", "1", "--nu", "1", "--kmax", "4"], "63"),
+            (["gs", "bound", "--theta", "1/2", "--kmax", "10"], "64"),
+            (["probe", "run", "--m", "2", "--theta", "1", "--nu", "1", "--kmax", "4"], "0"),
+            (["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "1", "--s", "1", "--kmax", "2"], "63"),
         ],
         ids=["flag-negative", "flag-zero", "flag-63", "gs-bound-flag-64", "probe-flag-zero", "seminorm-flag-63"],
     )
-    def test_bad_precision_is_usage_error(self, tmp_path, capsys, flag, argv):
+    def test_bad_precision_is_usage_error(self, tmp_path, capsys, argv, flag):
         if argv[:2] == ["probe", "run"]:
             argv = argv + ["--csv", str(tmp_path / "p.csv")]
-        assert run(flag + argv) == 2
+        assert run(argv + ["--precision-bits", flag]) == 2
         assert "usage error" in capsys.readouterr().err
+
+    # the option belongs to the three commands that pass it on, so only their --help lists it
+    @pytest.mark.parametrize(
+        "command, reads",
+        [
+            (["table"], False),
+            (["verify", "coeffs"], False),
+            (["verify", "identities"], False),
+            (["gs", "bound"], True),
+            (["gs", "seminorm"], True),
+            (["wedge", "classify"], False),
+            (["wedge", "figure"], False),
+            (["probe", "run"], True),
+            (["probe", "criterion"], False),
+            ([], False),
+        ],
+        ids=lambda v: "-".join(v) or "top-level" if isinstance(v, list) else str(v),
+    )
+    def test_help_lists_precision_where_it_is_read(self, capsys, command, reads):
+        assert run(command + ["--help"]) == 0
+        assert ("--precision-bits" in capsys.readouterr().out) is reads
 
     @pytest.mark.parametrize(
         "argv",
@@ -220,26 +241,6 @@ class TestVerifyIdentities:
         assert code == 0
         assert "skipped" in capsys.readouterr().out
 
-    # the environment does not set the precision: identical argv gives identical results
-    @pytest.mark.parametrize("flag, env, bits", [([], None, 192), (["--precision-bits", "320"], None, 320), ([], "320", 192)])
-    def test_precision_reaches_wedge_check(self, monkeypatch, capsys, flag, env, bits):
-        seen = []
-        real = identities.check_wedge_fn_nonneg
-
-        def spy(*args, **kwargs):
-            bound = inspect.signature(real).bind(*args, **kwargs)
-            bound.apply_defaults()
-            seen.append(bound.arguments["precision_bits"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(identities, "check_wedge_fn_nonneg", spy)
-        if env is not None:
-            monkeypatch.setenv("GSM_PRECISION_BITS", env)
-        else:
-            monkeypatch.delenv("GSM_PRECISION_BITS", raising=False)
-        assert run(flag + ["verify", "identities", "--m", "3", "--kmax", "8", "--theta", "5/6"]) == 0
-        assert seen == [bits]
-
 
 class TestWedgeCli:
     def test_classify_prints_verdict(self, capsys):
@@ -356,6 +357,27 @@ class TestSeminormCli:
             "h", gsfunc.GSFunction(Fraction(1)), theta=1, s=1, h=Fraction(1, 2), max_deriv=4, precision_bits=192
         )
         assert capsys.readouterr().out == "seminorm lower bound (h-family): %s\n" % format_mpf(expected.value)
+
+    # the environment does not set the precision: identical argv gives identical results
+    @pytest.mark.parametrize("flag, env, bits", [([], None, 192), (["--precision-bits", "320"], None, 320), ([], "320", 192)])
+    def test_precision_reaches_seminorm(self, monkeypatch, capsys, flag, env, bits):
+        seen = []
+        real = gsfunc.seminorm_cells
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments["precision_bits"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gsfunc, "seminorm_cells", spy)
+        if env is not None:
+            monkeypatch.setenv("GSM_PRECISION_BITS", env)
+        else:
+            monkeypatch.delenv("GSM_PRECISION_BITS", raising=False)
+        argv = ["gs", "seminorm", "--kind", "h", "--h", "1/2", "--theta", "1", "--s", "1", "--kmax", "2"]
+        assert run(argv + flag) == 0
+        assert seen == [bits]
 
     def test_kind_requires_weight(self):
         assert run(["gs", "seminorm", "--kind", "a", "--theta", "1", "--s", "1", "--kmax", "2"]) == 2

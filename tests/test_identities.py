@@ -1,14 +1,12 @@
 import json
 import math
 import sys
-import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsmult import identities
 from gsmult._util import format_fraction
 from gsmult.derivpoly import CoeffTable, build_coeff_table, coeff_rows
 from gsmult.identities import (
@@ -303,24 +301,19 @@ def reference_wedge_fn(m, theta, x):
     return _exact_root(1 + x, q) ** p - Fraction(m - 1, m) * _exact_root(x, q) ** (p - q) - 1
 
 
-def _wedge_bounds(m, theta, lo, hi, bits=192 + identities._WEDGE_GUARD_BITS):
-    """(lower, upper) bounds of f on [lo, hi] from the integer path; at lo == hi they bracket f(lo)."""
-    a = m * Fraction(theta)
-    p, q = a.numerator, a.denominator
-    return tuple(identities._wedge_fn_bound(p, q, m, lo, hi, bits, up=up) for up in (False, True))
-
-
-def _interval_reference(m, theta, lo, hi, bits):
-    """The outward-rounded interval enclosure of (1+lo)**a - (1-1/m)*hi**(a-1) - 1, as exact Fractions."""
+def _interval_reference(m, theta, x, bits):
+    """The outward-rounded interval enclosure of f(x) = (1+x)**a - (1-1/m)*x**(a-1) - 1, as exact Fractions."""
     with iv_prec(bits):
-        a, c = to_iv(m * Fraction(theta)), to_iv(Fraction(m - 1, m))
-        enc = (1 + to_iv(lo)) ** a - c * to_iv(hi) ** (a - 1) - 1
+        a, c, x = to_iv(m * Fraction(theta)), to_iv(Fraction(m - 1, m)), to_iv(x)
+        enc = (1 + x) ** a - c * x ** (a - 1) - 1
         lo_end, hi_end, e = iv_fixed(enc)
     return lo_end * Fraction(2) ** e, hi_end * Fraction(2) ** e
 
 
-# between the points 128/256 and 129/256 of a uniform 257-point grid on [0,1]
-_DIP = (Fraction(1, 2) + Fraction(1, 1024), Fraction(1, 2) + Fraction(2, 1024))
+def lemma_bound(m, theta, x):
+    """The lower bound (a - 1 + 1/m)*x of f(x) that ``check_wedge_fn_nonneg`` rests on, a = m*theta."""
+    return (m * Fraction(theta) - 1 + Fraction(1, m)) * x
+
 
 _SWEEP = [(m, Fraction(2, m)) for m in range(2, 9)] + [
     (2, Fraction(7, 5)),
@@ -328,50 +321,9 @@ _SWEEP = [(m, Fraction(2, m)) for m in range(2, 9)] + [
     (3, Fraction(2)),
     (7, Fraction(9, 7)),
     (100, Fraction(1, 50)),
+    (2, Fraction(1001, 1000)),  # a = 1001/500
+    (3, Fraction(2001, 3)),  # a = 2001
 ]
-
-
-def _count_lower_bounds(monkeypatch):
-    """Record every lower-bound evaluation of f that ``check_wedge_fn_nonneg`` makes."""
-    calls = []
-    real = identities._wedge_fn_bound
-
-    def spy(*args, up=False):
-        if not up:
-            calls.append(args)
-        return real(*args, up=up)
-
-    monkeypatch.setattr(identities, "_wedge_fn_bound", spy)
-    return calls
-
-
-class TestPowerBound:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(1, 2**52),
-        st.integers(0, 52),
-        st.integers(1, 40),
-        st.integers(1, 7),
-        st.sampled_from([96, 160, 224]),
-    )
-    def test_brackets_the_rational_power(self, num, e, p, q, bits):
-        # lower <= x**(p/q) <= upper, decided exactly as lower**q <= x**p <= upper**q
-        x = Fraction(num, 2**e)
-        lower = identities._power_bound(x, p, q, bits, False)
-        upper = identities._power_bound(x, p, q, bits, True)
-        assert lower**q <= x**p <= upper**q
-        assert 0 < upper - lower <= upper * 16 * p * Fraction(1, 2**bits) or lower == upper
-
-    @pytest.mark.parametrize(
-        "x, q", [(Fraction(9, 16), 2), (Fraction(25, 16), 2), (Fraction(1), 5), (Fraction(27, 64), 3)]
-    )
-    def test_exact_roots_are_found_exactly(self, x, q):
-        root = _exact_root(x, q)
-        assert identities._power_bound(x, 5, q, 96, False) == root**5 == identities._power_bound(x, 5, q, 96, True)
-
-    def test_zero(self):
-        zero = Fraction(0)
-        assert identities._power_bound(zero, 3, 2, 96, False) == 0 == identities._power_bound(zero, 3, 2, 96, True)
 
 
 class TestWedgeFnNonneg:
@@ -381,17 +333,15 @@ class TestWedgeFnNonneg:
         assert result.params == {"m": "2", "theta": "1"}
 
     def test_half_point_value(self):
-        # m = 2, theta = 1: f(1/2) = 2.25 - 0.25 - 1 = 1
+        # m = 2, theta = 1: f(1/2) = 2.25 - 0.25 - 1 = 1 >= (2 - 1 + 1/2) * 1/2
         x = Fraction(1, 2)
-        assert reference_wedge_fn(2, 1, x) == 1
-        lower, upper = _wedge_bounds(2, 1, x, x)
-        assert lower <= 1 <= upper
+        assert reference_wedge_fn(2, 1, x) == 1 >= lemma_bound(2, 1, x) == Fraction(3, 4)
 
     def test_endpoints(self):
-        assert _wedge_bounds(3, 1, Fraction(0), Fraction(0)) == (0, 0)
-        one = Fraction(1)
-        lower, upper = _wedge_bounds(3, 1, one, one)
-        assert lower <= Fraction(2) ** 3 - 2 + Fraction(1, 3) <= upper
+        # f(0) = 0 is the minimum the check reports; f(1) = 2**a - 2 + 1/m
+        zero, one = Fraction(0), Fraction(1)
+        assert reference_wedge_fn(3, 1, zero) == 0 == lemma_bound(3, 1, zero)
+        assert reference_wedge_fn(3, 1, one) == Fraction(2) ** 3 - 2 + Fraction(1, 3) >= lemma_bound(3, 1, one)
 
     @pytest.mark.parametrize(
         "m, theta, x",
@@ -407,79 +357,28 @@ class TestWedgeFnNonneg:
         ],
     )
     def test_degenerate_box_encloses_the_exact_value(self, m, theta, x):
-        lower, upper = _wedge_bounds(m, theta, x, x)
-        assert lower <= reference_wedge_fn(m, theta, x) <= upper
-
-    def test_box_bound_lies_below_f_on_the_box(self):
-        lo, hi = Fraction(1, 4), Fraction(1, 2)
-        lower, upper = _wedge_bounds(3, 1, lo, hi)
-        assert 0 < lower
-        for i in range(17):
-            x = lo + (hi - lo) * Fraction(i, 16)
-            assert lower <= _wedge_bounds(3, 1, x, x)[0] <= reference_wedge_fn(3, 1, x) <= upper
+        # the lemma's bound on the one-point box [x, x] lies at or below the exact value of f there
+        assert 0 <= lemma_bound(m, theta, x) <= reference_wedge_fn(m, theta, x)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_bounds_agree_with_an_interval_enclosure(self, data):
-        # the integer lower bound of (1+lo)**a - c*hi**(a-1) - 1 never exceeds the upper end of
-        # the interval enclosure of the same number, and likewise for the upper bound with lo, hi swapped
-        m, theta = data.draw(st.sampled_from(_SWEEP + [(2, Fraction(1001, 1000)), (3, Fraction(1, 1))]))
-        bits = data.draw(st.sampled_from([64, 128, 192]))
-        scale = 2 ** data.draw(st.integers(1, 50))
-        lo = Fraction(data.draw(st.integers(0, scale)), scale)
-        hi = Fraction(data.draw(st.integers(int(lo * scale), scale)), scale)
-        lower, upper = _wedge_bounds(m, theta, lo, hi, bits + identities._WEDGE_GUARD_BITS)
-        assert lower <= _interval_reference(m, theta, lo, hi, bits)[1]
-        assert _interval_reference(m, theta, hi, lo, bits)[0] <= upper
+        # the lemma's bound of f(x) at a dyadic x in [0,1] never exceeds the upper end of f's interval enclosure
+        m, theta = data.draw(st.sampled_from(_SWEEP))
+        scale = 2 ** data.draw(st.integers(0, 50))
+        x = Fraction(data.draw(st.integers(0, scale)), scale)
+        assert lemma_bound(m, theta, x) <= _interval_reference(m, theta, x, 128)[1]
 
     def test_fractional_exponent(self):
         result = check_wedge_fn_nonneg(3, Fraction(5, 6))
         assert result.passed
 
-    def test_dip_between_grid_points_fails_with_a_witness_box(self, monkeypatch):
-        real = identities._wedge_fn_bound
-
-        def dipped(p, q, m, lo, hi, bits, up=False):
-            # a lower bound of f - 10 on the open dip, of f elsewhere
-            bound = real(p, q, m, lo, hi, bits, up=up)
-            return bound - 10 if not up and lo < _DIP[1] and hi > _DIP[0] else bound
-
-        monkeypatch.setattr(identities, "_wedge_fn_bound", dipped)
-        grid = [Fraction(i, 256) for i in range(257)]
-        assert all(dipped(2, 1, 4, x, x, 224) >= 0 for x in grid)  # a grid misses the dip
-        result = check_wedge_fn_nonneg(4, Fraction(1, 2))
-        assert not result.passed
-        assert result.extremal_ratio < 0
-        for lo, hi, lower in result.witnesses:
-            assert Fraction(128, 256) < Fraction(lo) < Fraction(hi) < Fraction(129, 256)
-            assert Fraction(lo) < _DIP[1] and Fraction(hi) > _DIP[0]
-            assert float(lower) < 0
-
     @pytest.mark.parametrize("m, theta", _SWEEP)
-    def test_sweep_passes_with_minimum_zero_and_no_bisection(self, monkeypatch, m, theta):
-        calls = _count_lower_bounds(monkeypatch)
+    def test_sweep_passes_with_minimum_zero_and_no_bisection(self, m, theta):
+        # a proof, not a sweep: the minimum reported is f(0), as a float
         result = check_wedge_fn_nonneg(m, theta)
-        assert result.passed
+        assert result.passed and not result.witnesses
         assert result.extremal_ratio == 0.0 and isinstance(result.extremal_ratio, float)
-        assert len(calls) == identities._WEDGE_TAIL_EXP + 2  # one per box, plus f(0) and f(1)
-
-    @pytest.mark.parametrize("bits", [64, 128])
-    def test_sweep_passes_at_lower_precision(self, monkeypatch, bits):
-        calls = _count_lower_bounds(monkeypatch)
-        for m, theta in _SWEEP:
-            del calls[:]
-            result = check_wedge_fn_nonneg(m, theta, precision_bits=bits)
-            assert result.passed and result.extremal_ratio == 0.0
-            assert len(calls) == identities._WEDGE_TAIL_EXP + 2
-
-    @pytest.mark.parametrize("bits", [64, 192])
-    @pytest.mark.parametrize("m, theta", [(2, Fraction(1001, 1000)), (3, Fraction(2001, 3))])
-    def test_large_exponents_pass_quickly(self, m, theta, bits):
-        # a = 1001/500 and a = 2001: the cost follows log p and log q, not p or q
-        start = time.perf_counter()
-        result = check_wedge_fn_nonneg(m, theta, precision_bits=bits)
-        assert time.perf_counter() - start < 2
-        assert result.passed and result.extremal_ratio == 0.0
 
     def test_rejects_hypothesis_violation(self):
         with pytest.raises(ValueError):

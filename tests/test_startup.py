@@ -40,7 +40,6 @@ def _fresh(code: str, cwd: Path):
         ["--help"],
         ["wedge", "classify", "--theta", "1/2", "--s", "1", "--m", "3", "--space", "beurling"],
         ["wedge", "figure", "--m", "3", "--space", "beurling", "--monomial", "--format", "svg", "--out", "b3.svg"],
-        ["--precision-bits", "128", "wedge", "classify", "--theta", "1/2", "--s", "1", "--m", "3", "--space", "beurling"],
         ["table", "--m", "4", "--kmax", "40", "--out", "t4.json"],
         ["verify", "coeffs", "--m", "2", "--kmax", "40", "--json", "v2.json"],  # m = 2 runs the Hermite oracle too
         ["verify", "identities", "--m", "3", "--kmax", "40", "--theta", "5/6"],
@@ -50,7 +49,6 @@ def _fresh(code: str, cwd: Path):
         "help",
         "wedge-classify",
         "wedge-figure-svg",
-        "wedge-classify-precision-flag",
         "table",
         "verify-coeffs",
         "verify-identities-rational",

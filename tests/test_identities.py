@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -379,6 +380,18 @@ class TestWedgeFnNonneg:
         result = check_wedge_fn_nonneg(m, theta)
         assert result.passed and not result.witnesses
         assert result.extremal_ratio == 0.0 and isinstance(result.extremal_ratio, float)
+
+    @pytest.mark.parametrize("bits", [64, 192])
+    @pytest.mark.parametrize("m, theta", [(2, Fraction(1001, 1000)), (3, Fraction(2001, 3))])
+    def test_large_exponents_pass_quickly(self, m, theta, bits):
+        # a = 1001/500 and a = 2001: the check costs nothing in p or q, and the lemma's bound
+        # stays below an interval enclosure of f at `bits` bits across [0,1]
+        start = time.perf_counter()
+        result = check_wedge_fn_nonneg(m, theta)
+        assert time.perf_counter() - start < 2
+        assert result.passed and result.extremal_ratio == 0.0
+        for x in [Fraction(i, 16) for i in range(17)]:
+            assert lemma_bound(m, theta, x) <= _interval_reference(m, theta, x, bits)[1]
 
     def test_rejects_hypothesis_violation(self):
         with pytest.raises(ValueError):

@@ -12,14 +12,12 @@ fails (a ``PrecisionError``, a bare ``ValueError`` or any other unexpected
 exception); each error is one line on stderr, so the verifiers double as CI
 tests and a crash is never mistaken for a failed check or a rejected
 argument.  All numeric output is written as decimal (or exact ``p/q``)
-strings; identical argv gives identical bytes.  ``--precision-bits``, an
-option of ``gs bound``, ``gs seminorm`` and ``probe run`` only, sets the
-precision their results are computed at, the library default when not
-given; the function that uses it rejects a value below 64 bits (128 for
-``gs bound``), and every other command rejects the option itself.  The
-interval engines start a few guard bits above it and double their working
-precision while an enclosure is too wide.  No command holds a coefficient
-table: each walks the rows it needs (``derivpoly.coeff_rows``).
+strings; identical argv gives identical bytes.  No option sets a
+precision: each command computes at its library's fixed one (192 bits, 256
+for ``gs bound``), far above the at most 24 digits it prints.  The interval
+engines start a few guard bits above it and double their working precision
+while an enclosure is too wide.  No command holds a coefficient table: each
+walks the rows it needs (``derivpoly.coeff_rows``).
 """
 
 from __future__ import annotations
@@ -45,9 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gsmult", description=__doc__.split("\n")[0])
     parser.add_argument("--out-dir", type=Path, default=None, help="directory prefixed to relative output paths")
     sub = parser.add_subparsers(dest="command", required=True)
-    # the option of the commands that compute at a precision, and of no other
-    precise = argparse.ArgumentParser(add_help=False)
-    precise.add_argument("--precision-bits", type=int, default=None, help="result precision (default: the library's)")
 
     p_table = sub.add_parser("table", help="build a coefficient table and export it as JSON")
     p_table.set_defaults(run=_cmd_table)
@@ -75,13 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gs = sub.add_parser("gs", help="derivative-bound sweeps and seminorm estimates")
     gs_sub = p_gs.add_subparsers(dest="gs_command", required=True)
 
-    p_bound = gs_sub.add_parser("bound", parents=[precise], help="empirical factorial bound for exp(-<x>**(1/theta))")
+    p_bound = gs_sub.add_parser("bound", help="empirical factorial bound for exp(-<x>**(1/theta))")
     p_bound.set_defaults(run=_cmd_gs_bound)
     p_bound.add_argument("--theta", type=_fraction_arg, required=True)
     p_bound.add_argument("--kmax", type=int, required=True)
     p_bound.add_argument("--slope-tol", type=float, default=1e-3)
 
-    p_semi = gs_sub.add_parser("seminorm", parents=[precise], help="truncated seminorm estimate, cells to CSV")
+    p_semi = gs_sub.add_parser("seminorm", help="truncated seminorm estimate, cells to CSV")
     p_semi.set_defaults(run=_cmd_gs_seminorm)
     p_semi.add_argument("--kind", choices=("a", "h"), required=True)
     p_semi.add_argument("--a", type=_fraction_arg, default=None)
@@ -125,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe = sub.add_parser("probe", help="growth probe along k")
     probe_sub = p_probe.add_subparsers(dest="probe_command", required=True)
 
-    p_run = probe_sub.add_parser("run", parents=[precise], help="emit per-order records as CSV")
+    p_run = probe_sub.add_parser("run", help="emit per-order records as CSV")
     p_run.set_defaults(run=_cmd_probe_run)
     p_run.add_argument("--m", type=int, required=True)
     p_run.add_argument("--theta", type=_fraction_arg, required=True)
@@ -153,10 +148,6 @@ def _resolve(path: Path | None, out_dir: Path | None) -> Path | None:
         out_dir.mkdir(parents=True, exist_ok=True)
         return out_dir / path
     return path
-
-
-def _precision_kwargs(args) -> dict:
-    return {} if args.precision_bits is None else {"precision_bits": args.precision_bits}
 
 
 def _print_check(result: CheckResult) -> None:
@@ -219,7 +210,7 @@ def _cmd_verify_identities(args) -> int:
 
 
 def _cmd_gs_bound(args) -> int:
-    result = gsfunc.verify_gs_bound(args.theta, args.kmax, slope_tol=args.slope_tol, **_precision_kwargs(args))
+    result = gsfunc.verify_gs_bound(args.theta, args.kmax, slope_tol=args.slope_tol)
     _print_check(result)
     return 0 if result.passed else 1
 
@@ -245,7 +236,6 @@ def _cmd_gs_seminorm(args) -> int:
         max_deriv=args.kmax,
         max_power=args.max_power,
         grid=grid,
-        **_precision_kwargs(args),
     )
     estimate = max((value for _, _, value in cells), default=precision.to_mpf(0))
     csv_path = _resolve(args.csv, args.out_dir)
@@ -311,7 +301,6 @@ def _cmd_probe_run(args) -> int:
         theta=args.theta,
         nu=args.nu,
         k_values=k_values,
-        **_precision_kwargs(args),
     )
     records = probe.probe_series(cfg)
     csv_path = _resolve(args.csv, args.out_dir)

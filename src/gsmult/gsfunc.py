@@ -64,11 +64,14 @@ from .precision import (
     fixed_scaled,
     iv_fixed,
     iv_prec,
-    mp_prec,
     ols_slope,
     to_iv,
     to_mpf,
 )
+
+BRACKET_BITS = 192  # the precision of bracket_eval and verify_bracket_bound
+SEMINORM_BITS = 192  # the precision of every seminorm cell
+GS_BOUND_BITS = 256  # the precision of verify_gs_bound and of the derivatives it reads
 
 
 @dataclass(frozen=True)
@@ -151,14 +154,14 @@ def _bracket_ratios(t: Fraction, x, k_max: int) -> list[Fraction]:
     return out
 
 
-def bracket_eval(t, k: int, x, precision_bits: int = 192):
+def bracket_eval(t, k: int, x):
     """d^k/dx^k <x>**t at a rational x (int, float or Fraction), as an mpf."""
     if k < 0:
         raise ParameterError("derivative order must be >= 0")
     tf = Fraction(t)
     xf = Fraction(x)
     r_k = _bracket_ratios(tf, xf, k)[k]
-    with mp_prec(precision_bits):
+    with mp.workprec(BRACKET_BITS):
         return to_mpf(r_k) * mp.exp(to_mpf(tf) / 2 * mp.log(to_mpf(1 + xf * xf)))
 
 
@@ -179,7 +182,7 @@ def geometric_grid(x_max, points: int = 25) -> tuple[Fraction, ...]:
     return (Fraction(0),) + tuple(x_max / 2**j for j in reversed(range(points)))
 
 
-def verify_bracket_bound(t, k_max: int, grid: Optional[Sequence] = None, precision_bits: int = 192) -> CheckResult:
+def verify_bracket_bound(t, k_max: int, grid: Optional[Sequence] = None) -> CheckResult:
     """Empirical constant for |d^k <x>**t| <= C * 8**k * k! * <x>**(t-k).
 
     The ratio simplifies to |q_k(x)| * (1+x**2)**(-k/2) / (8**k * k!), which
@@ -191,7 +194,7 @@ def verify_bracket_bound(t, k_max: int, grid: Optional[Sequence] = None, precisi
         grid = uniform_grid(Fraction(-10), Fraction(10), 81)
     max_ratio = None
     witnesses = []
-    with mp_prec(precision_bits):
+    with mp.workprec(BRACKET_BITS):
         for x in grid:
             xf = Fraction(x)
             u = 1 + xf * xf
@@ -318,7 +321,6 @@ def verify_gs_bound(
     theta,
     k_max: int,
     grid: Optional[Sequence] = None,
-    precision_bits: int = 256,
     slope_tol: float = 1e-3,
 ) -> CheckResult:
     """Empirical constant for |f^(k)| <= C**k * k! * f(x) * <x>**(k*max(1/theta-1,0)).
@@ -326,7 +328,9 @@ def verify_gs_bound(
     C_emp(k) is the grid maximum of the normalized ratio taken to the 1/k
     power.  The check asserts C_emp stays bounded: the least-squares slope
     of log C_emp against k over the top half of the orders must not exceed
-    ``slope_tol``.
+    ``slope_tol``.  Everything, the derivatives included, is computed at
+    GS_BOUND_BITS: the printed slope and C_emp keep 10 digits, so a higher
+    precision changes no printed byte.
 
     Calibration constraint: a bounded C_emp with an algebraic prefactor
     approaches its limit like k**(-a/k), whose log-slope transient is about
@@ -342,12 +346,12 @@ def verify_gs_bound(
     grid = geometric_grid(2 * Fraction(k_max) ** math.ceil(theta), 25) if grid is None else tuple(grid)
     tau = max(1 / theta - 1, Fraction(0))
     best_log = [None] * (k_max + 1)
-    with mp_prec(precision_bits):
+    with mp.workprec(GS_BOUND_BITS):
         tau_mpf = to_mpf(tau)
         log_fact = [None] + [mp.log(mp.factorial(k)) for k in range(1, k_max + 1)]
         k_tau = [k * tau_mpf for k in range(k_max + 1)]
         for x in grid:
-            series = gs_derivative_series(theta, k_max, x, precision_bits)
+            series = gs_derivative_series(theta, k_max, x, GS_BOUND_BITS)
             xf = Fraction(x)
             log_bracket = mp.log(to_mpf(1 + xf * xf)) / 2
             log_f0 = mp.log(series[0])
@@ -360,7 +364,7 @@ def verify_gs_bound(
         orders = [k for k in range(1, k_max + 1) if best_log[k] is not None]
         log_c_emp = {k: best_log[k] / k for k in orders}
         tail = [k for k in orders if k >= orders[-1] // 2 + 1]
-        slope = ols_slope(tail, [log_c_emp[k] for k in tail], bits=precision_bits)
+        slope = ols_slope(tail, [log_c_emp[k] for k in tail], bits=GS_BOUND_BITS)
         c_max = mp.exp(max(log_c_emp.values()))
     witnesses = [] if slope <= slope_tol else [("slope", mp.nstr(slope, 10))]
     params = {
@@ -394,7 +398,7 @@ class Gaussian:
         hermite = [Fraction(1), 2 * xf]  # H_k = 2x * H_{k-1} - 2(k-1) * H_{k-2}
         for k in range(2, k_max + 1):
             hermite.append(2 * xf * hermite[k - 1] - 2 * (k - 1) * hermite[k - 2])
-        with mp_prec(precision_bits):
+        with mp.workprec(precision_bits):
             fx = mp.exp(to_mpf(-xf * xf))
             return [fx] + [to_mpf(-hermite[k] if k % 2 else hermite[k]) * fx for k in range(1, k_max + 1)]
 
@@ -428,7 +432,7 @@ class SeminormEstimate:
     is_lower_bound: bool = True
 
 
-def _weight_log(a: Fraction, theta: Fraction, x: Fraction, bits: int):
+def _weight_log(a: Fraction, theta: Fraction, x: Fraction):
     """a * |x|**(1/theta) as an mpf exponent; exact Fraction path when 1/theta is integral."""
     inv = 1 / theta
     xa = abs(Fraction(x))
@@ -450,7 +454,6 @@ def seminorm_cells(
     max_deriv: int = 10,
     max_power: int = 10,
     grid: Optional[Sequence] = None,
-    precision_bits: int = 192,
 ):
     """Per-(order, point) summands of a truncated seminorm.
 
@@ -458,7 +461,8 @@ def seminorm_cells(
     exp(a*|x|**(1/theta)) * beta!**(-s) * a**beta * |f^(beta)(x)|; for kind
     "h" it is the maximum over alpha <= max_power of
     |x**alpha * f^(beta)(x)| / (h**(alpha+beta) * alpha!**theta * beta!**s).
-    The seminorm estimate is the maximum over all cells.
+    The seminorm estimate is the maximum over all cells.  Cells are computed
+    at SEMINORM_BITS, and f_spec is asked for its derivatives at that precision.
     """
     theta = Fraction(theta)
     s = Fraction(s)
@@ -480,26 +484,25 @@ def seminorm_cells(
         raise ParameterError("kind must be 'a' or 'h'")
     if max_deriv < 0 or max_power < 0:
         raise ParameterError("max_deriv and max_power must be >= 0")
-    require_precision(precision_bits)
     if grid is None:
         grid = geometric_grid(2 * Fraction(max(max_deriv, 1)) ** math.ceil(theta), 25)
     grid = tuple(Fraction(g) for g in grid)
 
     cells = []
-    with mp_prec(precision_bits):
+    with mp.workprec(SEMINORM_BITS):
         log_fact = [mp.mpf(0)]
         for k in range(1, max(max_deriv, max_power) + 1):
             log_fact.append(log_fact[-1] + mp.log(k))
         for x in grid:
             # log of the part of each cell that depends on x only
             if kind == "a":
-                log_weight = _weight_log(a, theta, x, precision_bits)
+                log_weight = _weight_log(a, theta, x)
             elif x == 0:
                 log_weight = mp.mpf(0)  # x**alpha = 0 at x = 0 for alpha > 0
             else:
                 log_xh = mp.log(to_mpf(abs(x))) - mp.log(to_mpf(h))
                 log_weight = max(alpha * log_xh - to_mpf(theta) * log_fact[alpha] for alpha in range(max_power + 1))
-            derivs = f_spec.derivatives(x, max_deriv, precision_bits)
+            derivs = f_spec.derivatives(x, max_deriv, SEMINORM_BITS)
             for beta in range(max_deriv + 1):
                 fv = abs(derivs[beta])
                 if fv == 0:
@@ -524,7 +527,6 @@ def seminorm(
     max_deriv: int = 10,
     max_power: int = 10,
     grid: Optional[Sequence] = None,
-    precision_bits: int = 192,
 ) -> SeminormEstimate:
     """Truncated Gelfand-Shilov seminorm of f_spec.
 
@@ -545,11 +547,10 @@ def seminorm(
         max_deriv=max_deriv,
         max_power=max_power,
         grid=grid,
-        precision_bits=precision_bits,
     )
     theta = Fraction(theta)
     s = Fraction(s)
-    with mp_prec(precision_bits):
+    with mp.workprec(SEMINORM_BITS):
         value = max((c for _, _, c in cells), default=mp.mpf(0))
     params = {"theta": format_fraction(theta), "s": format_fraction(s), "f": f_spec.name}
     if kind == "a":
@@ -570,7 +571,6 @@ def seminorm_equivalence_table(
     max_deriv: int = 10,
     max_power: int = 10,
     grid: Optional[Sequence] = None,
-    precision_bits: int = 192,
 ):
     """Diagnostic table pairing a-family and h-family estimates.
 
@@ -580,7 +580,7 @@ def seminorm_equivalence_table(
     """
     rows = []
     for a_val, h_val in pairs:
-        est_a = seminorm("a", f_spec, theta=theta, s=s, a=a_val, max_deriv=max_deriv, grid=grid, precision_bits=precision_bits)
-        est_h = seminorm("h", f_spec, theta=theta, s=s, h=h_val, max_deriv=max_deriv, max_power=max_power, grid=grid, precision_bits=precision_bits)
+        est_a = seminorm("a", f_spec, theta=theta, s=s, a=a_val, max_deriv=max_deriv, grid=grid)
+        est_h = seminorm("h", f_spec, theta=theta, s=s, h=h_val, max_deriv=max_deriv, max_power=max_power, grid=grid)
         rows.append((Fraction(a_val), Fraction(h_val), est_a.value, est_h.value))
     return rows

@@ -2,10 +2,11 @@
 
 All arithmetic here is either exact (Python ints / fractions.Fraction) or
 mpmath floating point with an explicit bit budget.  mpmath keeps global
-precision state in its ``mp`` and ``iv`` contexts, and its interval context
-has no ``workprec`` and cannot convert ``Fraction`` directly, so the scoped
-precision managers and the conversion helpers live here and are used
-everywhere instead of ad-hoc context fiddling.
+precision state in its ``mp`` and ``iv`` contexts.  The scalar context is
+scoped with ``mp.workprec``; the interval context has no ``workprec`` and
+cannot convert ``Fraction`` directly, so its scoped precision manager and the
+conversion helpers live here and are used everywhere instead of ad-hoc
+context fiddling.
 
 Conversions round at most once at the requested precision; equal Fractions
 therefore always convert to bit-identical mpf values, which several
@@ -53,13 +54,6 @@ class PrecisionError(ArithmeticError):
 
 
 @contextmanager
-def mp_prec(bits: int):
-    """Scoped working precision for the scalar context."""
-    with mp.workprec(bits):
-        yield mp
-
-
-@contextmanager
 def iv_prec(bits: int):
     """Scoped working precision for the interval context (no native workprec)."""
     old = iv.prec
@@ -86,7 +80,7 @@ def ols_slope(xs, ys, bits: int = 128):
     n = len(xs)
     if n < 2:
         raise ValueError("need at least two points for a slope")
-    with mp_prec(bits):
+    with mp.workprec(bits):
         xm = [to_mpf(x) for x in xs]
         ym = [to_mpf(y) for y in ys]
         mean_x = sum(xm) / n
@@ -183,7 +177,7 @@ def certified_fixed_midpoint(lo: int, hi: int, e: int, bits: int, rel_error_bits
         raise PrecisionError("enclosure of width %s straddles zero" % mp.nstr(abs_width, 8), abs_width)
     near = -hi if hi < 0 else lo  # the smaller endpoint modulus
     if width << rel_error_bits > near:
-        with mp_prec(53):
+        with mp.workprec(53):
             rel = mp.mpf(width) / near
         raise PrecisionError("relative width %s exceeds the certification bound" % mp.nstr(rel, 8), rel)
     return fixed_midpoint(lo, hi, e, bits)

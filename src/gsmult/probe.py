@@ -13,8 +13,7 @@ that enclosure, and both are made again at doubled precision until x_k and
 the log each round to one value at the result precision (Ziv's test,
 ``precision.fixed_rounded``).  Either way the log is correctly rounded.
 Logs, the decay term, the rate and Delta are computed at that result precision,
-RESULT_BITS = RATE_BITS + 64 (or ``ProbeConfig.precision_bits``), and
-records are rounded at RATE_BITS.
+RESULT_BITS = RATE_BITS + 64, and records are rounded at RATE_BITS.
 Along k the leading behaviour is
 
     log|p_k(x_k)| = k log m + theta (m-1) k log k + o(k),
@@ -38,12 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import mpmath
 from mpmath import iv, mp
 
-from ._util import CheckResult, ParameterError, _result, format_fraction, require_degree, require_precision
+from ._util import CheckResult, ParameterError, _result, format_fraction, require_degree
 from .derivpoly import (
     _GUARD_BITS,
     RESULT_BITS,
@@ -55,7 +54,7 @@ from .derivpoly import (
     _rows_to,
     eval_log_magnitude,
 )
-from .precision import escalate, fixed_rounded, iv_fixed, iv_prec, mp_prec, ols_slope, to_iv, to_mpf
+from .precision import escalate, fixed_rounded, iv_fixed, iv_prec, ols_slope, to_iv, to_mpf
 
 RATE_BITS = RESULT_BITS - 64  # records are rounded at this precision; logs, decay, rate and Delta at RESULT_BITS
 
@@ -68,6 +67,7 @@ class ProbeConfig:
     used against the stronger (all-weights) topology.  theta must satisfy
     theta >= 2/m and nu > 2/m for the lower-bound mechanism to apply.
     k_values may be any orders, e.g. range(1, 51) or a k_j subsequence.
+    No field sets a precision: every record is computed at RESULT_BITS.
     """
 
     m: int
@@ -75,7 +75,6 @@ class ProbeConfig:
     theta: Fraction
     nu: Fraction
     k_values: tuple[int, ...]
-    precision_bits: Optional[int] = None  # result precision; None: RESULT_BITS
 
     def __post_init__(self):
         require_degree(self.m)
@@ -97,8 +96,6 @@ class ProbeConfig:
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
         if any(k < 1 for k in self.k_values):
             raise ParameterError("orders must be >= 1")
-        if self.precision_bits is not None:
-            require_precision(self.precision_bits)
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,7 @@ class ProbeRecord:
 
 def _decay(x, nu: Fraction, bits: int):
     """<x>**(1/nu) = (1 + x**2)**(1/(2 nu)) at the working precision."""
-    with mp_prec(bits):
+    with mp.workprec(bits):
         return mp.exp(to_mpf(1 / (2 * nu)) * mp.log(to_mpf(1 + x * x)))
 
 
@@ -140,7 +137,6 @@ def probe_series(cfg: ProbeConfig, table: CoeffTable | CoeffRows | None = None) 
         return []
     wanted = set(cfg.k_values)
     theta_int = cfg.theta.denominator == 1
-    bits = cfg.precision_bits or RESULT_BITS
     records = {}
     for k, row in enumerate(_rows_to(cfg.m, max(wanted), table), start=1):
         if k not in wanted:
@@ -148,14 +144,14 @@ def probe_series(cfg: ProbeConfig, table: CoeffTable | CoeffRows | None = None) 
         poly = DerivPoly(m=cfg.m, k=k, coeffs=row)
         if theta_int:
             x = k**cfg.theta.numerator
-            lm = eval_log_magnitude(poly, cfg.lambda_sign, x, precision_bits=bits)
+            lm = eval_log_magnitude(poly, cfg.lambda_sign, x, precision_bits=RESULT_BITS)
         else:
-            x, lm = escalate(lambda work: _enclosed_point(poly, cfg, k, bits, work), bits + _GUARD_BITS)
-        decay = _decay(x, cfg.nu, bits)
-        with mp_prec(bits):
+            x, lm = escalate(lambda work: _enclosed_point(poly, cfg, k, RESULT_BITS, work), RESULT_BITS + _GUARD_BITS)
+        decay = _decay(x, cfg.nu, RESULT_BITS)
+        with mp.workprec(RESULT_BITS):
             log_prod = lm.log_mag - decay
             rate = (log_prod + decay) / (k * mp.log(k)) if k >= 2 else mp.mpf(0)
-        with mp_prec(RATE_BITS):
+        with mp.workprec(RATE_BITS):
             records[k] = ProbeRecord(k=k, x=x, log_dkg_f=+log_prod, rate=+rate, exact=lm.exact)
     return [records[k] for k in cfg.k_values]
 
@@ -182,7 +178,7 @@ def estimate_rate(
     tail = records[-count:]
     if len(tail) < min_records:
         raise ParameterError("too few records in the tail: %d < %d" % (len(tail), min_records))
-    with mp_prec(RATE_BITS):
+    with mp.workprec(RATE_BITS):
         xs = [r.k * mp.log(r.k) for r in tail]
         ys = [r.log_dkg_f for r in tail]
         return ols_slope(xs, ys, bits=RATE_BITS)
@@ -214,7 +210,7 @@ def criterion_check(
     deltas = []
     for _, k, poly in _kj_polys(m, theta, j_max, table):
         lm = eval_log_magnitude(poly, lambda_sign, k**theta, precision_bits=RESULT_BITS)
-        with mp_prec(RESULT_BITS):
+        with mp.workprec(RESULT_BITS):
             deltas.append(lm.log_mag - to_mpf(s) * k * mp.log(k))
     k_top = k  # the last order walked, k_{j_max}
     witnesses = []
@@ -230,6 +226,6 @@ def criterion_check(
         "j_max": j_max,
         "lambda_sign": lambda_sign,
     }
-    with mp_prec(RATE_BITS):
+    with mp.workprec(RATE_BITS):
         spread = deltas[-1] - deltas[0]
     return _result("multiplier-criterion-divergence", params, witnesses, spread)

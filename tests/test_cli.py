@@ -1,5 +1,4 @@
 import hashlib
-import inspect
 import json
 import subprocess
 import sys
@@ -8,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from gsmult import derivpoly, gsfunc, identities
+from gsmult import derivpoly, gsfunc, identities, probe
 from gsmult._util import format_mpf
 from gsmult.cli import _print_check, _witness_repr, dispatch
 from gsmult.precision import PrecisionError
@@ -55,35 +54,32 @@ class TestExitCodes:
         assert err.count("\n") == 1 and type(exc).__name__ in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "argv, flag",
+        "argv, out",
         [
-            (["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "1", "--s", "1", "--kmax", "2"], "-3"),
-            (["gs", "bound", "--theta", "1/2", "--kmax", "10"], "0"),
-            (["probe", "run", "--m", "2", "--theta", "1", "--nu", "1", "--kmax", "4"], "63"),
-            (["gs", "bound", "--theta", "1/2", "--kmax", "10"], "64"),
-            (["probe", "run", "--m", "2", "--theta", "1", "--nu", "1", "--kmax", "4"], "0"),
-            (["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "1", "--s", "1", "--kmax", "2"], "63"),
+            (["gs", "bound", "--theta", "1/2", "--kmax", "10"], None),
+            (["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "1", "--s", "1", "--kmax", "2", "--csv"], "h.csv"),
+            (["probe", "run", "--m", "2", "--theta", "1", "--nu", "1", "--kmax", "4", "--csv"], "p.csv"),
         ],
-        ids=["flag-negative", "flag-zero", "flag-63", "gs-bound-flag-64", "probe-flag-zero", "seminorm-flag-63"],
+        ids=["gs-bound", "gs-seminorm", "probe-run"],
     )
-    def test_bad_precision_is_usage_error(self, tmp_path, capsys, argv, flag):
-        if argv[:2] == ["probe", "run"]:
-            argv = argv + ["--csv", str(tmp_path / "p.csv")]
-        assert run(argv + ["--precision-bits", flag]) == 2
-        assert "usage error" in capsys.readouterr().err
+    def test_precision_option_is_unrecognized(self, tmp_path, monkeypatch, capsys, argv, out):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv + ([out] if out else []) + ["--precision-bits", "256"]) == 2
+        assert "unrecognized arguments: --precision-bits 256" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
-    # the option belongs to the three commands that pass it on, so only their --help lists it
+    # no command reads a precision option, so no --help lists one
     @pytest.mark.parametrize(
         "command, reads",
         [
             (["table"], False),
             (["verify", "coeffs"], False),
             (["verify", "identities"], False),
-            (["gs", "bound"], True),
-            (["gs", "seminorm"], True),
+            (["gs", "bound"], False),
+            (["gs", "seminorm"], False),
             (["wedge", "classify"], False),
             (["wedge", "figure"], False),
-            (["probe", "run"], True),
+            (["probe", "run"], False),
             (["probe", "criterion"], False),
             ([], False),
         ],
@@ -353,31 +349,8 @@ class TestSeminormCli:
         monkeypatch.setattr(gsfunc, "seminorm_cells", counting)
         assert run(["gs", "seminorm", "--kind", "h", "--h", "1/2", "--theta", "1", "--s", "1", "--kmax", "4"]) == 0
         assert len(calls) == 1
-        expected = gsfunc.seminorm(
-            "h", gsfunc.GSFunction(Fraction(1)), theta=1, s=1, h=Fraction(1, 2), max_deriv=4, precision_bits=192
-        )
+        expected = gsfunc.seminorm("h", gsfunc.GSFunction(Fraction(1)), theta=1, s=1, h=Fraction(1, 2), max_deriv=4)
         assert capsys.readouterr().out == "seminorm lower bound (h-family): %s\n" % format_mpf(expected.value)
-
-    # the environment does not set the precision: identical argv gives identical results
-    @pytest.mark.parametrize("flag, env, bits", [([], None, 192), (["--precision-bits", "320"], None, 320), ([], "320", 192)])
-    def test_precision_reaches_seminorm(self, monkeypatch, capsys, flag, env, bits):
-        seen = []
-        real = gsfunc.seminorm_cells
-
-        def spy(*args, **kwargs):
-            bound = inspect.signature(real).bind(*args, **kwargs)
-            bound.apply_defaults()
-            seen.append(bound.arguments["precision_bits"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(gsfunc, "seminorm_cells", spy)
-        if env is not None:
-            monkeypatch.setenv("GSM_PRECISION_BITS", env)
-        else:
-            monkeypatch.delenv("GSM_PRECISION_BITS", raising=False)
-        argv = ["gs", "seminorm", "--kind", "h", "--h", "1/2", "--theta", "1", "--s", "1", "--kmax", "2"]
-        assert run(argv + flag) == 0
-        assert seen == [bits]
 
     def test_kind_requires_weight(self):
         assert run(["gs", "seminorm", "--kind", "a", "--theta", "1", "--s", "1", "--kmax", "2"]) == 2
@@ -387,6 +360,39 @@ class TestSeminormCli:
         assert run(
             ["gs", "seminorm", "--kind", "a", "--a", "1", "--theta", "1", "--s", "1", "--kmax", "1", "--grid", "oops"]
         ) == 2
+
+
+def _outputs(argv, tmp_path, capsys):
+    """(exit status, stdout, {file name: bytes}) of one run in an empty directory."""
+    tmp_path.mkdir()
+    code = run(["--out-dir", str(tmp_path)] + argv)
+    return code, capsys.readouterr().out.replace(str(tmp_path), "OUT"), {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+
+# Small versions of the benchmark's multiprecision jobs.  Every printed digit is fixed well
+# below each command's precision, so raising that precision changes no byte.
+@pytest.mark.parametrize(
+    "argv, constant, raised",
+    [
+        ("gs bound --theta 1/2 --kmax 16 --slope-tol 1", (gsfunc, "GS_BOUND_BITS"), 512),
+        ("gs bound --theta 2 --kmax 12 --slope-tol 1e-2", (gsfunc, "GS_BOUND_BITS"), 512),
+        ("gs seminorm --kind h --h 1/2 --theta 1 --s 1 --kmax 8 --csv h.csv", (gsfunc, "SEMINORM_BITS"), 320),
+        ("gs seminorm --kind a --a 1/2 --theta 1 --s 1 --f gaussian --kmax 12 --grid 16:8 --csv a.csv",
+         (gsfunc, "SEMINORM_BITS"), 320),
+        ("probe run --m 3 --theta 2 --nu 2 --kmax 40 --csv p3.csv", (probe, "RESULT_BITS"), 320),
+        ("probe run --m 2 --theta 1 --nu 1 --kmax 40 --sign - --csv p2.csv", (probe, "RESULT_BITS"), 320),
+        ("probe run --m 3 --theta 3/2 --nu 3/2 --kmax 8 --csv pf.csv", (probe, "RESULT_BITS"), 320),
+        ("probe criterion --m 4 --theta 1 --s 1 --jmax 10", (probe, "RESULT_BITS"), 320),
+    ],
+    ids=["bound-t1_2", "bound-t2", "seminorm-h", "seminorm-a-gauss", "probe-m3-t2", "probe-m2-t1-neg",
+         "probe-m3-t3_2", "criterion-m4"],
+)
+def test_a_higher_precision_changes_no_byte(tmp_path, monkeypatch, capsys, argv, constant, raised):
+    module, name = constant
+    fixed = _outputs(argv.split(), tmp_path / "fixed", capsys)
+    monkeypatch.setattr(module, name, raised)
+    assert _outputs(argv.split(), tmp_path / "raised", capsys) == fixed
+    assert fixed[0] in (0, 1) and len(fixed[2]) == ("--csv" in argv)
 
 
 def test_console_entry_point_runs():

@@ -21,14 +21,13 @@ from gsmult.probe import (
 from conftest import get_table, traced_peak
 
 
-def config(m=2, theta=1, nu=None, ks=(1, 2, 3), sign=1, bits=None):
+def config(m=2, theta=1, nu=None, ks=(1, 2, 3), sign=1):
     return ProbeConfig(
         m=m,
         lambda_sign=sign,
         theta=Fraction(theta),
         nu=Fraction(nu if nu is not None else theta),
         k_values=tuple(ks),
-        precision_bits=bits,
     )
 
 

@@ -7,17 +7,20 @@ Subcommands mirror the library modules: ``table``, ``verify coeffs``,
 Exit status contract: 0 on success with all checks passing, 1 when any
 check reports a failure, 2 on usage errors (each argument is checked once,
 by the library function that owns it, and a rejected value raises
-``ParameterError`` before any file is made), 3 when the program itself
-fails (a ``PrecisionError``, a bare ``ValueError`` or any other unexpected
-exception); each error is one line on stderr, so the verifiers double as CI
-tests and a crash is never mistaken for a failed check or a rejected
-argument.  All numeric output is written as decimal (or exact ``p/q``)
-strings; identical argv gives identical bytes.  No option sets a
-precision: each command computes at its library's fixed one (192 bits, 256
-for ``gs bound``), far above the at most 24 digits it prints.  The interval
-engines start a few guard bits above it and double their working precision
-while an enclosure is too wide.  No command holds a coefficient table: each
-walks the rows it needs (``derivpoly.coeff_rows``).
+``ParameterError`` before any file is made; ``wedge figure``, whose writer
+opens its own file, also checks the degree before it makes ``--out-dir``),
+3 when the program itself fails (a ``PrecisionError``, a bare ``ValueError``
+or any other unexpected exception); each error is one line on stderr, so
+the verifiers double as CI tests and a crash is never mistaken for a
+failed check or a rejected argument.  All numeric output is written as
+decimal (or exact ``p/q``) strings; identical argv gives identical bytes.
+No option sets a precision (``--precision-bits`` was removed; given it,
+every command exits 2 and says so): each command computes at its
+library's fixed one (192 bits, 256 for ``gs bound``), far above the at
+most 24 digits it prints.  The interval engines start a few guard bits
+above it and double their working precision while an enclosure is too
+wide.  No command holds a coefficient table: each walks the rows it
+needs (``derivpoly.coeff_rows``).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import derivpoly, gsfunc, identities, oracle, precision, probe, wedge
-from ._util import CheckResult, ParameterError, format_fraction, format_int, format_mpf, parse_fraction
+from ._util import CheckResult, ParameterError, format_fraction, format_int, format_mpf, parse_fraction, require_degree
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -279,10 +282,9 @@ def _cmd_wedge_figure(args) -> int:
         s_step=args.s_step,
     )
     mode = wedge.Mode.PURE_MONOMIAL if args.monomial else wedge.Mode.GENERAL_POLYNOMIAL
-    render = wedge.render_region_csv if args.format == "csv" else wedge.render_region_svg
-    text = render(args.m, wedge.Space(args.space), grid, mode)
+    require_degree(args.m)  # before _resolve makes --out-dir; emit_region_grid checks it again before it opens the file
     out = _resolve(args.out, args.out_dir)
-    out.write_text(text, encoding="utf-8")
+    wedge.emit_region_grid(args.m, wedge.Space(args.space), grid, args.format, out, mode)
     print("wrote %s region grid to %s" % (args.format, out))
     return 0
 
@@ -325,10 +327,14 @@ def _cmd_probe_criterion(args) -> int:
 def dispatch(argv) -> int:
     """Parse argv and run; returns the exit status (0 ok, 1 failed check, 2 usage, 3 crash)."""
     parser = build_parser()
+    argv = list(argv)
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
+        if code == 2 and any(arg.split("=")[0] == "--precision-bits" for arg in argv):
+            print("gsmult: --precision-bits was removed: no option sets a precision, each command has a fixed one",
+                  file=sys.stderr)
         return int(code) if code else 0
     try:
         return args.run(args)

@@ -135,11 +135,12 @@ def _column_rules(theta: Fraction, m: int, space: Space, mode: Mode, d: int) -> 
     return rules
 
 
-def _paint(rules: list[tuple], svals: list[Fraction]) -> list[WedgeVerdict]:
+def _paint(rules: list[tuple], svals: list[Fraction], default=_UNKNOWN) -> list:
     """One verdict per value of the ascending list ``svals``: that of the
-    first rule whose interval holds it, else Unknown (rule (e)).  Rules are
-    painted last to first, so an earlier rule overwrites a later one."""
-    out = [_UNKNOWN] * len(svals)
+    first rule whose interval holds it, else ``default``: Unknown (rule (e)),
+    or its text where the rules carry text.  Rules are painted last to
+    first, so an earlier rule overwrites a later one."""
+    out = [default] * len(svals)
     for lo, lo_open, hi, hi_open, verdict in reversed(rules):
         i = (bisect_right if lo_open else bisect_left)(svals, lo)
         j = len(svals) if hi is None else (bisect_left if hi_open else bisect_right)(svals, hi)
@@ -214,22 +215,35 @@ _VERDICT_COLORS = {
 }
 
 
-def render_region_csv(m: int, space: Space, grid: GridSpec, mode: Mode = Mode.GENERAL_POLYNOMIAL) -> str:
-    """Deterministic CSV of verdicts over the grid; header theta,s,verdict,citation."""
+def _csv_tail(v: WedgeVerdict) -> str:
+    return "%s,%s\n" % (v.verdict.value, v.citation)
+
+
+def _svg_fill(v: WedgeVerdict) -> str:
+    return '%s"/>\n' % _VERDICT_COLORS[v.verdict]
+
+
+def _column_text(theta: Fraction, m: int, space: Space, mode: Mode, svals: list[Fraction], text) -> list[str]:
+    """``text(verdict)`` for each value of ``svals`` at one theta; ``text``
+    runs once per rule of the column, not once per cell."""
+    rules = [(*bounds, text(v)) for *bounds, v in _column_rules(theta, m, space, mode, 1)]
+    return _paint(rules, svals, text(_UNKNOWN))
+
+
+def _csv_chunks(m: int, space: Space, grid: GridSpec, mode: Mode):
+    """The CSV text: the header, then one chunk per theta column."""
     svals = grid.s_values()
-    s_strs = [format_fraction(s) for s in svals]
-    lines = ["theta,s,verdict,citation"]
+    s_strs = [format_fraction(s) + "," for s in svals]
+    yield "theta,s,verdict,citation\n"
     for theta in grid.theta_values():
-        theta_str = format_fraction(theta)
-        for s_str, v in zip(s_strs, _paint(_column_rules(theta, m, space, mode, 1), svals)):
-            lines.append("%s,%s,%s,%s" % (theta_str, s_str, v.verdict.value, v.citation))
-    return "\n".join(lines) + "\n"
+        prefix = format_fraction(theta) + ","
+        tails = _column_text(theta, m, space, mode, svals, _csv_tail)
+        yield "".join([prefix + s_str + tail for s_str, tail in zip(s_strs, tails)])
 
 
-def render_region_svg(m: int, space: Space, grid: GridSpec, mode: Mode = Mode.GENERAL_POLYNOMIAL) -> str:
-    """Deterministic SVG: one rect per grid cell colored by verdict class,
-    the boundary lines s = (m-1)*theta and s = m*theta - 1, and (for the
-    Beurling scale) an open circle at the excluded point (1/(m-1), 1)."""
+def _svg_chunks(m: int, space: Space, grid: GridSpec, mode: Mode):
+    """The SVG text: the frame, one chunk of cells per theta column, then
+    the boundary lines, the excluded point and the axis labels."""
     width, height, margin = 640, 640, 60
     t_lo, t_hi = grid.theta_start, grid.theta_stop + grid.theta_step
     s_lo, s_hi = grid.s_start, grid.s_stop + grid.s_step
@@ -242,18 +256,17 @@ def render_region_svg(m: int, space: Space, grid: GridSpec, mode: Mode = Mode.GE
 
     cell_w = float(grid.theta_step / (t_hi - t_lo)) * (width - 2 * margin)
     cell_h = float(grid.s_step / (s_hi - s_lo)) * (height - 2 * margin)
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">'
-        % (width, height, width, height),
-        '<rect x="0" y="0" width="%d" height="%d" fill="white"/>' % (width, height),
-    ]
+    yield (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">\n'
+        '<rect x="0" y="0" width="%d" height="%d" fill="white"/>\n' % (width, height, width, height, width, height)
+    )
     svals = grid.s_values()
-    ys = ["%.3f" % (sy(s) - cell_h) for s in svals]
-    size = 'width="%.3f" height="%.3f"' % (cell_w, cell_h)
+    # a cell's <rect> is its column's x part + its row's y part + its rule's fill part
+    y_mids = ['%.3f" width="%.3f" height="%.3f" fill="' % (sy(s) - cell_h, cell_w, cell_h) for s in svals]
     for theta in grid.theta_values():
-        x = "%.3f" % sx(theta)
-        for y, v in zip(ys, _paint(_column_rules(theta, m, space, mode, 1), svals)):
-            parts.append('<rect x="%s" y="%s" %s fill="%s"/>' % (x, y, size, _VERDICT_COLORS[v.verdict]))
+        prefix = '<rect x="%.3f" y="' % sx(theta)
+        fills = _column_text(theta, m, space, mode, svals, _svg_fill)
+        yield "".join([prefix + y_mid + fill for y_mid, fill in zip(y_mids, fills)])
 
     def clip_line(slope: Fraction, intercept: Fraction) -> Optional[tuple]:
         # s = slope*theta + intercept clipped to the plotted box
@@ -270,6 +283,7 @@ def render_region_svg(m: int, space: Space, grid: GridSpec, mode: Mode = Mode.GE
         pts = sorted(set(pts))
         return (pts[0], pts[-1]) if len(pts) >= 2 else None
 
+    parts = []
     for slope, intercept, dash in ((Fraction(m - 1), Fraction(0), ""), (Fraction(m), Fraction(-1), ' stroke-dasharray="6,3"')):
         seg = clip_line(slope, intercept)
         if seg:
@@ -289,7 +303,34 @@ def render_region_svg(m: int, space: Space, grid: GridSpec, mode: Mode = Mode.GE
     )
     parts.append('<text x="%.3f" y="%.3f" font-size="14">s</text>' % (margin - 14, margin - 12))
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield "\n".join(parts) + "\n"
+
+
+def _region_chunks(m: int, space: Space, grid: GridSpec, fmt: str, mode: Mode):
+    """Check ``m`` and ``fmt`` now, then return the chunks of the region
+    file, at most one theta column of text each."""
+    require_degree(m)
+    if fmt == "csv":
+        return _csv_chunks(m, space, grid, mode)
+    if fmt == "svg":
+        return _svg_chunks(m, space, grid, mode)
+    raise ParameterError("format must be 'csv' or 'svg'")
+
+
+def render_region_csv(m: int, space: Space, grid: GridSpec, mode: Mode = Mode.GENERAL_POLYNOMIAL) -> str:
+    """Deterministic CSV of verdicts over the grid; header theta,s,verdict,citation.
+    Holds the whole text: ``emit_region_grid`` writes the same bytes one
+    column at a time."""
+    return "".join(_region_chunks(m, space, grid, "csv", mode))
+
+
+def render_region_svg(m: int, space: Space, grid: GridSpec, mode: Mode = Mode.GENERAL_POLYNOMIAL) -> str:
+    """Deterministic SVG: one rect per grid cell colored by verdict class,
+    the boundary lines s = (m-1)*theta and s = m*theta - 1, and (for the
+    Beurling scale) an open circle at the excluded point (1/(m-1), 1).
+    Holds the whole text: ``emit_region_grid`` writes the same bytes one
+    column at a time."""
+    return "".join(_region_chunks(m, space, grid, "svg", mode))
 
 
 def emit_region_grid(
@@ -300,15 +341,14 @@ def emit_region_grid(
     out_path,
     mode: Mode = Mode.GENERAL_POLYNOMIAL,
 ) -> Path:
-    """Write the region file (CSV or SVG); same arguments give identical bytes."""
+    """Write the region file (CSV or SVG), the bytes of ``render_region_csv``
+    or ``render_region_svg``; same arguments give identical bytes.  This is
+    the writer of ``wedge figure``: it holds at most one theta column of
+    text, and a rejected argument raises before the file is opened."""
+    chunks = _region_chunks(m, space, grid, fmt, mode)
     out_path = Path(out_path)
-    if fmt == "csv":
-        content = render_region_csv(m, space, grid, mode)
-    elif fmt == "svg":
-        content = render_region_svg(m, space, grid, mode)
-    else:
-        raise ParameterError("format must be 'csv' or 'svg'")
-    out_path.write_text(content, encoding="utf-8")
+    with out_path.open("w", encoding="utf-8") as fp:
+        fp.writelines(chunks)
     return out_path
 
 

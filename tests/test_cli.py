@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from gsmult import derivpoly, gsfunc, identities, probe
+from gsmult import derivpoly, gsfunc, identities, probe, wedge
 from gsmult._util import format_mpf
 from gsmult.cli import _print_check, _witness_repr, dispatch
 from gsmult.precision import PrecisionError
@@ -68,6 +68,14 @@ class TestExitCodes:
         assert "unrecognized arguments: --precision-bits 256" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", [["--precision-bits", "128"], ["--precision-bits=128"]], ids=["spaced", "joined"])
+    def test_removed_global_precision_option_is_named(self, tmp_path, monkeypatch, capsys, flag):
+        monkeypatch.chdir(tmp_path)
+        assert run(flag + ["table", "--m", "2", "--kmax", "4", "--out", "t.json"]) == 2
+        err = capsys.readouterr().err
+        assert "--precision-bits was removed: no option sets a precision" in err
+        assert list(tmp_path.iterdir()) == []
+
     # no command reads a precision option, so no --help lists one
     @pytest.mark.parametrize(
         "command, reads",
@@ -123,6 +131,13 @@ class TestExitCodes:
         assert run(["--out-dir", "od"] + argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    # test_invalid_value_is_usage_error covers the same argv under --out-dir
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_rejected_figure_makes_no_file_without_out_dir(self, tmp_path, monkeypatch, capsys, fmt):
+        monkeypatch.chdir(tmp_path)
+        assert run(["wedge", "figure", "--m", "1", "--format", fmt, "--out", "f." + fmt]) == 2
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -270,6 +285,16 @@ class TestWedgeCli:
         assert run(common + ["--out", str(tmp_path / "a.svg")]) == 0
         assert run(common + ["--out", str(tmp_path / "b.svg")]) == 0
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_figure_writes_the_rendered_text(self, tmp_path, capsys, fmt):
+        out = tmp_path / ("r." + fmt)
+        assert run(["wedge", "figure", "--m", "3", "--space", "beurling", "--monomial", "--format", fmt,
+                    "--theta-step", "1/8", "--s-step", "1/8", "--out", str(out)]) == 0
+        # the command's default box at steps of 1/8
+        grid = wedge.GridSpec(*map(Fraction, ("1/20", "2", "1/8", "1/20", "4", "1/8")))
+        render = wedge.render_region_csv if fmt == "csv" else wedge.render_region_svg
+        assert out.read_bytes() == render(3, wedge.Space.BEURLING, grid, wedge.Mode.PURE_MONOMIAL).encode()
 
 
 class TestProbeCli:

@@ -25,6 +25,8 @@ from gsmult.wedge import (
 from gsmult._util import format_fraction
 from gsmult.precision import ParameterError
 
+from conftest import traced_peak
+
 
 def q(theta, s, m, space, **kw):
     return WedgeQuery(theta=F(theta), s=F(s), m=m, space=space, **kw)
@@ -193,6 +195,25 @@ class TestEmission:
         grid = GridSpec(F(1), F(1), F(1), F(1), F(1), F(1))
         with pytest.raises(ValueError):
             emit_region_grid(2, Space.ROUMIEU, grid, "png", tmp_path / "x.png")
+        assert not (tmp_path / "x.png").exists()
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_written_file_is_the_rendered_text(self, tmp_path, m):
+        grid = GridSpec(F(1, 6), F(2), F(1, 6), F(1, 5), F(3), F(1, 5))
+        for space in Space:
+            for mode in Mode:
+                for fmt, render in (("csv", render_region_csv), ("svg", render_region_svg)):
+                    path = emit_region_grid(m, space, grid, fmt, tmp_path / ("r." + fmt), mode)
+                    assert path.read_bytes() == render(m, space, grid, mode).encode()
+
+    def test_writer_holds_one_column(self, tmp_path):
+        # the b3 grid of the benchmark: 200 theta columns of 400 cells, a 5.9 MB file
+        grid = GridSpec(F(1, 100), F(2), F(1, 100), F(1, 100), F(4), F(1, 100))
+        path = tmp_path / "b3.svg"
+        _, peak = traced_peak(lambda: emit_region_grid(3, Space.BEURLING, grid, "svg", path, Mode.PURE_MONOMIAL))
+        size = path.stat().st_size
+        assert size > 5_000_000
+        assert peak < size / 10
 
     @pytest.mark.parametrize("region", [render_region_csv, render_region_svg, audit_rule_disjointness])
     def test_region_paths_reject_degree_below_two(self, region):

@@ -3,9 +3,14 @@ of exp(lam*x**m/m), their coefficient tables and bounds, Gelfand-Shilov
 seminorm estimation, and the continuity-region classification for
 polynomial phase multipliers and propagators.
 
-``import gsmult`` loads no mpmath.  The submodules below are registered in
-``sys.modules`` at once, but each one's body runs only when an attribute of
-it is first read; the public names are served from them on first use.
+``import gsmult`` loads no mpmath, ``dataclasses`` or ``json``.  The
+submodules below are registered in ``sys.modules`` at once, but each one's
+body runs only when an attribute of it is first read; the public names are
+served from them on first use.  Every value type (``CheckResult``,
+``CoeffTable``, ``WedgeQuery``, ...) is a ``_util.Record``: immutable,
+compared and hashed by its fields, and copied with changes by
+``_replace(**changes)``; ``json`` is imported only by the functions that
+write JSON.
 """
 
 import importlib.util

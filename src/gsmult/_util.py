@@ -1,20 +1,19 @@
-"""The light base every module builds on, with no mpmath at import.
+"""The light base every module builds on, with no mpmath, ``dataclasses`` or ``json`` at import.
 
-It holds ``ParameterError``, the ``CheckResult`` every verifier returns,
-the degree check, and the exact-string formats used by every
-file-emitting code path.  ``format_mpf`` imports mpmath only for an mpmath
-value, so the exact commands, which print Python floats, never load it.
+It holds ``ParameterError``, the ``Record`` base of every value type, the
+``CheckResult`` every verifier returns, the degree check, and the
+exact-string formats used by every file-emitting code path.
+``format_mpf`` imports mpmath only for an mpmath value, so the exact
+commands, which print Python floats, never load it; ``json`` is imported by
+the functions that write JSON.
 """
 
 from __future__ import annotations
 
 import decimal
-import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
 
 
 class ParameterError(ValueError):
@@ -107,8 +106,64 @@ def format_mpf(x, digits: int = 24) -> str:
     return mpmath.nstr(x, digits)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class Record:
+    """Immutable value type, the light stand-in for a frozen dataclass.
+
+    A subclass names its fields by annotations, in order, and gives defaults
+    as class attributes.  Its ``__init__`` is generated, as a namedtuple's
+    ``__new__`` is, with one parameter per field, so it takes positional and
+    keyword arguments and has the signature a dataclass would have; it stores
+    the fields, then runs ``__post_init__`` (which may check the fields, or
+    coerce one by ``object.__setattr__``).  After that no attribute can be set
+    or deleted.  Equality, hash and ``repr`` go by the fields, and
+    ``_replace(**changes)`` builds a copy with some fields changed.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        annotations = vars(cls).get("__annotations__", {})
+        cls._fields += tuple(name for name in annotations if name not in cls._fields)
+        params = ", ".join(name + ("=_cls.%s" % name if hasattr(cls, name) else "") for name in cls._fields)
+        stores = ", ".join("%s=%s" % (name, name) for name in cls._fields)
+        source = "def __init__(self, %s):\n    self.__dict__.update(%s)\n    self.__post_init__()\n"
+        namespace = {"_cls": cls}
+        exec(source % (params, stores), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = cls.__qualname__ + ".__init__"
+        cls.__init__.__annotations__ = {**annotations, "return": None}
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def _replace(self, **changes):
+        """A copy with ``changes`` applied, built (and checked) as a new instance."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        pairs = ", ".join("%s=%r" % pair for pair in zip(self._fields, self._values()))
+        return "%s(%s)" % (type(self).__qualname__, pairs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class CheckResult(Record):
     """One verified (or falsified) statement with its counterexamples.
 
     pass iff witnesses is empty; extremal_ratio is a tightness diagnostic
@@ -120,7 +175,7 @@ class CheckResult:
     params: dict[str, str]
     passed: bool
     witnesses: tuple[tuple, ...]
-    extremal_ratio: Optional[Any] = None
+    extremal_ratio: object = None
 
     def __post_init__(self):
         if self.passed != (not self.witnesses):
@@ -136,6 +191,8 @@ class CheckResult:
         }
 
     def to_json(self, **kwargs) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), **kwargs)
 
 

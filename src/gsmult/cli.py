@@ -26,7 +26,6 @@ needs (``derivpoly.coeff_rows``).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -195,18 +194,22 @@ def _cmd_verify_coeffs(args) -> int:
 def _cmd_verify_identities(args) -> int:
     if args.kmax < 2:
         raise ParameterError("--kmax must be >= 2")
-    floor = identities.check_floor_identities(args.m, args.kmax)  # these three check every argument before any row
+    floor = identities.check_floor_identities(args.m, args.kmax)  # these check every argument before any row
     wedge_fn = identities.check_wedge_fn_nonneg(args.m, args.theta)
-    exact_theta = args.theta.denominator == 1
-    lower = [identities.check_lower_bound(args.m, 1, args.theta.numerator, args.jmax)] if exact_theta else []
-    rows = derivpoly.coeff_rows(args.m, max(args.kmax, 4))  # made once, row by row, for the three table checks
-    results = [floor, *identities.check_table_bounds(rows, args.theta), wedge_fn] + lower
-    if not lower:
+    k_max = max(args.kmax, 4)  # the ck2 bound needs k >= 4
+    j_max = args.jmax if args.theta.denominator == 1 else None
+    k_top = k_max if j_max is None else max(k_max, derivpoly.kj_sequence(args.m, j_max).k(j_max))
+    rows = derivpoly.coeff_rows(args.m, k_top)  # made once, row by row, for the table checks and the lower bound
+    bounds = identities.check_table_bounds(rows, args.theta, k_max, j_max)
+    results = [floor, *bounds[:3], wedge_fn, *bounds[3:]]
+    if j_max is None:
         print("evaluation-lower-bound skipped: requires an integer --theta")
     for r in results:
         _print_check(r)
     json_path = _resolve(args.json, args.out_dir)
     if json_path is not None:
+        import json
+
         payload = [r.to_json_dict() for r in results]
         json_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return 0 if all(r.passed for r in results) else 1

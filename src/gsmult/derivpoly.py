@@ -46,14 +46,12 @@ magnitude-level results hold for either normalization.
 from __future__ import annotations
 
 import decimal
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator
 
 from . import precision  # lazy: its body, and mpmath, load at the first evaluation
-from ._util import ParameterError, format_int, parse_int, require_degree, require_precision
+from ._util import ParameterError, Record, format_int, parse_int, require_degree, require_precision
 
 if TYPE_CHECKING:
     import mpmath
@@ -75,8 +73,7 @@ def row_length(m: int, k: int) -> int:
     return k * (m - 1) // m + 1
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(Record):
     """Triangular table of the positive integer coefficients C[k][n].
 
     rows[k-1] holds the row for derivative order k, of length
@@ -110,6 +107,8 @@ class CoeffTable:
         }
 
     def to_json(self, **kwargs) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), **kwargs)
 
     @classmethod
@@ -158,8 +157,7 @@ def write_table_json(fp, m: int, k_max: int, rows) -> None:
     fp.write("]}\n")
 
 
-@dataclass(frozen=True)
-class CoeffRows:
+class CoeffRows(Record):
     """A table that holds no rows: like a ``CoeffTable`` it has ``m`` and ``k_max`` and
     iterates over rows 1..k_max, but each iteration makes every row from the one before
     and checks it as ``CoeffTable.validate`` does.  Made by ``coeff_rows``."""
@@ -222,8 +220,7 @@ def _rows_to(m: int, k_top: int, table: CoeffTable | CoeffRows | None) -> Iterat
     return islice(table, k_top)
 
 
-@dataclass(frozen=True)
-class DerivPoly:
+class DerivPoly(Record):
     """Structured view of p_k: coefficient row plus the exponent pattern.
 
     Term n carries lam**(k-n) * x**((m-1)*k - n*m); coefficients are shared
@@ -254,8 +251,7 @@ def derivative_poly(table: CoeffTable, k: int) -> DerivPoly:
     return DerivPoly(m=table.m, k=k, coeffs=table.row(k))
 
 
-@dataclass(frozen=True)
-class LogMagnitude:
+class LogMagnitude(Record):
     """Natural log of |p_k(x)| with provenance of how it was computed.
 
     log_mag is correctly rounded at the result precision, -inf when the
@@ -353,8 +349,7 @@ def eval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, precision_bits: int
     )
 
 
-@dataclass(frozen=True)
-class KjSequence:
+class KjSequence(Record):
     """Orders k_j where the alternating real part of p_k is provably dominant.
 
     entries[j-1] is the smallest integer in [4j*m/(m-1), (4j+1)*m/(m-1)];
@@ -391,19 +386,25 @@ def kj_sequence(m: int, j_max: int) -> KjSequence:
     return KjSequence(m=m, entries=tuple(entries))
 
 
+def _kj_orders(m: int, theta: int, j_max: int) -> tuple[int, ...]:
+    """k_1..k_{j_max}, the orders of the exact checks; theta must be a positive integer
+    with m*theta >= 2, so each k_j**theta is an integer."""
+    if not isinstance(theta, int) or theta < 1:
+        raise ParameterError("theta must be a positive integer for exact evaluation")
+    if m * theta < 2:
+        raise ParameterError("hypothesis violated: theta < 2/m")
+    return kj_sequence(m, j_max).entries
+
+
 def _kj_polys(
     m: int, theta: int, j_max: int, table: CoeffTable | CoeffRows | None
 ) -> Iterator[tuple[int, int, DerivPoly]]:
     """(j, k_j, p_{k_j}) for j = 1..j_max, the walk of the exact checks along the k_j.
 
-    theta must be a positive integer with m*theta >= 2, so each k_j**theta is an integer;
-    a ``table`` must cover k_{j_max}.  Arguments are checked at once, rows read as it goes.
+    theta is as ``_kj_orders`` takes it, and a ``table`` must cover k_{j_max}.
+    Arguments are checked at once, rows read as it goes.
     """
-    if not isinstance(theta, int) or theta < 1:
-        raise ParameterError("theta must be a positive integer for exact evaluation")
-    if m * theta < 2:
-        raise ParameterError("hypothesis violated: theta < 2/m")
-    entries = kj_sequence(m, j_max).entries
+    entries = _kj_orders(m, theta, j_max)
     j_at = {k: j for j, k in enumerate(entries, start=1)}
     rows = enumerate(_rows_to(m, entries[-1], table), start=1)
     return ((j_at[k], k, DerivPoly(m=m, k=k, coeffs=row)) for k, row in rows if k in j_at)

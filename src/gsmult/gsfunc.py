@@ -50,13 +50,12 @@ maximizing x of order k grows with k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from mpmath import iv, mp
 
-from ._util import CheckResult, ParameterError, _result, format_fraction, require_precision
+from ._util import CheckResult, ParameterError, Record, _result, format_fraction, require_precision
 from .precision import (
     certified_fixed_midpoint,
     escalate,
@@ -74,8 +73,7 @@ SEMINORM_BITS = 192  # the precision of every seminorm cell
 GS_BOUND_BITS = 256  # the precision of verify_gs_bound and of the derivatives it reads
 
 
-@dataclass(frozen=True)
-class BracketDerivPoly:
+class BracketDerivPoly(Record):
     """q_k with d^k/dx^k <x>**t = q_k(x) * (1+x**2)**(t/2-k); exact coefficients."""
 
     t: Fraction
@@ -417,8 +415,7 @@ class SampledDerivatives:
             raise ParameterError("no sampled derivative for point %r" % (exc.args[0],)) from exc
 
 
-@dataclass(frozen=True)
-class SeminormEstimate:
+class SeminormEstimate(Record):
     """Truncated supremum of a seminorm: a certified lower bound of the true value.
 
     Deterministic for a fixed truncation, and monotone nondecreasing as the

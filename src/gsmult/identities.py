@@ -29,9 +29,10 @@ Checked facts, for degree m >= 2 and the table coefficients C[k][n]:
   as exact integers (the |.|**2 is an exact Gaussian-integer modulus squared).
 
 A table is a ``CoeffTable`` or a ``coeff_rows`` walk, read once in ascending k.
-The per-row logic of each table check is written once, as a step that
-``_walk`` feeds each row; ``check_table_bounds`` runs three of them on one
-walk.
+The per-row logic of each check that reads rows is written once, as a step
+that ``_walk`` feeds the rows from its ``first_k`` to its ``last_k``;
+``check_table_bounds`` runs the three table checks, and at integer theta the
+evaluation lower bound, on one walk.
 Rational parameters are plain fractions.Fraction values throughout.
 """
 
@@ -41,7 +42,7 @@ import math
 from fractions import Fraction
 
 from ._util import CheckResult, ParameterError, _result, format_fraction, require_degree
-from .derivpoly import CoeffRows, CoeffTable, _kj_polys, gaussian_parts
+from .derivpoly import CoeffRows, CoeffTable, DerivPoly, _kj_orders, _rows_to, gaussian_parts
 
 
 def check_floor_identities(m: int, k_max: int) -> CheckResult:
@@ -67,7 +68,7 @@ class _Ck1Step:
     def __init__(self, m: int, k_max: int):
         if k_max < 2:
             raise ParameterError("table must reach k >= 2")
-        self.m, self.k_max, self.witnesses = m, k_max, []
+        self.m, self.last_k, self.witnesses = m, k_max, []
 
     def feed(self, k: int, row: tuple) -> None:
         expected = (self.m - 1) * k * (k - 1) // 2
@@ -75,7 +76,7 @@ class _Ck1Step:
             self.witnesses.append((k, row[1], expected))
 
     def result(self) -> CheckResult:
-        return _result("ck1-closed-form", {"m": self.m, "k_max": self.k_max}, self.witnesses)
+        return _result("ck1-closed-form", {"m": self.m, "k_max": self.last_k}, self.witnesses)
 
 
 class _Ck2Step:
@@ -86,7 +87,7 @@ class _Ck2Step:
     def __init__(self, m: int, k_max: int):
         if k_max < 4:
             raise ParameterError("table must reach k >= 4")
-        self.m, self.k_max, self.witnesses, self.max_ratio = m, k_max, [], None
+        self.m, self.last_k, self.witnesses, self.max_ratio = m, k_max, [], None
 
     def feed(self, k: int, row: tuple) -> None:
         lhs = 2 * row[2]
@@ -98,7 +99,7 @@ class _Ck2Step:
             self.max_ratio = ratio
 
     def result(self) -> CheckResult:
-        return _result("ck2-fourth-power-bound", {"m": self.m, "k_max": self.k_max}, self.witnesses, self.max_ratio)
+        return _result("ck2-fourth-power-bound", {"m": self.m, "k_max": self.last_k}, self.witnesses, self.max_ratio)
 
 
 # The float estimate q*(ln a - ln b) - ln f of a cell is off by well under
@@ -126,6 +127,7 @@ class _RatioStep:
         if theta < Fraction(2, m):
             raise ParameterError("hypothesis violated: theta=%s < 2/m for m=%d" % (theta, m))
         self.params = {"m": m, "k_max": k_max, "theta": format_fraction(theta)}
+        self.last_k = k_max
         self.q, self.m_p, self.m_q = theta.denominator, m * theta.numerator, m**theta.denominator
         self.witnesses = []
         self.best = -math.inf
@@ -172,11 +174,47 @@ def _exceeds(a: int, b: int, f: int, q: int, gap: int, lf: int) -> bool:
     return a**q > b**q * f
 
 
-def _walk(table: CoeffTable | CoeffRows, *steps) -> list[CheckResult]:
-    """Feed every row of ``table`` once, in ascending k, to each step from its ``first_k``; return their results."""
-    for k, row in enumerate(table, start=1):
+class _LowerBoundStep:
+    """4*|p_k(k**theta)|**2 >= m**(2k) * k**(2 theta k (m-1)) exactly, at the orders k_1..k_{j_max} only.
+
+    theta must be a positive integer so that the evaluation point is an
+    integer and the Gaussian-integer modulus squared is exact.  The extremal
+    ratio is the least ratio of the two sides' square roots.
+    """
+
+    def __init__(self, m: int, lambda_sign: int, theta: int, j_max: int):
+        entries = _kj_orders(m, theta, j_max)
+        self.j_at = {k: j for j, k in enumerate(entries, start=1)}
+        self.first_k, self.last_k = entries[0], entries[-1]
+        self.m, self.lambda_sign, self.theta = m, lambda_sign, theta
+        self.params = {"m": m, "lambda_sign": lambda_sign, "theta": theta, "j_max": j_max}
+        self.witnesses, self.min_log_ratio = [], None
+
+    def feed(self, k: int, row: tuple) -> None:
+        j = self.j_at.get(k)
+        if j is None:
+            return
+        m, theta = self.m, self.theta
+        re, im = gaussian_parts(DerivPoly(m=m, k=k, coeffs=row), self.lambda_sign, k**theta)
+        lhs = 4 * (re * re + im * im)
+        rhs = m ** (2 * k) * k ** (2 * theta * k * (m - 1))
+        if lhs < rhs:
+            self.witnesses.append((j, k))
+        log_ratio = (math.log(lhs) - math.log(rhs)) / 2
+        if self.min_log_ratio is None or log_ratio < self.min_log_ratio:
+            self.min_log_ratio = log_ratio
+
+    def result(self) -> CheckResult:
+        extremal = None if self.min_log_ratio is None else math.exp(self.min_log_ratio)
+        return _result("evaluation-lower-bound", self.params, self.witnesses, extremal)
+
+
+def _walk(rows, *steps) -> list[CheckResult]:
+    """Feed rows 1, 2, ... of ``rows`` once each, in ascending k, to every step whose
+    ``first_k``..``last_k`` holds k; return their results."""
+    for k, row in enumerate(rows, start=1):
         for step in steps:
-            if k >= step.first_k:
+            if step.first_k <= k <= step.last_k:
                 step.feed(k, row)
     return [step.result() for step in steps]
 
@@ -199,14 +237,24 @@ def check_ratio_bound(table: CoeffTable | CoeffRows, theta: Fraction) -> CheckRe
     return _walk(table, _RatioStep(table.m, table.k_max, theta))[0]
 
 
-def check_table_bounds(table: CoeffTable | CoeffRows, theta: Fraction) -> list[CheckResult]:
-    """``check_ck1_closed_form``, ``check_ck2_bound`` and ``check_ratio_bound`` from one walk of ``table``.
+def check_table_bounds(
+    table: CoeffTable | CoeffRows, theta: Fraction, k_max: int | None = None, j_max: int | None = None
+) -> list[CheckResult]:
+    """``check_ck1_closed_form``, ``check_ck2_bound`` and ``check_ratio_bound`` up to
+    ``k_max`` (the table's by default; at least 4), then, given ``j_max``,
+    ``check_lower_bound(m, 1, theta, j_max)``, all from one walk of ``table``.
 
-    Each row is read once and fed to the three checks in turn, so a
-    ``coeff_rows`` walk makes every row once.  The table must reach k >= 4.
+    Each row is read once and fed to the checks in turn, so a ``coeff_rows``
+    walk makes every row once.  The table must reach k_max and, given
+    ``j_max``, k_{j_max}; theta must then be an integer.
     """
-    m, k_max = table.m, table.k_max
-    return _walk(table, _Ck1Step(m, k_max), _Ck2Step(m, k_max), _RatioStep(m, k_max, theta))
+    m = table.m
+    k_max = table.k_max if k_max is None else k_max
+    steps = [_Ck1Step(m, k_max), _Ck2Step(m, k_max), _RatioStep(m, k_max, theta)]
+    if j_max is not None:
+        theta = Fraction(theta)
+        steps.append(_LowerBoundStep(m, 1, theta.numerator if theta.denominator == 1 else theta, j_max))
+    return _walk(_rows_to(m, max(step.last_k for step in steps), table), *steps)
 
 
 def check_wedge_fn_nonneg(m: int, theta: Fraction) -> CheckResult:
@@ -236,19 +284,8 @@ def check_lower_bound(
 
     theta must be a positive integer so that the evaluation point is an
     integer and the Gaussian-integer modulus squared is exact.  The k_j
-    construction invariants are re-asserted by kj_sequence itself.
+    construction invariants are re-asserted by kj_sequence itself.  A
+    ``table`` must reach k_{j_max}; without one the rows are walked.
     """
-    witnesses = []
-    min_log_ratio = None
-    for j, k, poly in _kj_polys(m, theta, j_max, table):
-        re, im = gaussian_parts(poly, lambda_sign, k**theta)
-        lhs = 4 * (re * re + im * im)
-        rhs = m ** (2 * k) * k ** (2 * theta * k * (m - 1))
-        if lhs < rhs:
-            witnesses.append((j, k))
-        log_ratio = (math.log(lhs) - math.log(rhs)) / 2
-        if min_log_ratio is None or log_ratio < min_log_ratio:
-            min_log_ratio = log_ratio
-    extremal = None if min_log_ratio is None else math.exp(min_log_ratio)
-    params = {"m": m, "lambda_sign": lambda_sign, "theta": theta, "j_max": j_max}
-    return _result("evaluation-lower-bound", params, witnesses, extremal)
+    step = _LowerBoundStep(m, lambda_sign, theta, j_max)
+    return _walk(_rows_to(m, step.last_k, table), step)[0]

@@ -35,13 +35,11 @@ Everything here is exact integer/rational arithmetic; no floating point.
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from dataclasses import dataclass
 from itertools import count, islice
 from math import comb
 
-from ._util import ParameterError, format_int, require_degree
+from ._util import ParameterError, Record, format_int, require_degree
 from .derivpoly import CoeffRows, CoeffTable, row_length
 
 
@@ -191,8 +189,7 @@ def hermite_oracle(k: int) -> dict[int, int]:
     return next(islice(_hermite_rows(), k - 1, None))
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
     """Outcome of certifying a table; empty discrepancies means certified equal.
 
     Each discrepancy is (k, n, table_value, oracle_value) with the values as
@@ -216,6 +213,8 @@ class OracleReport:
         }
 
     def to_json(self, **kwargs) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), **kwargs)
 
 

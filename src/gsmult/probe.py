@@ -35,14 +35,13 @@ pivot quantity of the argument and needs no Leibniz expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath
 from mpmath import iv, mp
 
-from ._util import CheckResult, ParameterError, _result, format_fraction, require_degree
+from ._util import CheckResult, ParameterError, Record, _result, format_fraction, require_degree
 from .derivpoly import (
     _GUARD_BITS,
     RESULT_BITS,
@@ -59,8 +58,7 @@ from .precision import escalate, fixed_rounded, iv_fixed, iv_prec, ols_slope, to
 RATE_BITS = RESULT_BITS - 64  # records are rounded at this precision; logs, decay, rate and Delta at RESULT_BITS
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
+class ProbeConfig(Record):
     """One growth experiment: evaluation exponent theta, decay exponent nu.
 
     nu = theta probes the borderline decay; nu < theta is the configuration
@@ -98,8 +96,7 @@ class ProbeConfig:
             raise ParameterError("orders must be >= 1")
 
 
-@dataclass(frozen=True)
-class ProbeRecord:
+class ProbeRecord(Record):
     """One sample: order k, point x_k, logged product, running rate estimate.
 
     x is k**theta itself for integer theta, else k**theta correctly rounded

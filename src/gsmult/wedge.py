@@ -43,12 +43,11 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from ._util import CheckResult, ParameterError, _result, format_fraction, require_degree
+from ._util import CheckResult, ParameterError, Record, _result, format_fraction, require_degree
 
 
 class Space(enum.Enum):
@@ -73,8 +72,7 @@ class Verdict(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class WedgeQuery:
+class WedgeQuery(Record):
     theta: Fraction
     s: Fraction
     m: int
@@ -96,8 +94,7 @@ class WedgeQuery:
             raise ParameterError("dimension must be >= 1")
 
 
-@dataclass(frozen=True)
-class WedgeVerdict:
+class WedgeVerdict(Record):
     verdict: Verdict
     citation: str
     boundary_excluded: bool = False
@@ -158,7 +155,7 @@ def classify_propagator(q: WedgeQuery) -> WedgeVerdict:
     """Verdict for the propagator: identity when t = 0, index swap otherwise."""
     if not q.t_nonzero:
         return WedgeVerdict(Verdict.CONTINUOUS, "identity-operator")
-    swapped = replace(q, theta=q.s, s=q.theta, operator=Operator.MULTIPLIER)
+    swapped = q._replace(theta=q.s, s=q.theta, operator=Operator.MULTIPLIER)
     inner = classify_multiplier(swapped)
     citation = "index-swap:%s" % inner.citation if inner.citation else ""
     return WedgeVerdict(inner.verdict, citation, inner.boundary_excluded)
@@ -170,8 +167,7 @@ def classify(q: WedgeQuery) -> WedgeVerdict:
     return classify_multiplier(q)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Rational rectangular grid over the (theta, s) quadrant, endpoints included."""
 
     theta_start: Fraction

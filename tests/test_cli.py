@@ -219,10 +219,10 @@ class TestVerifyIdentities:
         assert all(entry["passed"] for entry in payload)
 
     @pytest.mark.parametrize(
-        "kmax, walks", [(20, [(3, 20), (3, 60)]), (80, [(3, 60), (3, 80)])], ids=["kj-beyond-kmax", "kmax-beyond-kj"]
+        "kmax, walks", [(20, [(3, 60)]), (80, [(3, 80)])], ids=["kj-beyond-kmax", "kmax-beyond-kj"]
     )
     def test_builds_no_table(self, monkeypatch, capsys, kmax, walks):
-        # k_10 = 60 at m=3: the lower-bound check walks the rows to k_10, the table checks to --kmax
+        # k_10 = 60 at m=3: one walk to max(--kmax, k_10) feeds the table checks and the lower bound
         built = []
         monkeypatch.setattr(derivpoly, "build_coeff_table", lambda *args: built.append(args))
         real, calls = derivpoly.coeff_rows, []
@@ -236,12 +236,12 @@ class TestVerifyIdentities:
         [
             (["--kmax", "20", "--theta", "5/6"], 20),
             (["--kmax", "2", "--theta", "5/6"], 4),  # the ck2 bound needs k >= 4
-            (["--kmax", "20", "--theta", "1", "--jmax", "10"], 20 + 60),  # plus the walk to k_10 = 60
+            (["--kmax", "20", "--theta", "1", "--jmax", "10"], 60),  # one walk to k_10 = 60, past --kmax
         ],
         ids=["rational", "kmax-below-4", "integer"],
     )
     def test_makes_each_row_once(self, monkeypatch, capsys, argv, steps):
-        # one walk feeds the three table checks, so each of its rows is made once
+        # one walk feeds the three table checks and the lower bound, so each of its rows is made once
         real, calls = derivpoly._next_row, []
         monkeypatch.setattr(derivpoly, "_next_row", lambda *args: calls.append(args[1]) or real(*args))
         assert run(["verify", "identities", "--m", "3"] + argv) == 0

@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -79,12 +78,12 @@ class TestRules:
     def test_dimension_gates_negative_results(self):
         base = q(2, 1, 2, Space.ROUMIEU)
         assert classify_multiplier(base).verdict is Verdict.NOT_CONTINUOUS
-        assert classify_multiplier(replace(base, d=2)).verdict is Verdict.UNKNOWN
+        assert classify_multiplier(base._replace(d=2)).verdict is Verdict.UNKNOWN
 
     def test_monomial_rule_requires_monomial_mode(self):
         gap = q(F(1, 2), F(1, 2), 4, Space.ROUMIEU)
         assert classify_multiplier(gap).verdict is Verdict.UNKNOWN
-        assert classify_multiplier(replace(gap, mode=Mode.PURE_MONOMIAL)).verdict is Verdict.NOT_CONTINUOUS
+        assert classify_multiplier(gap._replace(mode=Mode.PURE_MONOMIAL)).verdict is Verdict.NOT_CONTINUOUS
 
     def test_monomial_rule_respects_two_over_m(self):
         at_threshold = q(F(1, 2), F(3, 5), 4, Space.ROUMIEU, mode=Mode.PURE_MONOMIAL)

@@ -38,7 +38,9 @@ Fraction, an mpf, or an interval enclosing a point such as k**theta) is
 enclosed from the result precision plus guard bits, doubled while too wide.
 On both paths the log is enclosed and correctly rounded at the result
 precision by ``precision.fixed_rounded``, so the value does not depend on
-the path.
+the path.  ``_log_magnitudes`` is the one evaluator at the paper's points
+x_k = k**theta, along any set of orders: exact at an integer theta, else
+with k**theta enclosed and made again together with its log.
 |D^k g| = |d^k/dx^k g| since D = i^{-1} d/dx only changes the phase, so all
 magnitude-level results hold for either normalization.
 """
@@ -46,15 +48,13 @@ magnitude-level results hold for either normalization.
 from __future__ import annotations
 
 import decimal
+import io
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import islice
-from typing import TYPE_CHECKING, Iterator
 
 from . import precision  # lazy: its body, and mpmath, load at the first evaluation
 from ._util import ParameterError, Record, format_int, parse_int, require_degree, require_precision
-
-if TYPE_CHECKING:
-    import mpmath
 
 RESULT_BITS = 192  # default result precision of a log
 _GUARD_BITS = 64  # an interval evaluation starts this far above its result precision
@@ -98,18 +98,11 @@ class CoeffTable(Record):
             raise ParameterError("index n=%d outside row of length %d" % (n, len(row)))
         return row[n]
 
-    def to_json_dict(self) -> dict:
-        """Exact export: coefficients as decimal strings."""
-        return {
-            "m": self.m,
-            "k_max": self.k_max,
-            "rows": [[format_int(c) for c in row] for row in self.rows],
-        }
-
-    def to_json(self, **kwargs) -> str:
-        import json
-
-        return json.dumps(self.to_json_dict(), **kwargs)
+    def to_json(self) -> str:
+        """Exact export in the ``table`` file format: the text ``write_table_json`` writes for these rows."""
+        out = io.StringIO()
+        write_table_json(out, self.m, self.k_max, self.rows)
+        return out.getvalue()
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoeffTable":
@@ -262,7 +255,7 @@ class LogMagnitude(Record):
     _GUARD_BITS above the result precision, doubled while too wide.
     """
 
-    log_mag: mpmath.mpf
+    log_mag: precision.mp.mpf
     exact: bool
     precision_bits: int
 
@@ -349,6 +342,43 @@ def eval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, precision_bits: int
     )
 
 
+def _enclosed_point(poly: DerivPoly, lambda_sign: int, theta: Fraction, bits: int, work: int):
+    """(x, ln|p_k(x)|) at x = k**theta from one enclosure of x at ``work`` bits; x is
+    k**theta correctly rounded at ``bits``, certified by both endpoints rounding to it."""
+    with precision.iv_prec(work) as iv:
+        x_enc = iv.mpf(poly.k) ** precision.to_iv(theta)
+    x = precision.fixed_rounded(*precision.iv_fixed(x_enc), bits)
+    return x, _interval_log_magnitude(poly, lambda_sign, x_enc, bits, work)
+
+
+def _log_magnitudes(
+    m: int, lambda_sign: int, theta: int | Fraction, orders: Iterable[int], table: CoeffTable | CoeffRows | None
+) -> Iterator[tuple[int, object, LogMagnitude]]:
+    """(k, x_k, ln|p_k(x_k)|) at the paper's points x_k = k**theta, for each k of ``orders``
+    once, in ascending k; the log is correctly rounded at RESULT_BITS.
+
+    At an integer theta x_k is the int k**theta and ``eval_log_magnitude`` is
+    exact.  Otherwise x_k is k**theta correctly rounded at RESULT_BITS, and the
+    enclosure of the point and the log on it are made together, from
+    RESULT_BITS + _GUARD_BITS, doubled while either rounds apart.  Rows
+    1..max(orders) are read once from ``table``, walked when it is None.
+    """
+    wanted = set(orders)
+    theta = Fraction(theta)
+    for k, row in enumerate(_rows_to(m, max(wanted), table), start=1):
+        if k not in wanted:
+            continue
+        poly = DerivPoly(m=m, k=k, coeffs=row)
+        if theta.denominator == 1:
+            x = k**theta.numerator
+            lm = eval_log_magnitude(poly, lambda_sign, x)
+        else:
+            x, lm = precision.escalate(
+                lambda work: _enclosed_point(poly, lambda_sign, theta, RESULT_BITS, work), RESULT_BITS + _GUARD_BITS
+            )
+        yield k, x, lm
+
+
 class KjSequence(Record):
     """Orders k_j where the alternating real part of p_k is provably dominant.
 
@@ -386,25 +416,13 @@ def kj_sequence(m: int, j_max: int) -> KjSequence:
     return KjSequence(m=m, entries=tuple(entries))
 
 
-def _kj_orders(m: int, theta: int, j_max: int) -> tuple[int, ...]:
-    """k_1..k_{j_max}, the orders of the exact checks; theta must be a positive integer
-    with m*theta >= 2, so each k_j**theta is an integer."""
-    if not isinstance(theta, int) or theta < 1:
+def _kj_orders(m: int, theta: int | Fraction, j_max: int) -> tuple[int, tuple[int, ...]]:
+    """(theta, k_1..k_{j_max}) for the exact checks: theta must equal a positive integer
+    (an int or an integral Fraction, returned as an int) with m*theta >= 2, so each
+    k_j**theta is an integer."""
+    if not isinstance(theta, (int, Fraction)) or theta.denominator != 1 or theta < 1:
         raise ParameterError("theta must be a positive integer for exact evaluation")
+    theta = int(theta)
     if m * theta < 2:
         raise ParameterError("hypothesis violated: theta < 2/m")
-    return kj_sequence(m, j_max).entries
-
-
-def _kj_polys(
-    m: int, theta: int, j_max: int, table: CoeffTable | CoeffRows | None
-) -> Iterator[tuple[int, int, DerivPoly]]:
-    """(j, k_j, p_{k_j}) for j = 1..j_max, the walk of the exact checks along the k_j.
-
-    theta is as ``_kj_orders`` takes it, and a ``table`` must cover k_{j_max}.
-    Arguments are checked at once, rows read as it goes.
-    """
-    entries = _kj_orders(m, theta, j_max)
-    j_at = {k: j for j, k in enumerate(entries, start=1)}
-    rows = enumerate(_rows_to(m, entries[-1], table), start=1)
-    return ((j_at[k], k, DerivPoly(m=m, k=k, coeffs=row)) for k, row in rows if k in j_at)
+    return theta, kj_sequence(m, j_max).entries

@@ -50,8 +50,8 @@ maximizing x of order k grows with k.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Any, Optional, Sequence
 
 from mpmath import iv, mp
 
@@ -180,7 +180,7 @@ def geometric_grid(x_max, points: int = 25) -> tuple[Fraction, ...]:
     return (Fraction(0),) + tuple(x_max / 2**j for j in reversed(range(points)))
 
 
-def verify_bracket_bound(t, k_max: int, grid: Optional[Sequence] = None) -> CheckResult:
+def verify_bracket_bound(t, k_max: int, grid: Sequence | None = None) -> CheckResult:
     """Empirical constant for |d^k <x>**t| <= C * 8**k * k! * <x>**(t-k).
 
     The ratio simplifies to |q_k(x)| * (1+x**2)**(-k/2) / (8**k * k!), which
@@ -318,7 +318,7 @@ def gs_derivative(theta, k: int, x, precision_bits: int = 256):
 def verify_gs_bound(
     theta,
     k_max: int,
-    grid: Optional[Sequence] = None,
+    grid: Sequence | None = None,
     slope_tol: float = 1e-3,
 ) -> CheckResult:
     """Empirical constant for |f^(k)| <= C**k * k! * f(x) * <x>**(k*max(1/theta-1,0)).
@@ -424,8 +424,8 @@ class SeminormEstimate(Record):
 
     kind: str
     params: dict[str, str]
-    truncation: dict[str, Any]
-    value: Any
+    truncation: dict[str, object]
+    value: object
     is_lower_bound: bool = True
 
 
@@ -450,7 +450,7 @@ def seminorm_cells(
     h=None,
     max_deriv: int = 10,
     max_power: int = 10,
-    grid: Optional[Sequence] = None,
+    grid: Sequence | None = None,
 ):
     """Per-(order, point) summands of a truncated seminorm.
 
@@ -523,7 +523,7 @@ def seminorm(
     h=None,
     max_deriv: int = 10,
     max_power: int = 10,
-    grid: Optional[Sequence] = None,
+    grid: Sequence | None = None,
 ) -> SeminormEstimate:
     """Truncated Gelfand-Shilov seminorm of f_spec.
 
@@ -567,7 +567,7 @@ def seminorm_equivalence_table(
     pairs: Sequence[tuple[Fraction, Fraction]] = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(1, 4))),
     max_deriv: int = 10,
     max_power: int = 10,
-    grid: Optional[Sequence] = None,
+    grid: Sequence | None = None,
 ):
     """Diagnostic table pairing a-family and h-family estimates.
 

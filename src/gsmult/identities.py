@@ -177,13 +177,13 @@ def _exceeds(a: int, b: int, f: int, q: int, gap: int, lf: int) -> bool:
 class _LowerBoundStep:
     """4*|p_k(k**theta)|**2 >= m**(2k) * k**(2 theta k (m-1)) exactly, at the orders k_1..k_{j_max} only.
 
-    theta must be a positive integer so that the evaluation point is an
+    theta must equal a positive integer so that the evaluation point is an
     integer and the Gaussian-integer modulus squared is exact.  The extremal
     ratio is the least ratio of the two sides' square roots.
     """
 
-    def __init__(self, m: int, lambda_sign: int, theta: int, j_max: int):
-        entries = _kj_orders(m, theta, j_max)
+    def __init__(self, m: int, lambda_sign: int, theta: int | Fraction, j_max: int):
+        theta, entries = _kj_orders(m, theta, j_max)
         self.j_at = {k: j for j, k in enumerate(entries, start=1)}
         self.first_k, self.last_k = entries[0], entries[-1]
         self.m, self.lambda_sign, self.theta = m, lambda_sign, theta
@@ -246,14 +246,13 @@ def check_table_bounds(
 
     Each row is read once and fed to the checks in turn, so a ``coeff_rows``
     walk makes every row once.  The table must reach k_max and, given
-    ``j_max``, k_{j_max}; theta must then be an integer.
+    ``j_max``, k_{j_max}; theta must then equal an integer.
     """
     m = table.m
     k_max = table.k_max if k_max is None else k_max
     steps = [_Ck1Step(m, k_max), _Ck2Step(m, k_max), _RatioStep(m, k_max, theta)]
     if j_max is not None:
-        theta = Fraction(theta)
-        steps.append(_LowerBoundStep(m, 1, theta.numerator if theta.denominator == 1 else theta, j_max))
+        steps.append(_LowerBoundStep(m, 1, theta, j_max))
     return _walk(_rows_to(m, max(step.last_k for step in steps), table), *steps)
 
 
@@ -276,13 +275,13 @@ def check_wedge_fn_nonneg(m: int, theta: Fraction) -> CheckResult:
 def check_lower_bound(
     m: int,
     lambda_sign: int,
-    theta: int,
+    theta: int | Fraction,
     j_max: int,
     table: CoeffTable | CoeffRows | None = None,
 ) -> CheckResult:
     """4*|p_{k_j}(k_j**theta)|**2 >= m**(2 k_j) * k_j**(2 theta k_j (m-1)), exactly.
 
-    theta must be a positive integer so that the evaluation point is an
+    theta must equal a positive integer so that the evaluation point is an
     integer and the Gaussian-integer modulus squared is exact.  The k_j
     construction invariants are re-asserted by kj_sequence itself.  A
     ``table`` must reach k_{j_max}; without one the rows are walked.

@@ -7,10 +7,10 @@ at x_k = k**theta,
 
     log |(D^k g)(x_k) f(x_k)| = log |p_k(x_k)| - <x_k>**(1/nu)
 
-with |p_k| from the exact Gaussian-integer evaluator whenever theta is an
-integer; otherwise x_k is enclosed in an interval, |p_k| is enclosed on
-that enclosure, and both are made again at doubled precision until x_k and
-the log each round to one value at the result precision (Ziv's test,
+with log |p_k(x_k)| from ``derivpoly._log_magnitudes``: exact Gaussian
+integers whenever theta is an integer; otherwise x_k and |p_k| on it are
+enclosed together, and made again at doubled precision until x_k and the
+log each round to one value at the result precision (Ziv's test,
 ``precision.fixed_rounded``).  Either way the log is correctly rounded.
 Logs, the decay term, the rate and Delta are computed at that result precision,
 RESULT_BITS = RATE_BITS + 64, and records are rounded at RATE_BITS.
@@ -35,25 +35,15 @@ pivot quantity of the argument and needs no Leibniz expansion.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 import mpmath
-from mpmath import iv, mp
+from mpmath import mp
 
 from ._util import CheckResult, ParameterError, Record, _result, format_fraction, require_degree
-from .derivpoly import (
-    _GUARD_BITS,
-    RESULT_BITS,
-    CoeffRows,
-    CoeffTable,
-    DerivPoly,
-    _interval_log_magnitude,
-    _kj_polys,
-    _rows_to,
-    eval_log_magnitude,
-)
-from .precision import escalate, fixed_rounded, iv_fixed, iv_prec, ols_slope, to_iv, to_mpf
+from .derivpoly import RESULT_BITS, CoeffRows, CoeffTable, _kj_orders, _log_magnitudes
+from .precision import ols_slope, to_mpf
 
 RATE_BITS = RESULT_BITS - 64  # records are rounded at this precision; logs, decay, rate and Delta at RESULT_BITS
 
@@ -118,32 +108,13 @@ def _decay(x, nu: Fraction, bits: int):
         return mp.exp(to_mpf(1 / (2 * nu)) * mp.log(to_mpf(1 + x * x)))
 
 
-def _enclosed_point(poly, cfg: ProbeConfig, k: int, bits: int, work: int):
-    """(x, ln|p_k(x)|) at x = k**theta from one enclosure of x at ``work`` bits; x is
-    k**theta correctly rounded at ``bits``, certified by both endpoints rounding to it."""
-    with iv_prec(work):
-        x_enc = iv.mpf(k) ** to_iv(cfg.theta)
-    x = fixed_rounded(*iv_fixed(x_enc), bits)
-    return x, _interval_log_magnitude(poly, cfg.lambda_sign, x_enc, bits, work)
-
-
 def probe_series(cfg: ProbeConfig, table: CoeffTable | CoeffRows | None = None) -> list[ProbeRecord]:
     """Evaluate the logged product per order, in the order of ``cfg.k_values``; deterministic for a
     fixed config.  Rows are read once, in ascending k, and without a ``table`` none is held."""
     if not cfg.k_values:
         return []
-    wanted = set(cfg.k_values)
-    theta_int = cfg.theta.denominator == 1
     records = {}
-    for k, row in enumerate(_rows_to(cfg.m, max(wanted), table), start=1):
-        if k not in wanted:
-            continue
-        poly = DerivPoly(m=cfg.m, k=k, coeffs=row)
-        if theta_int:
-            x = k**cfg.theta.numerator
-            lm = eval_log_magnitude(poly, cfg.lambda_sign, x, precision_bits=RESULT_BITS)
-        else:
-            x, lm = escalate(lambda work: _enclosed_point(poly, cfg, k, RESULT_BITS, work), RESULT_BITS + _GUARD_BITS)
+    for k, x, lm in _log_magnitudes(cfg.m, cfg.lambda_sign, cfg.theta, cfg.k_values, table):
         decay = _decay(x, cfg.nu, RESULT_BITS)
         with mp.workprec(RESULT_BITS):
             log_prod = lm.log_mag - decay
@@ -183,7 +154,7 @@ def estimate_rate(
 
 def criterion_check(
     m: int,
-    theta: int,
+    theta: int | Fraction,
     s: Fraction,
     j_max: int,
     lambda_sign: int = 1,
@@ -195,26 +166,25 @@ def criterion_check(
     C*h**k * k**(s k) * e**(c k) to dominate |p_k(k**theta)| along k_j, but
     Delta grows superlinearly: the check asserts Delta is strictly
     increasing and Delta(j_max) - Delta(1) > k_{j_max}, which no admissible
-    constants can absorb.  theta must be a positive integer so the
-    evaluations are exact.
+    constants can absorb.  theta must equal a positive integer (an int or an
+    integral Fraction) so the evaluations are exact.
     """
     if j_max < 2:
         raise ParameterError("j_max must be >= 2 to compare increments")
     require_degree(m)  # before the s hypothesis, which reads m; no walk is made until every argument passes
+    theta, orders = _kj_orders(m, theta, j_max)
     s = Fraction(s)
     if not 0 < s < (m - 1) * theta:
         raise ParameterError("hypothesis violated: need 0 < s < (m-1)*theta, got s=%s" % s)
     deltas = []
-    for _, k, poly in _kj_polys(m, theta, j_max, table):
-        lm = eval_log_magnitude(poly, lambda_sign, k**theta, precision_bits=RESULT_BITS)
+    for k, _, lm in _log_magnitudes(m, lambda_sign, theta, orders, table):
         with mp.workprec(RESULT_BITS):
             deltas.append(lm.log_mag - to_mpf(s) * k * mp.log(k))
-    k_top = k  # the last order walked, k_{j_max}
     witnesses = []
     for j in range(1, j_max):
         if not deltas[j] > deltas[j - 1]:
             witnesses.append(("not-increasing", j + 1, mp.nstr(deltas[j], 12)))
-    if not deltas[-1] - deltas[0] > k_top:
+    if not deltas[-1] - deltas[0] > orders[-1]:
         witnesses.append(("growth-below-linear", j_max, mp.nstr(deltas[-1] - deltas[0], 12)))
     params = {
         "m": m,

@@ -45,7 +45,6 @@ import enum
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from ._util import CheckResult, ParameterError, Record, _result, format_fraction, require_degree
 
@@ -264,7 +263,7 @@ def _svg_chunks(m: int, space: Space, grid: GridSpec, mode: Mode):
         fills = _column_text(theta, m, space, mode, svals, _svg_fill)
         yield "".join([prefix + y_mid + fill for y_mid, fill in zip(y_mids, fills)])
 
-    def clip_line(slope: Fraction, intercept: Fraction) -> Optional[tuple]:
+    def clip_line(slope: Fraction, intercept: Fraction) -> tuple | None:
         # s = slope*theta + intercept clipped to the plotted box
         pts = []
         for t_edge in (t_lo, t_hi):

@@ -420,6 +420,13 @@ class TestLowerBound:
         with pytest.raises(ValueError):
             check_lower_bound(2, 1, Fraction(3, 2), 2)
 
+    def test_integral_fraction_theta_is_the_integer_theta(self):
+        result = check_lower_bound(2, 1, Fraction(2), 3)
+        assert result.passed and result.to_json() == check_lower_bound(2, 1, 2, 3).to_json()
+        # check_table_bounds hands its theta to the lower-bound step as it is
+        results = check_table_bounds(coeff_rows(2, 24), Fraction(2), j_max=3)
+        assert results == check_table_bounds(coeff_rows(2, 24), 2, j_max=3) and results[3] == result
+
     def test_rejects_undersized_table(self):
         from gsmult.derivpoly import build_coeff_table
 

@@ -4,15 +4,14 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from gsmult import probe as probe_module
-from gsmult.derivpoly import build_coeff_table, derivative_poly, eval_log_magnitude, kj_sequence
+from gsmult import derivpoly as derivpoly_module
+from gsmult.derivpoly import _enclosed_point, build_coeff_table, derivative_poly, eval_log_magnitude, kj_sequence
 from gsmult.precision import PrecisionError
 from gsmult.probe import (
     RATE_BITS,
     ProbeConfig,
     ProbeRecord,
     _decay,
-    _enclosed_point,
     criterion_check,
     estimate_rate,
     probe_series,
@@ -128,14 +127,14 @@ class TestProbeSeries:
         # again, together, at 384 bits, and the records are those of the 256-bit start
         cfg = config(m=3, theta=Fraction(3, 2), ks=(4, 9))
         reference = probe_series(cfg, get_table(3, 9))
-        monkeypatch.setattr(probe_module, "_GUARD_BITS", 0)
-        real, seen = probe_module._interval_log_magnitude, []
+        monkeypatch.setattr(derivpoly_module, "_GUARD_BITS", 0)
+        real, seen = derivpoly_module._interval_log_magnitude, []
 
         def spy(poly, sign, x, out_bits, bits):
             seen.append(bits)
             return real(poly, sign, x, out_bits, bits)
 
-        monkeypatch.setattr(probe_module, "_interval_log_magnitude", spy)
+        monkeypatch.setattr(derivpoly_module, "_interval_log_magnitude", spy)
         records = probe_series(cfg, get_table(3, 9))
         assert seen == [192, 384, 384]
         assert records == reference
@@ -144,11 +143,10 @@ class TestProbeSeries:
     def test_point_is_certified_by_both_endpoints_rounding_alike(self):
         # x_5 = 5**(3/2) enclosed at the result precision itself is a few units wide there and
         # its endpoints round apart; 64 guard bits later both round to 5**(3/2) correctly rounded
-        cfg = config(m=3, theta=Fraction(3, 2), ks=(5,))
         poly = derivative_poly(get_table(3, 5), 5)
         with pytest.raises(PrecisionError):
-            _enclosed_point(poly, cfg, 5, 192, 192)
-        x, _ = _enclosed_point(poly, cfg, 5, 192, 256)
+            _enclosed_point(poly, 1, Fraction(3, 2), 192, 192)
+        x, _ = _enclosed_point(poly, 1, Fraction(3, 2), 192, 256)
         with mp.workprec(1024):
             reference = 5 * mp.sqrt(5)
         with mp.workprec(192):
@@ -229,6 +227,10 @@ class TestCriterionCheck:
     def test_rejects_non_integer_theta(self):
         with pytest.raises(ValueError):
             criterion_check(2, Fraction(3, 2), Fraction(1, 2), 4)
+
+    def test_integral_fraction_theta_is_the_integer_theta(self):
+        result = criterion_check(2, Fraction(2), Fraction(1, 2), 4)
+        assert result.passed and result.to_json() == criterion_check(2, 2, Fraction(1, 2), 4).to_json()
 
     def test_needs_two_orders(self):
         with pytest.raises(ValueError):

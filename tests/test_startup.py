@@ -4,9 +4,10 @@ The numeric submodules are registered in ``sys.modules`` when the package is
 imported, but each one's body runs on first use; ``wedge`` commands,
 ``--help`` and the exact-integer ``table``, ``verify coeffs`` and ``verify
 identities`` therefore never import mpmath.  No command loads ``dataclasses``
-(nor the ``inspect``, ``ast`` and ``dis`` it pulls in), and only a command
-that writes JSON loads ``json``.  Each start-up check runs in a fresh
-interpreter, since this test process has long since loaded everything.
+(nor the ``inspect``, ``ast`` and ``dis`` it pulls in) or ``typing``, and
+only a command that writes JSON loads ``json``.  Each start-up check runs in
+a fresh interpreter, since this test process has long since loaded
+everything.
 """
 
 import importlib.util
@@ -25,12 +26,13 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACEBOOT = ROOT / "bench" / "traceboot.py"
 
 
-def _fresh(code: str, cwd: Path):
-    """Run ``code`` in a new interpreter with the package on its path; return its stdout as JSON."""
+def _fresh(code: str, cwd: Path, *flags: str):
+    """Run ``code`` in a new interpreter, given ``flags``, with the package on its path;
+    return its stdout as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, cwd=cwd
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=60, cwd=cwd
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout.splitlines()[-1])
@@ -52,9 +54,9 @@ COMMANDS = {
 }
 
 
-def _loaded(argv, cwd: Path):
-    """[exit status, sorted names in ``sys.modules``] after ``cli.dispatch(argv)`` in a fresh interpreter;
-    the names are read before the report's own ``json`` is imported."""
+def _loaded(argv, cwd: Path, *flags: str):
+    """[exit status, sorted names in ``sys.modules``] after ``cli.dispatch(argv)`` in a fresh interpreter
+    started with ``flags``; the names are read before the report's own ``json`` is imported."""
     code = (
         "import sys\n"
         "from gsmult import cli\n"
@@ -63,7 +65,7 @@ def _loaded(argv, cwd: Path):
         "import json\n"
         "print(json.dumps([status, loaded]))\n" % (argv,)
     )
-    return _fresh(code, cwd)
+    return _fresh(code, cwd, *flags)
 
 
 @pytest.mark.parametrize(
@@ -74,6 +76,13 @@ def _loaded(argv, cwd: Path):
 def test_command_loads_no_mpmath(tmp_path, name):
     status, loaded = _loaded(COMMANDS[name], tmp_path)
     assert [status, "mpmath" in loaded] == [0, False]
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_loads_no_typing(tmp_path, name):
+    # -S: no site-packages, so no ``.pth`` file can load typing before the command does
+    status, loaded = _loaded(COMMANDS[name], tmp_path, "-S")
+    assert [status, "typing" in loaded] == [0, False]
 
 
 # dataclasses and the modules it imports that nothing else on a command's path needs

@@ -190,10 +190,10 @@ class CheckResult(Record):
             "extremal_ratio": None if self.extremal_ratio is None else str(self.extremal_ratio),
         }
 
-    def to_json(self, **kwargs) -> str:
+    def to_json(self) -> str:
         import json
 
-        return json.dumps(self.to_json_dict(), **kwargs)
+        return json.dumps(self.to_json_dict())
 
 
 def _result(name, params, witnesses, extremal=None) -> CheckResult:

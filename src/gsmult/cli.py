@@ -15,12 +15,11 @@ the verifiers double as CI tests and a crash is never mistaken for a
 failed check or a rejected argument.  All numeric output is written as
 decimal (or exact ``p/q``) strings; identical argv gives identical bytes.
 No option sets a precision (``--precision-bits`` was removed; given it,
-every command exits 2 and says so): each command computes at its
-library's fixed one (192 bits, 256 for ``gs bound``), far above the at
-most 24 digits it prints.  The interval engines start a few guard bits
-above it and double their working precision while an enclosure is too
-wide.  No command holds a coefficient table: each walks the rows it
-needs (``derivpoly.coeff_rows``).
+every command exits 2 and says so): all compute at the one result precision
+``precision.RESULT_BITS`` (192 bits), far above the at most 24 digits they
+print; ``precision.escalate`` alone starts a certified value ``GUARD_BITS``
+(64) above it, doubled while an enclosure is too wide.  No command holds a
+coefficient table: each walks the rows it needs (``derivpoly.coeff_rows``).
 """
 
 from __future__ import annotations
@@ -135,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit = probe_sub.add_parser("criterion", help="multiplier-criterion divergence check")
     p_crit.set_defaults(run=_cmd_probe_criterion)
     p_crit.add_argument("--m", type=int, required=True)
-    p_crit.add_argument("--theta", type=int, required=True)
+    p_crit.add_argument("--theta", type=_fraction_arg, required=True, help="a positive integer, e.g. 2 or 4/2")
     p_crit.add_argument("--s", type=_fraction_arg, required=True)
     p_crit.add_argument("--jmax", type=int, required=True)
 
@@ -181,7 +180,7 @@ def _cmd_verify_coeffs(args) -> int:
     report = oracle.certify(derivpoly.coeff_rows(args.m, args.kmax))
     json_path = _resolve(args.json, args.out_dir)
     if json_path is not None:
-        json_path.write_text(report.to_json(indent=2) + "\n", encoding="utf-8")
+        json_path.write_text(report.to_json(), encoding="utf-8")
     if report.certified:
         print("coefficients certified: m=%d, k in 1..%d" % (args.m, args.kmax))
         return 0
@@ -311,8 +310,7 @@ def _cmd_probe_run(args) -> int:
     csv_path = _resolve(args.csv, args.out_dir)
     lines = ["k,x,log_dkg_f,rate"]
     for r in records:
-        x_str = str(r.x) if isinstance(r.x, int) else format_mpf(r.x)
-        lines.append("%d,%s,%s,%s" % (r.k, x_str, format_mpf(r.log_dkg_f), format_mpf(r.rate)))
+        lines.append("%d,%s,%s,%s" % (r.k, format_mpf(r.x), format_mpf(r.log_dkg_f), format_mpf(r.rate)))
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("wrote %d records to %s" % (len(records), csv_path))
     if len(records) >= 16:

@@ -35,10 +35,10 @@ One Horner loop in m*x**m evaluates p_k(x) for lam = m * i**turn using only
 and mpmath intervals.  Magnitudes |p_k(x)| for lam = +/- i*m are thus exact
 in Gaussian integers whenever x is a nonnegative integer; any other x (a
 Fraction, an mpf, or an interval enclosing a point such as k**theta) is
-enclosed from the result precision plus guard bits, doubled while too wide.
-On both paths the log is enclosed and correctly rounded at the result
-precision by ``precision.fixed_rounded``, so the value does not depend on
-the path.  ``_log_magnitudes`` is the one evaluator at the paper's points
+enclosed under ``precision.escalate``.  On both paths the log is enclosed
+and correctly rounded at the result precision, ``precision.RESULT_BITS``
+unless given, by ``precision.fixed_rounded``, so the value does not depend
+on the path.  ``_log_magnitudes`` is the one evaluator at the paper's points
 x_k = k**theta, along any set of orders: exact at an integer theta, else
 with k**theta enclosed and made again together with its log.
 |D^k g| = |d^k/dx^k g| since D = i^{-1} d/dx only changes the phase, so all
@@ -55,9 +55,6 @@ from itertools import islice
 
 from . import precision  # lazy: its body, and mpmath, load at the first evaluation
 from ._util import ParameterError, Record, format_int, parse_int, require_degree, require_precision
-
-RESULT_BITS = 192  # default result precision of a log
-_GUARD_BITS = 64  # an interval evaluation starts this far above its result precision
 
 # Exact integer arithmetic on Decimals: a result that would need rounding raises instead.
 _EXACT = decimal.Context(
@@ -251,8 +248,8 @@ class LogMagnitude(Record):
     value is 0.  When ``exact`` is set it was rounded from an exact Gaussian
     integer modulus squared; otherwise from an interval enclosure of p_k(x).
     precision_bits is the working precision used: the result precision on
-    the exact path; on the interval path the precision that certified, from
-    _GUARD_BITS above the result precision, doubled while too wide.
+    the exact path; on the interval path the precision that certified, as
+    ``precision.escalate`` handed it.
     """
 
     log_mag: precision.mp.mpf
@@ -312,17 +309,17 @@ def _interval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, out_bits: int,
     return LogMagnitude(log_mag=log_mag, exact=False, precision_bits=bits)
 
 
-def eval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, precision_bits: int = RESULT_BITS) -> LogMagnitude:
+def eval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, precision_bits: int | None = None) -> LogMagnitude:
     """ln |p_k(x)| for lam = lambda_sign * i * m, correctly rounded at ``precision_bits``.
 
-    ``precision_bits`` is the result precision.  Integer x (including
-    Fractions with denominator one) goes through exact Gaussian-integer
-    arithmetic.  Other x -- a Fraction, an mpf, or an mpmath interval
-    enclosing the point -- is evaluated by interval arithmetic from the
-    result precision plus _GUARD_BITS, doubled while the log's enclosure
-    rounds apart at the result precision; at the cap (at once for an exact
-    zero) PrecisionError is raised.  An integral mpf or interval point takes
-    the interval path too, and gets the same value as the exact path.
+    ``precision_bits`` is the result precision, ``precision.RESULT_BITS`` when
+    None.  Integer x (including Fractions with denominator one) goes through
+    exact Gaussian-integer arithmetic.  Other x -- a Fraction, an mpf, or an
+    mpmath interval enclosing the point -- is evaluated by interval arithmetic
+    under ``precision.escalate``, again while the log's enclosure rounds apart;
+    at the cap (at once for an exact zero) PrecisionError is raised.  An
+    integral mpf or interval point takes the interval path too, and gets the
+    same value as the exact path.
     """
     if lambda_sign not in (1, -1):
         raise ParameterError("lambda_sign must be +1 or -1")
@@ -330,16 +327,15 @@ def eval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, precision_bits: int
     lo = precision.iv_endpoints(x)[0] if isinstance(x, precision.iv.mpf) else x
     if not lo >= 0:
         raise ParameterError("x must be nonnegative")
-    require_precision(precision_bits)
+    bits = precision.RESULT_BITS if precision_bits is None else precision_bits
+    require_precision(bits)
 
     if x_int is not None:
         re, im = gaussian_parts(poly, lambda_sign, x_int)
         mag2 = re * re + im * im
-        log_mag = precision.half_log_of_int(mag2, precision_bits) if mag2 else precision.mp.ninf
-        return LogMagnitude(log_mag=log_mag, exact=True, precision_bits=precision_bits)
-    return precision.escalate(
-        lambda b: _interval_log_magnitude(poly, lambda_sign, x, precision_bits, b), precision_bits + _GUARD_BITS
-    )
+        log_mag = precision.half_log_of_int(mag2, bits) if mag2 else precision.mp.ninf
+        return LogMagnitude(log_mag=log_mag, exact=True, precision_bits=bits)
+    return precision.escalate(lambda work: _interval_log_magnitude(poly, lambda_sign, x, bits, work), bits)
 
 
 def _enclosed_point(poly: DerivPoly, lambda_sign: int, theta: Fraction, bits: int, work: int):
@@ -355,27 +351,26 @@ def _log_magnitudes(
     m: int, lambda_sign: int, theta: int | Fraction, orders: Iterable[int], table: CoeffTable | CoeffRows | None
 ) -> Iterator[tuple[int, object, LogMagnitude]]:
     """(k, x_k, ln|p_k(x_k)|) at the paper's points x_k = k**theta, for each k of ``orders``
-    once, in ascending k; the log is correctly rounded at RESULT_BITS.
+    once, in ascending k; the log is correctly rounded at ``precision.RESULT_BITS``.
 
     At an integer theta x_k is the int k**theta and ``eval_log_magnitude`` is
-    exact.  Otherwise x_k is k**theta correctly rounded at RESULT_BITS, and the
-    enclosure of the point and the log on it are made together, from
-    RESULT_BITS + _GUARD_BITS, doubled while either rounds apart.  Rows
+    exact.  Otherwise x_k is k**theta correctly rounded at the result precision,
+    and the enclosure of the point and the log on it are made together under one
+    ``precision.escalate``, again while either rounds apart.  Rows
     1..max(orders) are read once from ``table``, walked when it is None.
     """
     wanted = set(orders)
     theta = Fraction(theta)
+    bits = precision.RESULT_BITS
     for k, row in enumerate(_rows_to(m, max(wanted), table), start=1):
         if k not in wanted:
             continue
         poly = DerivPoly(m=m, k=k, coeffs=row)
         if theta.denominator == 1:
             x = k**theta.numerator
-            lm = eval_log_magnitude(poly, lambda_sign, x)
+            lm = eval_log_magnitude(poly, lambda_sign, x, bits)
         else:
-            x, lm = precision.escalate(
-                lambda work: _enclosed_point(poly, lambda_sign, theta, RESULT_BITS, work), RESULT_BITS + _GUARD_BITS
-            )
+            x, lm = precision.escalate(lambda work: _enclosed_point(poly, lambda_sign, theta, bits, work), bits)
         yield k, x, lm
 
 

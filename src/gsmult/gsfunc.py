@@ -35,10 +35,10 @@ enclosure is [lo, hi] * 2**e, and each order is one exact dot product of
 the nonzero terms followed by a single outward rounding (floor on the lower
 end, ceiling on the upper), where mpmath interval operators would round
 each of the 2(j+1) multiplies and adds.  Only <x>**t and exp(-<x>**t) come
-from mpmath.  The kernel starts at the requested precision and doubles it
-while an enclosure is too wide; each value, rounded once at the requested
-precision, is certified to relative error below 2**-64, else
-PrecisionError is raised.
+from mpmath.  The kernel runs at the precision ``precision.escalate`` hands
+it; each value, rounded once at the requested precision, is certified to
+relative error below 2**-64, else PrecisionError is raised.  All else here
+runs at ``precision.RESULT_BITS``, read when it is called.
 
 Seminorm estimators are truncated suprema over finitely many derivative
 orders, power orders and grid points, hence certified *lower* bounds of the
@@ -55,6 +55,7 @@ from fractions import Fraction
 
 from mpmath import iv, mp
 
+from . import precision
 from ._util import CheckResult, ParameterError, Record, _result, format_fraction, require_precision
 from .precision import (
     certified_fixed_midpoint,
@@ -67,10 +68,6 @@ from .precision import (
     to_iv,
     to_mpf,
 )
-
-BRACKET_BITS = 192  # the precision of bracket_eval and verify_bracket_bound
-SEMINORM_BITS = 192  # the precision of every seminorm cell
-GS_BOUND_BITS = 256  # the precision of verify_gs_bound and of the derivatives it reads
 
 
 class BracketDerivPoly(Record):
@@ -159,7 +156,7 @@ def bracket_eval(t, k: int, x):
     tf = Fraction(t)
     xf = Fraction(x)
     r_k = _bracket_ratios(tf, xf, k)[k]
-    with mp.workprec(BRACKET_BITS):
+    with mp.workprec(precision.RESULT_BITS):
         return to_mpf(r_k) * mp.exp(to_mpf(tf) / 2 * mp.log(to_mpf(1 + xf * xf)))
 
 
@@ -192,7 +189,7 @@ def verify_bracket_bound(t, k_max: int, grid: Sequence | None = None) -> CheckRe
         grid = uniform_grid(Fraction(-10), Fraction(10), 81)
     max_ratio = None
     witnesses = []
-    with mp.workprec(BRACKET_BITS):
+    with mp.workprec(precision.RESULT_BITS):
         for x in grid:
             xf = Fraction(x)
             u = 1 + xf * xf
@@ -213,7 +210,6 @@ def verify_bracket_bound(t, k_max: int, grid: Sequence | None = None) -> CheckRe
 
 MIN_GS_PRECISION_BITS = 128
 _GS_REL_ERROR_BITS = 64  # certified relative error of each returned value: < 2**-64
-_GUARD_BITS = 32
 
 
 def _taylor_kernel(c, a_0, k_max: int, prec: int):
@@ -266,17 +262,17 @@ def _taylor_kernel(c, a_0, k_max: int, prec: int):
 def gs_derivative_series(theta, k_max: int, x, precision_bits: int = 256):
     """Certified values of d^k/dx^k exp(-<x>**(1/theta)) for k = 0..k_max.
 
-    x must be rational (int, float or Fraction).  At a working budget of
-    ``bits``, mpmath encloses <x>**t (t = 1/theta) and exp(-<x>**t) once;
-    everything after runs on ints, an enclosure being [lo, hi] * 2**e kept
-    to bits + 32 bits.  c_i = -<x>**t * r_{i+1}/i! comes from the exact
-    bracket ratios r_i by one floor and one ceiling division, and each
-    order of the Taylor recursion costs one exact dot product and one
-    outward rounding (``_taylor_kernel``); exact zeros (c_i for i >= 2 at
+    x must be rational (int, float or Fraction).  At the working precision
+    ``work`` that ``escalate`` hands it, mpmath encloses <x>**t (t = 1/theta)
+    and exp(-<x>**t) once; everything after runs on ints, an enclosure being
+    [lo, hi] * 2**e kept to ``work`` bits.  c_i = -<x>**t * r_{i+1}/i! comes
+    from the exact bracket ratios r_i by one floor and one ceiling division,
+    and each order of the Taylor recursion costs one exact dot product and
+    one outward rounding (``_taylor_kernel``); exact zeros (c_i for i >= 2 at
     theta = 1/2, the odd orders at x = 0) are skipped and stay exact.  Each
     returned value, f^(j) = a_j * j! rounded once at ``precision_bits``, is
     certified to relative error < 2**-64 (exact zeros are returned as
-    exact), the budget doubling while it is not; PrecisionError otherwise.
+    exact), the work doubling while it is not; PrecisionError otherwise.
     """
     theta = Fraction(theta)
     if theta <= 0:
@@ -291,14 +287,13 @@ def gs_derivative_series(theta, k_max: int, x, precision_bits: int = 256):
         den *= d * (i or 1)
         scaled.append((nums[i + 1], den))
 
-    def series(bits):
-        prec = bits + _GUARD_BITS
-        with iv_prec(bits):
+    def series(work):
+        with iv_prec(work):
             bracket_pow = iv.exp(to_iv(t / 2) * iv.log(to_iv(1 + xf * xf)))  # <x>**t
             a_0 = iv_fixed(iv.exp(-bracket_pow))
         bracket_pow = iv_fixed(bracket_pow)
-        c = [fixed_scaled(bracket_pow, -n, den, prec) for n, den in scaled]  # c_i = -<x>**t * r_{i+1}/i!
-        a = _taylor_kernel(c, fixed_outward(*a_0, prec), k_max, prec)
+        c = [fixed_scaled(bracket_pow, -n, den, work) for n, den in scaled]  # c_i = -<x>**t * r_{i+1}/i!
+        a = _taylor_kernel(c, fixed_outward(*a_0, work), k_max, work)
         out = []
         fact = 1
         for j, a_j in enumerate(a):
@@ -327,8 +322,8 @@ def verify_gs_bound(
     power.  The check asserts C_emp stays bounded: the least-squares slope
     of log C_emp against k over the top half of the orders must not exceed
     ``slope_tol``.  Everything, the derivatives included, is computed at
-    GS_BOUND_BITS: the printed slope and C_emp keep 10 digits, so a higher
-    precision changes no printed byte.
+    ``precision.RESULT_BITS``: the printed slope and C_emp keep 10 digits, so
+    a higher precision changes no printed byte.
 
     Calibration constraint: a bounded C_emp with an algebraic prefactor
     approaches its limit like k**(-a/k), whose log-slope transient is about
@@ -344,12 +339,13 @@ def verify_gs_bound(
     grid = geometric_grid(2 * Fraction(k_max) ** math.ceil(theta), 25) if grid is None else tuple(grid)
     tau = max(1 / theta - 1, Fraction(0))
     best_log = [None] * (k_max + 1)
-    with mp.workprec(GS_BOUND_BITS):
+    bits = precision.RESULT_BITS
+    with mp.workprec(bits):
         tau_mpf = to_mpf(tau)
         log_fact = [None] + [mp.log(mp.factorial(k)) for k in range(1, k_max + 1)]
         k_tau = [k * tau_mpf for k in range(k_max + 1)]
         for x in grid:
-            series = gs_derivative_series(theta, k_max, x, GS_BOUND_BITS)
+            series = gs_derivative_series(theta, k_max, x, bits)
             xf = Fraction(x)
             log_bracket = mp.log(to_mpf(1 + xf * xf)) / 2
             log_f0 = mp.log(series[0])
@@ -362,7 +358,7 @@ def verify_gs_bound(
         orders = [k for k in range(1, k_max + 1) if best_log[k] is not None]
         log_c_emp = {k: best_log[k] / k for k in orders}
         tail = [k for k in orders if k >= orders[-1] // 2 + 1]
-        slope = ols_slope(tail, [log_c_emp[k] for k in tail], bits=GS_BOUND_BITS)
+        slope = ols_slope(tail, [log_c_emp[k] for k in tail], bits)
         c_max = mp.exp(max(log_c_emp.values()))
     witnesses = [] if slope <= slope_tol else [("slope", mp.nstr(slope, 10))]
     params = {
@@ -382,8 +378,8 @@ class GSFunction:
         self.theta = Fraction(theta)
         self.name = "gs_function(theta=%s)" % format_fraction(self.theta)
 
-    def derivatives(self, x, k_max: int, precision_bits: int):
-        return gs_derivative_series(self.theta, k_max, x, max(precision_bits, MIN_GS_PRECISION_BITS))
+    def derivatives(self, x, k_max: int):
+        return gs_derivative_series(self.theta, k_max, x, precision.RESULT_BITS)
 
 
 class Gaussian:
@@ -391,12 +387,12 @@ class Gaussian:
 
     name = "gaussian"
 
-    def derivatives(self, x, k_max: int, precision_bits: int):
+    def derivatives(self, x, k_max: int):
         xf = Fraction(x)
         hermite = [Fraction(1), 2 * xf]  # H_k = 2x * H_{k-1} - 2(k-1) * H_{k-2}
         for k in range(2, k_max + 1):
             hermite.append(2 * xf * hermite[k - 1] - 2 * (k - 1) * hermite[k - 2])
-        with mp.workprec(precision_bits):
+        with mp.workprec(precision.RESULT_BITS):
             fx = mp.exp(to_mpf(-xf * xf))
             return [fx] + [to_mpf(-hermite[k] if k % 2 else hermite[k]) * fx for k in range(1, k_max + 1)]
 
@@ -408,7 +404,7 @@ class SampledDerivatives:
         self.samples = dict(samples)
         self.name = name
 
-    def derivatives(self, x, k_max: int, precision_bits: int):
+    def derivatives(self, x, k_max: int):
         try:
             return [self.samples[(x, k)] for k in range(k_max + 1)]
         except KeyError as exc:
@@ -459,7 +455,7 @@ def seminorm_cells(
     "h" it is the maximum over alpha <= max_power of
     |x**alpha * f^(beta)(x)| / (h**(alpha+beta) * alpha!**theta * beta!**s).
     The seminorm estimate is the maximum over all cells.  Cells are computed
-    at SEMINORM_BITS, and f_spec is asked for its derivatives at that precision.
+    at ``precision.RESULT_BITS``, as f_spec computes its derivatives.
     """
     theta = Fraction(theta)
     s = Fraction(s)
@@ -486,7 +482,7 @@ def seminorm_cells(
     grid = tuple(Fraction(g) for g in grid)
 
     cells = []
-    with mp.workprec(SEMINORM_BITS):
+    with mp.workprec(precision.RESULT_BITS):
         log_fact = [mp.mpf(0)]
         for k in range(1, max(max_deriv, max_power) + 1):
             log_fact.append(log_fact[-1] + mp.log(k))
@@ -499,7 +495,7 @@ def seminorm_cells(
             else:
                 log_xh = mp.log(to_mpf(abs(x))) - mp.log(to_mpf(h))
                 log_weight = max(alpha * log_xh - to_mpf(theta) * log_fact[alpha] for alpha in range(max_power + 1))
-            derivs = f_spec.derivatives(x, max_deriv, SEMINORM_BITS)
+            derivs = f_spec.derivatives(x, max_deriv)
             for beta in range(max_deriv + 1):
                 fv = abs(derivs[beta])
                 if fv == 0:
@@ -547,8 +543,7 @@ def seminorm(
     )
     theta = Fraction(theta)
     s = Fraction(s)
-    with mp.workprec(SEMINORM_BITS):
-        value = max((c for _, _, c in cells), default=mp.mpf(0))
+    value = max((c for _, _, c in cells), default=mp.mpf(0))
     params = {"theta": format_fraction(theta), "s": format_fraction(s), "f": f_spec.name}
     if kind == "a":
         params["a"] = format_fraction(Fraction(a))

@@ -212,10 +212,11 @@ class OracleReport(Record):
             "discrepancies": [list(d) for d in self.discrepancies],
         }
 
-    def to_json(self, **kwargs) -> str:
+    def to_json(self) -> str:
+        """The report as ``verify coeffs --json`` writes it: indented by 2, with the final newline."""
         import json
 
-        return json.dumps(self.to_json_dict(), **kwargs)
+        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
 def certify(table: CoeffTable | CoeffRows) -> OracleReport:

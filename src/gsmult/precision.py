@@ -12,10 +12,10 @@ Conversions round at most once at the requested precision; equal Fractions
 therefore always convert to bit-identical mpf values, which several
 determinism and dilation-identity checks rely on.
 
-An interval computation starts a few guard bits above the precision of its
-result, and ``escalate`` doubles that while an enclosure is too wide: Ziv's
-strategy, with its rounding test as the one rule for every certified log
-and for the probe's point.
+The precision policy lives here alone.  Every command reads ``RESULT_BITS``
+when it is called.  ``escalate`` takes a result precision, starts the work
+``GUARD_BITS`` above it and doubles that while an enclosure is too wide:
+Ziv's strategy, its rounding test the one rule for every certified value.
 
 An enclosure is read in one way only: ``iv_fixed`` reads an interval
 exactly as ints [lo, hi] * 2**e.  ``fixed_rounded`` gives the value both
@@ -43,6 +43,9 @@ from mpmath import iv, mp
 from mpmath.libmp import from_man_exp, round_nearest
 
 from ._util import ParameterError
+
+RESULT_BITS = 192  # the result precision of every command, far above the at most 24 digits any prints
+GUARD_BITS = 64  # ``escalate`` starts this far above the result precision
 
 
 class PrecisionError(ArithmeticError):
@@ -75,7 +78,7 @@ def to_mpf(value):
     return mp.mpf(value)
 
 
-def ols_slope(xs, ys, bits: int = 128):
+def ols_slope(xs, ys, bits: int):
     """Ordinary least squares slope of ys against xs at ``bits`` precision."""
     n = len(xs)
     if n < 2:
@@ -184,13 +187,15 @@ def certified_fixed_midpoint(lo: int, hi: int, e: int, bits: int, rel_error_bits
 
 
 def escalate(compute, bits: int):
-    """``compute(bits)``, doubling ``bits`` on PrecisionError up to 16 times the start.
+    """``compute(work)`` for a result precision of ``bits``: ``work`` starts at
+    bits + GUARD_BITS and doubles on PrecisionError up to 16 times the start.
 
     An exact enclosure (width 0) and the error at the cap re-raise as they are.
     """
+    start = bits + GUARD_BITS
     for step in range(5):
         try:
-            return compute(bits << step)
+            return compute(start << step)
         except PrecisionError as exc:
             if exc.width == 0 or step == 4:
                 raise
@@ -199,8 +204,8 @@ def escalate(compute, bits: int):
 def half_log_of_int(n: int, bits: int):
     """ln(n)/2 for a positive integer n, correctly rounded to ``bits``.
 
-    ln(n)/2 is enclosed by ``iv.log`` from bits + 32 and rounded by
-    ``fixed_rounded``; ``escalate`` doubles the working precision while the
+    ln(n)/2 is enclosed by ``iv.log`` at the working precision of
+    ``escalate`` and rounded by ``fixed_rounded``, made again while the
     enclosure rounds apart.
     """
     if n <= 0:
@@ -210,4 +215,4 @@ def half_log_of_int(n: int, bits: int):
         with iv_prec(work):
             return fixed_rounded(*iv_fixed(iv.log(iv.mpf(n)) / 2), bits)
 
-    return escalate(compute, bits + 32)
+    return escalate(compute, bits)

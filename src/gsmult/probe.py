@@ -13,7 +13,7 @@ enclosed together, and made again at doubled precision until x_k and the
 log each round to one value at the result precision (Ziv's test,
 ``precision.fixed_rounded``).  Either way the log is correctly rounded.
 Logs, the decay term, the rate and Delta are computed at that result precision,
-RESULT_BITS = RATE_BITS + 64, and records are rounded at RATE_BITS.
+``precision.RESULT_BITS``, and records are rounded at RATE_BITS, 64 bits below.
 Along k the leading behaviour is
 
     log|p_k(x_k)| = k log m + theta (m-1) k log k + o(k),
@@ -41,11 +41,12 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
+from . import precision
 from ._util import CheckResult, ParameterError, Record, _result, format_fraction, require_degree
-from .derivpoly import RESULT_BITS, CoeffRows, CoeffTable, _kj_orders, _log_magnitudes
+from .derivpoly import CoeffRows, CoeffTable, _kj_orders, _log_magnitudes
 from .precision import ols_slope, to_mpf
 
-RATE_BITS = RESULT_BITS - 64  # records are rounded at this precision; logs, decay, rate and Delta at RESULT_BITS
+RATE_BITS = precision.RESULT_BITS - 64  # the precision records are rounded at
 
 
 class ProbeConfig(Record):
@@ -55,7 +56,7 @@ class ProbeConfig(Record):
     used against the stronger (all-weights) topology.  theta must satisfy
     theta >= 2/m and nu > 2/m for the lower-bound mechanism to apply.
     k_values may be any orders, e.g. range(1, 51) or a k_j subsequence.
-    No field sets a precision: every record is computed at RESULT_BITS.
+    No field sets a precision: every record is computed at ``precision.RESULT_BITS``.
     """
 
     m: int
@@ -77,10 +78,8 @@ class ProbeConfig(Record):
         if nu > theta:
             raise ParameterError("decay exponent nu=%s must not exceed theta=%s" % (nu, theta))
         if nu < theta and nu * self.m <= 2:
-            # strict nu > 2/m is what the separated-exponent experiment needs
+            # strict nu > 2/m is what the separated-exponent experiment needs (nu = theta has nu*m >= 2 above)
             raise ParameterError("hypothesis violated: nu=%s <= 2/m with nu < theta" % nu)
-        if nu * self.m < 2:
-            raise ParameterError("hypothesis violated: nu=%s < 2/m" % nu)
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
         if any(k < 1 for k in self.k_values):
             raise ParameterError("orders must be >= 1")
@@ -114,9 +113,10 @@ def probe_series(cfg: ProbeConfig, table: CoeffTable | CoeffRows | None = None) 
     if not cfg.k_values:
         return []
     records = {}
+    bits = precision.RESULT_BITS
     for k, x, lm in _log_magnitudes(cfg.m, cfg.lambda_sign, cfg.theta, cfg.k_values, table):
-        decay = _decay(x, cfg.nu, RESULT_BITS)
-        with mp.workprec(RESULT_BITS):
+        decay = _decay(x, cfg.nu, bits)
+        with mp.workprec(bits):
             log_prod = lm.log_mag - decay
             rate = (log_prod + decay) / (k * mp.log(k)) if k >= 2 else mp.mpf(0)
         with mp.workprec(RATE_BITS):
@@ -178,7 +178,7 @@ def criterion_check(
         raise ParameterError("hypothesis violated: need 0 < s < (m-1)*theta, got s=%s" % s)
     deltas = []
     for k, _, lm in _log_magnitudes(m, lambda_sign, theta, orders, table):
-        with mp.workprec(RESULT_BITS):
+        with mp.workprec(precision.RESULT_BITS):
             deltas.append(lm.log_mag - to_mpf(s) * k * mp.log(k))
     witnesses = []
     for j in range(1, j_max):

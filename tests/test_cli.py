@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from gsmult import derivpoly, gsfunc, identities, probe, wedge
+from gsmult import derivpoly, gsfunc, identities, precision, probe, wedge
 from gsmult._util import format_mpf
 from gsmult.cli import _print_check, _witness_repr, dispatch
 from gsmult.precision import PrecisionError
@@ -346,6 +346,19 @@ class TestProbeCli:
         assert run(["probe", "criterion", "--m", "2", "--theta", "1", "--s", "1/2", "--jmax", "4"]) == 0
         assert run(["probe", "criterion", "--m", "2", "--theta", "1", "--s", "3", "--jmax", "4"]) == 2
 
+    @pytest.mark.parametrize("theta", ["2/1", "4/2"])
+    def test_criterion_theta_equal_to_an_integer_is_that_integer(self, capsys, theta):
+        argv = ["probe", "criterion", "--m", "3", "--theta", "2", "--s", "2", "--jmax", "6"]
+        assert run(argv) == 0
+        integer = capsys.readouterr()
+        argv[5] = theta
+        assert run(argv) == 0
+        assert capsys.readouterr() == integer
+
+    def test_criterion_non_integer_theta_is_rejected_by_the_library(self, capsys):
+        assert run(["probe", "criterion", "--m", "3", "--theta", "3/2", "--s", "1", "--jmax", "4"]) == 2
+        assert capsys.readouterr().err == "usage error: theta must be a positive integer for exact evaluation\n"
+
     def test_rejects_invalid_exponents(self):
         assert run(["probe", "run", "--m", "2", "--theta", "1/2", "--nu", "1/2", "--kmax", "4", "--csv", "x.csv"]) == 2
 
@@ -394,29 +407,58 @@ def _outputs(argv, tmp_path, capsys):
     return code, capsys.readouterr().out.replace(str(tmp_path), "OUT"), {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
 
+def _precisions(monkeypatch):
+    """The sets of result precisions handed to ``escalate`` and of precisions set by
+    ``mp.workprec`` while the spies are in place; clear them to start a new run."""
+    seen = {"escalate": set(), "workprec": set()}
+    escalate, workprec = precision.escalate, mpmath.mp.workprec
+
+    def spy_escalate(compute, bits):
+        seen["escalate"].add(bits)
+        return escalate(compute, bits)
+
+    def spy_workprec(bits):
+        seen["workprec"].add(bits)
+        return workprec(bits)
+
+    for module in (precision, gsfunc):  # gsfunc holds its own name for it
+        monkeypatch.setattr(module, "escalate", spy_escalate)
+    monkeypatch.setattr(mpmath.mp, "workprec", spy_workprec)
+    return seen
+
+
 # Small versions of the benchmark's multiprecision jobs.  Every printed digit is fixed well
-# below each command's precision, so raising that precision changes no byte.
+# below the result precision, so raising it changes no byte.
 @pytest.mark.parametrize(
-    "argv, constant, raised",
+    "argv",
     [
-        ("gs bound --theta 1/2 --kmax 16 --slope-tol 1", (gsfunc, "GS_BOUND_BITS"), 512),
-        ("gs bound --theta 2 --kmax 12 --slope-tol 1e-2", (gsfunc, "GS_BOUND_BITS"), 512),
-        ("gs seminorm --kind h --h 1/2 --theta 1 --s 1 --kmax 8 --csv h.csv", (gsfunc, "SEMINORM_BITS"), 320),
-        ("gs seminorm --kind a --a 1/2 --theta 1 --s 1 --f gaussian --kmax 12 --grid 16:8 --csv a.csv",
-         (gsfunc, "SEMINORM_BITS"), 320),
-        ("probe run --m 3 --theta 2 --nu 2 --kmax 40 --csv p3.csv", (probe, "RESULT_BITS"), 320),
-        ("probe run --m 2 --theta 1 --nu 1 --kmax 40 --sign - --csv p2.csv", (probe, "RESULT_BITS"), 320),
-        ("probe run --m 3 --theta 3/2 --nu 3/2 --kmax 8 --csv pf.csv", (probe, "RESULT_BITS"), 320),
-        ("probe criterion --m 4 --theta 1 --s 1 --jmax 10", (probe, "RESULT_BITS"), 320),
+        "gs bound --theta 1/2 --kmax 16 --slope-tol 1",
+        "gs bound --theta 2 --kmax 12 --slope-tol 1e-2",
+        "gs seminorm --kind h --h 1/2 --theta 1 --s 1 --kmax 8 --csv h.csv",
+        "gs seminorm --kind a --a 1/2 --theta 1 --s 1 --f gaussian --kmax 12 --grid 16:8 --csv a.csv",
+        "probe run --m 3 --theta 2 --nu 2 --kmax 40 --csv p3.csv",
+        "probe run --m 2 --theta 1 --nu 1 --kmax 40 --sign - --csv p2.csv",
+        "probe run --m 3 --theta 3/2 --nu 3/2 --kmax 8 --csv pf.csv",
+        "probe criterion --m 4 --theta 1 --s 1 --jmax 10",
     ],
     ids=["bound-t1_2", "bound-t2", "seminorm-h", "seminorm-a-gauss", "probe-m3-t2", "probe-m2-t1-neg",
          "probe-m3-t3_2", "criterion-m4"],
 )
-def test_a_higher_precision_changes_no_byte(tmp_path, monkeypatch, capsys, argv, constant, raised):
-    module, name = constant
-    fixed = _outputs(argv.split(), tmp_path / "fixed", capsys)
-    monkeypatch.setattr(module, name, raised)
-    assert _outputs(argv.split(), tmp_path / "raised", capsys) == fixed
+def test_a_higher_precision_changes_no_byte(tmp_path, monkeypatch, capsys, argv):
+    seen = _precisions(monkeypatch)
+    outputs = []
+    for bits in (precision.RESULT_BITS, 320):
+        monkeypatch.setattr(precision, "RESULT_BITS", bits)
+        for used in seen.values():
+            used.clear()
+        outputs.append(_outputs(argv.split(), tmp_path / str(bits), capsys))
+        # the run worked at the result precision: every mpmath precision it set is that one (or
+        # the probe's record precision), and every certified value started from it (the Gaussian
+        # has none: its derivatives are exact Hermite values times one exp)
+        assert seen["workprec"] - {probe.RATE_BITS} == {bits}
+        assert seen["escalate"] == (set() if "gaussian" in argv else {bits})
+    fixed, raised = outputs
+    assert raised == fixed
     assert fixed[0] in (0, 1) and len(fixed[2]) == ("--csv" in argv)
 
 

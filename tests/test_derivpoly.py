@@ -25,6 +25,7 @@ from gsmult.derivpoly import (
     write_table_json,
 )
 from gsmult import derivpoly as derivpoly_module
+from gsmult import precision
 from gsmult._util import format_int
 from gsmult.precision import ParameterError, PrecisionError, iv_endpoints, iv_fixed, iv_prec, to_iv
 
@@ -346,8 +347,8 @@ class TestEvalLogMagnitude:
         poly = derivative_poly(get_table(3, 40), 40)
         x = Fraction(7, 3)
         reference = eval_log_magnitude(poly, 1, x, precision_bits=64)
-        assert reference.precision_bits == 64 + derivpoly_module._GUARD_BITS
-        monkeypatch.setattr(derivpoly_module, "_GUARD_BITS", 0)
+        assert reference.precision_bits == 64 + precision.GUARD_BITS
+        monkeypatch.setattr(precision, "GUARD_BITS", 0)
         lm = eval_log_magnitude(poly, 1, x, precision_bits=64)
         assert lm.precision_bits == 128 and not lm.exact
         assert lm.log_mag == reference.log_mag
@@ -407,7 +408,7 @@ class TestEvalLogMagnitude:
             point = mpmath.iv.mpf(10) / 2
         for x in (point, mpmath.mpf(5)):
             lm = eval_log_magnitude(poly, sign, x)
-            assert not lm.exact and lm.precision_bits == exact.precision_bits + derivpoly_module._GUARD_BITS
+            assert not lm.exact and lm.precision_bits == exact.precision_bits + precision.GUARD_BITS
             assert lm.log_mag == exact.log_mag
 
     def test_interval_point_below_zero_rejected(self):

@@ -29,6 +29,8 @@ from gsmult.gsfunc import (
 )
 from gsmult.derivpoly import _parts, build_coeff_table, derivative_poly
 from gsmult.precision import (
+    GUARD_BITS,
+    RESULT_BITS,
     PrecisionError,
     certified_midpoint,
     fixed_outward,
@@ -310,7 +312,8 @@ class TestTaylorKernel:
         assert lo >= 0 or hi <= 0  # the kernel relies on a definite sign
 
     def test_encloses_the_high_precision_reference_no_wider_than_iv_operators(self, monkeypatch):
-        # the raw enclosure of f^(k) = a_k * k! at the 256-bit start, against the loop written with iv operators
+        # the raw enclosure of f^(k) = a_k * k! at the start (256 bits plus the guard), against the loop written
+        # with iv operators at 256 bits
         monkeypatch.setattr(gsfunc, "certified_fixed_midpoint", lambda lo, hi, e, bits, rel: (lo, hi, e))
         contained = 0
         for theta in (Fraction(1, 2), Fraction(2, 3), Fraction(2), Fraction(1), Fraction(1, 3)):
@@ -336,13 +339,13 @@ class TestTaylorKernel:
         assert all(enc == (0, 0) for enc in gs_derivative_series(theta, 40, 0)[1::2])
 
     def test_escalates_where_the_starting_budget_runs_out(self, monkeypatch):
-        # `gs bound --theta 1/2 --kmax 400` needs this point; at the 256-bit start
-        # alone the enclosures are too wide, so a fixed budget raises
-        series = gs_derivative_series(Fraction(1, 2), 400, 25)
+        # `gs bound --theta 1/2 --kmax 400` needs this point; at its start alone (the result
+        # precision plus the guard) the enclosures are too wide, so a fixed budget raises
+        series = gs_derivative_series(Fraction(1, 2), 400, 25, RESULT_BITS)
         assert len(series) == 401 and all(mp.isfinite(v) and v != 0 for v in series)
-        monkeypatch.setattr(gsfunc, "escalate", lambda compute, bits: compute(bits))
+        monkeypatch.setattr(gsfunc, "escalate", lambda compute, bits: compute(bits + GUARD_BITS))
         with pytest.raises(PrecisionError):
-            gs_derivative_series(Fraction(1, 2), 400, 25)
+            gs_derivative_series(Fraction(1, 2), 400, 25, RESULT_BITS)
 
 
 class TestGsBound:
@@ -413,8 +416,8 @@ class TestSeminorm:
     def test_gaussian_derivatives_are_hermite(self, x):
         # d^k/dx^k exp(-x**2) = (-1)**k * H_k(x) * exp(-x**2), physicists' H_k
         hermite = [1, 2 * x, 4 * x**2 - 2, 8 * x**3 - 12 * x, 16 * x**4 - 48 * x**2 + 12]
-        got = Gaussian().derivatives(x, 4, 192)
-        with mp.workprec(192):
+        got = Gaussian().derivatives(x, 4)
+        with mp.workprec(RESULT_BITS):
             fx = mp.exp(mp.mpf(-(x * x).numerator) / (x * x).denominator)
             for k, h in enumerate(hermite):
                 value = (-1) ** k * Fraction(h)
@@ -424,8 +427,8 @@ class TestSeminorm:
     def test_gaussian_hermite_recurrence_matches_the_table_path(self, x):
         # the m = 2 table at lam = -2 gives the same Fractions, hence the same mpf values
         table = build_coeff_table(2, 40)
-        got = Gaussian().derivatives(x, 40, 192)
-        with mp.workprec(192):
+        got = Gaussian().derivatives(x, 40)
+        with mp.workprec(RESULT_BITS):
             fx = mp.exp(to_mpf(-x * x))
             assert got[0] == fx
             for k in range(1, 41):
@@ -446,7 +449,7 @@ class TestSeminorm:
         grid = geometric_grid(2, 8)
         gauss = Gaussian()
         dilated_samples = {
-            (x, 0): gauss.derivatives(c * x, 0, 192)[0] for x in grid
+            (x, 0): gauss.derivatives(c * x, 0)[0] for x in grid
         }
         dilated = SampledDerivatives(dilated_samples, name="gaussian(4x)")
         lhs = seminorm("a", dilated, theta=theta, s=1, a=a, max_deriv=0, grid=grid)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from itertools import islice, product
 from math import comb, prod
@@ -216,6 +217,9 @@ class TestCertify:
             certify(get_table(3, 10))
 
     def test_json_shape(self):
-        data = certify(build_coeff_table(2, 5)).to_json_dict()
+        report = certify(build_coeff_table(2, 5))
+        data = report.to_json_dict()
         assert data["certified"] is True
         assert data["k_range"] == [1, 5]
+        # to_json() is the `verify coeffs --json` file text
+        assert report.to_json() == json.dumps(data, indent=2) + "\n"

@@ -5,6 +5,7 @@ import pytest
 from mpmath import iv, mp
 
 from gsmult.precision import (
+    GUARD_BITS,
     ParameterError,
     PrecisionError,
     certified_fixed_midpoint,
@@ -35,7 +36,7 @@ class TestEscalate:
                 raise PrecisionError("too wide", mp.mpf(2) ** -bits)
             return bits
 
-        assert escalate(compute, 128) == 512
+        assert escalate(compute, 128 - GUARD_BITS) == 512  # the work starts GUARD_BITS above the result precision
         assert tried == [128, 256, 512]
 
     def test_reraises_the_last_error_at_sixteen_times_the_start(self):
@@ -47,8 +48,9 @@ class TestEscalate:
 
         with pytest.raises(PrecisionError) as info:
             escalate(compute, 100)
-        assert tried == [100, 200, 400, 800, 1600]
-        assert info.value.width == 1600 and str(info.value) == "width 1600"
+        start = 100 + GUARD_BITS
+        assert tried == [start, 2 * start, 4 * start, 8 * start, 16 * start]
+        assert info.value.width == 16 * start and str(info.value) == "width %d" % (16 * start)
 
     def test_exact_enclosure_raises_at_once(self):
         tried = []
@@ -59,7 +61,7 @@ class TestEscalate:
 
         with pytest.raises(PrecisionError):
             escalate(compute, 64)
-        assert tried == [64]
+        assert tried == [64 + GUARD_BITS]
 
     def test_other_errors_pass_through(self):
         def compute(bits):

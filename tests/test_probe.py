@@ -5,6 +5,7 @@ import pytest
 from mpmath import mp
 
 from gsmult import derivpoly as derivpoly_module
+from gsmult import precision
 from gsmult.derivpoly import _enclosed_point, build_coeff_table, derivative_poly, eval_log_magnitude, kj_sequence
 from gsmult.precision import PrecisionError
 from gsmult.probe import (
@@ -127,7 +128,7 @@ class TestProbeSeries:
         # again, together, at 384 bits, and the records are those of the 256-bit start
         cfg = config(m=3, theta=Fraction(3, 2), ks=(4, 9))
         reference = probe_series(cfg, get_table(3, 9))
-        monkeypatch.setattr(derivpoly_module, "_GUARD_BITS", 0)
+        monkeypatch.setattr(precision, "GUARD_BITS", 0)
         real, seen = derivpoly_module._interval_log_magnitude, []
 
         def spy(poly, sign, x, out_bits, bits):

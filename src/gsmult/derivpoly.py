@@ -35,12 +35,13 @@ One Horner loop in m*x**m evaluates p_k(x) for lam = m * i**turn using only
 and mpmath intervals.  Magnitudes |p_k(x)| for lam = +/- i*m are thus exact
 in Gaussian integers whenever x is a nonnegative integer; any other x (a
 Fraction, an mpf, or an interval enclosing a point such as k**theta) is
-enclosed under ``precision.escalate``.  On both paths the log is enclosed
-and correctly rounded at the result precision, ``precision.RESULT_BITS``
-unless given, by ``precision.fixed_rounded``, so the value does not depend
-on the path.  ``_log_magnitudes`` is the one evaluator at the paper's points
-x_k = k**theta, along any set of orders: exact at an integer theta, else
-with k**theta enclosed and made again together with its log.
+enclosed in interval arithmetic.  On both paths the log is only enclosed
+here and made a value, correctly rounded at the result precision
+(``precision.RESULT_BITS`` unless given), by ``precision.certified_values``,
+so the value does not depend on the path.  ``_log_magnitudes`` is the one
+evaluator at the paper's points x_k = k**theta, along any set of orders:
+exact at an integer theta, else with k**theta enclosed and certified
+together with its log.
 |D^k g| = |d^k/dx^k g| since D = i^{-1} d/dx only changes the phase, so all
 magnitude-level results hold for either normalization.
 """
@@ -247,14 +248,10 @@ class LogMagnitude(Record):
     log_mag is correctly rounded at the result precision, -inf when the
     value is 0.  When ``exact`` is set it was rounded from an exact Gaussian
     integer modulus squared; otherwise from an interval enclosure of p_k(x).
-    precision_bits is the working precision used: the result precision on
-    the exact path; on the interval path the precision that certified, as
-    ``precision.escalate`` handed it.
     """
 
     log_mag: precision.mp.mpf
     exact: bool
-    precision_bits: int
 
 
 def _parts(poly: DerivPoly, turn: int, x):
@@ -298,15 +295,15 @@ def gaussian_parts(poly: DerivPoly, lambda_sign: int, x: int) -> tuple[int, int]
     return _parts(poly, lambda_sign % 4, x)
 
 
-def _interval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, out_bits: int, bits: int) -> LogMagnitude:
-    with precision.iv_prec(bits) as iv:
-        re, im = _parts(poly, lambda_sign % 4, precision.to_iv(x))
-        mag2 = re * re + im * im
-        lo, hi, e = precision.iv_fixed(mag2)
-        if lo <= 0 <= hi:
-            raise precision.PrecisionError("modulus enclosure touches zero", precision.mp.ldexp(hi - lo, e))
-        log_mag = precision.fixed_rounded(*precision.iv_fixed(iv.log(mag2) / 2), out_bits)
-    return LogMagnitude(log_mag=log_mag, exact=False, precision_bits=bits)
+def _log_enclosure(poly: DerivPoly, lambda_sign: int, x):
+    """(lo, hi, e) of ln|p_k(x)| at the current interval precision; PrecisionError when the
+    enclosure of |p_k(x)|**2 touches zero."""
+    re, im = _parts(poly, lambda_sign % 4, precision.to_iv(x))
+    mag2 = re * re + im * im
+    lo, hi, e = precision.iv_fixed(mag2)
+    if lo <= 0 <= hi:
+        raise precision.PrecisionError("modulus enclosure touches zero", precision.mp.ldexp(hi - lo, e))
+    return precision.iv_fixed(precision.iv.log(mag2) / 2)
 
 
 def eval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, precision_bits: int | None = None) -> LogMagnitude:
@@ -315,9 +312,9 @@ def eval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, precision_bits: int
     ``precision_bits`` is the result precision, ``precision.RESULT_BITS`` when
     None.  Integer x (including Fractions with denominator one) goes through
     exact Gaussian-integer arithmetic.  Other x -- a Fraction, an mpf, or an
-    mpmath interval enclosing the point -- is evaluated by interval arithmetic
-    under ``precision.escalate``, again while the log's enclosure rounds apart;
-    at the cap (at once for an exact zero) PrecisionError is raised.  An
+    mpmath interval enclosing the point -- is enclosed in interval arithmetic
+    by ``precision.certified_values``, again while the log's enclosure rounds
+    apart; at the cap (at once for an exact zero) PrecisionError is raised.  An
     integral mpf or interval point takes the interval path too, and gets the
     same value as the exact path.
     """
@@ -334,17 +331,16 @@ def eval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, precision_bits: int
         re, im = gaussian_parts(poly, lambda_sign, x_int)
         mag2 = re * re + im * im
         log_mag = precision.half_log_of_int(mag2, bits) if mag2 else precision.mp.ninf
-        return LogMagnitude(log_mag=log_mag, exact=True, precision_bits=bits)
-    return precision.escalate(lambda work: _interval_log_magnitude(poly, lambda_sign, x, bits, work), bits)
+        return LogMagnitude(log_mag=log_mag, exact=True)
+    (log_mag,) = precision.certified_values(lambda work: [_log_enclosure(poly, lambda_sign, x)], bits)
+    return LogMagnitude(log_mag=log_mag, exact=False)
 
 
-def _enclosed_point(poly: DerivPoly, lambda_sign: int, theta: Fraction, bits: int, work: int):
-    """(x, ln|p_k(x)|) at x = k**theta from one enclosure of x at ``work`` bits; x is
-    k**theta correctly rounded at ``bits``, certified by both endpoints rounding to it."""
-    with precision.iv_prec(work) as iv:
-        x_enc = iv.mpf(poly.k) ** precision.to_iv(theta)
-    x = precision.fixed_rounded(*precision.iv_fixed(x_enc), bits)
-    return x, _interval_log_magnitude(poly, lambda_sign, x_enc, bits, work)
+def _enclosed_point(poly: DerivPoly, theta: Fraction, lambda_sign: int):
+    """The enclosures of x = k**theta, then of ln|p_k(x)| on it, at the current interval precision."""
+    x_enc = precision.iv.mpf(poly.k) ** precision.to_iv(theta)
+    yield precision.iv_fixed(x_enc)
+    yield _log_enclosure(poly, lambda_sign, x_enc)
 
 
 def _log_magnitudes(
@@ -355,8 +351,8 @@ def _log_magnitudes(
 
     At an integer theta x_k is the int k**theta and ``eval_log_magnitude`` is
     exact.  Otherwise x_k is k**theta correctly rounded at the result precision,
-    and the enclosure of the point and the log on it are made together under one
-    ``precision.escalate``, again while either rounds apart.  Rows
+    and the enclosure of the point and the log on it are certified together by
+    one ``precision.certified_values``, again while either rounds apart.  Rows
     1..max(orders) are read once from ``table``, walked when it is None.
     """
     wanted = set(orders)
@@ -370,7 +366,8 @@ def _log_magnitudes(
             x = k**theta.numerator
             lm = eval_log_magnitude(poly, lambda_sign, x, bits)
         else:
-            x, lm = precision.escalate(lambda work: _enclosed_point(poly, lambda_sign, theta, bits, work), bits)
+            x, log_mag = precision.certified_values(lambda work: _enclosed_point(poly, theta, lambda_sign), bits)
+            lm = LogMagnitude(log_mag=log_mag, exact=False)
         yield k, x, lm
 
 

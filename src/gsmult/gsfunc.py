@@ -35,10 +35,12 @@ enclosure is [lo, hi] * 2**e, and each order is one exact dot product of
 the nonzero terms followed by a single outward rounding (floor on the lower
 end, ceiling on the upper), where mpmath interval operators would round
 each of the 2(j+1) multiplies and adds.  Only <x>**t and exp(-<x>**t) come
-from mpmath.  The kernel runs at the precision ``precision.escalate`` hands
-it; each value, rounded once at the requested precision, is certified to
-relative error below 2**-64, else PrecisionError is raised.  All else here
-runs at ``precision.RESULT_BITS``, read when it is called.
+from mpmath.  The engine only encloses, at the working precision it is
+handed; ``precision.certified_values`` makes each value, rounded once at the
+result precision after its enclosure is certified to relative width at most
+2**-64 (``precision.certified_fixed_midpoint``), and makes the enclosures
+again while one is wider.  Everything here runs at ``precision.RESULT_BITS``
+unless given, read when it is called.
 
 Seminorm estimators are truncated suprema over finitely many derivative
 orders, power orders and grid points, hence certified *lower* bounds of the
@@ -56,18 +58,8 @@ from fractions import Fraction
 from mpmath import iv, mp
 
 from . import precision
-from ._util import CheckResult, ParameterError, Record, _result, format_fraction, require_precision
-from .precision import (
-    certified_fixed_midpoint,
-    escalate,
-    fixed_outward,
-    fixed_scaled,
-    iv_fixed,
-    iv_prec,
-    ols_slope,
-    to_iv,
-    to_mpf,
-)
+from ._util import CheckResult, ParameterError, Record, _result, format_fraction, format_mpf, require_precision
+from .precision import fixed_outward, fixed_scaled, iv_fixed, ols_slope, to_iv, to_mpf
 
 
 class BracketDerivPoly(Record):
@@ -180,36 +172,31 @@ def geometric_grid(x_max, points: int = 25) -> tuple[Fraction, ...]:
 def verify_bracket_bound(t, k_max: int, grid: Sequence | None = None) -> CheckResult:
     """Empirical constant for |d^k <x>**t| <= C * 8**k * k! * <x>**(t-k).
 
-    The ratio simplifies to |q_k(x)| * (1+x**2)**(-k/2) / (8**k * k!), which
-    is evaluated on the grid; the check asserts the maximum is finite and
-    reports it as the empirical C_t.
+    The ratio simplifies to |r_k(x)| * (1+x**2)**(k/2) / (8**k * k!), with
+    r_k = q_k(x) / (1+x**2)**k, which is evaluated on the grid; the check
+    reports its maximum as the empirical C_t and has no failing case (an
+    mpf exponent is unbounded, so every ratio is finite).
     """
     tf = Fraction(t)
     if grid is None:
         grid = uniform_grid(Fraction(-10), Fraction(10), 81)
     max_ratio = None
-    witnesses = []
     with mp.workprec(precision.RESULT_BITS):
         for x in grid:
             xf = Fraction(x)
-            u = 1 + xf * xf
-            log_base = mp.log(to_mpf(u))
+            log_base = mp.log(to_mpf(1 + xf * xf))
             for k, r_k in enumerate(_bracket_ratios(tf, xf, k_max)):
-                qv = r_k * u**k
-                if qv == 0:
+                if r_k == 0:
                     continue
-                log_ratio = mp.log(to_mpf(abs(qv))) - k * log_base / 2 - k * mp.log(8) - mp.log(mp.factorial(k))
+                log_ratio = mp.log(to_mpf(abs(r_k))) + k * log_base / 2 - k * mp.log(8) - mp.log(mp.factorial(k))
                 ratio = mp.exp(log_ratio)
-                if not mp.isfinite(ratio):
-                    witnesses.append((k, format_fraction(xf)))
-                elif max_ratio is None or ratio > max_ratio:
+                if max_ratio is None or ratio > max_ratio:
                     max_ratio = ratio
     params = {"t": format_fraction(tf), "k_max": k_max, "grid_points": len(tuple(grid))}
-    return _result("bracket-derivative-bound", params, witnesses, max_ratio)
+    return _result("bracket-derivative-bound", params, [], max_ratio)
 
 
 MIN_GS_PRECISION_BITS = 128
-_GS_REL_ERROR_BITS = 64  # certified relative error of each returned value: < 2**-64
 
 
 def _taylor_kernel(c, a_0, k_max: int, prec: int):
@@ -259,25 +246,28 @@ def _taylor_kernel(c, a_0, k_max: int, prec: int):
     return a
 
 
-def gs_derivative_series(theta, k_max: int, x, precision_bits: int = 256):
+def gs_derivative_series(theta, k_max: int, x, precision_bits: int | None = None):
     """Certified values of d^k/dx^k exp(-<x>**(1/theta)) for k = 0..k_max.
 
-    x must be rational (int, float or Fraction).  At the working precision
-    ``work`` that ``escalate`` hands it, mpmath encloses <x>**t (t = 1/theta)
-    and exp(-<x>**t) once; everything after runs on ints, an enclosure being
-    [lo, hi] * 2**e kept to ``work`` bits.  c_i = -<x>**t * r_{i+1}/i! comes
-    from the exact bracket ratios r_i by one floor and one ceiling division,
-    and each order of the Taylor recursion costs one exact dot product and
-    one outward rounding (``_taylor_kernel``); exact zeros (c_i for i >= 2 at
-    theta = 1/2, the odd orders at x = 0) are skipped and stay exact.  Each
-    returned value, f^(j) = a_j * j! rounded once at ``precision_bits``, is
-    certified to relative error < 2**-64 (exact zeros are returned as
-    exact), the work doubling while it is not; PrecisionError otherwise.
+    x must be rational (int, float or Fraction); ``precision_bits`` is the
+    result precision, ``precision.RESULT_BITS`` when None.  At the working
+    precision ``work`` that ``precision.certified_values`` hands it, mpmath
+    encloses <x>**t (t = 1/theta) and exp(-<x>**t) once; everything after runs
+    on ints, an enclosure being [lo, hi] * 2**e kept to ``work`` bits.
+    c_i = -<x>**t * r_{i+1}/i! comes from the exact bracket ratios r_i by one
+    floor and one ceiling division, and each order of the Taylor recursion
+    costs one exact dot product and one outward rounding (``_taylor_kernel``);
+    exact zeros (c_i for i >= 2 at theta = 1/2, the odd orders at x = 0) are
+    skipped and stay exact.  Each returned value, f^(j) = a_j * j! rounded
+    once at the result precision, is certified to relative error < 2**-64
+    (exact zeros are returned as exact), the work doubling while it is not;
+    PrecisionError otherwise.
     """
     theta = Fraction(theta)
     if theta <= 0:
         raise ParameterError("theta must be positive")
-    require_precision(precision_bits, MIN_GS_PRECISION_BITS)
+    bits = precision.RESULT_BITS if precision_bits is None else precision_bits
+    require_precision(bits, MIN_GS_PRECISION_BITS)
     t = 1 / theta
     xf = Fraction(x)
     nums, d = _bracket_ratio_numerators(t, xf, k_max)
@@ -288,24 +278,20 @@ def gs_derivative_series(theta, k_max: int, x, precision_bits: int = 256):
         scaled.append((nums[i + 1], den))
 
     def series(work):
-        with iv_prec(work):
-            bracket_pow = iv.exp(to_iv(t / 2) * iv.log(to_iv(1 + xf * xf)))  # <x>**t
-            a_0 = iv_fixed(iv.exp(-bracket_pow))
+        bracket_pow = iv.exp(to_iv(t / 2) * iv.log(to_iv(1 + xf * xf)))  # <x>**t
+        a_0 = iv_fixed(iv.exp(-bracket_pow))
         bracket_pow = iv_fixed(bracket_pow)
         c = [fixed_scaled(bracket_pow, -n, den, work) for n, den in scaled]  # c_i = -<x>**t * r_{i+1}/i!
-        a = _taylor_kernel(c, fixed_outward(*a_0, work), k_max, work)
-        out = []
         fact = 1
-        for j, a_j in enumerate(a):
+        for j, a_j in enumerate(_taylor_kernel(c, fixed_outward(*a_0, work), k_max, work)):
             fact *= j or 1
             lo, hi, e = a_j[:3] if a_j else (0, 0, 0)
-            out.append(certified_fixed_midpoint(lo * fact, hi * fact, e, precision_bits, _GS_REL_ERROR_BITS))
-        return out
+            yield lo * fact, hi * fact, e
 
-    return escalate(series, precision_bits)
+    return precision.certified_values(series, bits, rule=precision.certified_fixed_midpoint)
 
 
-def gs_derivative(theta, k: int, x, precision_bits: int = 256):
+def gs_derivative(theta, k: int, x, precision_bits: int | None = None):
     """Certified value of the k-th derivative of exp(-<x>**(1/theta)) at x."""
     return gs_derivative_series(theta, k, x, precision_bits)[k]
 
@@ -345,7 +331,7 @@ def verify_gs_bound(
         log_fact = [None] + [mp.log(mp.factorial(k)) for k in range(1, k_max + 1)]
         k_tau = [k * tau_mpf for k in range(k_max + 1)]
         for x in grid:
-            series = gs_derivative_series(theta, k_max, x, bits)
+            series = gs_derivative_series(theta, k_max, x)
             xf = Fraction(x)
             log_bracket = mp.log(to_mpf(1 + xf * xf)) / 2
             log_f0 = mp.log(series[0])
@@ -360,12 +346,13 @@ def verify_gs_bound(
         tail = [k for k in orders if k >= orders[-1] // 2 + 1]
         slope = ols_slope(tail, [log_c_emp[k] for k in tail], bits)
         c_max = mp.exp(max(log_c_emp.values()))
-    witnesses = [] if slope <= slope_tol else [("slope", mp.nstr(slope, 10))]
+    slope_text = format_mpf(slope, 10)
+    witnesses = [] if slope <= slope_tol else [("slope", slope_text)]
     params = {
         "theta": format_fraction(theta),
         "k_max": k_max,
         "grid_points": len(grid),
-        "slope": mp.nstr(slope, 10),
+        "slope": slope_text,
         "slope_tol": slope_tol,
     }
     return _result("gs-derivative-bound", params, witnesses, c_max)
@@ -379,7 +366,7 @@ class GSFunction:
         self.name = "gs_function(theta=%s)" % format_fraction(self.theta)
 
     def derivatives(self, x, k_max: int):
-        return gs_derivative_series(self.theta, k_max, x, precision.RESULT_BITS)
+        return gs_derivative_series(self.theta, k_max, x)
 
 
 class Gaussian:

@@ -13,9 +13,13 @@ therefore always convert to bit-identical mpf values, which several
 determinism and dilation-identity checks rely on.
 
 The precision policy lives here alone.  Every command reads ``RESULT_BITS``
-when it is called.  ``escalate`` takes a result precision, starts the work
-``GUARD_BITS`` above it and doubles that while an enclosure is too wide:
-Ziv's strategy, its rounding test the one rule for every certified value.
+when it is called.  ``certified_values`` is the one way a certified value is
+made: a producer only encloses, yielding (lo, hi, e) enclosures at the
+interval precision it is handed, and ``certified_values`` turns each into a
+value by a rounding rule as it is yielded, under ``escalate``, which starts
+the work ``GUARD_BITS`` above the result precision and doubles it while a
+rule raises: Ziv's strategy.  ``certified_values`` and ``escalate`` are
+thus where the precision each certified value used is seen.
 
 An enclosure is read in one way only: ``iv_fixed`` reads an interval
 exactly as ints [lo, hi] * 2**e.  ``fixed_rounded`` gives the value both
@@ -201,18 +205,25 @@ def escalate(compute, bits: int):
                 raise
 
 
-def half_log_of_int(n: int, bits: int):
-    """ln(n)/2 for a positive integer n, correctly rounded to ``bits``.
+def certified_values(enclose, bits: int, rule=fixed_rounded):
+    """Values certified at the result precision ``bits``: ``rule(lo, hi, e, bits)``
+    of each enclosure that ``enclose(work)`` yields, with the interval context
+    at ``work`` while it runs, made again under ``escalate`` while a rule raises.
 
-    ln(n)/2 is enclosed by ``iv.log`` at the working precision of
-    ``escalate`` and rounded by ``fixed_rounded``, made again while the
-    enclosure rounds apart.
+    Each enclosure is turned into a value as soon as it is yielded, so no
+    enclosure after one that raises is made.
     """
-    if n <= 0:
-        raise ParameterError("positive integer required")
 
     def compute(work):
         with iv_prec(work):
-            return fixed_rounded(*iv_fixed(iv.log(iv.mpf(n)) / 2), bits)
+            return [rule(*enc, bits) for enc in enclose(work)]
 
     return escalate(compute, bits)
+
+
+def half_log_of_int(n: int, bits: int):
+    """ln(n)/2 for a positive integer n, correctly rounded to ``bits``,
+    from the enclosure ``iv.log`` makes."""
+    if n <= 0:
+        raise ParameterError("positive integer required")
+    return certified_values(lambda work: [iv_fixed(iv.log(iv.mpf(n)) / 2)], bits)[0]

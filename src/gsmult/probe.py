@@ -42,7 +42,7 @@ import mpmath
 from mpmath import mp
 
 from . import precision
-from ._util import CheckResult, ParameterError, Record, _result, format_fraction, require_degree
+from ._util import CheckResult, ParameterError, Record, _result, format_fraction, format_mpf, require_degree
 from .derivpoly import CoeffRows, CoeffTable, _kj_orders, _log_magnitudes
 from .precision import ols_slope, to_mpf
 
@@ -183,9 +183,9 @@ def criterion_check(
     witnesses = []
     for j in range(1, j_max):
         if not deltas[j] > deltas[j - 1]:
-            witnesses.append(("not-increasing", j + 1, mp.nstr(deltas[j], 12)))
+            witnesses.append(("not-increasing", j + 1, format_mpf(deltas[j], 12)))
     if not deltas[-1] - deltas[0] > orders[-1]:
-        witnesses.append(("growth-below-linear", j_max, mp.nstr(deltas[-1] - deltas[0], 12)))
+        witnesses.append(("growth-below-linear", j_max, format_mpf(deltas[-1] - deltas[0], 12)))
     params = {
         "m": m,
         "theta": theta,

@@ -1,9 +1,14 @@
+import os
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from gsmult import precision
 from gsmult.derivpoly import CoeffTable, build_coeff_table, coeff_rows
+
+ROOT = Path(__file__).resolve().parent.parent
 
 _CACHE: dict[int, object] = {}
 
@@ -31,6 +36,32 @@ def traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def package_env() -> dict:
+    """The environment of this process with the checkout's ``src`` first on ``PYTHONPATH``,
+    so a child interpreter imports the package under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def certified_work(monkeypatch) -> list:
+    """The working precision at which each certified value was made, in order, as
+    ``precision.escalate`` hands it out, while the spy is in place."""
+    seen = []
+    escalate = precision.escalate
+
+    def spy(compute, bits):
+        def recorded(work):
+            result = compute(work)
+            seen.append(work)
+            return result
+
+        return escalate(recorded, bits)
+
+    monkeypatch.setattr(precision, "escalate", spy)
+    return seen
 
 
 @pytest.fixture

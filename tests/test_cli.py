@@ -12,6 +12,8 @@ from gsmult._util import format_mpf
 from gsmult.cli import _print_check, _witness_repr, dispatch
 from gsmult.precision import PrecisionError
 
+from conftest import package_env
+
 
 def run(argv):
     return dispatch(argv)
@@ -408,21 +410,22 @@ def _outputs(argv, tmp_path, capsys):
 
 
 def _precisions(monkeypatch):
-    """The sets of result precisions handed to ``escalate`` and of precisions set by
-    ``mp.workprec`` while the spies are in place; clear them to start a new run."""
-    seen = {"escalate": set(), "workprec": set()}
+    """The sets of result precisions handed to ``escalate``, of the qualified names of the
+    computations it runs and of precisions set by ``mp.workprec`` while the spies are in
+    place; clear them to start a new run."""
+    seen = {"escalate": set(), "compute": set(), "workprec": set()}
     escalate, workprec = precision.escalate, mpmath.mp.workprec
 
     def spy_escalate(compute, bits):
         seen["escalate"].add(bits)
+        seen["compute"].add(compute.__qualname__)
         return escalate(compute, bits)
 
     def spy_workprec(bits):
         seen["workprec"].add(bits)
         return workprec(bits)
 
-    for module in (precision, gsfunc):  # gsfunc holds its own name for it
-        monkeypatch.setattr(module, "escalate", spy_escalate)
+    monkeypatch.setattr(precision, "escalate", spy_escalate)
     monkeypatch.setattr(mpmath.mp, "workprec", spy_workprec)
     return seen
 
@@ -457,6 +460,8 @@ def test_a_higher_precision_changes_no_byte(tmp_path, monkeypatch, capsys, argv)
         # has none: its derivatives are exact Hermite values times one exp)
         assert seen["workprec"] - {probe.RATE_BITS} == {bits}
         assert seen["escalate"] == (set() if "gaussian" in argv else {bits})
+        # and every certified value was made by the one loop
+        assert seen["compute"] <= {"certified_values.<locals>.compute"}
     fixed, raised = outputs
     assert raised == fixed
     assert fixed[0] in (0, 1) and len(fixed[2]) == ("--csv" in argv)
@@ -467,6 +472,7 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "gsmult.cli", "verify", "coeffs", "--m", "2", "--kmax", "6"],
         capture_output=True,
         text=True,
+        env=package_env(),
     )
     assert proc.returncode == 0
     assert "certified" in proc.stdout

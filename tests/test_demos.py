@@ -1,11 +1,12 @@
 """Every demo script runs to completion against the installed library."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import package_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,7 +18,7 @@ def test_demos_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_zero(script, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path)
+    proc = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, env=package_env(), timeout=120, cwd=tmp_path
+    )
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -29,7 +29,7 @@ from gsmult import precision
 from gsmult._util import format_int
 from gsmult.precision import ParameterError, PrecisionError, iv_endpoints, iv_fixed, iv_prec, to_iv
 
-from conftest import get_table
+from conftest import certified_work, get_table
 
 
 def _compact_json(m, k_max, rows):
@@ -346,18 +346,20 @@ class TestEvalLogMagnitude:
         # and rounds apart: the working precision doubles, and the value is the same
         poly = derivative_poly(get_table(3, 40), 40)
         x = Fraction(7, 3)
+        work = certified_work(monkeypatch)
         reference = eval_log_magnitude(poly, 1, x, precision_bits=64)
-        assert reference.precision_bits == 64 + precision.GUARD_BITS
+        assert work == [64 + precision.GUARD_BITS]
         monkeypatch.setattr(precision, "GUARD_BITS", 0)
         lm = eval_log_magnitude(poly, 1, x, precision_bits=64)
-        assert lm.precision_bits == 128 and not lm.exact
+        assert work[1:] == [128] and not lm.exact
         assert lm.log_mag == reference.log_mag
 
-    def test_exact_path_rounds_at_the_result_precision(self):
+    def test_exact_path_rounds_at_the_result_precision(self, monkeypatch):
         poly = derivative_poly(get_table(3, 60), 60)
         re, im = gaussian_parts(poly, 1, 9)
+        work = certified_work(monkeypatch)
         lm = eval_log_magnitude(poly, 1, 9, precision_bits=192)
-        assert lm.exact and lm.precision_bits == 192
+        assert lm.exact and work == [192 + precision.GUARD_BITS]  # the log of the exact modulus is certified too
         with mp.workprec(4 * 192):
             ref = mp.log(mp.mpf(re * re + im * im)) / 2
         with mp.workprec(192):
@@ -383,15 +385,16 @@ class TestEvalLogMagnitude:
         assert exact.exact and not boxed.exact
         assert boxed.log_mag == exact.log_mag
 
-    def test_heavy_cancellation_escalates_past_the_start_and_certifies(self):
+    def test_heavy_cancellation_escalates_past_the_start_and_certifies(self, monkeypatch):
         # at m=4, x=16/3 the terms of p_1200 cancel so far that a 256-bit start cannot
         # separate |p| from zero; one doubling certifies it
         for row in coeff_rows(4, 1200):
             pass
         poly = DerivPoly(m=4, k=1200, coeffs=row)
+        work = certified_work(monkeypatch)
         lm = eval_log_magnitude(poly, 1, Fraction(16, 3), precision_bits=192)
         reference = eval_log_magnitude(poly, 1, Fraction(16, 3), precision_bits=2048)
-        assert lm.precision_bits == 512 and not lm.exact
+        assert work[0] == 512 and not lm.exact
         with mp.workprec(2048):
             assert abs(lm.log_mag - reference.log_mag) < mp.mpf(2) ** -32
 
@@ -401,14 +404,15 @@ class TestEvalLogMagnitude:
         assert lm.exact
 
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_interval_and_mpf_points_agree_with_exact(self, sign):
+    def test_interval_and_mpf_points_agree_with_exact(self, sign, monkeypatch):
         poly = derivative_poly(get_table(3, 12), 12)
         exact = eval_log_magnitude(poly, sign, 5)
-        with iv_prec(exact.precision_bits):
+        with iv_prec(precision.RESULT_BITS):
             point = mpmath.iv.mpf(10) / 2
+        work = certified_work(monkeypatch)
         for x in (point, mpmath.mpf(5)):
             lm = eval_log_magnitude(poly, sign, x)
-            assert not lm.exact and lm.precision_bits == exact.precision_bits + precision.GUARD_BITS
+            assert not lm.exact and work.pop() == precision.RESULT_BITS + precision.GUARD_BITS
             assert lm.log_mag == exact.log_mag
 
     def test_interval_point_below_zero_rejected(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mpmath import iv, mp
 from mpmath.libmp import from_int
 
-from gsmult import gsfunc
+from gsmult import gsfunc, precision
 from gsmult.gsfunc import (
     Gaussian,
     GSFunction,
@@ -120,6 +120,20 @@ class TestBracketBound:
         result = verify_bracket_bound(-1, 20)
         assert result.extremal_ratio <= 1
 
+    @pytest.mark.parametrize("t", [1, -1, Fraction(5, 2), Fraction(1, 3)])
+    def test_extremal_ratio_matches_the_rows_at_1024_bits(self, t):
+        # max |q_k(x)| * (1+x**2)**(-k/2) / (8**k * k!) from the exact polynomials themselves
+        grid = uniform_grid(Fraction(-3), Fraction(3), 13)
+        result = verify_bracket_bound(t, 8, grid)
+        with mp.workprec(1024):
+            ref = max(
+                abs(to_mpf(q(x))) / (mp.sqrt(to_mpf(1 + x * x)) ** q.k * 8**q.k * mp.factorial(q.k))
+                for q in bracket_derivative_series(t, 8)
+                for x in grid
+                if q(x) != 0
+            )
+            assert abs(result.extremal_ratio - ref) <= ref * mp.mpf(2) ** -100
+
 
 class TestGsDerivative:
     def test_first_derivative_vanishes_at_origin(self):
@@ -127,12 +141,12 @@ class TestGsDerivative:
             assert gs_derivative(theta, 1, 0) == 0
 
     def test_value_at_origin(self):
-        v = gs_derivative(1, 0, 0)
+        v = gs_derivative(1, 0, 0, precision_bits=256)
         with mp.workprec(256):
             assert abs(v - mp.exp(-1)) < mp.mpf(2) ** -200
 
     def test_second_derivative_at_origin(self):
-        v = gs_derivative(1, 2, 0)
+        v = gs_derivative(1, 2, 0, precision_bits=256)
         with mp.workprec(256):
             assert abs(v + mp.exp(-1)) < mp.mpf(2) ** -200
 
@@ -234,7 +248,7 @@ class TestTaylorKernel:
     @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(1, 3), Fraction(2, 3)])
     def test_matches_binomial_leibniz_reference(self, theta):
         for x in (Fraction(0), Fraction(1, 10), Fraction(3, 4), Fraction(5), Fraction(-3)):
-            got = gs_derivative_series(theta, 60, x)
+            got = gs_derivative_series(theta, 60, x, precision_bits=256)
             ref = [certified_midpoint(v, 256) for v in binomial_leibniz_series(theta, 60, x)]
             with mp.workprec(256):
                 for k, (g, r) in enumerate(zip(got, ref)):
@@ -314,11 +328,11 @@ class TestTaylorKernel:
     def test_encloses_the_high_precision_reference_no_wider_than_iv_operators(self, monkeypatch):
         # the raw enclosure of f^(k) = a_k * k! at the start (256 bits plus the guard), against the loop written
         # with iv operators at 256 bits
-        monkeypatch.setattr(gsfunc, "certified_fixed_midpoint", lambda lo, hi, e, bits, rel: (lo, hi, e))
+        monkeypatch.setattr(precision, "certified_fixed_midpoint", lambda lo, hi, e, bits: (lo, hi, e))
         contained = 0
         for theta in (Fraction(1, 2), Fraction(2, 3), Fraction(2), Fraction(1), Fraction(1, 3)):
             for x in (Fraction(0), Fraction(3, 4), Fraction(-3), Fraction(5), Fraction(25)):
-                got = gs_derivative_series(theta, 40, x)
+                got = gs_derivative_series(theta, 40, x, precision_bits=256)
                 ref = iv_operator_taylor_series(theta, 40, x, bits=1024)
                 ops = iv_operator_taylor_series(theta, 40, x, bits=256)
                 for k, ((lo, hi, e), r, o) in enumerate(zip(got, ref, ops)):
@@ -335,7 +349,7 @@ class TestTaylorKernel:
         series = gs_derivative_series(theta, 40, 0)
         assert all(series[k] == 0 for k in range(1, 41, 2))
         assert all(series[k] != 0 for k in range(0, 41, 2))
-        monkeypatch.setattr(gsfunc, "certified_fixed_midpoint", lambda lo, hi, e, bits, rel: (lo, hi))
+        monkeypatch.setattr(precision, "certified_fixed_midpoint", lambda lo, hi, e, bits: (lo, hi))
         assert all(enc == (0, 0) for enc in gs_derivative_series(theta, 40, 0)[1::2])
 
     def test_escalates_where_the_starting_budget_runs_out(self, monkeypatch):
@@ -343,7 +357,7 @@ class TestTaylorKernel:
         # precision plus the guard) the enclosures are too wide, so a fixed budget raises
         series = gs_derivative_series(Fraction(1, 2), 400, 25, RESULT_BITS)
         assert len(series) == 401 and all(mp.isfinite(v) and v != 0 for v in series)
-        monkeypatch.setattr(gsfunc, "escalate", lambda compute, bits: compute(bits + GUARD_BITS))
+        monkeypatch.setattr(precision, "escalate", lambda compute, bits: compute(bits + GUARD_BITS))
         with pytest.raises(PrecisionError):
             gs_derivative_series(Fraction(1, 2), 400, 25, RESULT_BITS)
 

@@ -11,6 +11,7 @@ from gsmult.precision import (
     certified_fixed_midpoint,
     escalate,
     certified_midpoint,
+    certified_values,
     fixed_midpoint,
     fixed_rounded,
     half_log_of_int,
@@ -69,6 +70,63 @@ class TestEscalate:
 
         with pytest.raises(ParameterError):
             escalate(compute, 64)
+
+
+def strict(lo, hi, e, bits):
+    """A rounding rule that certifies only an exact enclosure: its value lo."""
+    if lo != hi:
+        raise PrecisionError("too wide", hi - lo)
+    return lo
+
+
+class TestCertifiedValues:
+    START = 64 + GUARD_BITS
+
+    def test_applies_the_rule_to_each_enclosure(self):
+        def enclose(work):
+            yield 5, 5, -1
+            yield 3, 7, 2
+
+        assert certified_values(enclose, 64, rule=lambda *args: args) == [(5, 5, -1, 64), (3, 7, 2, 64)]
+        assert certified_values(lambda work: [(5, 5, -1)], 64) == [mp.mpf(2.5)]  # fixed_rounded by default
+
+    def test_no_enclosure_is_made_after_one_that_raises(self):
+        made = []
+
+        def enclose(work):
+            for n in (1, 2, 3):
+                made.append((work, n))
+                yield n, n + (n == 2 and work == self.START), 0  # the second is too wide at the start
+
+        assert certified_values(enclose, 64, rule=strict) == [1, 2, 3]
+        start = self.START
+        assert made == [(start, 1), (start, 2), (2 * start, 1), (2 * start, 2), (2 * start, 3)]
+
+    def test_work_is_the_interval_precision_inside_and_restored_after(self):
+        before, seen = iv.prec, []
+
+        def enclose(work):
+            seen.append((work, iv.prec))
+            yield 1, 1 + (work < 4 * self.START), 0
+
+        assert certified_values(enclose, 64, rule=strict) == [1]
+        assert seen == [(w, w) for w in (self.START, 2 * self.START, 4 * self.START)]
+        assert iv.prec == before
+        seen.clear()
+        with pytest.raises(PrecisionError):
+            certified_values(lambda work: enclose(0), 64, rule=strict)  # too wide at every precision
+        assert [prec for _, prec in seen] == [self.START << step for step in range(5)] and iv.prec == before
+
+    def test_exact_enclosure_raises_without_a_retry(self):
+        made = []
+
+        def enclose(work):
+            made.append(work)
+            raise PrecisionError("exactly zero", 0)
+
+        with pytest.raises(PrecisionError):
+            certified_values(enclose, 64)
+        assert made == [self.START]
 
 
 class TestHalfLogOfInt:

@@ -7,7 +7,7 @@ from mpmath import mp
 from gsmult import derivpoly as derivpoly_module
 from gsmult import precision
 from gsmult.derivpoly import _enclosed_point, build_coeff_table, derivative_poly, eval_log_magnitude, kj_sequence
-from gsmult.precision import PrecisionError
+from gsmult.precision import PrecisionError, fixed_rounded, iv_prec
 from gsmult.probe import (
     RATE_BITS,
     ProbeConfig,
@@ -129,13 +129,13 @@ class TestProbeSeries:
         cfg = config(m=3, theta=Fraction(3, 2), ks=(4, 9))
         reference = probe_series(cfg, get_table(3, 9))
         monkeypatch.setattr(precision, "GUARD_BITS", 0)
-        real, seen = derivpoly_module._interval_log_magnitude, []
+        real, seen = derivpoly_module._log_enclosure, []
 
-        def spy(poly, sign, x, out_bits, bits):
-            seen.append(bits)
-            return real(poly, sign, x, out_bits, bits)
+        def spy(poly, sign, x):
+            seen.append(precision.iv.prec)
+            return real(poly, sign, x)
 
-        monkeypatch.setattr(derivpoly_module, "_interval_log_magnitude", spy)
+        monkeypatch.setattr(derivpoly_module, "_log_enclosure", spy)
         records = probe_series(cfg, get_table(3, 9))
         assert seen == [192, 384, 384]
         assert records == reference
@@ -145,9 +145,10 @@ class TestProbeSeries:
         # x_5 = 5**(3/2) enclosed at the result precision itself is a few units wide there and
         # its endpoints round apart; 64 guard bits later both round to 5**(3/2) correctly rounded
         poly = derivative_poly(get_table(3, 5), 5)
-        with pytest.raises(PrecisionError):
-            _enclosed_point(poly, 1, Fraction(3, 2), 192, 192)
-        x, _ = _enclosed_point(poly, 1, Fraction(3, 2), 192, 256)
+        with iv_prec(192), pytest.raises(PrecisionError):
+            fixed_rounded(*next(_enclosed_point(poly, Fraction(3, 2), 1)), 192)
+        with iv_prec(256):
+            x = fixed_rounded(*next(_enclosed_point(poly, Fraction(3, 2), 1)), 192)
         with mp.workprec(1024):
             reference = 5 * mp.sqrt(5)
         with mp.workprec(192):

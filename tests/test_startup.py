@@ -12,7 +12,6 @@ everything.
 
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +21,8 @@ import pytest
 import gsmult
 from gsmult import _util, precision
 
+from conftest import package_env
+
 ROOT = Path(__file__).resolve().parent.parent
 TRACEBOOT = ROOT / "bench" / "traceboot.py"
 
@@ -29,10 +30,8 @@ TRACEBOOT = ROOT / "bench" / "traceboot.py"
 def _fresh(code: str, cwd: Path, *flags: str):
     """Run ``code`` in a new interpreter, given ``flags``, with the package on its path;
     return its stdout as JSON."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=60, cwd=cwd
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=package_env(), timeout=60, cwd=cwd
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout.splitlines()[-1])

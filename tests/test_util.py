@@ -109,7 +109,7 @@ RECORDS = {
     "CoeffTable": (CoeffTable, (3, 2, ((1,), (1, 2))), {}),
     "CoeffRows": (CoeffRows, (3, 2), {}),
     "DerivPoly": (DerivPoly, (3, 2, (1, 2)), {}),
-    "LogMagnitude": (LogMagnitude, (mpmath.mpf(2.5), True, 192), {}),
+    "LogMagnitude": (LogMagnitude, (mpmath.mpf(2.5), True), {}),
     "KjSequence": (KjSequence, (3, (6, 12)), {}),
     "BracketDerivPoly": (BracketDerivPoly, (Fraction(1, 2), 1, (Fraction(0), Fraction(1, 2))), {}),
     "SeminormEstimate": (

@@ -26,12 +26,6 @@ def require_degree(m) -> None:
         raise ParameterError("degree m must be an integer >= 2, got %r" % (m,))
 
 
-def require_precision(bits, least: int = 64) -> None:
-    """Reject a result precision of fewer than ``least`` bits (64 unless a function needs more)."""
-    if not bits >= least:
-        raise ParameterError("precision_bits must be >= %d" % least)
-
-
 def pmap(fn, items):
     """Map ``fn`` over ``items`` in order and return the results as a list."""
     return [fn(it) for it in items]

@@ -134,7 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit = probe_sub.add_parser("criterion", help="multiplier-criterion divergence check")
     p_crit.set_defaults(run=_cmd_probe_criterion)
     p_crit.add_argument("--m", type=int, required=True)
-    p_crit.add_argument("--theta", type=_fraction_arg, required=True, help="a positive integer, e.g. 2 or 4/2")
+    p_crit.add_argument(
+        "--theta",
+        type=_fraction_arg,
+        required=True,
+        help="rational with m*theta >= 2, e.g. 2 or 3/2; a pass is evidence at orders k_1..k_jmax, not a proof",
+    )
     p_crit.add_argument("--s", type=_fraction_arg, required=True)
     p_crit.add_argument("--jmax", type=int, required=True)
 

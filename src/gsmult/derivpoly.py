@@ -37,7 +37,7 @@ in Gaussian integers whenever x is a nonnegative integer; any other x (a
 Fraction, an mpf, or an interval enclosing a point such as k**theta) is
 enclosed in interval arithmetic.  On both paths the log is only enclosed
 here and made a value, correctly rounded at the result precision
-(``precision.RESULT_BITS`` unless given), by ``precision.certified_values``,
+``precision.RESULT_BITS``, by ``precision.certified_values``,
 so the value does not depend on the path.  ``_log_magnitudes`` is the one
 evaluator at the paper's points x_k = k**theta, along any set of orders:
 exact at an integer theta, else with k**theta enclosed and certified
@@ -55,7 +55,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import precision  # lazy: its body, and mpmath, load at the first evaluation
-from ._util import ParameterError, Record, format_int, parse_int, require_degree, require_precision
+from ._util import ParameterError, Record, format_int, parse_int, require_degree
 
 # Exact integer arithmetic on Decimals: a result that would need rounding raises instead.
 _EXACT = decimal.Context(
@@ -306,11 +306,10 @@ def _log_enclosure(poly: DerivPoly, lambda_sign: int, x):
     return precision.iv_fixed(precision.iv.log(mag2) / 2)
 
 
-def eval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, precision_bits: int | None = None) -> LogMagnitude:
-    """ln |p_k(x)| for lam = lambda_sign * i * m, correctly rounded at ``precision_bits``.
+def eval_log_magnitude(poly: DerivPoly, lambda_sign: int, x) -> LogMagnitude:
+    """ln |p_k(x)| for lam = lambda_sign * i * m, correctly rounded at ``precision.RESULT_BITS``.
 
-    ``precision_bits`` is the result precision, ``precision.RESULT_BITS`` when
-    None.  Integer x (including Fractions with denominator one) goes through
+    Integer x (including Fractions with denominator one) goes through
     exact Gaussian-integer arithmetic.  Other x -- a Fraction, an mpf, or an
     mpmath interval enclosing the point -- is enclosed in interval arithmetic
     by ``precision.certified_values``, again while the log's enclosure rounds
@@ -324,15 +323,13 @@ def eval_log_magnitude(poly: DerivPoly, lambda_sign: int, x, precision_bits: int
     lo = precision.iv_endpoints(x)[0] if isinstance(x, precision.iv.mpf) else x
     if not lo >= 0:
         raise ParameterError("x must be nonnegative")
-    bits = precision.RESULT_BITS if precision_bits is None else precision_bits
-    require_precision(bits)
 
     if x_int is not None:
         re, im = gaussian_parts(poly, lambda_sign, x_int)
         mag2 = re * re + im * im
-        log_mag = precision.half_log_of_int(mag2, bits) if mag2 else precision.mp.ninf
+        log_mag = precision.half_log_of_int(mag2) if mag2 else precision.mp.ninf
         return LogMagnitude(log_mag=log_mag, exact=True)
-    (log_mag,) = precision.certified_values(lambda work: [_log_enclosure(poly, lambda_sign, x)], bits)
+    (log_mag,) = precision.certified_values(lambda work: [_log_enclosure(poly, lambda_sign, x)])
     return LogMagnitude(log_mag=log_mag, exact=False)
 
 
@@ -357,16 +354,15 @@ def _log_magnitudes(
     """
     wanted = set(orders)
     theta = Fraction(theta)
-    bits = precision.RESULT_BITS
     for k, row in enumerate(_rows_to(m, max(wanted), table), start=1):
         if k not in wanted:
             continue
         poly = DerivPoly(m=m, k=k, coeffs=row)
         if theta.denominator == 1:
             x = k**theta.numerator
-            lm = eval_log_magnitude(poly, lambda_sign, x, bits)
+            lm = eval_log_magnitude(poly, lambda_sign, x)
         else:
-            x, log_mag = precision.certified_values(lambda work: _enclosed_point(poly, theta, lambda_sign), bits)
+            x, log_mag = precision.certified_values(lambda work: _enclosed_point(poly, theta, lambda_sign))
             lm = LogMagnitude(log_mag=log_mag, exact=False)
         yield k, x, lm
 
@@ -408,13 +404,11 @@ def kj_sequence(m: int, j_max: int) -> KjSequence:
     return KjSequence(m=m, entries=tuple(entries))
 
 
-def _kj_orders(m: int, theta: int | Fraction, j_max: int) -> tuple[int, tuple[int, ...]]:
-    """(theta, k_1..k_{j_max}) for the exact checks: theta must equal a positive integer
-    (an int or an integral Fraction, returned as an int) with m*theta >= 2, so each
-    k_j**theta is an integer."""
-    if not isinstance(theta, (int, Fraction)) or theta.denominator != 1 or theta < 1:
-        raise ParameterError("theta must be a positive integer for exact evaluation")
-    theta = int(theta)
+def _kj_orders(m: int, theta: int | Fraction, j_max: int) -> tuple[int | Fraction, tuple[int, ...]]:
+    """(theta, k_1..k_{j_max}) for the checks along the k_j orders: theta must be rational
+    (an int or a Fraction) with m*theta >= 2, and is returned as an int when it is integral."""
+    if not isinstance(theta, (int, Fraction)):
+        raise ParameterError("theta must be rational (an int or a Fraction), got %r" % (theta,))
     if m * theta < 2:
         raise ParameterError("hypothesis violated: theta < 2/m")
-    return theta, kj_sequence(m, j_max).entries
+    return int(theta) if theta.denominator == 1 else theta, kj_sequence(m, j_max).entries

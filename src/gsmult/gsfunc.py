@@ -39,8 +39,8 @@ from mpmath.  The engine only encloses, at the working precision it is
 handed; ``precision.certified_values`` makes each value, rounded once at the
 result precision after its enclosure is certified to relative width at most
 2**-64 (``precision.certified_fixed_midpoint``), and makes the enclosures
-again while one is wider.  Everything here runs at ``precision.RESULT_BITS``
-unless given, read when it is called.
+again while one is wider.  Everything here runs at ``precision.RESULT_BITS``,
+read when it is called; no function here takes a precision.
 
 Seminorm estimators are truncated suprema over finitely many derivative
 orders, power orders and grid points, hence certified *lower* bounds of the
@@ -58,7 +58,7 @@ from fractions import Fraction
 from mpmath import iv, mp
 
 from . import precision
-from ._util import CheckResult, ParameterError, Record, _result, format_fraction, format_mpf, require_precision
+from ._util import CheckResult, ParameterError, Record, _result, format_fraction, format_mpf
 from .precision import fixed_outward, fixed_scaled, iv_fixed, ols_slope, to_iv, to_mpf
 
 
@@ -196,9 +196,6 @@ def verify_bracket_bound(t, k_max: int, grid: Sequence | None = None) -> CheckRe
     return _result("bracket-derivative-bound", params, [], max_ratio)
 
 
-MIN_GS_PRECISION_BITS = 128
-
-
 def _taylor_kernel(c, a_0, k_max: int, prec: int):
     """Enclosures of a_0..a_k_max from (j+1) * a_{j+1} = sum_i c_i * a_{j-i}.
 
@@ -246,13 +243,13 @@ def _taylor_kernel(c, a_0, k_max: int, prec: int):
     return a
 
 
-def gs_derivative_series(theta, k_max: int, x, precision_bits: int | None = None):
+def gs_derivative_series(theta, k_max: int, x):
     """Certified values of d^k/dx^k exp(-<x>**(1/theta)) for k = 0..k_max.
 
-    x must be rational (int, float or Fraction); ``precision_bits`` is the
-    result precision, ``precision.RESULT_BITS`` when None.  At the working
-    precision ``work`` that ``precision.certified_values`` hands it, mpmath
-    encloses <x>**t (t = 1/theta) and exp(-<x>**t) once; everything after runs
+    x must be rational (int, float or Fraction); the result precision is
+    ``precision.RESULT_BITS``.  At the working precision ``work`` that
+    ``precision.certified_values`` hands it, mpmath encloses <x>**t
+    (t = 1/theta) and exp(-<x>**t) once; everything after runs
     on ints, an enclosure being [lo, hi] * 2**e kept to ``work`` bits.
     c_i = -<x>**t * r_{i+1}/i! comes from the exact bracket ratios r_i by one
     floor and one ceiling division, and each order of the Taylor recursion
@@ -266,8 +263,6 @@ def gs_derivative_series(theta, k_max: int, x, precision_bits: int | None = None
     theta = Fraction(theta)
     if theta <= 0:
         raise ParameterError("theta must be positive")
-    bits = precision.RESULT_BITS if precision_bits is None else precision_bits
-    require_precision(bits, MIN_GS_PRECISION_BITS)
     t = 1 / theta
     xf = Fraction(x)
     nums, d = _bracket_ratio_numerators(t, xf, k_max)
@@ -288,26 +283,27 @@ def gs_derivative_series(theta, k_max: int, x, precision_bits: int | None = None
             lo, hi, e = a_j[:3] if a_j else (0, 0, 0)
             yield lo * fact, hi * fact, e
 
-    return precision.certified_values(series, bits, rule=precision.certified_fixed_midpoint)
+    return precision.certified_values(series, rule=precision.certified_fixed_midpoint)
 
 
-def gs_derivative(theta, k: int, x, precision_bits: int | None = None):
+def gs_derivative(theta, k: int, x):
     """Certified value of the k-th derivative of exp(-<x>**(1/theta)) at x."""
-    return gs_derivative_series(theta, k, x, precision_bits)[k]
+    return gs_derivative_series(theta, k, x)[k]
 
 
 def verify_gs_bound(
     theta,
     k_max: int,
     grid: Sequence | None = None,
-    slope_tol: float = 1e-3,
+    slope_tol: float | Fraction = 1e-3,
 ) -> CheckResult:
     """Empirical constant for |f^(k)| <= C**k * k! * f(x) * <x>**(k*max(1/theta-1,0)).
 
     C_emp(k) is the grid maximum of the normalized ratio taken to the 1/k
     power.  The check asserts C_emp stays bounded: the least-squares slope
     of log C_emp against k over the top half of the orders must not exceed
-    ``slope_tol``.  Everything, the derivatives included, is computed at
+    ``slope_tol`` (a float or a Fraction, compared as an mpf at the result
+    precision).  Everything, the derivatives included, is computed at
     ``precision.RESULT_BITS``: the printed slope and C_emp keep 10 digits, so
     a higher precision changes no printed byte.
 
@@ -325,8 +321,7 @@ def verify_gs_bound(
     grid = geometric_grid(2 * Fraction(k_max) ** math.ceil(theta), 25) if grid is None else tuple(grid)
     tau = max(1 / theta - 1, Fraction(0))
     best_log = [None] * (k_max + 1)
-    bits = precision.RESULT_BITS
-    with mp.workprec(bits):
+    with mp.workprec(precision.RESULT_BITS):
         tau_mpf = to_mpf(tau)
         log_fact = [None] + [mp.log(mp.factorial(k)) for k in range(1, k_max + 1)]
         k_tau = [k * tau_mpf for k in range(k_max + 1)]
@@ -344,10 +339,11 @@ def verify_gs_bound(
         orders = [k for k in range(1, k_max + 1) if best_log[k] is not None]
         log_c_emp = {k: best_log[k] / k for k in orders}
         tail = [k for k in orders if k >= orders[-1] // 2 + 1]
-        slope = ols_slope(tail, [log_c_emp[k] for k in tail], bits)
+        slope = ols_slope(tail, [log_c_emp[k] for k in tail])
         c_max = mp.exp(max(log_c_emp.values()))
+        within = slope <= to_mpf(slope_tol)
     slope_text = format_mpf(slope, 10)
-    witnesses = [] if slope <= slope_tol else [("slope", slope_text)]
+    witnesses = [] if within else [("slope", slope_text)]
     params = {
         "theta": format_fraction(theta),
         "k_max": k_max,

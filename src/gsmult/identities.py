@@ -183,6 +183,8 @@ class _LowerBoundStep:
     """
 
     def __init__(self, m: int, lambda_sign: int, theta: int | Fraction, j_max: int):
+        if not isinstance(theta, (int, Fraction)) or theta.denominator != 1 or theta < 1:
+            raise ParameterError("theta must be a positive integer for exact evaluation")
         theta, entries = _kj_orders(m, theta, j_max)
         self.j_at = {k: j for j, k in enumerate(entries, start=1)}
         self.first_k, self.last_k = entries[0], entries[-1]

@@ -12,13 +12,17 @@ Conversions round at most once at the requested precision; equal Fractions
 therefore always convert to bit-identical mpf values, which several
 determinism and dilation-identity checks rely on.
 
-The precision policy lives here alone.  Every command reads ``RESULT_BITS``
-when it is called.  ``certified_values`` is the one way a certified value is
-made: a producer only encloses, yielding (lo, hi, e) enclosures at the
-interval precision it is handed, and ``certified_values`` turns each into a
-value by a rounding rule as it is yielded, under ``escalate``, which starts
-the work ``GUARD_BITS`` above the result precision and doubles it while a
-rule raises: Ziv's strategy.  ``certified_values`` and ``escalate`` are
+The precision policy lives here alone: no function outside this module
+takes or states a result precision (a producer is handed the working
+precision of one attempt).  ``certified_values``, ``half_log_of_int`` and
+``ols_slope`` read ``RESULT_BITS`` when they are called, as every command
+does, so setting it raises the precision everywhere; only ``escalate`` and
+the pure rounding rules are handed bits.  ``certified_values`` is the one
+way a certified value is made: a producer only encloses, yielding
+(lo, hi, e) enclosures at the interval precision it is handed, and
+``certified_values`` turns each into a value by a rounding rule as it is
+yielded, under ``escalate``, which starts the work ``GUARD_BITS`` above the
+result precision and doubles it while a rule raises: Ziv's strategy.  ``certified_values`` and ``escalate`` are
 thus where the precision each certified value used is seen.
 
 An enclosure is read in one way only: ``iv_fixed`` reads an interval
@@ -82,12 +86,12 @@ def to_mpf(value):
     return mp.mpf(value)
 
 
-def ols_slope(xs, ys, bits: int):
-    """Ordinary least squares slope of ys against xs at ``bits`` precision."""
+def ols_slope(xs, ys):
+    """Ordinary least squares slope of ys against xs at ``RESULT_BITS``."""
     n = len(xs)
     if n < 2:
         raise ValueError("need at least two points for a slope")
-    with mp.workprec(bits):
+    with mp.workprec(RESULT_BITS):
         xm = [to_mpf(x) for x in xs]
         ym = [to_mpf(y) for y in ys]
         mean_x = sum(xm) / n
@@ -205,14 +209,16 @@ def escalate(compute, bits: int):
                 raise
 
 
-def certified_values(enclose, bits: int, rule=fixed_rounded):
-    """Values certified at the result precision ``bits``: ``rule(lo, hi, e, bits)``
-    of each enclosure that ``enclose(work)`` yields, with the interval context
-    at ``work`` while it runs, made again under ``escalate`` while a rule raises.
+def certified_values(enclose, rule=fixed_rounded):
+    """Values certified at the result precision ``RESULT_BITS``, read when called:
+    ``rule(lo, hi, e, RESULT_BITS)`` of each enclosure that ``enclose(work)`` yields,
+    with the interval context at ``work`` while it runs, made again under
+    ``escalate`` while a rule raises.
 
     Each enclosure is turned into a value as soon as it is yielded, so no
     enclosure after one that raises is made.
     """
+    bits = RESULT_BITS
 
     def compute(work):
         with iv_prec(work):
@@ -221,9 +227,9 @@ def certified_values(enclose, bits: int, rule=fixed_rounded):
     return escalate(compute, bits)
 
 
-def half_log_of_int(n: int, bits: int):
-    """ln(n)/2 for a positive integer n, correctly rounded to ``bits``,
+def half_log_of_int(n: int):
+    """ln(n)/2 for a positive integer n, correctly rounded at ``RESULT_BITS``,
     from the enclosure ``iv.log`` makes."""
     if n <= 0:
         raise ParameterError("positive integer required")
-    return certified_values(lambda work: [iv_fixed(iv.log(iv.mpf(n)) / 2)], bits)[0]
+    return certified_values(lambda work: [iv_fixed(iv.log(iv.mpf(n)) / 2)])[0]

@@ -12,8 +12,9 @@ integers whenever theta is an integer; otherwise x_k and |p_k| on it are
 enclosed together, and made again at doubled precision until x_k and the
 log each round to one value at the result precision (Ziv's test,
 ``precision.fixed_rounded``).  Either way the log is correctly rounded.
-Logs, the decay term, the rate and Delta are computed at that result precision,
-``precision.RESULT_BITS``, and records are rounded at RATE_BITS, 64 bits below.
+Logs, the decay term, the rate, the records, the fitted slope and Delta are
+all computed at that result precision, ``precision.RESULT_BITS``, read when
+the probe is called; the probe states no precision of its own.
 Along k the leading behaviour is
 
     log|p_k(x_k)| = k log m + theta (m-1) k log k + o(k),
@@ -25,9 +26,10 @@ theta*(m-1); the probe quantifies this two ways:
   the decay term is ~ -k when nu = theta, the slope estimates theta*(m-1)
   with a finite-k correction of about (log m - 1)/log k.
 * ``criterion_check`` tracks Delta(j) = log|p_{k_j}(k_j**theta)| -
-  s*k_j*log(k_j) along the k_j orders: for s below theta*(m-1) it grows
-  superlinearly in k_j, which no geometric factor h**k or linear-in-k
-  exponential allowance can absorb.
+  s*k_j*log(k_j) along the k_j orders, at any rational theta with
+  m*theta >= 2: for s below theta*(m-1) it grows superlinearly in k_j,
+  which no geometric factor h**k or linear-in-k exponential allowance can
+  absorb.  A pass is evidence at finitely many orders, not a proof.
 
 The probe reports the product (D^k g) * f, not D^k(g*f): the former is the
 pivot quantity of the argument and needs no Leibniz expansion.
@@ -45,8 +47,6 @@ from . import precision
 from ._util import CheckResult, ParameterError, Record, _result, format_fraction, format_mpf, require_degree
 from .derivpoly import CoeffRows, CoeffTable, _kj_orders, _log_magnitudes
 from .precision import ols_slope, to_mpf
-
-RATE_BITS = precision.RESULT_BITS - 64  # the precision records are rounded at
 
 
 class ProbeConfig(Record):
@@ -89,9 +89,9 @@ class ProbeRecord(Record):
     """One sample: order k, point x_k, logged product, running rate estimate.
 
     x is k**theta itself for integer theta, else k**theta correctly rounded
-    at the result precision.  rate = (log_dkg_f + <x_k>**(1/nu)) / (k*log k)
-    is the per-record point estimate of the growth exponent (0 for k < 2
-    where the scale vanishes).
+    at the result precision, at which the other fields are computed.
+    rate = (log_dkg_f + <x_k>**(1/nu)) / (k*log k) is the per-record point
+    estimate of the growth exponent (0 for k < 2 where the scale vanishes).
     """
 
     k: int
@@ -101,9 +101,9 @@ class ProbeRecord(Record):
     exact: bool
 
 
-def _decay(x, nu: Fraction, bits: int):
-    """<x>**(1/nu) = (1 + x**2)**(1/(2 nu)) at the working precision."""
-    with mp.workprec(bits):
+def _decay(x, nu: Fraction):
+    """<x>**(1/nu) = (1 + x**2)**(1/(2 nu)) at the result precision."""
+    with mp.workprec(precision.RESULT_BITS):
         return mp.exp(to_mpf(1 / (2 * nu)) * mp.log(to_mpf(1 + x * x)))
 
 
@@ -113,14 +113,12 @@ def probe_series(cfg: ProbeConfig, table: CoeffTable | CoeffRows | None = None) 
     if not cfg.k_values:
         return []
     records = {}
-    bits = precision.RESULT_BITS
     for k, x, lm in _log_magnitudes(cfg.m, cfg.lambda_sign, cfg.theta, cfg.k_values, table):
-        decay = _decay(x, cfg.nu, bits)
-        with mp.workprec(bits):
+        decay = _decay(x, cfg.nu)
+        with mp.workprec(precision.RESULT_BITS):
             log_prod = lm.log_mag - decay
             rate = (log_prod + decay) / (k * mp.log(k)) if k >= 2 else mp.mpf(0)
-        with mp.workprec(RATE_BITS):
-            records[k] = ProbeRecord(k=k, x=x, log_dkg_f=+log_prod, rate=+rate, exact=lm.exact)
+        records[k] = ProbeRecord(k=k, x=x, log_dkg_f=log_prod, rate=rate, exact=lm.exact)
     return [records[k] for k in cfg.k_values]
 
 
@@ -146,10 +144,9 @@ def estimate_rate(
     tail = records[-count:]
     if len(tail) < min_records:
         raise ParameterError("too few records in the tail: %d < %d" % (len(tail), min_records))
-    with mp.workprec(RATE_BITS):
+    with mp.workprec(precision.RESULT_BITS):
         xs = [r.k * mp.log(r.k) for r in tail]
-        ys = [r.log_dkg_f for r in tail]
-        return ols_slope(xs, ys, bits=RATE_BITS)
+    return ols_slope(xs, [r.log_dkg_f for r in tail])
 
 
 def criterion_check(
@@ -166,26 +163,31 @@ def criterion_check(
     C*h**k * k**(s k) * e**(c k) to dominate |p_k(k**theta)| along k_j, but
     Delta grows superlinearly: the check asserts Delta is strictly
     increasing and Delta(j_max) - Delta(1) > k_{j_max}, which no admissible
-    constants can absorb.  theta must equal a positive integer (an int or an
-    integral Fraction) so the evaluations are exact.
+    constants can absorb.  theta may be any rational (an int or a Fraction)
+    with m*theta >= 2: at an integral theta the evaluations are exact, at any
+    other the point and its log are certified together.  A pass shows the
+    divergence at the orders k_1..k_{j_max} only: evidence, not a proof.
     """
     if j_max < 2:
         raise ParameterError("j_max must be >= 2 to compare increments")
     require_degree(m)  # before the s hypothesis, which reads m; no walk is made until every argument passes
+    if lambda_sign not in (1, -1):
+        raise ParameterError("lambda_sign must be +1 or -1")
     theta, orders = _kj_orders(m, theta, j_max)
     s = Fraction(s)
     if not 0 < s < (m - 1) * theta:
         raise ParameterError("hypothesis violated: need 0 < s < (m-1)*theta, got s=%s" % s)
     deltas = []
-    for k, _, lm in _log_magnitudes(m, lambda_sign, theta, orders, table):
-        with mp.workprec(precision.RESULT_BITS):
+    with mp.workprec(precision.RESULT_BITS):
+        for k, _, lm in _log_magnitudes(m, lambda_sign, theta, orders, table):
             deltas.append(lm.log_mag - to_mpf(s) * k * mp.log(k))
+        spread = deltas[-1] - deltas[0]
     witnesses = []
     for j in range(1, j_max):
         if not deltas[j] > deltas[j - 1]:
             witnesses.append(("not-increasing", j + 1, format_mpf(deltas[j], 12)))
-    if not deltas[-1] - deltas[0] > orders[-1]:
-        witnesses.append(("growth-below-linear", j_max, format_mpf(deltas[-1] - deltas[0], 12)))
+    if not spread > orders[-1]:
+        witnesses.append(("growth-below-linear", j_max, format_mpf(spread, 12)))
     params = {
         "m": m,
         "theta": theta,
@@ -193,6 +195,4 @@ def criterion_check(
         "j_max": j_max,
         "lambda_sign": lambda_sign,
     }
-    with mp.workprec(RATE_BITS):
-        spread = deltas[-1] - deltas[0]
     return _result("multiplier-criterion-divergence", params, witnesses, spread)

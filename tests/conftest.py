@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,6 +45,17 @@ def package_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return env
+
+
+@contextmanager
+def result_bits(bits: int):
+    """``precision.RESULT_BITS`` set to ``bits`` while the block runs, and restored after it."""
+    old = precision.RESULT_BITS
+    precision.RESULT_BITS = bits
+    try:
+        yield bits
+    finally:
+        precision.RESULT_BITS = old
 
 
 def certified_work(monkeypatch) -> list:

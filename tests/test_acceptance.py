@@ -33,7 +33,7 @@ from gsmult.wedge import (
     render_region_svg,
 )
 
-from conftest import get_table
+from conftest import get_table, result_bits
 
 
 def report(number, passed, text):
@@ -126,12 +126,12 @@ def _fd_check_bracket(t, points):
 def _fd_check_gs(theta, points):
     h = F(1, 2**20)
     ok = True
-    with mp.workprec(300):
+    with mp.workprec(300), result_bits(300):
         inv_step = mp.mpf(2) ** 20
         for x in points:
-            lo = gs_derivative_series(theta, 10, x - h, 300)
-            hi = gs_derivative_series(theta, 10, x + h, 300)
-            mid = gs_derivative_series(theta, 11, x, 300)
+            lo = gs_derivative_series(theta, 10, x - h)
+            hi = gs_derivative_series(theta, 10, x + h)
+            mid = gs_derivative_series(theta, 11, x)
             for k in range(10):
                 fd = (hi[k] - lo[k]) * inv_step / 2
                 target = mid[k + 1]

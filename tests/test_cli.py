@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from gsmult import derivpoly, gsfunc, identities, precision, probe, wedge
+from gsmult import derivpoly, gsfunc, identities, precision, wedge
 from gsmult._util import format_mpf
 from gsmult.cli import _print_check, _witness_repr, dispatch
 from gsmult.precision import PrecisionError
@@ -357,9 +357,9 @@ class TestProbeCli:
         assert run(argv) == 0
         assert capsys.readouterr() == integer
 
-    def test_criterion_non_integer_theta_is_rejected_by_the_library(self, capsys):
-        assert run(["probe", "criterion", "--m", "3", "--theta", "3/2", "--s", "1", "--jmax", "4"]) == 2
-        assert capsys.readouterr().err == "usage error: theta must be a positive integer for exact evaluation\n"
+    def test_criterion_rational_theta_passes(self, capsys):
+        assert run(["probe", "criterion", "--m", "3", "--theta", "3/2", "--s", "2", "--jmax", "30"]) == 0
+        assert capsys.readouterr().out.startswith("multiplier-criterion-divergence    PASS  extremal=")
 
     def test_rejects_invalid_exponents(self):
         assert run(["probe", "run", "--m", "2", "--theta", "1/2", "--nu", "1/2", "--kmax", "4", "--csv", "x.csv"]) == 2
@@ -443,9 +443,10 @@ def _precisions(monkeypatch):
         "probe run --m 2 --theta 1 --nu 1 --kmax 40 --sign - --csv p2.csv",
         "probe run --m 3 --theta 3/2 --nu 3/2 --kmax 8 --csv pf.csv",
         "probe criterion --m 4 --theta 1 --s 1 --jmax 10",
+        "probe criterion --m 3 --theta 3/2 --s 2 --jmax 10",
     ],
     ids=["bound-t1_2", "bound-t2", "seminorm-h", "seminorm-a-gauss", "probe-m3-t2", "probe-m2-t1-neg",
-         "probe-m3-t3_2", "criterion-m4"],
+         "probe-m3-t3_2", "criterion-m4", "criterion-m3-t3_2"],
 )
 def test_a_higher_precision_changes_no_byte(tmp_path, monkeypatch, capsys, argv):
     seen = _precisions(monkeypatch)
@@ -455,10 +456,10 @@ def test_a_higher_precision_changes_no_byte(tmp_path, monkeypatch, capsys, argv)
         for used in seen.values():
             used.clear()
         outputs.append(_outputs(argv.split(), tmp_path / str(bits), capsys))
-        # the run worked at the result precision: every mpmath precision it set is that one (or
-        # the probe's record precision), and every certified value started from it (the Gaussian
-        # has none: its derivatives are exact Hermite values times one exp)
-        assert seen["workprec"] - {probe.RATE_BITS} == {bits}
+        # the run worked at the result precision: every mpmath precision it set is that one, and
+        # every certified value started from it (the Gaussian has none: its derivatives are exact
+        # Hermite values times one exp)
+        assert seen["workprec"] == {bits}
         assert seen["escalate"] == (set() if "gaussian" in argv else {bits})
         # and every certified value was made by the one loop
         assert seen["compute"] <= {"certified_values.<locals>.compute"}

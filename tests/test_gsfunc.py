@@ -41,6 +41,8 @@ from gsmult.precision import (
     to_mpf,
 )
 
+from conftest import result_bits
+
 rationals = st.fractions(min_value=-4, max_value=4)
 
 
@@ -141,12 +143,14 @@ class TestGsDerivative:
             assert gs_derivative(theta, 1, 0) == 0
 
     def test_value_at_origin(self):
-        v = gs_derivative(1, 0, 0, precision_bits=256)
+        with result_bits(256):
+            v = gs_derivative(1, 0, 0)
         with mp.workprec(256):
             assert abs(v - mp.exp(-1)) < mp.mpf(2) ** -200
 
     def test_second_derivative_at_origin(self):
-        v = gs_derivative(1, 2, 0, precision_bits=256)
+        with result_bits(256):
+            v = gs_derivative(1, 2, 0)
         with mp.workprec(256):
             assert abs(v + mp.exp(-1)) < mp.mpf(2) ** -200
 
@@ -158,10 +162,6 @@ class TestGsDerivative:
     def test_order_zero_positive(self):
         for x in (0, Fraction(1, 3), 5):
             assert gs_derivative_series(2, 0, x)[0] > 0
-
-    def test_rejects_low_precision(self):
-        with pytest.raises(ValueError):
-            gs_derivative(1, 2, 0, precision_bits=64)
 
     def test_rejects_nonpositive_theta(self):
         with pytest.raises(ValueError):
@@ -248,7 +248,8 @@ class TestTaylorKernel:
     @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(1, 3), Fraction(2, 3)])
     def test_matches_binomial_leibniz_reference(self, theta):
         for x in (Fraction(0), Fraction(1, 10), Fraction(3, 4), Fraction(5), Fraction(-3)):
-            got = gs_derivative_series(theta, 60, x, precision_bits=256)
+            with result_bits(256):
+                got = gs_derivative_series(theta, 60, x)
             ref = [certified_midpoint(v, 256) for v in binomial_leibniz_series(theta, 60, x)]
             with mp.workprec(256):
                 for k, (g, r) in enumerate(zip(got, ref)):
@@ -332,7 +333,8 @@ class TestTaylorKernel:
         contained = 0
         for theta in (Fraction(1, 2), Fraction(2, 3), Fraction(2), Fraction(1), Fraction(1, 3)):
             for x in (Fraction(0), Fraction(3, 4), Fraction(-3), Fraction(5), Fraction(25)):
-                got = gs_derivative_series(theta, 40, x, precision_bits=256)
+                with result_bits(256):
+                    got = gs_derivative_series(theta, 40, x)
                 ref = iv_operator_taylor_series(theta, 40, x, bits=1024)
                 ops = iv_operator_taylor_series(theta, 40, x, bits=256)
                 for k, ((lo, hi, e), r, o) in enumerate(zip(got, ref, ops)):
@@ -355,11 +357,11 @@ class TestTaylorKernel:
     def test_escalates_where_the_starting_budget_runs_out(self, monkeypatch):
         # `gs bound --theta 1/2 --kmax 400` needs this point; at its start alone (the result
         # precision plus the guard) the enclosures are too wide, so a fixed budget raises
-        series = gs_derivative_series(Fraction(1, 2), 400, 25, RESULT_BITS)
+        series = gs_derivative_series(Fraction(1, 2), 400, 25)
         assert len(series) == 401 and all(mp.isfinite(v) and v != 0 for v in series)
         monkeypatch.setattr(precision, "escalate", lambda compute, bits: compute(bits + GUARD_BITS))
         with pytest.raises(PrecisionError):
-            gs_derivative_series(Fraction(1, 2), 400, 25, RESULT_BITS)
+            gs_derivative_series(Fraction(1, 2), 400, 25)
 
 
 class TestGsBound:
@@ -378,6 +380,14 @@ class TestGsBound:
     def test_requires_enough_orders(self):
         with pytest.raises(ValueError):
             verify_gs_bound(1, 3)
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 100), Fraction(-1, 100)], ids=["passing", "failing"])
+    def test_fraction_tolerance_is_the_float_tolerance(self, tol):
+        exact = verify_gs_bound(2, 30, slope_tol=tol)
+        rounded = verify_gs_bound(2, 30, slope_tol=float(tol))
+        assert exact.passed is rounded.passed is (tol > 0)
+        assert exact.witnesses == rounded.witnesses and exact.params["slope"] == rounded.params["slope"]
+        assert exact.params["slope_tol"] == str(tol)
 
     def test_generator_grid_is_read_once(self):
         points = (0, Fraction(1, 2), 2, 5)

@@ -1,8 +1,11 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 from mpmath import iv, mp
+
+import gsmult
 
 from gsmult.precision import (
     GUARD_BITS,
@@ -19,6 +22,20 @@ from gsmult.precision import (
     iv_fixed,
     iv_prec,
 )
+
+from conftest import result_bits
+
+
+def test_no_public_callable_takes_a_precision():
+    # the result precision is ``precision.RESULT_BITS`` alone: no exported function, class or
+    # f_spec ``derivatives`` method has a parameter that would set another
+    exported = [getattr(gsmult, name) for name in gsmult.__all__]
+    f_specs = [gsmult.GSFunction, gsmult.Gaussian, gsmult.SampledDerivatives]
+    errors = (gsmult.ParameterError, gsmult.PrecisionError)  # builtin-derived: no signature to read
+    callables = [obj for obj in exported if callable(obj) and obj not in errors] + [s.derivatives for s in f_specs]
+    assert len(callables) > 40
+    for obj in callables:
+        assert not {"precision_bits", "bits"} & set(inspect.signature(obj).parameters), obj
 
 
 def exact(v):
@@ -87,8 +104,9 @@ class TestCertifiedValues:
             yield 5, 5, -1
             yield 3, 7, 2
 
-        assert certified_values(enclose, 64, rule=lambda *args: args) == [(5, 5, -1, 64), (3, 7, 2, 64)]
-        assert certified_values(lambda work: [(5, 5, -1)], 64) == [mp.mpf(2.5)]  # fixed_rounded by default
+        with result_bits(64):
+            assert certified_values(enclose, rule=lambda *args: args) == [(5, 5, -1, 64), (3, 7, 2, 64)]
+            assert certified_values(lambda work: [(5, 5, -1)]) == [mp.mpf(2.5)]  # fixed_rounded by default
 
     def test_no_enclosure_is_made_after_one_that_raises(self):
         made = []
@@ -98,7 +116,8 @@ class TestCertifiedValues:
                 made.append((work, n))
                 yield n, n + (n == 2 and work == self.START), 0  # the second is too wide at the start
 
-        assert certified_values(enclose, 64, rule=strict) == [1, 2, 3]
+        with result_bits(64):
+            assert certified_values(enclose, rule=strict) == [1, 2, 3]
         start = self.START
         assert made == [(start, 1), (start, 2), (2 * start, 1), (2 * start, 2), (2 * start, 3)]
 
@@ -109,12 +128,13 @@ class TestCertifiedValues:
             seen.append((work, iv.prec))
             yield 1, 1 + (work < 4 * self.START), 0
 
-        assert certified_values(enclose, 64, rule=strict) == [1]
+        with result_bits(64):
+            assert certified_values(enclose, rule=strict) == [1]
         assert seen == [(w, w) for w in (self.START, 2 * self.START, 4 * self.START)]
         assert iv.prec == before
         seen.clear()
-        with pytest.raises(PrecisionError):
-            certified_values(lambda work: enclose(0), 64, rule=strict)  # too wide at every precision
+        with result_bits(64), pytest.raises(PrecisionError):
+            certified_values(lambda work: enclose(0), rule=strict)  # too wide at every precision
         assert [prec for _, prec in seen] == [self.START << step for step in range(5)] and iv.prec == before
 
     def test_exact_enclosure_raises_without_a_retry(self):
@@ -124,8 +144,8 @@ class TestCertifiedValues:
             made.append(work)
             raise PrecisionError("exactly zero", 0)
 
-        with pytest.raises(PrecisionError):
-            certified_values(enclose, 64)
+        with result_bits(64), pytest.raises(PrecisionError):
+            certified_values(enclose)
         assert made == [self.START]
 
 
@@ -143,14 +163,15 @@ class TestHalfLogOfInt:
         cases += [rng.randrange(2, 10 ** rng.randint(1, 10_000)) for _ in range(300)]
         for i, n in enumerate(cases):
             bits = (64, 128, 192, 333)[i % 4]
-            assert half_log_of_int(n, bits) == self.reference(n, bits), (n.bit_length(), bits)
+            with result_bits(bits):
+                assert half_log_of_int(n) == self.reference(n, bits), (n.bit_length(), bits)
 
     def test_one_is_exact_zero(self):
-        assert half_log_of_int(1, 128) == 0
+        assert half_log_of_int(1) == 0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
-            half_log_of_int(0, 128)
+            half_log_of_int(0)
 
 
 class TestFixedRounded:

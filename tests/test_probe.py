@@ -6,19 +6,19 @@ from mpmath import mp
 
 from gsmult import derivpoly as derivpoly_module
 from gsmult import precision
-from gsmult.derivpoly import _enclosed_point, build_coeff_table, derivative_poly, eval_log_magnitude, kj_sequence
-from gsmult.precision import PrecisionError, fixed_rounded, iv_prec
-from gsmult.probe import (
-    RATE_BITS,
-    ProbeConfig,
-    ProbeRecord,
-    _decay,
-    criterion_check,
-    estimate_rate,
-    probe_series,
+from gsmult._util import format_mpf
+from gsmult.derivpoly import (
+    CoeffTable,
+    _enclosed_point,
+    build_coeff_table,
+    derivative_poly,
+    eval_log_magnitude,
+    kj_sequence,
 )
+from gsmult.precision import ParameterError, PrecisionError, fixed_rounded, iv_prec
+from gsmult.probe import ProbeConfig, ProbeRecord, _decay, criterion_check, estimate_rate, probe_series
 
-from conftest import get_table, traced_peak
+from conftest import get_table, result_bits, traced_peak
 
 
 def config(m=2, theta=1, nu=None, ks=(1, 2, 3), sign=1):
@@ -116,11 +116,10 @@ class TestProbeSeries:
         table = get_table(3, 9)
         for rec, x in zip(probe_series(cfg, table), (8, 27)):
             assert not rec.exact
-            bits = 4096
-            exact = eval_log_magnitude(derivative_poly(table, rec.k), sign, x, precision_bits=bits)
-            with mp.workprec(bits):
+            with result_bits(4096) as bits, mp.workprec(bits):
+                exact = eval_log_magnitude(derivative_poly(table, rec.k), sign, x)
                 assert abs(rec.x - x) < mp.mpf(2) ** -64
-                assert abs(rec.log_dkg_f + _decay(rec.x, cfg.nu, bits) - exact.log_mag) < mp.mpf(2) ** -32
+                assert abs(rec.log_dkg_f + _decay(rec.x, cfg.nu) - exact.log_mag) < mp.mpf(2) ** -32
 
     def test_non_integer_theta_escalates_the_point_with_the_log(self, monkeypatch):
         # started at the 192-bit result precision itself, the enclosures round apart there
@@ -157,19 +156,19 @@ class TestProbeSeries:
     @pytest.mark.parametrize("m,theta", [(2, 1), (2, 2), (3, 1), (3, 2)])
     def test_result_precision_matches_logs_at_the_operand_budget(self, m, theta):
         # the records before logs were sized to their results: every step at 4096 bits,
-        # above the operand budget of each order here (at most 3,634 bits, at m=3, theta=2, k=120)
+        # above the operand budget of each order here (at most 3,634 bits, at m=3, theta=2, k=120).
+        # The records keep all but a few of the result precision's bits, and every printed digit
         table = get_table(m, 120)
         cfg = config(m=m, theta=theta, ks=range(1, 121))
-        bits = 4096
+        tolerance = mp.mpf(2) ** (8 - precision.RESULT_BITS)
         for rec in probe_series(cfg, table):
             k, x = rec.k, rec.k**theta
-            lm = eval_log_magnitude(derivative_poly(table, k), 1, x, precision_bits=bits)
-            decay = _decay(x, cfg.nu, bits)
-            with mp.workprec(bits):
-                log_prod = lm.log_mag - decay
-                rate = (log_prod + decay) / (k * mp.log(k)) if k >= 2 else mp.mpf(0)
-            with mp.workprec(RATE_BITS):
-                assert (rec.log_dkg_f, rec.rate) == (+log_prod, +rate), k
+            with result_bits(4096) as bits, mp.workprec(bits):
+                log_prod = eval_log_magnitude(derivative_poly(table, k), 1, x).log_mag - _decay(x, cfg.nu)
+                rate = (log_prod + _decay(x, cfg.nu)) / (k * mp.log(k)) if k >= 2 else mp.mpf(0)
+                for got, want in ((rec.log_dkg_f, log_prod), (rec.rate, rate)):
+                    assert abs(got - want) <= abs(want) * tolerance, k
+                    assert format_mpf(got) == format_mpf(want), k
 
     def test_undersized_table_rejected(self):
         from gsmult.derivpoly import build_coeff_table
@@ -226,9 +225,34 @@ class TestCriterionCheck:
         with pytest.raises(ValueError):
             criterion_check(2, 1, Fraction(1), 4)  # s = (m-1)*theta exactly
 
-    def test_rejects_non_integer_theta(self):
-        with pytest.raises(ValueError):
-            criterion_check(2, Fraction(3, 2), Fraction(1, 2), 4)
+    @pytest.mark.parametrize("m,theta,s", [(3, "3/2", "2"), (4, "2/3", "1"), (2, "3/2", "1"), (3, "5/6", "3/2")])
+    def test_rational_theta_passes(self, m, theta, s):
+        # at a non-integer theta the points k_j**theta are enclosed and certified with their logs
+        result = criterion_check(m, Fraction(theta), Fraction(s), 30)
+        assert result.passed and result.params["theta"] == theta
+        assert float(result.extremal_ratio) > kj_sequence(m, 30).k(30)
+
+    def test_corrupted_table_fails_at_rational_theta(self):
+        # row k_4 scaled by 10**100 lifts Delta(4) by about 230, above Delta(5)
+        seq = kj_sequence(3, 10)
+        table = get_table(3, seq.k(10))
+        rows = list(table.rows)
+        rows[seq.k(4) - 1] = tuple(c * 10**100 for c in rows[seq.k(4) - 1])
+        result = criterion_check(3, Fraction(3, 2), 2, 10, table=CoeffTable(m=3, k_max=table.k_max, rows=tuple(rows)))
+        assert not result.passed
+        assert [w[:2] for w in result.witnesses] == [("not-increasing", 5)]
+
+    @pytest.mark.parametrize("theta", [1, Fraction(3, 2)], ids=["integer", "rational"])
+    def test_rejects_bad_sign_before_walking_rows(self, theta):
+        class Unwalkable:
+            m, k_max = 3, 10**6
+
+            def __iter__(self):
+                raise AssertionError("rows walked")
+
+        for sign in (2, 0, 5):
+            with pytest.raises(ParameterError, match="lambda_sign"):
+                criterion_check(3, theta, 2, 4, lambda_sign=sign, table=Unwalkable())
 
     def test_integral_fraction_theta_is_the_integer_theta(self):
         result = criterion_check(2, Fraction(2), Fraction(1, 2), 4)

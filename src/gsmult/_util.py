@@ -1,8 +1,9 @@
 """The light base every module builds on, with no mpmath, ``dataclasses`` or ``json`` at import.
 
 It holds ``ParameterError``, the ``Record`` base of every value type, the
-``CheckResult`` every verifier returns, the degree check, and the
-exact-string formats used by every file-emitting code path.
+``CheckResult`` every verifier returns, the one check each of the degree,
+the sign of lam and the paper's hypothesis m*theta >= 2, and the exact-string
+formats used by every file-emitting code path.
 ``format_mpf`` imports mpmath only for an mpmath value, so the exact
 commands, which print Python floats, never load it; ``json`` is imported by
 the functions that write JSON.
@@ -24,6 +25,18 @@ def require_degree(m) -> None:
     """Reject a degree m that is not an integer >= 2."""
     if not isinstance(m, int) or m < 2:
         raise ParameterError("degree m must be an integer >= 2, got %r" % (m,))
+
+
+def require_sign(lambda_sign) -> None:
+    """Reject a lambda_sign other than +1 or -1 (lam = lambda_sign * i * m)."""
+    if lambda_sign not in (1, -1):
+        raise ParameterError("lambda_sign must be +1 or -1")
+
+
+def require_theta(m: int, theta) -> None:
+    """Reject theta < 2/m: the hypothesis m*theta >= 2 of the paper's discontinuity side."""
+    if m * theta < 2:
+        raise ParameterError("hypothesis violated: theta=%s < 2/m for m=%d" % (theta, m))
 
 
 def pmap(fn, items):

@@ -55,7 +55,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import precision  # lazy: its body, and mpmath, load at the first evaluation
-from ._util import ParameterError, Record, format_int, parse_int, require_degree
+from ._util import ParameterError, Record, format_int, parse_int, require_degree, require_sign, require_theta
 
 # Exact integer arithmetic on Decimals: a result that would need rounding raises instead.
 _EXACT = decimal.Context(
@@ -89,12 +89,6 @@ class CoeffTable(Record):
         if not 1 <= k <= self.k_max:
             raise ParameterError("order %d outside table range 1..%d" % (k, self.k_max))
         return self.rows[k - 1]
-
-    def coeff(self, k: int, n: int) -> int:
-        row = self.row(k)
-        if not 0 <= n < len(row):
-            raise ParameterError("index n=%d outside row of length %d" % (n, len(row)))
-        return row[n]
 
     def to_json(self) -> str:
         """Exact export in the ``table`` file format: the text ``write_table_json`` writes for these rows."""
@@ -288,8 +282,7 @@ def gaussian_parts(poly: DerivPoly, lambda_sign: int, x: int) -> tuple[int, int]
     Everything is integer multiplication, so the result is exact for any
     size of k and x.
     """
-    if lambda_sign not in (1, -1):
-        raise ParameterError("lambda_sign must be +1 or -1")
+    require_sign(lambda_sign)
     if not isinstance(x, int) or x < 0:
         raise ParameterError("exact evaluation requires a nonnegative integer x")
     return _parts(poly, lambda_sign % 4, x)
@@ -317,8 +310,7 @@ def eval_log_magnitude(poly: DerivPoly, lambda_sign: int, x) -> LogMagnitude:
     integral mpf or interval point takes the interval path too, and gets the
     same value as the exact path.
     """
-    if lambda_sign not in (1, -1):
-        raise ParameterError("lambda_sign must be +1 or -1")
+    require_sign(lambda_sign)
     x_int = x.numerator if isinstance(x, (int, Fraction)) and x.denominator == 1 else None
     lo = precision.iv_endpoints(x)[0] if isinstance(x, precision.iv.mpf) else x
     if not lo >= 0:
@@ -409,6 +401,5 @@ def _kj_orders(m: int, theta: int | Fraction, j_max: int) -> tuple[int | Fractio
     (an int or a Fraction) with m*theta >= 2, and is returned as an int when it is integral."""
     if not isinstance(theta, (int, Fraction)):
         raise ParameterError("theta must be rational (an int or a Fraction), got %r" % (theta,))
-    if m * theta < 2:
-        raise ParameterError("hypothesis violated: theta < 2/m")
+    require_theta(m, theta)
     return int(theta) if theta.denominator == 1 else theta, kj_sequence(m, j_max).entries

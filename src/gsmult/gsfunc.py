@@ -43,10 +43,11 @@ again while one is wider.  Everything here runs at ``precision.RESULT_BITS``,
 read when it is called; no function here takes a precision.
 
 Seminorm estimators are truncated suprema over finitely many derivative
-orders, power orders and grid points, hence certified *lower* bounds of the
-true seminorms; no extrapolation to the full supremum is claimed.  Grids
-default to geometric spacing in |x| up to 2 * k_max**theta because the
-maximizing x of order k grows with k.
+orders, power orders and grid points: the truncation makes them *lower*
+bounds of the true seminorms, computed at the result precision but not yet
+certified, as each cell takes round-to-nearest ``mp.log`` and ``mp.exp``.
+Grids default to geometric spacing in |x| up to 2 * k_max**ceil(theta)
+because the maximizing x of order k grows with k.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import accumulate
 
 from mpmath import iv, mp
 
@@ -169,6 +171,16 @@ def geometric_grid(x_max, points: int = 25) -> tuple[Fraction, ...]:
     return (Fraction(0),) + tuple(x_max / 2**j for j in reversed(range(points)))
 
 
+def _default_grid(theta: Fraction, k_max: int) -> tuple[Fraction, ...]:
+    """The grid of the sweeps and seminorms: ``geometric_grid(2 * k_max**ceil(theta), 25)``."""
+    return geometric_grid(2 * Fraction(max(k_max, 1)) ** math.ceil(theta), 25)
+
+
+def _log_factorials(k_max: int) -> list:
+    """ln k! for k = 0..k_max, as running sums of ln k at the current mp precision."""
+    return list(accumulate(map(mp.log, range(1, k_max + 1)), initial=mp.mpf(0)))
+
+
 def verify_bracket_bound(t, k_max: int, grid: Sequence | None = None) -> CheckResult:
     """Empirical constant for |d^k <x>**t| <= C * 8**k * k! * <x>**(t-k).
 
@@ -182,13 +194,14 @@ def verify_bracket_bound(t, k_max: int, grid: Sequence | None = None) -> CheckRe
         grid = uniform_grid(Fraction(-10), Fraction(10), 81)
     max_ratio = None
     with mp.workprec(precision.RESULT_BITS):
+        log_fact, log_8 = _log_factorials(k_max), mp.log(8)
         for x in grid:
             xf = Fraction(x)
             log_base = mp.log(to_mpf(1 + xf * xf))
             for k, r_k in enumerate(_bracket_ratios(tf, xf, k_max)):
                 if r_k == 0:
                     continue
-                log_ratio = mp.log(to_mpf(abs(r_k))) + k * log_base / 2 - k * mp.log(8) - mp.log(mp.factorial(k))
+                log_ratio = mp.log(to_mpf(abs(r_k))) + k * log_base / 2 - k * log_8 - log_fact[k]
                 ratio = mp.exp(log_ratio)
                 if max_ratio is None or ratio > max_ratio:
                     max_ratio = ratio
@@ -318,12 +331,12 @@ def verify_gs_bound(
         raise ParameterError("theta must be positive")
     if k_max < 4:
         raise ParameterError("need k_max >= 4 for a slope over the top half")
-    grid = geometric_grid(2 * Fraction(k_max) ** math.ceil(theta), 25) if grid is None else tuple(grid)
+    grid = _default_grid(theta, k_max) if grid is None else tuple(grid)
     tau = max(1 / theta - 1, Fraction(0))
     best_log = [None] * (k_max + 1)
     with mp.workprec(precision.RESULT_BITS):
         tau_mpf = to_mpf(tau)
-        log_fact = [None] + [mp.log(mp.factorial(k)) for k in range(1, k_max + 1)]
+        log_fact = _log_factorials(k_max)
         k_tau = [k * tau_mpf for k in range(k_max + 1)]
         for x in grid:
             series = gs_derivative_series(theta, k_max, x)
@@ -395,7 +408,7 @@ class SampledDerivatives:
 
 
 class SeminormEstimate(Record):
-    """Truncated supremum of a seminorm: a certified lower bound of the true value.
+    """Truncated supremum of a seminorm: a lower bound of the true value, not yet certified.
 
     Deterministic for a fixed truncation, and monotone nondecreasing as the
     truncation (derivative orders, power orders, grid) grows.
@@ -460,15 +473,13 @@ def seminorm_cells(
         raise ParameterError("kind must be 'a' or 'h'")
     if max_deriv < 0 or max_power < 0:
         raise ParameterError("max_deriv and max_power must be >= 0")
-    if grid is None:
-        grid = geometric_grid(2 * Fraction(max(max_deriv, 1)) ** math.ceil(theta), 25)
-    grid = tuple(Fraction(g) for g in grid)
+    grid = _default_grid(theta, max_deriv) if grid is None else tuple(Fraction(g) for g in grid)
 
     cells = []
     with mp.workprec(precision.RESULT_BITS):
-        log_fact = [mp.mpf(0)]
-        for k in range(1, max(max_deriv, max_power) + 1):
-            log_fact.append(log_fact[-1] + mp.log(k))
+        log_fact = _log_factorials(max(max_deriv, max_power))
+        s_mpf, theta_mpf = to_mpf(s), to_mpf(theta)
+        log_step = mp.log(to_mpf(a)) if kind == "a" else -mp.log(to_mpf(h))  # a**beta, or h**(-beta)
         for x in grid:
             # log of the part of each cell that depends on x only
             if kind == "a":
@@ -476,18 +487,15 @@ def seminorm_cells(
             elif x == 0:
                 log_weight = mp.mpf(0)  # x**alpha = 0 at x = 0 for alpha > 0
             else:
-                log_xh = mp.log(to_mpf(abs(x))) - mp.log(to_mpf(h))
-                log_weight = max(alpha * log_xh - to_mpf(theta) * log_fact[alpha] for alpha in range(max_power + 1))
+                log_xh = mp.log(to_mpf(abs(x))) + log_step
+                log_weight = max(alpha * log_xh - theta_mpf * log_fact[alpha] for alpha in range(max_power + 1))
             derivs = f_spec.derivatives(x, max_deriv)
             for beta in range(max_deriv + 1):
                 fv = abs(derivs[beta])
                 if fv == 0:
                     cells.append((beta, x, mp.mpf(0)))
                     continue
-                if kind == "a":
-                    log_cell = log_weight - to_mpf(s) * log_fact[beta] + beta * mp.log(to_mpf(a)) + mp.log(fv)
-                else:
-                    log_cell = log_weight + mp.log(fv) - beta * mp.log(to_mpf(h)) - to_mpf(s) * log_fact[beta]
+                log_cell = log_weight - s_mpf * log_fact[beta] + beta * log_step + mp.log(fv)
                 cells.append((beta, x, mp.exp(log_cell)))
     return cells
 

@@ -32,7 +32,7 @@ A table is a ``CoeffTable`` or a ``coeff_rows`` walk, read once in ascending k.
 The per-row logic of each check that reads rows is written once, as a step
 that ``_walk`` feeds the rows from its ``first_k`` to its ``last_k``;
 ``check_table_bounds`` runs the three table checks, and at integer theta the
-evaluation lower bound, on one walk.
+evaluation lower bound, on one walk that it sizes itself.
 Rational parameters are plain fractions.Fraction values throughout.
 """
 
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._util import CheckResult, ParameterError, _result, format_fraction, require_degree
+from ._util import CheckResult, ParameterError, _result, format_fraction, require_degree, require_theta
 from .derivpoly import CoeffRows, CoeffTable, DerivPoly, _kj_orders, _rows_to, gaussian_parts
 
 
@@ -124,8 +124,7 @@ class _RatioStep:
 
     def __init__(self, m: int, k_max: int, theta: Fraction):
         theta = Fraction(theta)
-        if theta < Fraction(2, m):
-            raise ParameterError("hypothesis violated: theta=%s < 2/m for m=%d" % (theta, m))
+        require_theta(m, theta)
         self.params = {"m": m, "k_max": k_max, "theta": format_fraction(theta)}
         self.last_k = k_max
         self.q, self.m_p, self.m_q = theta.denominator, m * theta.numerator, m**theta.denominator
@@ -240,18 +239,16 @@ def check_ratio_bound(table: CoeffTable | CoeffRows, theta: Fraction) -> CheckRe
 
 
 def check_table_bounds(
-    table: CoeffTable | CoeffRows, theta: Fraction, k_max: int | None = None, j_max: int | None = None
+    m: int, theta: Fraction, k_max: int, j_max: int | None = None, table: CoeffTable | CoeffRows | None = None
 ) -> list[CheckResult]:
     """``check_ck1_closed_form``, ``check_ck2_bound`` and ``check_ratio_bound`` up to
-    ``k_max`` (the table's by default; at least 4), then, given ``j_max``,
-    ``check_lower_bound(m, 1, theta, j_max)``, all from one walk of ``table``.
+    ``k_max`` (at least 4), then, given ``j_max`` (theta must then equal an integer),
+    ``check_lower_bound(m, 1, theta, j_max)``, all from one walk of rows 1..max(k_max, k_{j_max}).
 
-    Each row is read once and fed to the checks in turn, so a ``coeff_rows``
-    walk makes every row once.  The table must reach k_max and, given
-    ``j_max``, k_{j_max}; theta must then equal an integer.
+    The walk is sized here, by the checks that read it: it is ``coeff_rows``
+    without a ``table``, and a ``table`` must reach that order.
     """
-    m = table.m
-    k_max = table.k_max if k_max is None else k_max
+    require_degree(m)
     steps = [_Ck1Step(m, k_max), _Ck2Step(m, k_max), _RatioStep(m, k_max, theta)]
     if j_max is not None:
         steps.append(_LowerBoundStep(m, 1, theta, j_max))
@@ -269,8 +266,7 @@ def check_wedge_fn_nonneg(m: int, theta: Fraction) -> CheckResult:
     """
     require_degree(m)
     theta = Fraction(theta)
-    if theta < Fraction(2, m):
-        raise ParameterError("hypothesis violated: theta=%s < 2/m for m=%d" % (theta, m))
+    require_theta(m, theta)
     return _result("auxiliary-function-nonneg", {"m": m, "theta": format_fraction(theta)}, [], 0.0)
 
 

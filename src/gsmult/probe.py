@@ -44,7 +44,8 @@ import mpmath
 from mpmath import mp
 
 from . import precision
-from ._util import CheckResult, ParameterError, Record, _result, format_fraction, format_mpf, require_degree
+from ._util import CheckResult, ParameterError, Record, _result, format_fraction, format_mpf
+from ._util import require_degree, require_sign, require_theta
 from .derivpoly import CoeffRows, CoeffTable, _kj_orders, _log_magnitudes
 from .precision import ols_slope, to_mpf
 
@@ -67,14 +68,12 @@ class ProbeConfig(Record):
 
     def __post_init__(self):
         require_degree(self.m)
-        if self.lambda_sign not in (1, -1):
-            raise ParameterError("lambda_sign must be +1 or -1")
+        require_sign(self.lambda_sign)
         theta = Fraction(self.theta)
         nu = Fraction(self.nu)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "nu", nu)
-        if theta * self.m < 2:
-            raise ParameterError("hypothesis violated: theta=%s < 2/m" % theta)
+        require_theta(self.m, theta)
         if nu > theta:
             raise ParameterError("decay exponent nu=%s must not exceed theta=%s" % (nu, theta))
         if nu < theta and nu * self.m <= 2:
@@ -90,8 +89,8 @@ class ProbeRecord(Record):
 
     x is k**theta itself for integer theta, else k**theta correctly rounded
     at the result precision, at which the other fields are computed.
-    rate = (log_dkg_f + <x_k>**(1/nu)) / (k*log k) is the per-record point
-    estimate of the growth exponent (0 for k < 2 where the scale vanishes).
+    rate = log|p_k(x_k)| / (k*log k) = (log_dkg_f + <x_k>**(1/nu)) / (k*log k) is the
+    per-record point estimate of the growth exponent (0 for k < 2 where the scale vanishes).
     """
 
     k: int
@@ -117,7 +116,7 @@ def probe_series(cfg: ProbeConfig, table: CoeffTable | CoeffRows | None = None) 
         decay = _decay(x, cfg.nu)
         with mp.workprec(precision.RESULT_BITS):
             log_prod = lm.log_mag - decay
-            rate = (log_prod + decay) / (k * mp.log(k)) if k >= 2 else mp.mpf(0)
+            rate = lm.log_mag / (k * mp.log(k)) if k >= 2 else mp.mpf(0)
         records[k] = ProbeRecord(k=k, x=x, log_dkg_f=log_prod, rate=rate, exact=lm.exact)
     return [records[k] for k in cfg.k_values]
 
@@ -171,8 +170,7 @@ def criterion_check(
     if j_max < 2:
         raise ParameterError("j_max must be >= 2 to compare increments")
     require_degree(m)  # before the s hypothesis, which reads m; no walk is made until every argument passes
-    if lambda_sign not in (1, -1):
-        raise ParameterError("lambda_sign must be +1 or -1")
+    require_sign(lambda_sign)
     theta, orders = _kj_orders(m, theta, j_max)
     s = Fraction(s)
     if not 0 < s < (m - 1) * theta:

@@ -56,26 +56,25 @@ class TestExitCodes:
         assert err.count("\n") == 1 and type(exc).__name__ in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "argv, out",
+        "argv, error",
         [
-            (["gs", "bound", "--theta", "1/2", "--kmax", "10"], None),
-            (["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "1", "--s", "1", "--kmax", "2", "--csv"], "h.csv"),
-            (["probe", "run", "--m", "2", "--theta", "1", "--nu", "1", "--kmax", "4", "--csv"], "p.csv"),
+            (["gs", "bound", "--theta", "1/2", "--kmax", "10", "--precision-bits", "256"],
+             "unrecognized arguments: --precision-bits 256"),
+            (["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "1", "--s", "1", "--kmax", "2", "--csv", "h.csv",
+              "--precision-bits", "256"], "unrecognized arguments: --precision-bits 256"),
+            (["probe", "run", "--m", "2", "--theta", "1", "--nu", "1", "--kmax", "4", "--csv", "p.csv",
+              "--precision-bits", "256"], "unrecognized arguments: --precision-bits 256"),
+            (["--precision-bits", "128", "table", "--m", "2", "--kmax", "4", "--out", "t.json"],
+             "argument command: invalid choice: '128'"),
+            (["--precision-bits=128", "table", "--m", "2", "--kmax", "4", "--out", "t.json"],
+             "unrecognized arguments: --precision-bits=128"),
         ],
-        ids=["gs-bound", "gs-seminorm", "probe-run"],
+        ids=["gs-bound", "gs-seminorm", "probe-run", "global", "global-joined"],
     )
-    def test_precision_option_is_unrecognized(self, tmp_path, monkeypatch, capsys, argv, out):
+    def test_precision_option_is_unrecognized(self, tmp_path, monkeypatch, capsys, argv, error):
         monkeypatch.chdir(tmp_path)
-        assert run(argv + ([out] if out else []) + ["--precision-bits", "256"]) == 2
-        assert "unrecognized arguments: --precision-bits 256" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("flag", [["--precision-bits", "128"], ["--precision-bits=128"]], ids=["spaced", "joined"])
-    def test_removed_global_precision_option_is_named(self, tmp_path, monkeypatch, capsys, flag):
-        monkeypatch.chdir(tmp_path)
-        assert run(flag + ["table", "--m", "2", "--kmax", "4", "--out", "t.json"]) == 2
-        err = capsys.readouterr().err
-        assert "--precision-bits was removed: no option sets a precision" in err
+        assert run(argv) == 2
+        assert error in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     # no command reads a precision option, so no --help lists one
@@ -313,6 +312,16 @@ class TestProbeCli:
         assert run(args + ["--csv", str(tmp_path / "a.csv")]) == 0
         assert run(args + ["--csv", str(tmp_path / "b.csv")]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("kmax, fitted", [(14, False), (15, True)])
+    def test_fit_is_printed_exactly_when_estimate_rate_accepts_the_records(self, tmp_path, capsys, kmax, fitted):
+        # estimate_rate fits the trailing half, rounded, of at least 8 records: 15 records give a tail of 8
+        argv = ["probe", "run", "--m", "2", "--theta", "1", "--nu", "1", "--kmax", str(kmax)]
+        assert run(argv + ["--csv", str(tmp_path / "p.csv")]) == 0
+        out = capsys.readouterr().out
+        assert ("fitted growth rate (tail 1/2): " in out) is fitted
+        if kmax == 15:
+            assert out.endswith("fitted growth rate (tail 1/2): 0.9116137762\n")
 
     def test_kj_only_restricts_orders(self, tmp_path, capsys):
         out = tmp_path / "kj.csv"

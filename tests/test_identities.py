@@ -65,8 +65,8 @@ class TestFloorIdentities:
 
 class TestCk1ClosedForm:
     def test_examples(self):
-        assert get_table(3, 4).coeff(4, 1) == 12 == (3 - 1) * 4 * 3 // 2
-        assert get_table(2, 2).coeff(2, 1) == 1
+        assert get_table(3, 4).row(4)[1] == 12 == (3 - 1) * 4 * 3 // 2
+        assert get_table(2, 2).row(2)[1] == 1
         assert check_both(check_ck1_closed_form, 6, 100).passed
 
     def test_all_small_degrees(self):
@@ -76,8 +76,8 @@ class TestCk1ClosedForm:
 
 class TestCk2Bound:
     def test_examples(self):
-        assert 2 * get_table(3, 4).coeff(4, 2) == 40 <= 9 * 256
-        assert 2 * get_table(2, 4).coeff(4, 2) == 6 <= 4 * 256
+        assert 2 * get_table(3, 4).row(4)[2] == 40 <= 9 * 256
+        assert 2 * get_table(2, 4).row(4)[2] == 6 <= 4 * 256
         result = check_both(check_ck2_bound, 6, 128)
         assert result.passed
         assert 0 < result.extremal_ratio < 1
@@ -107,6 +107,14 @@ class TestRatioBound:
         result = check_both(check_ratio_bound, 4, 64, Fraction(1, 2))
         assert result.passed
         assert result.extremal_ratio > 0.1
+
+    def test_walk_is_sized_by_the_checks_that_read_it(self):
+        # no table given: rows 1..max(k_max, k_{j_max}) are walked, here to k_3 = 18 for m = 3
+        held = get_table(3, 4)
+        expected = [check_ck1_closed_form(held), check_ck2_bound(held), check_ratio_bound(held, 2)]
+        assert check_table_bounds(3, 2, 4, j_max=3) == [*expected, check_lower_bound(3, 1, 2, 3)]
+        with pytest.raises(ParameterError, match="up to k=18"):
+            check_table_bounds(3, 2, 4, j_max=3, table=get_table(3, 17))
 
     def test_walk_holds_no_table(self):
         # the check reads one row at a time, so a walk is checked without the table
@@ -186,7 +194,7 @@ class TestRatioBoundMatchesReference:
         edits = []
         for _ in range(data.draw(st.integers(1, 6))):
             k, n = _cell(table, data)
-            old = table.coeff(k, n)
+            old = table.row(k)[n]
             edits.append((k, n, data.draw(st.sampled_from([old + 1, max(1, old - 1), old * 2**40, 1, old * 7 + 3]))))
         self.assert_same(_edited(table, edits), theta)
 
@@ -202,7 +210,7 @@ class TestRatioBoundMatchesReference:
         k = j**q  # at most 64 for q <= 6
         table = get_table(m, 64)
         n = data.draw(st.integers(1, len(table.row(k)) - 1))
-        b = table.coeff(k, n - 1)
+        b = table.row(k)[n - 1]
         a = b * m * j ** (m * p)
         assert a**q == b**q * m**q * k ** (m * p)
         result = self.assert_same(_edited(table, [(k, n, a)]), theta)
@@ -216,7 +224,7 @@ class TestRatioBoundMatchesReference:
         theta = _theta_for(m, data)
         p, q = theta.numerator, theta.denominator
         k, n = _cell(table, data)
-        b = table.coeff(k, n - 1)
+        b = table.row(k)[n - 1]
         lb, lf = b.bit_length(), (m**q * k ** (m * p)).bit_length()
         exceeds_from = lb + 1 + -(-lf // q)  # least la with q*(la-lb-1) >= lf
         within_to = lb - 1 + (lf - 1) // q  # largest la with q*(la-lb+1) < lf
@@ -237,7 +245,8 @@ class TestTableBounds:
         held, walk = held_and_walk(m, k_max)
         expected = [check_ck1_closed_form(held), check_ck2_bound(held), check_ratio_bound(held, theta)]
         assert all(r.passed for r in expected)
-        assert check_table_bounds(walk, theta) == check_table_bounds(held, theta) == expected
+        assert check_table_bounds(m, theta, k_max, table=walk) == check_table_bounds(m, theta, k_max, table=held)
+        assert check_table_bounds(m, theta, k_max) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -248,9 +257,9 @@ class TestTableBounds:
         edits = []
         for _ in range(data.draw(st.integers(1, 4))):
             k, n = _cell(table, data)
-            edits.append((k, n, table.coeff(k, n) * data.draw(st.sampled_from([2, 3, 2**40]))))
+            edits.append((k, n, table.row(k)[n] * data.draw(st.sampled_from([2, 3, 2**40]))))
         tampered = _edited(table, edits)
-        results = check_table_bounds(tampered, theta)
+        results = check_table_bounds(m, theta, table.k_max, table=tampered)
         alone = [check_ck1_closed_form(tampered), check_ck2_bound(tampered), check_ratio_bound(tampered, theta)]
         assert results == alone
         assert results[0].passed == all(n != 1 for _, n, _ in edits)  # every edit moves its cell
@@ -269,11 +278,19 @@ class TestTableBounds:
         rows = Rows()
         rows.k_max = k_max
         with pytest.raises(ParameterError):
-            check_table_bounds(rows, theta)
+            check_table_bounds(2, theta, k_max, table=rows)
+
+    def test_walk_is_sized_by_the_checks_that_read_it(self):
+        # no table given: rows 1..max(k_max, k_{j_max}) are walked, here to k_3 = 18 for m = 3
+        held = get_table(3, 4)
+        expected = [check_ck1_closed_form(held), check_ck2_bound(held), check_ratio_bound(held, 2)]
+        assert check_table_bounds(3, 2, 4, j_max=3) == [*expected, check_lower_bound(3, 1, 2, 3)]
+        with pytest.raises(ParameterError, match="up to k=18"):
+            check_table_bounds(3, 2, 4, j_max=3, table=get_table(3, 17))
 
     def test_walk_holds_no_table(self):
         table_bytes = traced_peak(lambda: build_coeff_table(4, 300))[1]
-        results, peak = traced_peak(lambda: check_table_bounds(coeff_rows(4, 300), Fraction(1, 2)))
+        results, peak = traced_peak(lambda: check_table_bounds(4, Fraction(1, 2), 300))
         assert all(r.passed for r in results) and peak < table_bytes / 4
 
 
@@ -424,8 +441,8 @@ class TestLowerBound:
         result = check_lower_bound(2, 1, Fraction(2), 3)
         assert result.passed and result.to_json() == check_lower_bound(2, 1, 2, 3).to_json()
         # check_table_bounds hands its theta to the lower-bound step as it is
-        results = check_table_bounds(coeff_rows(2, 24), Fraction(2), j_max=3)
-        assert results == check_table_bounds(coeff_rows(2, 24), 2, j_max=3) and results[3] == result
+        results = check_table_bounds(2, Fraction(2), 24, j_max=3)
+        assert results == check_table_bounds(2, 2, 24, j_max=3) and results[3] == result
 
     def test_rejects_undersized_table(self):
         from gsmult.derivpoly import build_coeff_table

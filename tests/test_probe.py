@@ -154,10 +154,9 @@ class TestProbeSeries:
             assert x == +reference
 
     @pytest.mark.parametrize("m,theta", [(2, 1), (2, 2), (3, 1), (3, 2)])
-    def test_result_precision_matches_logs_at_the_operand_budget(self, m, theta):
-        # the records before logs were sized to their results: every step at 4096 bits,
-        # above the operand budget of each order here (at most 3,634 bits, at m=3, theta=2, k=120).
-        # The records keep all but a few of the result precision's bits, and every printed digit
+    def test_records_match_a_4096_bit_recomputation(self, m, theta):
+        # each record, recomputed with every step at 4096 bits, is within 2**-(RESULT_BITS - 8)
+        # relative of the record and prints alike
         table = get_table(m, 120)
         cfg = config(m=m, theta=theta, ks=range(1, 121))
         tolerance = mp.mpf(2) ** (8 - precision.RESULT_BITS)

@@ -1,5 +1,6 @@
 """``_util``: the degree check every public entry point that takes m makes through
-``_util.require_degree``, ``format_mpf`` on plain Python numbers, and the
+``_util.require_degree``, the one wording of the hypothesis m*theta >= 2
+(``_util.require_theta``), ``format_mpf`` on plain Python numbers, and the
 ``Record`` contract of every value type."""
 
 import dataclasses
@@ -49,6 +50,7 @@ from gsmult import (
 )
 from gsmult._util import format_mpf
 from gsmult.derivpoly import CoeffRows, coeff_rows
+from gsmult.identities import check_table_bounds
 
 GRID = GridSpec(1, 2, 1, 1, 2, 1)
 
@@ -62,6 +64,7 @@ ENTRY_POINTS = {
     "check_floor_identities": lambda m, tmp: check_floor_identities(m, 4),
     "check_wedge_fn_nonneg": lambda m, tmp: check_wedge_fn_nonneg(m, 2),
     "check_lower_bound": lambda m, tmp: check_lower_bound(m, 1, 2, 1),
+    "check_table_bounds": lambda m, tmp: check_table_bounds(m, 2, 4),
     "criterion_check": lambda m, tmp: criterion_check(m, 2, Fraction(1, 2), 2),
     "ProbeConfig": lambda m, tmp: ProbeConfig(m=m, lambda_sign=1, theta=2, nu=2, k_values=(1,)),
     "WedgeQuery": lambda m, tmp: WedgeQuery(theta=2, s=1, m=m, space=Space.ROUMIEU),
@@ -78,6 +81,20 @@ def test_degree_must_be_an_integer_of_at_least_two(entry, m, tmp_path):
     with pytest.raises(ParameterError, match="^degree m must be an integer >= 2, got %s$" % re.escape(repr(m))):
         ENTRY_POINTS[entry](m, tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+THETA_BELOW_TWO_OVER_M = {
+    "ProbeConfig": lambda: ProbeConfig(m=3, lambda_sign=1, theta=Fraction(1, 2), nu=Fraction(1, 2), k_values=(1,)),
+    "criterion_check": lambda: criterion_check(3, Fraction(1, 2), Fraction(1, 4), 2),
+    "check_wedge_fn_nonneg": lambda: check_wedge_fn_nonneg(3, Fraction(1, 2)),
+    "check_table_bounds": lambda: check_table_bounds(3, Fraction(1, 2), 4),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(THETA_BELOW_TWO_OVER_M))
+def test_theta_hypothesis_is_worded_once(entry):
+    with pytest.raises(ParameterError, match="^hypothesis violated: theta=1/2 < 2/m for m=3$"):
+        THETA_BELOW_TWO_OVER_M[entry]()
 
 
 _PLAIN = [0, 7, -12, 10**40, True, 0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 0.10963587152777757, -2.5]
@@ -230,7 +247,7 @@ def test_post_init_coerces_its_fields():
         (lambda: ProbeConfig(1, 1, 2, 2, (1,)), ParameterError, "degree m must be an integer >= 2, got 1"),
         (lambda: ProbeConfig(3, 2, 2, 2, (1,)), ParameterError, "lambda_sign must be +1 or -1"),
         (lambda: ProbeConfig(3, 1, Fraction(1, 2), Fraction(1, 2), (1,)), ParameterError,
-         "hypothesis violated: theta=1/2 < 2/m"),
+         "hypothesis violated: theta=1/2 < 2/m for m=3"),
         (lambda: ProbeConfig(3, 1, 1, 2, (1,)), ParameterError, "decay exponent nu=2 must not exceed theta=1"),
         (lambda: ProbeConfig(3, 1, 2, Fraction(2, 3), (1,)), ParameterError,
          "hypothesis violated: nu=2/3 <= 2/m with nu < theta"),

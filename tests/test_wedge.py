@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -189,6 +190,15 @@ class TestEmission:
     def test_svg_deterministic(self):
         grid = GridSpec(F(1, 8), F(1), F(1, 8), F(1, 8), F(2), F(1, 8))
         assert render_region_svg(4, Space.BEURLING, grid) == render_region_svg(4, Space.BEURLING, grid)
+
+    @pytest.mark.xfail(strict=True, reason="the dashed line s = m*theta - 1 is drawn for theta > 1 too")
+    def test_svg_dashed_strip_edge_ends_at_theta_one(self):
+        # the strip's upper edge is m*theta - max(theta, 1), which for theta > 1 is the solid wedge
+        # edge (m-1)*theta; at m = 2, (theta, s) = (3/2, 7/4) lies between the two lines and is Continuous
+        grid = GridSpec(F(1, 20), F(2), F(1, 20), F(1, 20), F(4), F(1, 20))  # the CLI's default box
+        (x2,) = re.findall(r'<line [^>]*x2="([0-9.]+)"[^>]*stroke-dasharray', render_region_svg(2, Space.ROUMIEU, grid))
+        t_lo, t_hi = grid.theta_start, grid.theta_stop + grid.theta_step
+        assert float(t_lo) + (float(x2) - 60) / 520 * float(t_hi - t_lo) <= 1 + 1e-3
 
     def test_rejects_unknown_format(self, tmp_path):
         grid = GridSpec(F(1), F(1), F(1), F(1), F(1), F(1))

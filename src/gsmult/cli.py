@@ -297,10 +297,11 @@ def _cmd_probe_run(args) -> int:
     if args.kmax < 1:
         raise ParameterError("--kmax must be >= 1")
     sign = 1 if args.sign == "+" else -1
-    if args.kj_only:  # k_j >= 4j, so j <= kmax/4 reaches every k_j <= kmax
-        k_values = [k for k in derivpoly.kj_sequence(args.m, max(1, args.kmax // 4)).entries if k <= args.kmax]
+    if args.kj_only:
+        j_max = derivpoly.kj_count(args.m, args.kmax)
+        k_values = derivpoly.kj_sequence(args.m, j_max).entries if j_max else ()
     else:
-        k_values = list(range(1, args.kmax + 1))
+        k_values = range(1, args.kmax + 1)
     cfg = probe.ProbeConfig(
         m=args.m,
         lambda_sign=sign,

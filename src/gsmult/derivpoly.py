@@ -396,6 +396,12 @@ def kj_sequence(m: int, j_max: int) -> KjSequence:
     return KjSequence(m=m, entries=tuple(entries))
 
 
+def kj_count(m: int, k_max: int) -> int:
+    """How many k_j = ceil(4jm/(m-1)) are <= k_max >= 0: exactly those with j <= k_max*(m-1)/(4m)."""
+    require_degree(m)
+    return k_max * (m - 1) // (4 * m)
+
+
 def _kj_orders(m: int, theta: int | Fraction, j_max: int) -> tuple[int | Fraction, tuple[int, ...]]:
     """(theta, k_1..k_{j_max}) for the checks along the k_j orders: theta must be rational
     (an int or a Fraction) with m*theta >= 2, and is returned as an int when it is integral."""

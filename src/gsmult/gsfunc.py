@@ -36,11 +36,10 @@ the nonzero terms followed by a single outward rounding (floor on the lower
 end, ceiling on the upper), where mpmath interval operators would round
 each of the 2(j+1) multiplies and adds.  Only <x>**t and exp(-<x>**t) come
 from mpmath.  The engine only encloses, at the working precision it is
-handed; ``precision.certified_values`` makes each value, rounded once at the
-result precision after its enclosure is certified to relative width at most
-2**-64 (``precision.certified_fixed_midpoint``), and makes the enclosures
-again while one is wider.  Everything here runs at ``precision.RESULT_BITS``,
-read when it is called; no function here takes a precision.
+handed; ``precision.certified_values`` makes each value correctly rounded at
+the result precision, and makes the enclosures again while one rounds
+apart.  Everything here runs at ``precision.RESULT_BITS``, read when it is
+called; no function here takes a precision.
 
 Seminorm estimators are truncated suprema over finitely many derivative
 orders, power orders and grid points: the truncation makes them *lower*
@@ -190,8 +189,7 @@ def verify_bracket_bound(t, k_max: int, grid: Sequence | None = None) -> CheckRe
     mpf exponent is unbounded, so every ratio is finite).
     """
     tf = Fraction(t)
-    if grid is None:
-        grid = uniform_grid(Fraction(-10), Fraction(10), 81)
+    grid = uniform_grid(Fraction(-10), Fraction(10), 81) if grid is None else tuple(grid)
     max_ratio = None
     with mp.workprec(precision.RESULT_BITS):
         log_fact, log_8 = _log_factorials(k_max), mp.log(8)
@@ -205,7 +203,7 @@ def verify_bracket_bound(t, k_max: int, grid: Sequence | None = None) -> CheckRe
                 ratio = mp.exp(log_ratio)
                 if max_ratio is None or ratio > max_ratio:
                     max_ratio = ratio
-    params = {"t": format_fraction(tf), "k_max": k_max, "grid_points": len(tuple(grid))}
+    params = {"t": format_fraction(tf), "k_max": k_max, "grid_points": len(grid)}
     return _result("bracket-derivative-bound", params, [], max_ratio)
 
 
@@ -268,9 +266,9 @@ def gs_derivative_series(theta, k_max: int, x):
     floor and one ceiling division, and each order of the Taylor recursion
     costs one exact dot product and one outward rounding (``_taylor_kernel``);
     exact zeros (c_i for i >= 2 at theta = 1/2, the odd orders at x = 0) are
-    skipped and stay exact.  Each returned value, f^(j) = a_j * j! rounded
-    once at the result precision, is certified to relative error < 2**-64
-    (exact zeros are returned as exact), the work doubling while it is not;
+    skipped and stay exact.  Each returned value, f^(j) = a_j * j!, is
+    correctly rounded at the result precision (exact zeros are returned as
+    exact), the work doubling while its enclosure rounds apart;
     PrecisionError otherwise.
     """
     theta = Fraction(theta)
@@ -296,7 +294,7 @@ def gs_derivative_series(theta, k_max: int, x):
             lo, hi, e = a_j[:3] if a_j else (0, 0, 0)
             yield lo * fact, hi * fact, e
 
-    return precision.certified_values(series, rule=precision.certified_fixed_midpoint)
+    return precision.certified_values(series)
 
 
 def gs_derivative(theta, k: int, x):
@@ -342,11 +340,10 @@ def verify_gs_bound(
             series = gs_derivative_series(theta, k_max, x)
             xf = Fraction(x)
             log_bracket = mp.log(to_mpf(1 + xf * xf)) / 2
-            log_f0 = mp.log(series[0])
             for k in range(1, k_max + 1):
                 if series[k] == 0:
                     continue
-                lr = mp.log(abs(series[k])) - log_fact[k] - log_f0 - k_tau[k] * log_bracket
+                lr = mp.log(abs(series[k] / series[0])) - log_fact[k] - k_tau[k] * log_bracket
                 if best_log[k] is None or lr > best_log[k]:
                     best_log[k] = lr
         orders = [k for k in range(1, k_max + 1) if best_log[k] is not None]

@@ -17,23 +17,22 @@ takes or states a result precision (a producer is handed the working
 precision of one attempt).  ``certified_values``, ``half_log_of_int`` and
 ``ols_slope`` read ``RESULT_BITS`` when they are called, as every command
 does, so setting it raises the precision everywhere; only ``escalate`` and
-the pure rounding rules are handed bits.  ``certified_values`` is the one
+the pure rounding rule are handed bits.  ``certified_values`` is the one
 way a certified value is made: a producer only encloses, yielding
 (lo, hi, e) enclosures at the interval precision it is handed, and
-``certified_values`` turns each into a value by a rounding rule as it is
+``certified_values`` turns each into a value by ``fixed_rounded`` as it is
 yielded, under ``escalate``, which starts the work ``GUARD_BITS`` above the
-result precision and doubles it while a rule raises: Ziv's strategy.  ``certified_values`` and ``escalate`` are
-thus where the precision each certified value used is seen.
+result precision and doubles it while an enclosure rounds apart: Ziv's
+strategy.  ``certified_values`` and ``escalate`` are thus where the
+precision each certified value used is seen.
 
 An enclosure is read in one way only: ``iv_fixed`` reads an interval
 exactly as ints [lo, hi] * 2**e.  ``fixed_rounded`` gives the value both
 endpoints round to at the result precision, hence correctly rounded, or
-raises; ``fixed_midpoint`` rounds the exact midpoint once, and
-``certified_fixed_midpoint`` first checks the width against the smaller
-endpoint modulus on the same ints.  Kernels that sum
-exact products keep their enclosures in this form throughout, rounded
-outward only where they are trimmed or divided, the lower end with floor
-and the upper with ceiling (``fixed_outward``, ``fixed_scaled``).
+raises.  Kernels that sum exact products keep their enclosures in this
+form throughout, rounded outward only where they are trimmed or divided,
+the lower end with floor and the upper with ceiling (``fixed_outward``,
+``fixed_scaled``).
 
 ``PrecisionError`` lives here: an enclosure too wide to certify.  The
 package's other error type, ``ParameterError`` for a rejected
@@ -120,21 +119,19 @@ def iv_endpoints(x):
 def iv_fixed(x):
     """(lo, hi, e) of ints with x = [lo * 2**e, hi * 2**e] exactly: an interval's endpoints over one exponent.
 
-    An infinite endpoint raises PrecisionError, which ``escalate`` retries.
+    An infinite endpoint, or nonzero endpoints more than 2**16 binades apart (too
+    far to align), raises PrecisionError with infinite width: ``escalate`` retries.
     """
     ends = []
-    for sign, man, exp, _ in x._mpi_:
+    for sign, man, exp, size in x._mpi_:
         if not man and exp:  # an infinity (or nan) has no mantissa and exponent
             raise PrecisionError("enclosure has an infinite endpoint", mp.inf)
-        ends.append((-man if sign else man, exp))
-    (lo, e_lo), (hi, e_hi) = ends
+        ends.append((-man if sign else man, exp, exp + size))
+    (lo, e_lo, top_lo), (hi, e_hi, top_hi) = ends
+    if lo and hi and abs(top_lo - top_hi) > 1 << 16:
+        raise PrecisionError("enclosure endpoints are too many binades apart to align", mp.inf)
     e = min(e_lo, e_hi)
     return lo << (e_lo - e), hi << (e_hi - e), e
-
-
-def fixed_midpoint(lo: int, hi: int, e: int, bits: int):
-    """The exact midpoint (lo + hi) * 2**(e-1) of [lo, hi] * 2**e, rounded once at ``bits``."""
-    return mp.make_mpf(from_man_exp(lo + hi, e - 1, bits, round_nearest))
 
 
 def fixed_rounded(lo: int, hi: int, e: int, bits: int):
@@ -145,11 +142,6 @@ def fixed_rounded(lo: int, hi: int, e: int, bits: int):
     if value != from_man_exp(hi, e, bits, round_nearest):
         raise PrecisionError("enclosure rounds apart at %d bits" % bits, mp.ldexp(hi - lo, e))
     return mp.make_mpf(value)
-
-
-def certified_midpoint(x, bits: int, rel_error_bits: int = 64):
-    """``certified_fixed_midpoint`` of an interval, read exactly by ``iv_fixed``."""
-    return certified_fixed_midpoint(*iv_fixed(x), bits, rel_error_bits)
 
 
 def fixed_outward(lo: int, hi: int, e: int, prec: int):
@@ -174,14 +166,15 @@ def fixed_scaled(x, p: int, q: int, prec: int):
     return fixed_outward((n_lo << shift) // q, -((-n_hi << shift) // q), x[2] - shift, prec)
 
 
-def certified_fixed_midpoint(lo: int, hi: int, e: int, bits: int, rel_error_bits: int = 64):
-    """The midpoint of the enclosure [lo, hi] * 2**e of ints, certified.
+def certified_midpoint(x, bits: int, rel_error_bits: int = 64):
+    """The midpoint of the interval x, read exactly by ``iv_fixed``, certified.
 
     An enclosure that straddles zero (other than the exact 0), or whose
     width exceeds 2**-rel_error_bits times its smaller endpoint modulus,
     raises PrecisionError; otherwise the exact midpoint is rounded once, at
-    ``bits`` (an exact enclosure is its value rounded).
+    ``bits``.  A reference only: certified values are ``fixed_rounded``.
     """
+    lo, hi, e = iv_fixed(x)
     width = hi - lo
     if width and lo <= 0 <= hi:
         abs_width = mp.ldexp(width, e)
@@ -191,7 +184,7 @@ def certified_fixed_midpoint(lo: int, hi: int, e: int, bits: int, rel_error_bits
         with mp.workprec(53):
             rel = mp.mpf(width) / near
         raise PrecisionError("relative width %s exceeds the certification bound" % mp.nstr(rel, 8), rel)
-    return fixed_midpoint(lo, hi, e, bits)
+    return mp.make_mpf(from_man_exp(lo + hi, e - 1, bits, round_nearest))
 
 
 def escalate(compute, bits: int):
@@ -209,11 +202,11 @@ def escalate(compute, bits: int):
                 raise
 
 
-def certified_values(enclose, rule=fixed_rounded):
+def certified_values(enclose):
     """Values certified at the result precision ``RESULT_BITS``, read when called:
-    ``rule(lo, hi, e, RESULT_BITS)`` of each enclosure that ``enclose(work)`` yields,
-    with the interval context at ``work`` while it runs, made again under
-    ``escalate`` while a rule raises.
+    ``fixed_rounded(lo, hi, e, RESULT_BITS)`` of each enclosure that ``enclose(work)``
+    yields, hence correctly rounded, with the interval context at ``work`` while
+    it runs, made again under ``escalate`` while an enclosure rounds apart.
 
     Each enclosure is turned into a value as soon as it is yielded, so no
     enclosure after one that raises is made.
@@ -222,7 +215,7 @@ def certified_values(enclose, rule=fixed_rounded):
 
     def compute(work):
         with iv_prec(work):
-            return [rule(*enc, bits) for enc in enclose(work)]
+            return [fixed_rounded(*enc, bits) for enc in enclose(work)]
 
     return escalate(compute, bits)
 

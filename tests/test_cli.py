@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from gsmult import derivpoly, gsfunc, identities, precision, wedge
+from gsmult import derivpoly, gsfunc, identities, precision, probe, wedge
 from gsmult._util import format_mpf
 from gsmult.cli import _print_check, _witness_repr, dispatch
 from gsmult.precision import PrecisionError
@@ -330,6 +330,16 @@ class TestProbeCli:
         ks = [int(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
         assert ks == [8, 16]
 
+    @pytest.mark.parametrize("m, kmax, count", [(3, 400, 66), (2, 300, 37), (3, 5, 0), (4, 120, 22)])
+    def test_kj_only_builds_exactly_the_orders_it_keeps(self, tmp_path, monkeypatch, capsys, m, kmax, count):
+        asked, probed, kj_sequence = [], [], derivpoly.kj_sequence
+        monkeypatch.setattr(derivpoly, "kj_sequence", lambda m, j_max: asked.append(j_max) or kj_sequence(m, j_max))
+        monkeypatch.setattr(probe, "probe_series", lambda cfg: probed.append(cfg.k_values) or [])
+        argv = ["probe", "run", "--m", str(m), "--theta", "3", "--nu", "3", "--kmax", str(kmax), "--kj-only"]
+        assert run(argv + ["--csv", str(tmp_path / "kj.csv")]) == 0
+        assert asked == ([count] if count else [])
+        assert list(probed[0]) == [k for k in kj_sequence(m, kmax).entries if k <= kmax] and len(probed[0]) == count
+
     @pytest.mark.parametrize(
         "m, theta, kmax, digest",
         [
@@ -446,6 +456,8 @@ def _precisions(monkeypatch):
     [
         "gs bound --theta 1/2 --kmax 16 --slope-tol 1",
         "gs bound --theta 2 --kmax 12 --slope-tol 1e-2",
+        "gs bound --theta 1/60 --kmax 10",
+        "gs bound --theta 1/100 --kmax 10",
         "gs seminorm --kind h --h 1/2 --theta 1 --s 1 --kmax 8 --csv h.csv",
         "gs seminorm --kind a --a 1/2 --theta 1 --s 1 --f gaussian --kmax 12 --grid 16:8 --csv a.csv",
         "probe run --m 3 --theta 2 --nu 2 --kmax 40 --csv p3.csv",
@@ -454,8 +466,8 @@ def _precisions(monkeypatch):
         "probe criterion --m 4 --theta 1 --s 1 --jmax 10",
         "probe criterion --m 3 --theta 3/2 --s 2 --jmax 10",
     ],
-    ids=["bound-t1_2", "bound-t2", "seminorm-h", "seminorm-a-gauss", "probe-m3-t2", "probe-m2-t1-neg",
-         "probe-m3-t3_2", "criterion-m4", "criterion-m3-t3_2"],
+    ids=["bound-t1_2", "bound-t2", "bound-t1_60", "bound-t1_100", "seminorm-h", "seminorm-a-gauss", "probe-m3-t2",
+         "probe-m2-t1-neg", "probe-m3-t3_2", "criterion-m4", "criterion-m3-t3_2"],
 )
 def test_a_higher_precision_changes_no_byte(tmp_path, monkeypatch, capsys, argv):
     seen = _precisions(monkeypatch)
@@ -475,6 +487,26 @@ def test_a_higher_precision_changes_no_byte(tmp_path, monkeypatch, capsys, argv)
     fixed, raised = outputs
     assert raised == fixed
     assert fixed[0] in (0, 1) and len(fixed[2]) == ("--csv" in argv)
+
+
+@pytest.mark.parametrize(
+    "theta, extremal",
+    [("1/50", "49.93761694"), ("1/60", "59.92514033"), ("1/70", "69.91266372"), ("1/100", "99.87523389")],
+)
+def test_small_theta_bound_reads_each_order_against_f(capsys, theta, extremal):
+    # ln f(x) is about -10**60 at x = 10 and theta = 1/60: the ratio f^(k)/f is taken before its
+    # log, whose 192 bits would otherwise lose the whole ratio in ln|f^(k)| - ln f
+    assert run(["gs", "bound", "--theta", theta, "--kmax", "10"]) == 0
+    assert capsys.readouterr().out.split() == ["gs-derivative-bound", "PASS", "extremal=" + extremal]
+
+
+def test_seminorm_with_endpoints_far_apart_escalates(tmp_path, capsys):
+    # exp(-<x>**80) at 256 bits has endpoints ~10**77 binades apart; the enclosure is made
+    # again at 512 bits, not aligned.  Its tiny cells' digits move between 192 and 320 bits,
+    # so this argv is not in the test above
+    argv = "gs seminorm --kind h --h 1/2 --theta 1/80 --s 1 --kmax 10".split()
+    assert run(["--out-dir", str(tmp_path)] + argv) == 0
+    assert capsys.readouterr().out.startswith("seminorm lower bound (h-family): ")
 
 
 def test_console_entry_point_runs():

@@ -20,6 +20,7 @@ from gsmult.derivpoly import (
     derivative_poly,
     eval_log_magnitude,
     gaussian_parts,
+    kj_count,
     kj_sequence,
     row_length,
     write_table_json,
@@ -451,6 +452,14 @@ class TestKjSequence:
         floor_idx = kj * (m - 1) // m
         assert 4 * j <= floor_idx <= 4 * j + 1
         assert floor_idx // 2 == 2 * j
+
+    def test_count_is_the_number_of_orders_up_to_k_max(self):
+        for m in range(2, 9):
+            entries = kj_sequence(m, 100).entries  # k_j >= 4j: every k_j below 400
+            for k_max in range(400):
+                assert kj_count(m, k_max) == sum(k <= k_max for k in entries), (m, k_max)
+        with pytest.raises(ValueError):
+            kj_count(1, 10)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

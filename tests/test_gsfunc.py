@@ -122,6 +122,13 @@ class TestBracketBound:
         result = verify_bracket_bound(-1, 20)
         assert result.extremal_ratio <= 1
 
+    def test_generator_grid_is_read_once(self):
+        points = tuple(Fraction(i, 4) for i in range(-8, 9))
+        from_tuple = verify_bracket_bound(Fraction(1, 3), 10, grid=points)
+        from_generator = verify_bracket_bound(Fraction(1, 3), 10, grid=(x for x in points))
+        assert from_generator.params["grid_points"] == "17"
+        assert from_generator.to_json() == from_tuple.to_json()
+
     @pytest.mark.parametrize("t", [1, -1, Fraction(5, 2), Fraction(1, 3)])
     def test_extremal_ratio_matches_the_rows_at_1024_bits(self, t):
         # max |q_k(x)| * (1+x**2)**(-k/2) / (8**k * k!) from the exact polynomials themselves
@@ -329,7 +336,7 @@ class TestTaylorKernel:
     def test_encloses_the_high_precision_reference_no_wider_than_iv_operators(self, monkeypatch):
         # the raw enclosure of f^(k) = a_k * k! at the start (256 bits plus the guard), against the loop written
         # with iv operators at 256 bits
-        monkeypatch.setattr(precision, "certified_fixed_midpoint", lambda lo, hi, e, bits: (lo, hi, e))
+        monkeypatch.setattr(precision, "fixed_rounded", lambda lo, hi, e, bits: (lo, hi, e))
         contained = 0
         for theta in (Fraction(1, 2), Fraction(2, 3), Fraction(2), Fraction(1), Fraction(1, 3)):
             for x in (Fraction(0), Fraction(3, 4), Fraction(-3), Fraction(5), Fraction(25)):
@@ -347,11 +354,21 @@ class TestTaylorKernel:
         assert contained == 5 * 5 * 41
 
     @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(2, 3)])
+    def test_values_are_correctly_rounded(self, theta):
+        # each value is the one its enclosure rounds to: the 1024-bit value rounded to nearest
+        for x in (Fraction(0), Fraction(3, 4), Fraction(-3), Fraction(5)):
+            got = gs_derivative_series(theta, 40, x)
+            with result_bits(1024):
+                ref = gs_derivative_series(theta, 40, x)
+            with mp.workprec(RESULT_BITS):
+                assert got == [+v for v in ref], (theta, x)
+
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(2, 3)])
     def test_odd_orders_at_the_origin_stay_exact_zeros(self, theta, monkeypatch):
         series = gs_derivative_series(theta, 40, 0)
         assert all(series[k] == 0 for k in range(1, 41, 2))
         assert all(series[k] != 0 for k in range(0, 41, 2))
-        monkeypatch.setattr(precision, "certified_fixed_midpoint", lambda lo, hi, e, bits: (lo, hi))
+        monkeypatch.setattr(precision, "fixed_rounded", lambda lo, hi, e, bits: (lo, hi))
         assert all(enc == (0, 0) for enc in gs_derivative_series(theta, 40, 0)[1::2])
 
     def test_escalates_where_the_starting_budget_runs_out(self, monkeypatch):

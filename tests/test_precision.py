@@ -4,18 +4,18 @@ from fractions import Fraction
 
 import pytest
 from mpmath import iv, mp
+from mpmath.libmp import from_man_exp
 
 import gsmult
 
+from gsmult import precision
 from gsmult.precision import (
     GUARD_BITS,
     ParameterError,
     PrecisionError,
-    certified_fixed_midpoint,
     escalate,
     certified_midpoint,
     certified_values,
-    fixed_midpoint,
     fixed_rounded,
     half_log_of_int,
     iv_endpoints,
@@ -36,6 +36,11 @@ def test_no_public_callable_takes_a_precision():
     assert len(callables) > 40
     for obj in callables:
         assert not {"precision_bits", "bits"} & set(inspect.signature(obj).parameters), obj
+
+
+def interval(lo, hi, e):
+    """The interval [lo, hi] * 2**e, built exactly."""
+    return iv.make_mpf((from_man_exp(lo, e), from_man_exp(hi, e)))
 
 
 def exact(v):
@@ -89,24 +94,19 @@ class TestEscalate:
             escalate(compute, 64)
 
 
-def strict(lo, hi, e, bits):
-    """A rounding rule that certifies only an exact enclosure: its value lo."""
-    if lo != hi:
-        raise PrecisionError("too wide", hi - lo)
-    return lo
-
-
 class TestCertifiedValues:
     START = 64 + GUARD_BITS
 
-    def test_applies_the_rule_to_each_enclosure(self):
+    def test_applies_the_rule_to_each_enclosure(self, monkeypatch):
         def enclose(work):
             yield 5, 5, -1
             yield 3, 7, 2
 
         with result_bits(64):
-            assert certified_values(enclose, rule=lambda *args: args) == [(5, 5, -1, 64), (3, 7, 2, 64)]
-            assert certified_values(lambda work: [(5, 5, -1)]) == [mp.mpf(2.5)]  # fixed_rounded by default
+            with monkeypatch.context() as patch:  # fixed_rounded is looked up when certified_values runs
+                patch.setattr(precision, "fixed_rounded", lambda *args: args)
+                assert certified_values(enclose) == [(5, 5, -1, 64), (3, 7, 2, 64)]
+            assert certified_values(lambda work: [(5, 5, -1)]) == [mp.mpf(2.5)]
 
     def test_no_enclosure_is_made_after_one_that_raises(self):
         made = []
@@ -117,7 +117,7 @@ class TestCertifiedValues:
                 yield n, n + (n == 2 and work == self.START), 0  # the second is too wide at the start
 
         with result_bits(64):
-            assert certified_values(enclose, rule=strict) == [1, 2, 3]
+            assert certified_values(enclose) == [1, 2, 3]  # fixed_rounded rejects (2, 3, 0) by itself
         start = self.START
         assert made == [(start, 1), (start, 2), (2 * start, 1), (2 * start, 2), (2 * start, 3)]
 
@@ -129,12 +129,12 @@ class TestCertifiedValues:
             yield 1, 1 + (work < 4 * self.START), 0
 
         with result_bits(64):
-            assert certified_values(enclose, rule=strict) == [1]
+            assert certified_values(enclose) == [1]
         assert seen == [(w, w) for w in (self.START, 2 * self.START, 4 * self.START)]
         assert iv.prec == before
         seen.clear()
         with result_bits(64), pytest.raises(PrecisionError):
-            certified_values(lambda work: enclose(0), rule=strict)  # too wide at every precision
+            certified_values(lambda work: enclose(0))  # rounds apart at every precision
         assert [prec for _, prec in seen] == [self.START << step for step in range(5)] and iv.prec == before
 
     def test_exact_enclosure_raises_without_a_retry(self):
@@ -201,15 +201,15 @@ class TestFixedPoint:
         assert lo * Fraction(2) ** e == exact(a) and hi * Fraction(2) ** e == exact(b)
 
     def test_exact_enclosure_is_its_value_rounded(self):
-        v = certified_fixed_midpoint(2**200 + 1, 2**200 + 1, -3, 128)
+        v = certified_midpoint(interval(2**200 + 1, 2**200 + 1, -3), 128)
         with mp.workprec(128):
             assert v == mp.mpf(2**200 + 1) / 8
-        assert certified_fixed_midpoint(0, 0, 0, 128) == 0
+        assert certified_midpoint(interval(0, 0, 0), 128) == 0
 
     def test_midpoint_is_rounded_once(self):
         # the exact midpoint 2**200 + 2**136 + 1 lies just above a tie at 64 bits; rounded
         # first at 80 bits it would land on the tie and then round to even, 2**200
-        v = certified_fixed_midpoint(2**200 + 2**136, 2**200 + 2**136 + 2, 0, 64)
+        v = certified_midpoint(interval(2**200 + 2**136, 2**200 + 2**136 + 2, 0), 64)
         assert exact(v) == 2**200 + 2**137
 
     def test_infinite_endpoint_raises_precision_error(self):
@@ -223,16 +223,32 @@ class TestFixedPoint:
         # first at 69 bits it would land on the tie and then round to even, 1
         with mp.workprec(100), iv_prec(100):
             x = iv.mpf([1, 1 + mp.ldexp(1, -52) + mp.ldexp(1, -79)])
-        assert exact(fixed_midpoint(*iv_fixed(x), 53)) == 1 + Fraction(1, 2**52)
         assert exact(certified_midpoint(x, 53, rel_error_bits=32)) == 1 + Fraction(1, 2**52)
         with pytest.raises(PrecisionError):
             certified_midpoint(x, 53)  # relative width 2**-52 exceeds the default 2**-64
 
     def test_straddling_and_wide_enclosures_raise_with_their_width(self):
         with pytest.raises(PrecisionError) as info:
-            certified_fixed_midpoint(-1, 3, -2, 128)
+            certified_midpoint(interval(-1, 3, -2), 128)
         assert info.value.width == 1
         with pytest.raises(PrecisionError) as info:
-            certified_fixed_midpoint(-(2**64) - 2, -(2**64), 0, 128)  # width 2 > |hi| * 2**-64
+            certified_midpoint(interval(-(2**64) - 2, -(2**64), 0), 128)  # width 2 > |hi| * 2**-64
         assert info.value.width > 0
-        assert certified_fixed_midpoint(-(2**64) - 1, -(2**64), 0, 128) < 0  # width 1: at the bound
+        assert certified_midpoint(interval(-(2**64) - 1, -(2**64), 0), 128) < 0  # width 1: at the bound
+
+    @pytest.mark.parametrize(
+        "ends",
+        [((1, -70000), (1, 0)), ((-1, 70000), (-1, 0)), ((-1, 0), (3, 10**77))],
+        ids=["tiny-lo", "huge-lo", "straddling"],
+    )
+    def test_endpoints_too_many_binades_apart_raise_an_infinite_width(self, ends):
+        # exp(-<x>**t) at 256 bits can have endpoints ~10**77 binades apart: aligning them on
+        # one exponent would take an int of that many bits, so the enclosure goes back to escalate
+        x = iv.make_mpf(tuple(from_man_exp(man, exp) for man, exp in ends))
+        with pytest.raises(PrecisionError) as info:
+            iv_fixed(x)
+        assert info.value.width == mp.inf
+
+    def test_endpoints_within_the_binade_bound_are_read_exactly(self):
+        assert iv_fixed(interval(1, 1 << 65536, -65536)) == (1, 1 << 65536, -65536)  # 2**16 binades apart
+        assert iv_fixed(interval(0, 1, -(1 << 20))) == (0, 1, -(1 << 20))  # a zero endpoint has no magnitude

@@ -41,6 +41,15 @@ the result precision, and makes the enclosures again while one rounds
 apart.  Everything here runs at ``precision.RESULT_BITS``, read when it is
 called; no function here takes a precision.
 
+``verify_gs_bound`` needs only each order's grid maximum of
+lr = ln|f^(k)/f| - ln k! - k*tau*ln<x>.  It certifies f(x) at each point and
+screens every (x, k) in floats from the enclosures the engine made for it
+(``_OrderScreen``, whose slack of 2**-40 per unit of the terms' magnitudes
+covers the float error and that of the result precision), then certifies and
+evaluates at the result precision only the cells that can still be their
+order's maximum: about |grid| + k_max certified values instead of
+|grid| * (k_max + 1), and the same maxima.
+
 Seminorm estimators are truncated suprema over finitely many derivative
 orders, power orders and grid points: the truncation makes them *lower*
 bounds of the true seminorms, computed at the result precision but not yet
@@ -254,23 +263,12 @@ def _taylor_kernel(c, a_0, k_max: int, prec: int):
     return a
 
 
-def gs_derivative_series(theta, k_max: int, x):
-    """Certified values of d^k/dx^k exp(-<x>**(1/theta)) for k = 0..k_max.
-
-    x must be rational (int, float or Fraction); the result precision is
-    ``precision.RESULT_BITS``.  At the working precision ``work`` that
-    ``precision.certified_values`` hands it, mpmath encloses <x>**t
-    (t = 1/theta) and exp(-<x>**t) once; everything after runs
-    on ints, an enclosure being [lo, hi] * 2**e kept to ``work`` bits.
-    c_i = -<x>**t * r_{i+1}/i! comes from the exact bracket ratios r_i by one
-    floor and one ceiling division, and each order of the Taylor recursion
-    costs one exact dot product and one outward rounding (``_taylor_kernel``);
-    exact zeros (c_i for i >= 2 at theta = 1/2, the odd orders at x = 0) are
-    skipped and stay exact.  Each returned value, f^(j) = a_j * j!, is
-    correctly rounded at the result precision (exact zeros are returned as
-    exact), the work doubling while its enclosure rounds apart;
-    PrecisionError otherwise.
-    """
+def _gs_series(theta, k_max: int, x):
+    """The enclosure producer of ``gs_derivative_series``: ``series(work)`` yields
+    (lo, hi, e) with f^(j) in [lo, hi] * 2**e for j = 0..k_max, made at the
+    working precision ``work`` (see ``gs_derivative_series``).  All its
+    interval arithmetic comes before the first enclosure; after it the
+    generator runs on ints alone (``verify_gs_bound`` relies on this)."""
     theta = Fraction(theta)
     if theta <= 0:
         raise ParameterError("theta must be positive")
@@ -294,12 +292,132 @@ def gs_derivative_series(theta, k_max: int, x):
             lo, hi, e = a_j[:3] if a_j else (0, 0, 0)
             yield lo * fact, hi * fact, e
 
-    return precision.certified_values(series)
+    return series
+
+
+def gs_derivative_series(theta, k_max: int, x):
+    """Certified values of d^k/dx^k exp(-<x>**(1/theta)) for k = 0..k_max.
+
+    x must be rational (int, float or Fraction); the result precision is
+    ``precision.RESULT_BITS``.  At the working precision ``work`` that
+    ``precision.certified_values`` hands it, mpmath encloses <x>**t
+    (t = 1/theta) and exp(-<x>**t) once; everything after runs
+    on ints, an enclosure being [lo, hi] * 2**e kept to ``work`` bits.
+    c_i = -<x>**t * r_{i+1}/i! comes from the exact bracket ratios r_i by one
+    floor and one ceiling division, and each order of the Taylor recursion
+    costs one exact dot product and one outward rounding (``_taylor_kernel``);
+    exact zeros (c_i for i >= 2 at theta = 1/2, the odd orders at x = 0) are
+    skipped and stay exact.  Each returned value, f^(j) = a_j * j!, is
+    correctly rounded at the result precision (exact zeros are returned as
+    exact), the work doubling while its enclosure rounds apart;
+    PrecisionError otherwise.
+    """
+    return precision.certified_values(_gs_series(theta, k_max, x))
 
 
 def gs_derivative(theta, k: int, x):
     """Certified value of the k-th derivative of exp(-<x>**(1/theta)) at x."""
     return gs_derivative_series(theta, k, x)[k]
+
+
+_SCREEN_SLACK = 2.0**-40  # per unit of a cell's ``size``; see ``_OrderScreen``
+_LN2 = math.log(2)
+
+
+class _OrderScreen:
+    """Per order k, the cells that can hold the order's largest lr.
+
+    A cell is offered with float estimates lo <= hi of its lr, each summed in
+    round-to-nearest doubles from five terms (``_screen_point``), and with
+    ``size``, the sum of the magnitudes of those terms plus 2.  Each term, a
+    ``math.log`` of a positive int, an int times ln 2, a float read off a
+    result-precision mpf or k times a product of two such floats, is within
+    2**-50 * (|term| + 1) of its exact value, and the four additions add at
+    most 2**-51 times the sum of the magnitudes: a float estimate is within
+    2**-48 * size of the exact value at its end of the enclosures.  The lr
+    that ``verify_gs_bound`` evaluates at the result precision, p bits, is
+    within (k + 8) * 2**(2-p) * size of the exact lr.  For p >= 96 and
+    k < 2**40 the two errors together stay below 2**-47 * size, so lo and
+    hi widened by ``_SCREEN_SLACK * size`` = 2**-40 * size bound both the
+    exact lr and the evaluated one, with a factor of 2**7 to spare.
+
+    A cell is kept while its upper bound reaches the order's best lower
+    bound, and dropped once a better lower bound passes it: a dropped cell's
+    evaluated lr is then strictly below another cell's, so it is not the
+    order's maximum.
+    """
+
+    def __init__(self, k_max: int):
+        self.best = [-math.inf] * (k_max + 1)
+        self.kept = [[] for _ in range(k_max + 1)]  # (upper bound, cell) per order
+
+    def offer(self, k: int, lo: float, hi: float, size: float, cell) -> None:
+        slack = _SCREEN_SLACK * size
+        lo, hi = lo - slack, hi + slack
+        if lo > self.best[k]:
+            self.best[k] = lo
+            self.kept[k] = [kept for kept in self.kept[k] if kept[0] >= lo]
+        if hi >= self.best[k]:
+            self.kept[k].append((hi, cell))
+
+
+def _magnitude_logs(lo: int, hi: int) -> tuple[float, float]:
+    """Float ln of the least and the largest |v| over v in [lo, hi] (not the exact zero);
+    the least is -inf where the interval reaches zero."""
+    if lo > 0:
+        return math.log(lo), math.log(hi)
+    if hi < 0:
+        return math.log(-hi), math.log(-lo)
+    return -math.inf, math.log(max(-lo, hi))
+
+
+def _screen_point(screen: _OrderScreen, series, log_fact, tau_log_bracket: float, point: int):
+    """Certify f(x) through ``precision.certified_values`` and offer every nonzero (x, k),
+    k >= 1, to the screen from the enclosures the attempt that certified f(x) made.
+    Returns f(x) and that attempt's work.
+
+    The engine does all its interval work before it yields f(x), so the other
+    orders are read from the same attempt one at a time after it, and no list
+    of every order's enclosure is held.  lr = ln|f^(k)/f| - ln k! - k*tau*ln<x>
+    is summed in floats from the logs of the enclosures' ints, their exponent
+    difference times ln 2, the floats ``log_fact[k]`` = ln k! and k times
+    ``tau_log_bracket`` = tau*ln<x>."""
+    made = []
+
+    def enclose(work):
+        enclosures = series(work)
+        f_enc = next(enclosures)
+        made[:] = [work, f_enc, enclosures]
+        yield f_enc
+
+    (f_x,) = precision.certified_values(enclose)
+    work, (f_lo, f_hi, f_e), enclosures = made
+    ln_f_lo, ln_f_hi = _magnitude_logs(f_lo, f_hi)
+    for k, (lo, hi, e) in enumerate(enclosures, 1):
+        if not (lo or hi):
+            continue
+        ln_lo, ln_hi = _magnitude_logs(lo, hi)
+        shift = (e - f_e) * _LN2
+        rest = k * tau_log_bracket
+        base = shift - log_fact[k] - rest
+        size = ln_hi + ln_f_hi + abs(shift) + log_fact[k] + abs(rest) + 2
+        screen.offer(k, ln_lo - ln_f_hi + base, ln_hi - ln_f_lo + base, size, (point, k, (lo, hi, e)))
+    return f_x, work
+
+
+def _kept_values(theta, x, cells, made_at: int):
+    """Certified f^(k)(x) of the kept cells (k, enclosure), ascending in k: the enclosures
+    from the screen serve every attempt at most as precise as the one that made them, the
+    engine up to the largest kept order the others."""
+    orders = [k for k, _ in cells]
+
+    def enclose(work):
+        if work <= made_at:
+            return [enc for _, enc in cells]
+        series = list(_gs_series(theta, orders[-1], x)(work))
+        return [series[k] for k in orders]
+
+    return precision.certified_values(enclose)
 
 
 def verify_gs_bound(
@@ -318,6 +436,15 @@ def verify_gs_bound(
     ``precision.RESULT_BITS``: the printed slope and C_emp keep 10 digits, so
     a higher precision changes no printed byte.
 
+    The maximum of lr = ln|f^(k)/f| - ln k! - k*tau*ln<x> per order comes in
+    two passes.  The first certifies f(x) at each grid point and screens every
+    (x, k) in floats from the enclosures the engine made for it
+    (``_OrderScreen``, whose slack covers the float and the result-precision
+    error).  The second certifies f^(k)(x) and evaluates lr at the result
+    precision only on the cells that can still be their order's maximum: the
+    same maxima as over every cell, from about |grid| + k_max certified
+    values instead of |grid| * (k_max + 1).
+
     Calibration constraint: a bounded C_emp with an algebraic prefactor
     approaches its limit like k**(-a/k), whose log-slope transient is about
     a*ln(k)/k**2 (a is typically <= 2 here).  For short sweeps (k_max ~ 30)
@@ -331,19 +458,29 @@ def verify_gs_bound(
         raise ParameterError("need k_max >= 4 for a slope over the top half")
     grid = _default_grid(theta, k_max) if grid is None else tuple(grid)
     tau = max(1 / theta - 1, Fraction(0))
+    screen = _OrderScreen(k_max)
+    points = []  # (x, f(x), ln<x>, work of its enclosures) per grid point
     best_log = [None] * (k_max + 1)
     with mp.workprec(precision.RESULT_BITS):
         tau_mpf = to_mpf(tau)
         log_fact = _log_factorials(k_max)
+        log_fact_float, tau_float = [float(v) for v in log_fact], float(tau)
         k_tau = [k * tau_mpf for k in range(k_max + 1)]
-        for x in grid:
-            series = gs_derivative_series(theta, k_max, x)
+        for point, x in enumerate(grid):
             xf = Fraction(x)
             log_bracket = mp.log(to_mpf(1 + xf * xf)) / 2
-            for k in range(1, k_max + 1):
-                if series[k] == 0:
-                    continue
-                lr = mp.log(abs(series[k] / series[0])) - log_fact[k] - k_tau[k] * log_bracket
+            f_x, made_at = _screen_point(
+                screen, _gs_series(theta, k_max, xf), log_fact_float, tau_float * float(log_bracket), point
+            )
+            points.append((xf, f_x, log_bracket, made_at))
+        kept = {}  # grid point: [(k, enclosure)], ascending in k
+        for cells in screen.kept:
+            for _, (point, k, enc) in cells:
+                kept.setdefault(point, []).append((k, enc))
+        for point, cells in sorted(kept.items()):
+            xf, f_x, log_bracket, made_at = points[point]
+            for (k, _), value in zip(cells, _kept_values(theta, xf, cells, made_at)):
+                lr = mp.log(abs(value / f_x)) - log_fact[k] - k_tau[k] * log_bracket
                 if best_log[k] is None or lr > best_log[k]:
                     best_log[k] = lr
         orders = [k for k in range(1, k_max + 1) if best_log[k] is not None]

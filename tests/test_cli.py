@@ -500,6 +500,34 @@ def test_small_theta_bound_reads_each_order_against_f(capsys, theta, extremal):
     assert capsys.readouterr().out.split() == ["gs-derivative-bound", "PASS", "extremal=" + extremal]
 
 
+_PASS = "gs-derivative-bound                PASS  extremal=%s\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        ("--theta 1/2 --kmax 400 --slope-tol 1e-2", 0, _PASS % "1.999998438"),
+        ("--theta 1/3 --kmax 120", 0, _PASS % "2.999973959"),
+        ("--theta 3/2 --kmax 100", 0, _PASS % "0.9440204533"),
+        (
+            "--theta 1 --kmax 80",
+            1,
+            "gs-derivative-bound                FAIL  extremal=0.9999804693\n"
+            "    witness: ('slope', '0.001129411708')\n",
+        ),
+        ("--theta 2 --kmax 60 --slope-tol 1e-2", 0, _PASS % "0.9178113193"),
+        ("--theta 1/2 --kmax 60", 0, _PASS % "1.999930559"),
+        ("--theta 2/3 --kmax 40 --slope-tol 1e-2", 0, _PASS % "1.499882826"),
+    ],
+    ids=["t1_2-k400", "t1_3-k120", "t3_2-k100", "t1-k80-fails", "t2-k60", "t1_2-k60", "t2_3-k40"],
+)
+def test_gs_bound_prints_the_pinned_bytes(capsys, argv, code, out):
+    # the screened sweep keeps every cell that can be an order's maximum, so these bytes are
+    # the ones the sweep over every certified cell prints
+    assert run(["gs", "bound"] + argv.split()) == code
+    assert capsys.readouterr().out == out
+
+
 def test_seminorm_with_endpoints_far_apart_escalates(tmp_path, capsys):
     # exp(-<x>**80) at 256 bits has endpoints ~10**77 binades apart; the enclosure is made
     # again at 512 bits, not aligned.  Its tiny cells' digits move between 192 and 320 bits,

@@ -10,6 +10,7 @@ from mpmath import iv, mp
 from mpmath.libmp import from_int
 
 from gsmult import gsfunc, precision
+from gsmult._util import format_mpf
 from gsmult.gsfunc import (
     Gaussian,
     GSFunction,
@@ -379,6 +380,94 @@ class TestTaylorKernel:
         monkeypatch.setattr(precision, "escalate", lambda compute, bits: compute(bits + GUARD_BITS))
         with pytest.raises(PrecisionError):
             gs_derivative_series(Fraction(1, 2), 400, 25)
+
+
+def all_cells_gs_bound(theta, k_max, grid=None, slope_tol=1e-3):
+    """``verify_gs_bound`` evaluated on every certified cell, without a screen: the
+    reference for the screened sweep."""
+    theta = Fraction(theta)
+    grid = gsfunc._default_grid(theta, k_max) if grid is None else tuple(grid)
+    tau = max(1 / theta - 1, Fraction(0))
+    best_log = [None] * (k_max + 1)
+    with mp.workprec(RESULT_BITS):
+        log_fact = gsfunc._log_factorials(k_max)
+        k_tau = [k * to_mpf(tau) for k in range(k_max + 1)]
+        for x in grid:
+            series = gs_derivative_series(theta, k_max, x)
+            xf = Fraction(x)
+            log_bracket = mp.log(to_mpf(1 + xf * xf)) / 2
+            for k in range(1, k_max + 1):
+                if series[k] == 0:
+                    continue
+                lr = mp.log(abs(series[k] / series[0])) - log_fact[k] - k_tau[k] * log_bracket
+                if best_log[k] is None or lr > best_log[k]:
+                    best_log[k] = lr
+        orders = [k for k in range(1, k_max + 1) if best_log[k] is not None]
+        log_c_emp = {k: best_log[k] / k for k in orders}
+        tail = [k for k in orders if k >= orders[-1] // 2 + 1]
+        slope = precision.ols_slope(tail, [log_c_emp[k] for k in tail])
+        c_max = mp.exp(max(log_c_emp.values()))
+        within = slope <= to_mpf(slope_tol)
+    return within, format_mpf(slope, 10), c_max
+
+
+class TestGsBoundScreen:
+    @pytest.mark.parametrize(
+        "theta, k_max, grid",
+        [
+            (Fraction(1, 2), 30, None),
+            (Fraction(1), 30, None),
+            (Fraction(2), 30, None),
+            (Fraction(2, 3), 30, None),
+            # +-x tie exactly, and the odd orders at 0 are exact zeros
+            (Fraction(1), 12, (Fraction(-5), Fraction(-2), Fraction(-1, 2), 0, Fraction(1, 2), 2, 5)),
+            (Fraction(1, 2), 16, (-3, Fraction(-1, 3), 0, Fraction(1, 3), 3)),
+            # the enclosures of f need more than the starting precision here
+            (Fraction(1, 60), 10, None),
+            # the kept high orders at 25 need more than it, f(25) does not
+            (Fraction(1, 2), 400, (25,)),
+        ],
+        ids=["t1_2", "t1", "t2", "t2_3", "t1-pm-grid", "t1_2-pm-grid", "t1_60", "t1_2-k400-at-25"],
+    )
+    def test_matches_the_sweep_over_every_cell(self, theta, k_max, grid):
+        within, slope_text, c_max = all_cells_gs_bound(theta, k_max, grid)
+        result = verify_gs_bound(theta, k_max, grid=grid)
+        assert result.passed is within
+        assert [tuple(w) for w in result.witnesses] == ([] if within else [("slope", slope_text)])
+        assert result.params["slope"] == slope_text
+        assert result.extremal_ratio == c_max
+
+    def test_certifies_about_one_value_per_point_and_one_per_order(self, monkeypatch):
+        calls = []
+        fixed_rounded = precision.fixed_rounded
+
+        def counting(*args):
+            calls.append(args)
+            return fixed_rounded(*args)
+
+        monkeypatch.setattr(precision, "fixed_rounded", counting)
+        grid_points = len(gsfunc._default_grid(Fraction(1, 2), 60))
+        verify_gs_bound(Fraction(1, 2), 60)
+        assert len(calls) <= grid_points + 2 * 60  # every cell would be 26 * 61
+
+    def test_keeps_cells_within_the_slack_and_drops_those_below_it(self):
+        size = 10.0
+        slack = gsfunc._SCREEN_SLACK * size
+        for offers in ([(5.0, "a"), (5.0 - slack, "b")], [(5.0 - slack, "b"), (5.0, "a")]):
+            screen = gsfunc._OrderScreen(2)
+            for lr, cell in offers:
+                screen.offer(1, lr, lr, size, cell)
+            assert sorted(cell for _, cell in screen.kept[1]) == ["a", "b"]
+        # 3 slacks below: kept while it was the best, dropped once "a" is offered, and not
+        # admitted after it; another order is screened on its own
+        screen = gsfunc._OrderScreen(2)
+        screen.offer(1, 5.0 - 3 * slack, 5.0 - 3 * slack, size, "c")
+        screen.offer(2, 0.0, 0.0, size, "d")
+        assert [cell for _, cell in screen.kept[1]] == ["c"]
+        screen.offer(1, 5.0, 5.0, size, "a")
+        screen.offer(1, 5.0 - 3 * slack, 5.0 - 3 * slack, size, "e")
+        assert [cell for _, cell in screen.kept[1]] == ["a"]
+        assert [cell for _, cell in screen.kept[2]] == ["d"]
 
 
 class TestGsBound:

@@ -14,12 +14,16 @@ Checked facts, for degree m >= 2 and the table coefficients C[k][n]:
 * closed form C[k][1] = (m-1)k(k-1)/2 for k >= 2.
 * fourth-power bound 2*C[k][2] <= m**2 * k**4 for k >= 4.
 * adjacent-ratio bound C[k][n+1] <= C[k][n] * m * k**(m*theta) for rational
-  theta >= 2/m, compared exactly via q-th powers for theta = p/q.  Each cell
-  is first decided from bit lengths, which settles it exactly whenever the
-  two sides differ by more than about q bits; only the cells in that band
-  build the q-th powers.  The extremal ratio is the same float as a log of
-  every cell's exact powers would give: a float estimate per cell picks the
-  few cells near the maximum, and only those are evaluated exactly.
+  theta >= 2/m, compared exactly via q-th powers for theta = p/q.  A row is
+  read as the bit lengths of its entries, and two screens on the gaps between
+  neighbours, each run in C by ``map`` and ``itertools.compress``, pick the
+  few cells that need more.  Witness screen: a cell whose gap puts its two
+  sides more than about q bits apart is settled by the gap alone; only the
+  rest go to ``_exceeds``, which builds q-th powers only in the band that bit
+  lengths leave open.  Extremal screen: the gap bounds a cell's log ratio
+  from above, so only the cells whose bound, widened by a proved float-error
+  margin, reaches the largest estimate so far take float logs.  The extremal
+  ratio is the same float as a log of every cell's exact powers would give.
 * auxiliary function f(x) = (1+x)**(m*theta) - (1-1/m)*x**(m*theta-1) - 1
   is nonnegative on [0,1] for theta >= 2/m, proved for every x in [0,1]
   by one lemma: Bernoulli's inequality and x**(a-1) <= x give
@@ -40,6 +44,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import ge, sub
 
 from ._util import CheckResult, ParameterError, _result, format_fraction, require_degree, require_theta
 from .derivpoly import CoeffRows, CoeffTable, DerivPoly, _kj_orders, _rows_to, gaussian_parts
@@ -102,22 +108,49 @@ class _Ck2Step:
         return _result("ck2-fourth-power-bound", {"m": self.m, "k_max": self.last_k}, self.witnesses, self.max_ratio)
 
 
-# The float estimate q*(ln a - ln b) - ln f of a cell is off by well under
-# 1e-10 for coefficients of a few thousand digits (the error grows like
-# q * bits * 2**-52), so every cell that could hold the exact maximum of the
-# log ratio lies within this slack of the largest estimate.
+# A cell's float estimate q*(ln a - ln b) - ln f is within 2**-49 * S of its
+# exact value, S = q*(la + lb + 2) + lf + 1 in the bit lengths of a, b and f
+# (see ``_RatioStep``).  The cell of the largest exact log ratio then lies
+# within this slack of the largest estimate while every S stays below 10**8
+# (four such errors, 7.2e-7 < 1e-6): q = 1000 with coefficients of up to
+# 40,000 bits, say.  Past that the slack, not the screen, limits the extremal
+# ratio; the pass or fail is exact at every size.
 _EXTREMAL_SLACK = 1e-6
+# per unit of the magnitudes that the extremal screen's threshold sums; see ``_RatioStep``
+_RATIO_MARGIN = 2.0**-40
+_LN2 = math.log(2)
 
 
 class _RatioStep:
     """C[k][n+1] <= C[k][n] * m * k**(m*theta) exactly, one row at a time from k = 2.
 
     For theta = p/q the comparison is a**q <= b**q * f with a = C[k][n+1],
-    b = C[k][n] and f = m**q * k**(m*p), an exact integer statement.  Most
-    cells are settled by bit lengths alone (see ``_exceeds``); the q-th
-    powers are built only for the rest.  The extremal ratio is the maximum
-    of (ln a**q - ln(b**q * f)) / q, evaluated only on the cells whose float
-    estimate comes within ``_EXTREMAL_SLACK`` of the largest one.
+    b = C[k][n] and f = m**q * k**(m*p), an exact integer statement.  The
+    extremal ratio is the maximum of (ln a**q - ln(b**q * f)) / q, evaluated
+    only on the cells whose float estimate comes within ``_EXTREMAL_SLACK``
+    of the largest one.  A row is screened from the bit lengths la, lb, lf of
+    a, b, f and the gap la - lb, with no per-cell Python work outside the
+    cells the screens keep:
+
+    * witnesses: ``_exceeds`` answers False without powers when
+      q*(gap + 1) < lf, so only the cells with q*(gap + 1) >= lf go to it.
+    * extremal: a < 2**la and b >= 2**(lb - 1) give
+      E = q*(ln a - ln b) - ln f < q*(gap + 1)*ln 2 - ln f.  Each
+      ``math.log`` of a positive int n is within 2**-50 * (bits(n) + 1) of
+      ln n, and each float operation rounds by at most 2**-53 of its result,
+      so the float estimate is within 2**-49 * S of E, with
+      S = q*(la + lb + 2) + lf + 1.  Against the threshold T = best -
+      ``_EXTREMAL_SLACK`` that a new estimate must pass, the row logs only the
+      cells with gap >= g = floor((T - M + ln f) / (q*ln 2)), computed in
+      floats from T.  That quotient times q*ln 2 is within
+      2**-49 * (|T| + M + S) of T - M + ln f, so a cell with gap < g has an
+      estimate below T + 2**-48 * (|T| + S) + 2**-49 * M - M, which is below T
+      for the margin M = ``_RATIO_MARGIN`` * (S_row + |T|) = 2**-40 * (S_row +
+      |T|), S_row = q*(2*lmax + 2) + lf + 1 >= S for lmax the row's largest
+      bit length: a factor of 2**7 to spare, for every q and every size.
+      Such a cell would not have been kept, nor moved the best, so the kept
+      cells and the extremal ratio are those of logging every cell.  The
+      first row has no best, so all its cells are logged.
     """
 
     first_k = 2
@@ -135,15 +168,24 @@ class _RatioStep:
     def feed(self, k: int, row: tuple) -> None:
         q = self.q
         scale = self.m_q * k**self.m_p
-        ln_scale, lf = math.log(scale), scale.bit_length()
-        # each entry's log and bit length serve both of its neighbours
-        logs = [math.log(c) for c in row]
-        bits = [c.bit_length() for c in row]
-        for n in range(len(row) - 1):
+        lf = scale.bit_length()
+        bits = list(map(int.bit_length, row))
+        gaps = list(map(sub, bits[1:], bits))
+        top, cells = max(gaps), range(len(gaps))
+        least = -(-lf // q) - 1  # the least gap with q*(gap + 1) >= lf
+        if top >= least:
+            for n in compress(cells, map(ge, gaps, repeat(least))):
+                if _exceeds(row[n + 1], row[n], scale, q, gaps[n], lf):
+                    self.witnesses.append((k, n, row[n + 1], row[n]))
+        ln_scale = math.log(scale)
+        if self.best > -math.inf:
+            threshold = self.best - _EXTREMAL_SLACK
+            margin = _RATIO_MARGIN * (q * (2 * max(bits) + 2) + lf + 1 + abs(threshold))
+            g = math.floor((threshold - margin + ln_scale) / (q * _LN2))
+            cells = compress(cells, map(ge, gaps, repeat(g))) if top >= g else ()
+        for n in cells:
             a, b = row[n + 1], row[n]
-            if _exceeds(a, b, scale, q, bits[n + 1] - bits[n], lf):
-                self.witnesses.append((k, n, a, b))
-            estimate = q * (logs[n + 1] - logs[n]) - ln_scale
+            estimate = q * (math.log(a) - math.log(b)) - ln_scale
             if estimate > self.best - _EXTREMAL_SLACK:
                 self.near_best.append((estimate, a, b, scale))
                 if estimate > self.best:
@@ -160,8 +202,8 @@ class _RatioStep:
 def _exceeds(a: int, b: int, f: int, q: int, gap: int, lf: int) -> bool:
     """a**q > b**q * f for positive ints, decided by bit lengths where they suffice.
 
-    ``gap`` is la - lb and ``lf`` is lf, where la, lb, lf are the bit lengths
-    of a, b, f.  a**q >= 2**(q*(la-1)) and b**q * f < 2**(q*lb + lf), so
+    With la, lb, lf the bit lengths of a, b, f, ``gap`` is la - lb and ``lf``
+    is the bit length of f.  a**q >= 2**(q*(la-1)) and b**q * f < 2**(q*lb + lf), so
     q*(la-lb-1) >= lf proves the excess; a**q < 2**(q*la) and
     b**q * f >= 2**(q*(lb-1) + lf - 1), so q*(la-lb+1) < lf rules it out.
     Only the band between needs the powers.

@@ -150,33 +150,41 @@ def symbolic_recursion_oracle(m: int, k: int) -> dict[int, int]:
     return next(islice(_symbolic_rows(m), k - 1, None))
 
 
-def _hermite_rows():
-    """Yield C[k][.] for m = 2 and k = 1, 2, ... from the Hermite recurrence.
-
-    The pair H_{k-1}, H_k of integer coefficient vectors is stepped
-    iteratively by H_{k+1} = 2x*H_k - 2k*H_{k-1}.  H_k's coefficient of
-    x**(k-2n) equals (-1)**n * 2**(k-n) * C[k][n]; the division and the sign
-    pattern are asserted exactly.  Shares no code with ``build_coeff_table``.
-    """
+def _hermite_polys():
+    """Yield (k, H_k) for k = 1, 2, ...: the integer coefficient vectors of the
+    Hermite polynomials, ascending powers, stepped iteratively by
+    H_{k+1} = 2x*H_k - 2k*H_{k-1} from H_0 = 1 and H_1 = 2x."""
     prev, cur = (1,), (0, 2)  # H_0, H_1
     for k in count(1):
-        out: dict[int, int] = {}
-        for n in range(k // 2 + 1):
-            c = cur[k - 2 * n]
-            expected_sign = -1 if n % 2 else 1
-            if c == 0 or (c > 0) != (expected_sign > 0):
-                raise MonomialPatternError("Hermite sign pattern broken at k=%d, n=%d" % (k, n))
-            value, rem = divmod(abs(c), 2 ** (k - n))
-            if rem:
-                raise NonIntegralCoefficientError("Hermite coefficient not divisible at k=%d, n=%d" % (k, n))
-            out[n] = value
-        yield out
+        yield k, cur
         nxt = [0] * (k + 2)
         for i, c in enumerate(cur):  # 2x * H_k
             nxt[i + 1] += 2 * c
         for i, c in enumerate(prev):  # -2k * H_{k-1}
             nxt[i] -= 2 * k * c
         prev, cur = cur, nxt
+
+
+def _hermite_rows():
+    """Yield C[k][.] for m = 2 and k = 1, 2, ... from the Hermite polynomials.
+
+    H_k's coefficient of x**(k-2n) equals (-1)**n * 2**(k-n) * C[k][n]; the
+    sign pattern and the division are asserted exactly: divisibility by a mask
+    of the low k-n bits, the quotient by a shift.  Shares no code with
+    ``build_coeff_table``.
+    """
+    for k, poly in _hermite_polys():
+        out: dict[int, int] = {}
+        for n in range(k // 2 + 1):
+            c = poly[k - 2 * n]
+            expected_sign = -1 if n % 2 else 1
+            if c == 0 or (c > 0) != (expected_sign > 0):
+                raise MonomialPatternError("Hermite sign pattern broken at k=%d, n=%d" % (k, n))
+            magnitude, shift = abs(c), k - n
+            if magnitude & ((1 << shift) - 1):
+                raise NonIntegralCoefficientError("Hermite coefficient not divisible at k=%d, n=%d" % (k, n))
+            out[n] = magnitude >> shift
+        yield out
 
 
 def hermite_oracle(k: int) -> dict[int, int]:

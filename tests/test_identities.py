@@ -167,18 +167,63 @@ def _cell(table, data):
     return k, n
 
 
+def _iroot(n: int, q: int) -> int:
+    """The largest int a with a**q <= n, for n >= 1, by bisection."""
+    lo, hi = 1, 1 << -(-n.bit_length() // q)  # lo**q <= n < hi**q
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**q <= n else (lo, mid)
+    return lo
+
+
+def _on_the_bound(table, theta, k, n):
+    """The largest C[k][n] that keeps the cell (k, n - 1) within the bound: a**q <= b**q * f."""
+    p, q = theta.numerator, theta.denominator
+    return _iroot(table.row(k)[n - 1] ** q * table.m**q * k ** (table.m * p), q)
+
+
+class _RawTable:
+    """Rows handed to a check as they are, without the length check of a ``CoeffTable``."""
+
+    def __init__(self, m, rows):
+        self.m, self.k_max, self.rows = m, len(rows), rows
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def row(self, k):
+        return self.rows[k - 1]
+
+
 class TestRatioBoundMatchesReference:
-    """The bit-length pre-decision must not move a witness or the extremal ratio."""
+    """The row screens must not move a witness or the extremal ratio: the whole
+    CheckResult equals that of the literal per-cell loop."""
 
     @staticmethod
     def assert_same(table, theta):
         got = check_ratio_bound(table, theta)
-        assert got.to_json() == reference_ratio_bound(table, theta).to_json()
+        assert got == reference_ratio_bound(table, theta)
         return got
 
     @pytest.mark.parametrize(
         "m, k_max, theta",
-        [(4, 120, Fraction(1, 2)), (3, 120, Fraction(5, 6)), (6, 80, Fraction(1, 3)), (2, 120, 1), (5, 80, Fraction(7, 5))],
+        [
+            (4, 120, Fraction(1, 2)),
+            (3, 120, Fraction(5, 6)),
+            (6, 80, Fraction(1, 3)),
+            (2, 120, 1),
+            (5, 80, Fraction(7, 5)),
+            # the sizes of the benchmark's ``verify identities`` jobs
+            (4, 600, Fraction(1, 2)),
+            (3, 400, Fraction(5, 6)),
+            # large q, where the float estimates are largest and the margin scales with them
+            (2, 30, Fraction(2001, 1000)),
+            (3, 30, Fraction(2001, 1000)),
+            (5, 30, Fraction(2001, 1000)),
+            (2, 12, Fraction(20011, 10007)),
+            (3, 12, Fraction(20011, 10007)),
+            (5, 12, Fraction(20011, 10007)),
+        ],
     )
     def test_clean_tables(self, m, k_max, theta):
         result = self.assert_same(get_table(m, k_max), theta)
@@ -232,6 +277,51 @@ class TestRatioBoundMatchesReference:
         la = max(la, 1)
         a = data.draw(st.sampled_from([2 ** (la - 1), 2**la - 1, data.draw(st.integers(2 ** (la - 1), 2**la - 1))]))
         self.assert_same(_edited(table, [(k, n, a)]), theta)
+
+    @pytest.mark.parametrize(
+        "m, k_max, theta, k",
+        [
+            (4, 160, Fraction(1, 2), 150),
+            (3, 120, Fraction(5, 6), 101),
+            (2, 30, Fraction(2001, 1000), 30),
+            (5, 12, Fraction(20011, 10007), 12),
+        ],
+    )
+    def test_late_cell_on_the_bound_is_the_new_extremal(self, m, k_max, theta, k):
+        # late rows (k >= 100) at small q, the last row at large q: a cell at the
+        # largest a with a**q <= b**q * f is no witness, and its ratio, just
+        # below 1, is larger than every clean cell's
+        table = get_table(m, k_max)
+        n = len(table.row(k)) // 2
+        result = self.assert_same(_edited(table, [(k, n, _on_the_bound(table, theta, k, n))]), theta)
+        assert result.passed
+        assert check_ratio_bound(table, theta).extremal_ratio < 0.5 < result.extremal_ratio <= 1
+
+    @pytest.mark.parametrize("m, theta", [(4, Fraction(1, 2)), (3, Fraction(5, 6)), (2, Fraction(2001, 1000))])
+    def test_witness_in_a_row_without_extremal_candidates(self, m, theta):
+        # a cell 2**200 times its neighbour at k = 10 sets a best estimate that no
+        # later row's gaps can reach, so row 50 logs no cell; a cell there one past
+        # the bound is still a witness, found by the witness screen alone
+        p, q = theta.numerator, theta.denominator
+        table = get_table(m, 60)
+        n = len(table.row(50)) // 2
+        big = (10, 2, table.row(10)[2] * 2**200)
+        tampered = _edited(table, [big, (50, n, _on_the_bound(table, theta, 50, n) + 1)])
+        bits = [c.bit_length() for c in tampered.row(50)]
+        top = max(y - x for x, y in zip(bits, bits[1:]))
+        best = q * (math.log(big[2]) - math.log(table.row(10)[1])) - math.log(m**q * 10 ** (m * p))
+        assert q * (top + 1) * math.log(2) - math.log(m**q * 50 ** (m * p)) < best - 1
+        result = self.assert_same(tampered, theta)
+        assert [w[:2] for w in result.witnesses] == [(10, 1), (50, n - 1)]
+
+    def test_every_cell_of_the_first_row_is_logged(self):
+        # the first row has no best to screen against: in (1, 63, 2079) the cell
+        # 63 -> 2079 has the row's top gap (6, ratio 33) but 1 -> 63 (gap 5) has
+        # the larger ratio.  A table's row 2 holds one cell, so this row is fed
+        # unchecked, followed by clean rows that stay below it
+        rows = [(1,), (1, 63, 2079), *get_table(2, 12).rows[2:]]
+        result = self.assert_same(_RawTable(2, rows), Fraction(1))
+        assert result.extremal_ratio == pytest.approx(63 / 8)  # the cell 1 -> 63, over f = 8
 
 
 class TestTableBounds:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gsmult import oracle as oracle_module
 from gsmult.derivpoly import CoeffTable, build_coeff_table, coeff_rows, row_length
 from gsmult.oracle import (
+    MonomialPatternError,
     NonIntegralCoefficientError,
     certify,
     _composition_sums,
@@ -75,6 +76,36 @@ class TestHermiteOracle:
             values = hermite_oracle(k)
             for n, c in values.items():
                 assert c * 2**n * factorial(n) * factorial(k - 2 * n) == factorial(k)
+
+    @staticmethod
+    def edit_h6(monkeypatch, edit):
+        """Make the Hermite walk yield H_6 with ``edit`` applied to its coefficient of x**4."""
+        real = oracle_module._hermite_polys
+
+        def polys():
+            for k, poly in real():
+                if k == 6:
+                    poly = list(poly)
+                    poly[4] = edit(poly[4])
+                yield k, poly
+
+        monkeypatch.setattr(oracle_module, "_hermite_polys", polys)
+
+    def test_broken_sign_pattern_is_caught(self, monkeypatch):
+        # H_6's coefficient of x**4 is -2**5 * C[6][1]; n = 1 asks for a negative sign
+        self.edit_h6(monkeypatch, lambda c: -c)
+        with pytest.raises(MonomialPatternError, match="k=6, n=1"):
+            hermite_oracle(6)
+        with pytest.raises(MonomialPatternError, match="k=6, n=1"):
+            certify(get_table(2, 10))
+
+    def test_coefficient_not_divisible_is_caught(self, monkeypatch):
+        # a multiple of 2**5 moved by 2**4: its lowest bit stays clear
+        self.edit_h6(monkeypatch, lambda c: c - 2**4)
+        with pytest.raises(NonIntegralCoefficientError, match="k=6, n=1"):
+            hermite_oracle(6)
+        with pytest.raises(NonIntegralCoefficientError, match="k=6, n=1"):
+            certify(get_table(2, 10))
 
 
 class TestThreeWayAgreement:

@@ -9,7 +9,7 @@ the maximizing region.
 
 from fractions import Fraction
 
-from gsmult import Gaussian, GSFunction, geometric_grid, seminorm, seminorm_equivalence_table
+from gsmult import Gaussian, GSFunction, geometric_grid, seminorm
 
 # calculus sanity: for f = e^{-x^2}, theta = 1/2, a = 1/2 and order zero,
 # sup_x e^{x^2/2} e^{-x^2} = 1, attained at x = 0
@@ -29,5 +29,8 @@ print("exp(-<x>) h-family, orders <= 10:", est_h.value)
 
 # side-by-side diagnostic for (a, h) pairs: both finite, same topology
 print("\n(a, h, |.|_a, |.|_h) diagnostic rows:")
-for row in seminorm_equivalence_table(f, theta=1, s=1, max_deriv=10, grid=geometric_grid(16, 20)):
-    print("  a=%s h=%s -> %s | %s" % row)
+grid = geometric_grid(16, 20)
+for a, h in ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(1, 4))):
+    est_a = seminorm("a", f, theta=1, s=1, a=a, max_deriv=10, grid=grid)
+    est_h = seminorm("h", f, theta=1, s=1, h=h, max_deriv=10, max_power=10, grid=grid)
+    print("  a=%s h=%s -> %s | %s" % (a, h, est_a.value, est_h.value))

@@ -51,9 +51,8 @@ _EXPORTS = {
         ),
         (
             gsfunc,
-            "BracketDerivPoly Gaussian GSFunction SampledDerivatives SeminormEstimate bracket_derivative"
-            " bracket_derivative_series bracket_eval geometric_grid gs_derivative gs_derivative_series seminorm"
-            " seminorm_cells seminorm_equivalence_table uniform_grid verify_bracket_bound verify_gs_bound",
+            "Gaussian GSFunction SeminormEstimate bracket_eval geometric_grid gs_derivative_series seminorm"
+            " seminorm_cells uniform_grid verify_bracket_bound verify_gs_bound",
         ),
         (
             identities,

@@ -2,8 +2,8 @@
 
 It holds ``ParameterError``, the ``Record`` base of every value type, the
 ``CheckResult`` every verifier returns, the one check each of the degree,
-the sign of lam and the paper's hypothesis m*theta >= 2, and the exact-string
-formats used by every file-emitting code path.
+the sign of lam, the paper's hypothesis m*theta >= 2 and the size of a power
+made from theta, and the exact-string formats used by every file-emitting code path.
 ``format_mpf`` imports mpmath only for an mpmath value, so the exact
 commands, which print Python floats, never load it; ``json`` is imported by
 the functions that write JSON.
@@ -37,6 +37,19 @@ def require_theta(m: int, theta) -> None:
     """Reject theta < 2/m: the hypothesis m*theta >= 2 of the paper's discontinuity side."""
     if m * theta < 2:
         raise ParameterError("hypothesis violated: theta=%s < 2/m for m=%d" % (theta, m))
+
+
+def require_power_size(theta, base: int, exponent) -> None:
+    """Reject theta when base**exponent, an exact power made from it, would exceed 2**24 bits.
+
+    The ceiling (2 MiB) is set by time: CPython takes about 8 s to multiply two
+    ints of 2**24 bits (2-core VM), and a command multiplies its power at every
+    order; far above it (theta = 10**30) the power cannot even be held.  The
+    paper's range needs far less: k**(theta*k*(m-1)) has 74k bits at m = 3,
+    theta = 3, k = 1200.  The bound (bits(base) - 1) * exponent is compared; no power is built.
+    """
+    if exponent * (base.bit_length() - 1) > 1 << 24:
+        raise ParameterError("theta=%s too large: a power of %d made from it would exceed 2**24 bits" % (theta, base))
 
 
 def pmap(fn, items):

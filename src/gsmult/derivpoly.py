@@ -55,7 +55,8 @@ from fractions import Fraction
 from itertools import islice
 
 from . import precision  # lazy: its body, and mpmath, load at the first evaluation
-from ._util import ParameterError, Record, format_int, parse_int, require_degree, require_sign, require_theta
+from ._util import ParameterError, Record, format_int, parse_int, require_degree, require_power_size, require_sign
+from ._util import require_theta
 
 # Exact integer arithmetic on Decimals: a result that would need rounding raises instead.
 _EXACT = decimal.Context(
@@ -342,11 +343,15 @@ def _log_magnitudes(
     exact.  Otherwise x_k is k**theta correctly rounded at the result precision,
     and the enclosure of the point and the log on it are certified together by
     one ``precision.certified_values``, again while either rounds apart.  Rows
-    1..max(orders) are read once from ``table``, walked when it is None.
+    1..max(orders) are read once from ``table``, walked when it is None, after the size of
+    the exact path's largest int, p_k's leading term k**(theta*k*(m-1)), is checked.
     """
     wanted = set(orders)
     theta = Fraction(theta)
-    for k, row in enumerate(_rows_to(m, max(wanted), table), start=1):
+    k_top = max(wanted)
+    if theta.denominator == 1:
+        require_power_size(theta, k_top, theta * k_top * (m - 1))
+    for k, row in enumerate(_rows_to(m, k_top, table), start=1):
         if k not in wanted:
             continue
         poly = DerivPoly(m=m, k=k, coeffs=row)

@@ -2,27 +2,19 @@
 empirical verification of their factorial derivative bounds, and truncated
 Gelfand-Shilov seminorm estimation.
 
-Here <x> = (1 + x**2)**(1/2).  Derivatives of the bracket power satisfy
+Here <x> = (1 + x**2)**(1/2).  Derivatives of the bracket power are
 
-    d^k/dx^k <x>**t = q_k(x) * (1+x**2)**(t/2 - k)
+    d^k/dx^k <x>**t = r_k(x) * <x>**t,   r_k = q_k(x) / (1+x**2)**k
 
-with polynomials q_k built by the exact recursion
-
-    q_0 = 1,   q_{k+1} = q_k' * (1+x**2) + (t - 2k) * x * q_k,
-
-whose coefficients stay rational for rational t.  (The leading coefficient
-is the falling factorial t(t-1)...(t-k+1), so for small nonnegative integer
-t the literal degree drops below k; rows are stored with degree bound k.)
-The rows serve only the polynomial API (``bracket_derivative``,
-``bracket_derivative_series``).  At a rational point every engine instead
-uses the ratios r_k = d^k<x>**t / <x>**t = q_k(x) / (1+x**2)**k, which
-follow from k derivatives of (1+x**2) * g' = t*x*g (g = <x>**t) as
+for polynomials q_k of degree at most k.  Every engine here evaluates the
+ratios r_k at a rational point, never the q_k: they follow from k
+derivatives of (1+x**2) * g' = t*x*g (g = <x>**t) as
 
     r_0 = 1,   r_1 = t*x / (1+x**2),
     r_{k+1} = ((t - 2k) * x * r_k + k * (t - k + 1) * r_{k-1}) / (1+x**2),
 
-O(k) exact operations per point instead of O(k^2) for the rows; with
-t = a/b and x = p/q they run on ints alone, as r_k = n_k / (b*(p**2+q**2))**k.
+O(k) exact operations per point; with t = a/b and x = p/q they run on ints
+alone, as r_k = n_k / (b*(p**2+q**2))**k.
 
 Derivatives of f(x) = exp(-<x>**(1/theta)) = exp(h(x)) with h = -<x>**(1/theta)
 come from f' = h' * f on the Taylor coefficients a_j = f^(j)/j!:
@@ -68,52 +60,8 @@ from itertools import accumulate
 from mpmath import iv, mp
 
 from . import precision
-from ._util import CheckResult, ParameterError, Record, _result, format_fraction, format_mpf
+from ._util import CheckResult, ParameterError, Record, _result, format_fraction, format_mpf, require_power_size
 from .precision import fixed_outward, fixed_scaled, iv_fixed, ols_slope, to_iv, to_mpf
-
-
-class BracketDerivPoly(Record):
-    """q_k with d^k/dx^k <x>**t = q_k(x) * (1+x**2)**(t/2-k); exact coefficients."""
-
-    t: Fraction
-    k: int
-    coeffs: tuple[Fraction, ...]  # length k+1, ascending powers
-
-    def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def _bracket_rows(t: Fraction, k_max: int) -> list[tuple[Fraction, ...]]:
-    """Rows q_0..q_{k_max} of the recursion for t, built afresh on each call."""
-    rows = [(Fraction(1),)]
-    for k in range(k_max):
-        q = rows[-1]
-        nxt = [Fraction(0)] * (k + 2)
-        for i in range(1, len(q)):  # q' and q' * x**2
-            nxt[i - 1] += i * q[i]
-            nxt[i + 1] += i * q[i]
-        for i in range(len(q)):  # (t - 2k) * x * q
-            nxt[i + 1] += (t - 2 * k) * q[i]
-        rows.append(tuple(nxt))
-    return rows
-
-
-def bracket_derivative(t, k: int) -> BracketDerivPoly:
-    """The exact polynomial part of the k-th derivative of <x>**t."""
-    if k < 0:
-        raise ParameterError("derivative order must be >= 0")
-    tf = Fraction(t)
-    return BracketDerivPoly(t=tf, k=k, coeffs=_bracket_rows(tf, k)[k])
-
-
-def bracket_derivative_series(t, k_max: int) -> tuple[BracketDerivPoly, ...]:
-    """All orders 0..k_max at once (one recursion pass)."""
-    tf = Fraction(t)
-    rows = _bracket_rows(tf, k_max)
-    return tuple(BracketDerivPoly(t=tf, k=k, coeffs=rows[k]) for k in range(k_max + 1))
 
 
 def _bracket_ratio_numerators(t: Fraction, x: Fraction, k_max: int) -> tuple[list[int], int]:
@@ -181,6 +129,7 @@ def geometric_grid(x_max, points: int = 25) -> tuple[Fraction, ...]:
 
 def _default_grid(theta: Fraction, k_max: int) -> tuple[Fraction, ...]:
     """The grid of the sweeps and seminorms: ``geometric_grid(2 * k_max**ceil(theta), 25)``."""
+    require_power_size(theta, max(k_max, 1), math.ceil(theta))
     return geometric_grid(2 * Fraction(max(k_max, 1)) ** math.ceil(theta), 25)
 
 
@@ -266,7 +215,8 @@ def _taylor_kernel(c, a_0, k_max: int, prec: int):
 def _gs_series(theta, k_max: int, x):
     """The enclosure producer of ``gs_derivative_series``: ``series(work)`` yields
     (lo, hi, e) with f^(j) in [lo, hi] * 2**e for j = 0..k_max, made at the
-    working precision ``work`` (see ``gs_derivative_series``).  All its
+    working precision ``work`` and trimmed outward to it, so neither end has more
+    than work + 1 bits; (0, 0, 0) for an exact zero.  All its
     interval arithmetic comes before the first enclosure; after it the
     generator runs on ints alone (``verify_gs_bound`` relies on this)."""
     theta = Fraction(theta)
@@ -289,8 +239,8 @@ def _gs_series(theta, k_max: int, x):
         fact = 1
         for j, a_j in enumerate(_taylor_kernel(c, fixed_outward(*a_0, work), k_max, work)):
             fact *= j or 1
-            lo, hi, e = a_j[:3] if a_j else (0, 0, 0)
-            yield lo * fact, hi * fact, e
+            f_j = a_j and fixed_outward(a_j[0] * fact, a_j[1] * fact, a_j[2], work)  # a_j * j!, trimmed outward
+            yield f_j[:3] if f_j else (0, 0, 0)
 
     return series
 
@@ -313,11 +263,6 @@ def gs_derivative_series(theta, k_max: int, x):
     PrecisionError otherwise.
     """
     return precision.certified_values(_gs_series(theta, k_max, x))
-
-
-def gs_derivative(theta, k: int, x):
-    """Certified value of the k-th derivative of exp(-<x>**(1/theta)) at x."""
-    return gs_derivative_series(theta, k, x)[k]
 
 
 _SCREEN_SLACK = 2.0**-40  # per unit of a cell's ``size``; see ``_OrderScreen``
@@ -527,20 +472,6 @@ class Gaussian:
             return [fx] + [to_mpf(-hermite[k] if k % 2 else hermite[k]) * fx for k in range(1, k_max + 1)]
 
 
-class SampledDerivatives:
-    """Derivative values supplied externally as a {(x, order): value} mapping."""
-
-    def __init__(self, samples: dict, name: str = "sampled"):
-        self.samples = dict(samples)
-        self.name = name
-
-    def derivatives(self, x, k_max: int):
-        try:
-            return [self.samples[(x, k)] for k in range(k_max + 1)]
-        except KeyError as exc:
-            raise ParameterError("no sampled derivative for point %r" % (exc.args[0],)) from exc
-
-
 class SeminormEstimate(Record):
     """Truncated supremum of a seminorm: a lower bound of the true value, not yet certified.
 
@@ -678,26 +609,3 @@ def seminorm(
     truncation = {"max_deriv": max_deriv, "max_power": max_power if kind == "h" else 0, "grid": grid_used}
     return SeminormEstimate(kind=kind, params=params, truncation=truncation, value=value)
 
-
-def seminorm_equivalence_table(
-    f_spec,
-    *,
-    theta,
-    s,
-    pairs: Sequence[tuple[Fraction, Fraction]] = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(1, 4))),
-    max_deriv: int = 10,
-    max_power: int = 10,
-    grid: Sequence | None = None,
-):
-    """Diagnostic table pairing a-family and h-family estimates.
-
-    One row (a, h, value_a, value_h) per pair; finiteness of both columns is
-    the only assertable content (the families generate the same topology but
-    the pairing constants are existential).
-    """
-    rows = []
-    for a_val, h_val in pairs:
-        est_a = seminorm("a", f_spec, theta=theta, s=s, a=a_val, max_deriv=max_deriv, grid=grid)
-        est_h = seminorm("h", f_spec, theta=theta, s=s, h=h_val, max_deriv=max_deriv, max_power=max_power, grid=grid)
-        rows.append((Fraction(a_val), Fraction(h_val), est_a.value, est_h.value))
-    return rows

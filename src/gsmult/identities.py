@@ -47,7 +47,8 @@ from fractions import Fraction
 from itertools import compress, repeat
 from operator import ge, sub
 
-from ._util import CheckResult, ParameterError, _result, format_fraction, require_degree, require_theta
+from ._util import CheckResult, ParameterError, _result, format_fraction, require_degree, require_power_size
+from ._util import require_theta
 from .derivpoly import CoeffRows, CoeffTable, DerivPoly, _kj_orders, _rows_to, gaussian_parts
 
 
@@ -158,6 +159,8 @@ class _RatioStep:
     def __init__(self, m: int, k_max: int, theta: Fraction):
         theta = Fraction(theta)
         require_theta(m, theta)
+        require_power_size(theta, m, theta.denominator)  # the factors of f = m**q * k**(m*p)
+        require_power_size(theta, k_max, m * theta.numerator)
         self.params = {"m": m, "k_max": k_max, "theta": format_fraction(theta)}
         self.last_k = k_max
         self.q, self.m_p, self.m_q = theta.denominator, m * theta.numerator, m**theta.denominator
@@ -227,6 +230,7 @@ class _LowerBoundStep:
         if not isinstance(theta, (int, Fraction)) or theta.denominator != 1 or theta < 1:
             raise ParameterError("theta must be a positive integer for exact evaluation")
         theta, entries = _kj_orders(m, theta, j_max)
+        require_power_size(theta, entries[-1], 2 * theta * entries[-1] * (m - 1))
         self.j_at = {k: j for j, k in enumerate(entries, start=1)}
         self.first_k, self.last_k = entries[0], entries[-1]
         self.m, self.lambda_sign, self.theta = m, lambda_sign, theta

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -154,6 +155,40 @@ class TestExitCodes:
         monkeypatch.setattr(derivpoly, "coeff_rows", lambda *args: calls.append(args) or real(*args))
         assert run(argv) == 2
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify identities --m 3 --kmax 10 --theta 1e400",
+            "verify identities --m 3 --kmax 10 --theta 1e30",
+            "verify identities --m 3 --kmax 10 --theta %d/%d" % (10**30 + 1, 10**30),
+            "verify identities --m 3 --kmax 10 --theta 1000000 --jmax 3",
+            "probe run --m 3 --theta 1e400 --nu 1e400 --kmax 5 --csv big.csv",
+            "probe criterion --m 3 --theta 1e9 --s 1 --jmax 2",
+            "gs bound --theta 1e400 --kmax 10",
+            "gs seminorm --kind a --a 1 --theta 1e400 --s 1 --kmax 5 --csv c.csv",
+        ],
+        ids=["identities-1e400", "identities-1e30", "identities-denominator", "identities-lower-bound",
+             "probe-run-1e400", "criterion-1e9", "bound-1e400", "seminorm-1e400"],
+    )
+    def test_huge_theta_is_refused_at_once(self, tmp_path, argv):
+        # each builds a power from theta, k**(m*p), m**q, k**(2*theta*k*(m-1)), k**(theta*k*(m-1)) or
+        # kmax**ceil(theta), too large to hold (MemoryError in 1 GiB) or to use within 20 s
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "gsmult.cli"] + argv.split(),
+            capture_output=True,
+            text=True,
+            env=package_env(),
+            cwd=tmp_path,
+            timeout=5,
+            preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == 2, proc.stderr[-500:]
+        assert proc.stderr.startswith("usage error: theta=") and proc.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_fraction_rejected(self):
         assert run(["wedge", "classify", "--theta", "x/y", "--s", "1", "--m", "2", "--space", "roumieu"]) == 2

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -10,20 +9,15 @@ from mpmath import iv, mp
 from mpmath.libmp import from_int
 
 from gsmult import gsfunc, precision
-from gsmult._util import format_mpf
+from gsmult._util import ParameterError, format_mpf
 from gsmult.gsfunc import (
     Gaussian,
     GSFunction,
-    SampledDerivatives,
-    bracket_derivative,
-    bracket_derivative_series,
     bracket_eval,
     geometric_grid,
-    gs_derivative,
     gs_derivative_series,
     seminorm,
     seminorm_cells,
-    seminorm_equivalence_table,
     uniform_grid,
     verify_bracket_bound,
     verify_gs_bound,
@@ -42,20 +36,33 @@ from gsmult.precision import (
     to_mpf,
 )
 
+from bracket_rows import bracket_rows, horner
 from conftest import result_bits
 
 rationals = st.fractions(min_value=-4, max_value=4)
 
 
+class SampledDerivatives:
+    """An f_spec whose derivative values are given as a {(x, order): value} mapping."""
+
+    def __init__(self, samples: dict, name: str = "sampled"):
+        self.samples = dict(samples)
+        self.name = name
+
+    def derivatives(self, x, k_max: int):
+        try:
+            return [self.samples[(x, k)] for k in range(k_max + 1)]
+        except KeyError as exc:
+            raise ParameterError("no sampled derivative for point %r" % (exc.args[0],)) from exc
+
+
 class TestBracketDerivative:
     def test_q1_is_tx(self):
-        q = bracket_derivative(Fraction(7, 3), 1)
-        assert q.coeffs == (Fraction(0), Fraction(7, 3))
+        assert bracket_rows(Fraction(7, 3), 1)[1] == (Fraction(0), Fraction(7, 3))
 
     def test_q2(self):
         t = Fraction(7, 3)
-        q = bracket_derivative(t, 2)
-        assert q.coeffs == (t, Fraction(0), t * (t - 1))
+        assert bracket_rows(t, 2)[2] == (t, Fraction(0), t * (t - 1))
 
     def test_polynomial_case_t2(self):
         # <x>**2 = 1 + x**2 has second derivative identically 2
@@ -63,14 +70,13 @@ class TestBracketDerivative:
             assert mpmath.almosteq(bracket_eval(2, 2, x), 2)
 
     def test_float_t_converts_exactly(self):
-        assert bracket_derivative(2.5, 1).t == Fraction(5, 2)
+        assert bracket_eval(2.5, 1, 0.75) == bracket_eval(Fraction(5, 2), 1, Fraction(3, 4))
 
     @given(t=rationals.filter(lambda v: v != 0), k=st.integers(0, 10))
     @settings(max_examples=60)
     def test_recursion_identity(self, t, k):
         # q_{k+1} == q_k' * (1+x**2) + (t-2k) * x * q_k as exact polynomials
-        q_k = bracket_derivative(t, k).coeffs
-        q_next = bracket_derivative(t, k + 1).coeffs
+        q_k, q_next = bracket_rows(t, k + 1)[k:]
         expected = [Fraction(0)] * (k + 2)
         for i in range(1, len(q_k)):
             expected[i - 1] += i * q_k[i]
@@ -79,39 +85,20 @@ class TestBracketDerivative:
             expected[i + 1] += (Fraction(t) - 2 * k) * q_k[i]
         assert list(q_next) == expected
 
-    def test_row_lengths(self):
-        rows = bracket_derivative_series(Fraction(1, 3), 12)
-        for k, poly in enumerate(rows):
-            assert poly.k == k and len(poly.coeffs) == k + 1
-
-    def test_rows_are_freed_with_the_result(self):
-        # the rows are built per call, so nothing outlives the result (a module-level cache kept 1.58 MB here)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            series = bracket_derivative_series(Fraction(7, 3), 150)
-            assert len(series) == 151
-            del series
-            after = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert after - before < 64 * 2**10
-
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            bracket_derivative(1, -1)
+            bracket_eval(1, -1, 0)
 
     @given(t=rationals, x=rationals, k=st.integers(0, 12))
     @settings(max_examples=80)
     def test_point_ratios_match_rows(self, t, x, k):
         # r_k * (1+x**2)**k == q_k(x), exactly
-        assert gsfunc._bracket_ratios(t, x, k)[k] * (1 + x**2) ** k == bracket_derivative(t, k)(x)
+        assert gsfunc._bracket_ratios(t, x, k)[k] * (1 + x**2) ** k == horner(bracket_rows(t, k)[k], x)
 
 
 class TestBracketBound:
     def test_ratio_zero_at_origin_order_one(self):
-        q = bracket_derivative(1, 1)
-        assert q(Fraction(0)) == 0
+        assert gsfunc._bracket_ratios(1, 0, 1)[1] == 0
 
     @pytest.mark.parametrize("t", [1, -1, Fraction(5, 2), Fraction(1, 3)])
     def test_sweep_is_finite(self, t):
@@ -137,10 +124,10 @@ class TestBracketBound:
         result = verify_bracket_bound(t, 8, grid)
         with mp.workprec(1024):
             ref = max(
-                abs(to_mpf(q(x))) / (mp.sqrt(to_mpf(1 + x * x)) ** q.k * 8**q.k * mp.factorial(q.k))
-                for q in bracket_derivative_series(t, 8)
+                abs(to_mpf(horner(q, x))) / (mp.sqrt(to_mpf(1 + x * x)) ** k * 8**k * mp.factorial(k))
+                for k, q in enumerate(bracket_rows(t, 8))
                 for x in grid
-                if q(x) != 0
+                if horner(q, x) != 0
             )
             assert abs(result.extremal_ratio - ref) <= ref * mp.mpf(2) ** -100
 
@@ -148,24 +135,24 @@ class TestBracketBound:
 class TestGsDerivative:
     def test_first_derivative_vanishes_at_origin(self):
         for theta in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 5)):
-            assert gs_derivative(theta, 1, 0) == 0
+            assert gs_derivative_series(theta, 1, 0)[1] == 0
 
     def test_value_at_origin(self):
         with result_bits(256):
-            v = gs_derivative(1, 0, 0)
+            v = gs_derivative_series(1, 0, 0)[0]
         with mp.workprec(256):
             assert abs(v - mp.exp(-1)) < mp.mpf(2) ** -200
 
     def test_second_derivative_at_origin(self):
         with result_bits(256):
-            v = gs_derivative(1, 2, 0)
+            v = gs_derivative_series(1, 2, 0)[2]
         with mp.workprec(256):
             assert abs(v + mp.exp(-1)) < mp.mpf(2) ** -200
 
     def test_series_prefix_consistency(self):
         xs = gs_derivative_series(Fraction(1, 2), 8, Fraction(3, 4))
         for k in (0, 3, 8):
-            assert gs_derivative(Fraction(1, 2), k, Fraction(3, 4)) == xs[k]
+            assert gs_derivative_series(Fraction(1, 2), k, Fraction(3, 4))[k] == xs[k]
 
     def test_order_zero_positive(self):
         for x in (0, Fraction(1, 3), 5):
@@ -173,7 +160,7 @@ class TestGsDerivative:
 
     def test_rejects_nonpositive_theta(self):
         with pytest.raises(ValueError):
-            gs_derivative(0, 1, 0)
+            gs_derivative_series(0, 1, 0)
 
     def test_high_order_at_rational_point_certifies(self):
         # the ratios run in exact Fractions; in intervals they lose the 2**-64 bound here
@@ -380,6 +367,14 @@ class TestTaylorKernel:
         monkeypatch.setattr(precision, "escalate", lambda compute, bits: compute(bits + GUARD_BITS))
         with pytest.raises(PrecisionError):
             gs_derivative_series(Fraction(1, 2), 400, 25)
+
+    @pytest.mark.parametrize("work", [256, 512, 1024])
+    def test_enclosures_keep_the_working_precision(self, work):
+        # f^(j) = a_j * j! is trimmed outward to the work, not widened by the log2(j!) bits of j!
+        with iv_prec(work):
+            enclosures = list(gsfunc._gs_series(Fraction(1, 2), 400, 25)(work))
+        assert len(enclosures) == 401
+        assert all(max(lo.bit_length(), hi.bit_length()) <= work + 1 for lo, hi, _ in enclosures)
 
 
 def all_cells_gs_bound(theta, k_max, grid=None, slope_tol=1e-3):
@@ -625,8 +620,10 @@ class TestSeminorm:
 
 
 def test_equivalence_table_finite():
-    rows = seminorm_equivalence_table(GSFunction(1), theta=1, s=1, max_deriv=8, grid=geometric_grid(8, 10))
-    assert len(rows) == 2
-    for a_val, h_val, norm_a, norm_h in rows:
+    # the a- and h-family estimates of one function at paired weights: both finite and positive
+    f, grid = GSFunction(1), geometric_grid(8, 10)
+    for a, h in ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(1, 4))):
+        norm_a = seminorm("a", f, theta=1, s=1, a=a, max_deriv=8, grid=grid).value
+        norm_h = seminorm("h", f, theta=1, s=1, h=h, max_deriv=8, max_power=10, grid=grid).value
         assert mp.isfinite(norm_a) and mp.isfinite(norm_h)
         assert norm_a > 0 and norm_h > 0

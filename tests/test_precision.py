@@ -30,7 +30,7 @@ def test_no_public_callable_takes_a_precision():
     # the result precision is ``precision.RESULT_BITS`` alone: no exported function, class or
     # f_spec ``derivatives`` method has a parameter that would set another
     exported = [getattr(gsmult, name) for name in gsmult.__all__]
-    f_specs = [gsmult.GSFunction, gsmult.Gaussian, gsmult.SampledDerivatives]
+    f_specs = [gsmult.GSFunction, gsmult.Gaussian]
     errors = (gsmult.ParameterError, gsmult.PrecisionError)  # builtin-derived: no signature to read
     callables = [obj for obj in exported if callable(obj) and obj not in errors] + [s.derivatives for s in f_specs]
     assert len(callables) > 40

@@ -1,6 +1,7 @@
 """``_util``: the degree check every public entry point that takes m makes through
 ``_util.require_degree``, the one wording of the hypothesis m*theta >= 2
-(``_util.require_theta``), ``format_mpf`` on plain Python numbers, and the
+(``_util.require_theta``), the one ceiling on a power made from theta
+(``_util.require_power_size``), ``format_mpf`` on plain Python numbers, and the
 ``Record`` contract of every value type."""
 
 import dataclasses
@@ -17,7 +18,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gsmult import (
-    BracketDerivPoly,
     CheckResult,
     CoeffTable,
     DerivPoly,
@@ -48,7 +48,7 @@ from gsmult import (
     render_region_svg,
     symbolic_recursion_oracle,
 )
-from gsmult._util import format_mpf
+from gsmult._util import format_mpf, require_power_size
 from gsmult.derivpoly import CoeffRows, coeff_rows
 from gsmult.identities import check_table_bounds
 
@@ -97,6 +97,13 @@ def test_theta_hypothesis_is_worded_once(entry):
         THETA_BELOW_TWO_OVER_M[entry]()
 
 
+def test_power_size_ceiling_is_two_to_the_24_bits():
+    require_power_size(1, 3, 1 << 24)  # 3**(2**24) has at least (bits(3) - 1) * 2**24 bits: at the ceiling
+    require_power_size(1, 1, 10**400)
+    with pytest.raises(ParameterError):
+        require_power_size(1, 3, (1 << 24) + 1)
+
+
 _PLAIN = [0, 7, -12, 10**40, True, 0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 0.10963587152777757, -2.5]
 
 
@@ -128,7 +135,6 @@ RECORDS = {
     "DerivPoly": (DerivPoly, (3, 2, (1, 2)), {}),
     "LogMagnitude": (LogMagnitude, (mpmath.mpf(2.5), True), {}),
     "KjSequence": (KjSequence, (3, (6, 12)), {}),
-    "BracketDerivPoly": (BracketDerivPoly, (Fraction(1, 2), 1, (Fraction(0), Fraction(1, 2))), {}),
     "SeminormEstimate": (
         SeminormEstimate, ("h", {"theta": "2"}, {"max_deriv": 3}, mpmath.mpf(7)), {"is_lower_bound": True}
     ),

@@ -77,6 +77,9 @@ class CoeffTable(Record):
 
     rows[k-1] holds the row for derivative order k, of length
     floor(k*(m-1)/m) + 1.  Immutable after construction; safe to share.
+    Rows are checked as they are read, as ``CoeffRows`` checks them: ``row``
+    refuses an order the rows do not hold, and iteration refuses rows that
+    do not number k_max, each with ``ParameterError``.
     """
 
     m: int
@@ -84,12 +87,18 @@ class CoeffTable(Record):
     rows: tuple[tuple[int, ...], ...]
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.rows)
+        if len(self.rows) != self.k_max:
+            raise ParameterError("row count %d does not match k_max %d" % (len(self.rows), self.k_max))
+        for k in range(1, self.k_max + 1):
+            yield self.row(k)
 
     def row(self, k: int) -> tuple[int, ...]:
-        if not 1 <= k <= self.k_max:
-            raise ParameterError("order %d outside table range 1..%d" % (k, self.k_max))
-        return self.rows[k - 1]
+        held = min(self.k_max, len(self.rows))
+        if not 1 <= k <= held:
+            raise ParameterError("order %d outside the rows held, 1..%d" % (k, held))
+        row = self.rows[k - 1]
+        _check_row(self.m, k, row)
+        return row
 
     def to_json(self) -> str:
         """Exact export in the ``table`` file format: the text ``write_table_json`` writes for these rows."""
@@ -105,12 +114,10 @@ class CoeffTable(Record):
         return table
 
     def validate(self) -> None:
-        """Structural invariants: row lengths, positivity, leading ones."""
+        """Structural invariants: the degree, then every row read as iteration reads it."""
         require_degree(self.m)
-        if len(self.rows) != self.k_max:
-            raise ParameterError("row count %d does not match k_max %d" % (len(self.rows), self.k_max))
-        for k, row in enumerate(self.rows, start=1):
-            _check_row(self.m, k, row)
+        for _ in self:
+            pass
 
 
 def _check_row(m: int, k: int, row: tuple) -> None:

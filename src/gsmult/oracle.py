@@ -5,17 +5,20 @@ Three constructions of C[k][n] that share no code with the convolution in
 
 * ``coeff_oracle`` -- a composition-sum formula.  Expanding the k-th
   derivative of exp(lam*x**m/m) by the chain rule over compositions
-  k_1 + ... + k_{k-n} = k with 1 <= k_l <= m gives
+  k_1 + ... + k_p = k, p = k-n, with 1 <= k_l <= m gives
 
-      C[k][n] = k! / (m**(k-n) * (k-n)!) * S,
-      S = sum over compositions of prod_l binom(m, k_l),
+      C[k][n] = T_k[k-n],  T_k[p] = k! * S_k[p] / (m**p * p!),
+      S_k[p] = sum over compositions of prod_l binom(m, k_l)
 
-  and S = S_k[k-n] is stepped over k by splitting off the last part,
-  S_k[p] = sum_{j=1..m} binom(m, j) * S_{k-j}[p-1] with S_0 = [1], keeping
-  only the last m rows (S_k[p] is also [y**k] ((1+y)**m - 1)**p).  The
+  (S_k[p] is also [y**k] ((1+y)**m - 1)**p).  Splitting off the last part,
+  S_k[p] = sum_{j=1..m} binom(m, j) * S_{k-j}[p-1], and multiplying by
+  k!/(m**p * p!) = k!/(k-j)! * (k-j)!/(m**(p-1) * (p-1)!) / (m*p) gives
+
+      T_k[p] = sum_{j=1..m} binom(m, j) * k!/(k-j)! * T_{k-j}[p-1] / (m*p),
+
+  with T_0 = [1], stepped over k keeping only the last m rows.  The
   compositions themselves, whose count explodes, are never enumerated.
-  The rational prefactor times S must be an integer; anything else
-  indicates a bug.
+  Every division by m*p must be exact; anything else indicates a bug.
 
 * ``symbolic_recursion_oracle`` -- builds p_k literally as a sparse
   polynomial in (lam, x) by k applications of
@@ -26,9 +29,9 @@ Three constructions of C[k][n] that share no code with the convolution in
   H_{k+1} = 2x*H_k - 2k*H_{k-1} gives C[k][n] = k!/(2**n * n! * (k-2n)!),
   recovered from the integer coefficients of H_k.
 
-Each oracle has one stepping generator; the point functions walk it to
-order k, and ``certify`` walks all of them once, in lockstep, along the
-rows of a table.
+Each oracle has one stepping generator, which yields C[k][.] as a tuple
+row; the point functions walk it to order k, and ``certify`` walks all of
+them once, in lockstep, along the rows of a table, comparing whole rows.
 
 Everything here is exact integer/rational arithmetic; no floating point.
 """
@@ -44,66 +47,49 @@ from .derivpoly import CoeffRows, CoeffTable, row_length
 
 
 class NonIntegralCoefficientError(ArithmeticError):
-    """The composition-sum prefactor failed to divide exactly (bug indicator)."""
+    """A composition-sum or Hermite division was not exact (bug indicator)."""
 
 
 class MonomialPatternError(ArithmeticError):
     """A symbolically built polynomial violated the exponent pattern (bug indicator)."""
 
 
-def _composition_sums(m: int):
-    """Yield S_k for k = 0, 1, ...: S_k[p] = [y**k] ((1+y)**m - 1)**p, p = 0..k.
+def _composition_rows(m: int):
+    """Yield C[k][.] for k = 1, 2, ... by stepping T_k[p] = C[k][k-p] over k.
 
-    S_k[p] sums prod_l binom(m, k_l) over compositions k = k_1 + ... + k_p
-    with 1 <= k_l <= m; splitting off the last part gives
-    S_k[p] = sum_{j=1..m} binom(m, j) * S_{k-j}[p-1], with S_0 = [1].  Only
-    the last m rows are kept.
+    T_k[p] = sum_{j=1..m} binom(m, j) * k!/(k-j)! * T_{k-j}[p-1] / (m*p), so
+    cell n of row k sums binom(m, j) * k!/(k-j)! * C[k-j][n-j+1] over the
+    last m rows (out-of-range cells read as zero) and divides by m*(k-n);
+    every division is checked exact.
     """
     binomials = [comb(m, j) for j in range(1, m + 1)]
-    window = deque([[1]], maxlen=m)  # S_{k-1}, S_{k-2}, ..., S_{k-m}
-    yield [1]
+    window = deque([(1,)], maxlen=m)  # C[k-1], C[k-2], ..., C[k-m]; C[0] = (1,)
     for k in count(1):
-        row = [0] * (k + 1)
-        for b, prev in zip(binomials, window):
-            for p, s in enumerate(prev):
-                row[p + 1] += b * s
+        sums = [0] * row_length(m, k)
+        falling = 1  # k!/(k-j)!
+        for j, (b, prev) in enumerate(zip(binomials, window), 1):
+            falling *= k - j + 1
+            f = b * falling
+            for n, c in enumerate(prev, j - 1):  # C[k-j][n-j+1] goes to cell n
+                sums[n] += f * c
+        for n, s in enumerate(sums):
+            sums[n], rem = divmod(s, m * (k - n))
+            if rem:
+                raise NonIntegralCoefficientError("composition sum does not divide at (m=%d, k=%d, n=%d)" % (m, k, n))
+        row = tuple(sums)
         window.appendleft(row)
         yield row
 
 
-def _composition_cells(m: int):
-    """Yield, for k = 1, 2, ..., the pairs (k!/(k-n)! * S_k[k-n], m**(k-n)), n = 0..floor(k(m-1)/m).
-
-    C[k][n] = k! * S_k[k-n] / (m**(k-n) * (k-n)!), and (k-n)! always divides
-    k!, so C[k][n] is the first of its pair divided by the second, and the
-    division must be exact.  Along a row, k!/(k-n)! and m**(k-n) are carried
-    from n to n+1 by one small-factor product and one exact division by m.
-    """
-    for k, sums in enumerate(islice(_composition_sums(m), 1, None), 1):
-        cells, falling, power = [], 1, m**k  # k!/(k-n)! and m**(k-n) at n = 0
-        for n in range(row_length(m, k)):
-            cells.append((falling * sums[k - n], power))
-            falling *= k - n
-            power //= m
-        yield cells
-
-
-def _composition_value(m: int, k: int, n: int, cell: tuple[int, int]) -> int:
-    """C[k][n] from its composition-sum pair; NonIntegralCoefficientError unless the division is exact."""
-    value, rem = divmod(*cell)
-    if rem:
-        raise NonIntegralCoefficientError("prefactor does not divide at (m=%d, k=%d, n=%d)" % (m, k, n))
-    return value
-
-
 def coeff_oracle(m: int, k: int, n: int) -> int:
-    """C[k][n] from the composition-sum formula, exactly; walks ``_composition_cells`` to order k."""
+    """C[k][n] from the composition-sum formula, exactly: cell n of the row T_k[k-.] that
+    ``_composition_rows`` steps to order k, every division of the step checked exact."""
     require_degree(m)
     if k < 1:
         raise ParameterError("order k must be >= 1")
     if not 0 <= n <= k * (m - 1) // m:
         raise ParameterError("index n=%d outside 0..%d" % (n, k * (m - 1) // m))
-    return _composition_value(m, k, n, next(islice(_composition_cells(m), k - 1, None))[n])
+    return next(islice(_composition_rows(m), k - 1, None))[n]
 
 
 def _symbolic_rows(m: int):
@@ -136,7 +122,7 @@ def _symbolic_rows(m: int):
             out[n] = c
         if sorted(out) != list(range(row_length(m, k))):
             raise MonomialPatternError("missing term indices at m=%d, k=%d" % (m, k))
-        yield out
+        yield tuple(out[n] for n in range(len(out)))
 
 
 def symbolic_recursion_oracle(m: int, k: int) -> dict[int, int]:
@@ -147,7 +133,7 @@ def symbolic_recursion_oracle(m: int, k: int) -> dict[int, int]:
     require_degree(m)
     if k < 1:
         raise ParameterError("order k must be >= 1")
-    return next(islice(_symbolic_rows(m), k - 1, None))
+    return dict(enumerate(next(islice(_symbolic_rows(m), k - 1, None))))
 
 
 def _hermite_polys():
@@ -174,7 +160,7 @@ def _hermite_rows():
     ``build_coeff_table``.
     """
     for k, poly in _hermite_polys():
-        out: dict[int, int] = {}
+        out = []
         for n in range(k // 2 + 1):
             c = poly[k - 2 * n]
             expected_sign = -1 if n % 2 else 1
@@ -183,8 +169,8 @@ def _hermite_rows():
             magnitude, shift = abs(c), k - n
             if magnitude & ((1 << shift) - 1):
                 raise NonIntegralCoefficientError("Hermite coefficient not divisible at k=%d, n=%d" % (k, n))
-            out[n] = magnitude >> shift
-        yield out
+            out.append(magnitude >> shift)
+        yield tuple(out)
 
 
 def hermite_oracle(k: int) -> dict[int, int]:
@@ -194,7 +180,7 @@ def hermite_oracle(k: int) -> dict[int, int]:
     """
     if k < 1:
         raise ParameterError("order k must be >= 1")
-    return next(islice(_hermite_rows(), k - 1, None))
+    return dict(enumerate(next(islice(_hermite_rows(), k - 1, None))))
 
 
 class OracleReport(Record):
@@ -231,30 +217,25 @@ def certify(table: CoeffTable | CoeffRows) -> OracleReport:
     """Compare every table entry against every applicable oracle.
 
     One walk over the rows k = 1..k_max (a walk holds none) advances the
-    composition-sum, symbolic and (for m = 2) Hermite recursions one order
-    at a time.  A cell is reported at most once, with the value of the first
-    disagreeing oracle in that order.  The composition sum is checked
-    without division, as C[k][n] * m**(k-n) == k!/(k-n)! * S_k[k-n]; only a
-    cell that fails it is divided, to report the oracle's value (or raise
-    ``NonIntegralCoefficientError``).  Discrepancies are data, not errors:
-    fault-injection tests rely on getting a report back.
+    composition-sum, symbolic and (for m = 2) Hermite generators one order
+    at a time; each yields C[k][.] as a tuple after its own checks, and a
+    table row equal to every oracle row is certified as a whole.  Only the
+    cells of a row that differs are read: a cell is reported at most once,
+    with the value of the first disagreeing oracle in that order.
+    Discrepancies are data, not errors: fault-injection tests rely on
+    getting a report back.
     """
     m = table.m
-    walks = [_symbolic_rows(m)]
+    walks = [_composition_rows(m), _symbolic_rows(m)]
     if m == 2:
         walks.append(_hermite_rows())
     discrepancies = []
-    for k, (table_row, cells, *oracle_rows) in enumerate(zip(table, _composition_cells(m), *walks), start=1):
+    for k, (table_row, *oracle_rows) in enumerate(zip(table, *walks), start=1):
+        if all(row == table_row for row in oracle_rows):
+            continue
         for n, value in enumerate(table_row):
-            numerator, power = cells[n]
-            if value * power == numerator:
-                for row in oracle_rows:
-                    if value != row[n]:
-                        expected = row[n]
-                        break
-                else:
-                    continue
-            else:
-                expected = _composition_value(m, k, n, cells[n])
-            discrepancies.append((k, n, format_int(value), format_int(expected)))
+            for row in oracle_rows:
+                if value != row[n]:
+                    discrepancies.append((k, n, format_int(value), format_int(row[n])))
+                    break
     return OracleReport(m=m, k_range=(1, table.k_max), discrepancies=tuple(discrepancies))

@@ -24,6 +24,29 @@ def get_table(m: int, k_max: int):
     return CoeffTable(m=m, k_max=k_max, rows=table.rows[:k_max])
 
 
+def short_tables(m: int, k_max: int) -> list:
+    """Two held tables that claim rows 1..k_max of degree m and are short: one whose
+    rows end at k_max // 2, and one whose row k_max lacks its last cell."""
+    rows = get_table(m, k_max).rows
+    return [
+        CoeffTable(m=m, k_max=k_max, rows=rows[: k_max // 2]),
+        CoeffTable(m=m, k_max=k_max, rows=rows[:-1] + (rows[-1][:-1],)),
+    ]
+
+
+class _RawTable:
+    """Rows handed to a consumer as they are, without the checks a ``CoeffTable`` makes as it is read."""
+
+    def __init__(self, m, rows):
+        self.m, self.k_max, self.rows = m, len(rows), rows
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def row(self, k):
+        return self.rows[k - 1]
+
+
 def held_and_walk(m: int, k_max: int):
     """The same table twice: held as a ``CoeffTable`` and as a ``coeff_rows`` walk."""
     return get_table(m, k_max), coeff_rows(m, k_max)

@@ -30,7 +30,7 @@ from gsmult import precision
 from gsmult._util import format_int
 from gsmult.precision import ParameterError, PrecisionError, iv_endpoints, iv_fixed, iv_prec, to_iv
 
-from conftest import certified_work, get_table, result_bits
+from conftest import certified_work, get_table, result_bits, short_tables
 
 
 def _compact_json(m, k_max, rows):
@@ -259,6 +259,18 @@ class TestDerivPoly:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             derivative_poly(build_coeff_table(2, 4), 5)
+
+    def test_short_held_table_is_refused(self):
+        # an order the rows do not hold, and a row that lacks its last cell, are refused as they are read
+        rows_end, cell_lacks = short_tables(3, 10)
+        with pytest.raises(ParameterError, match="order 7 outside the rows held, 1..5"):
+            derivative_poly(rows_end, 7)
+        with pytest.raises(ParameterError, match="row 10 has length 6, expected 7"):
+            derivative_poly(cell_lacks, 10)
+        assert derivative_poly(cell_lacks, 9).coeffs == get_table(3, 9).row(9)
+        for table in (rows_end, cell_lacks):
+            with pytest.raises(ParameterError):
+                table.validate()
 
     @given(m=st.integers(2, 6), k=st.integers(1, 40))
     def test_exponents_nonnegative_and_degree(self, m, k):

@@ -23,7 +23,7 @@ from gsmult.identities import (
 )
 from gsmult.precision import ParameterError, iv_fixed, iv_prec, to_iv
 
-from conftest import get_table, held_and_walk, traced_peak
+from conftest import _RawTable, get_table, held_and_walk, short_tables, traced_peak
 
 
 def check_both(check, m, k_max, *args):
@@ -86,6 +86,11 @@ class TestCk2Bound:
         with pytest.raises(ValueError):
             check_ck2_bound(build_coeff_table(2, 3))
 
+    @pytest.mark.parametrize("cut", [0, 1], ids=["rows", "cell"])
+    def test_short_held_table_is_refused(self, cut):
+        with pytest.raises(ParameterError):
+            check_ck2_bound(short_tables(3, 10)[cut])
+
 
 class TestRatioBound:
     def test_theta_one_small(self):
@@ -121,6 +126,11 @@ class TestRatioBound:
         table_bytes = traced_peak(lambda: build_coeff_table(4, 300))[1]
         result, peak = traced_peak(lambda: check_ratio_bound(coeff_rows(4, 300), Fraction(1, 2)))
         assert result.passed and peak < table_bytes / 4
+
+    @pytest.mark.parametrize("cut", [0, 1], ids=["rows", "cell"])
+    def test_short_held_table_is_refused(self, cut):
+        with pytest.raises(ParameterError):
+            check_ratio_bound(short_tables(3, 10)[cut], Fraction(1))
 
 
 def reference_ratio_bound(table, theta):
@@ -180,19 +190,6 @@ def _on_the_bound(table, theta, k, n):
     """The largest C[k][n] that keeps the cell (k, n - 1) within the bound: a**q <= b**q * f."""
     p, q = theta.numerator, theta.denominator
     return _iroot(table.row(k)[n - 1] ** q * table.m**q * k ** (table.m * p), q)
-
-
-class _RawTable:
-    """Rows handed to a check as they are, without the length check of a ``CoeffTable``."""
-
-    def __init__(self, m, rows):
-        self.m, self.k_max, self.rows = m, len(rows), rows
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def row(self, k):
-        return self.rows[k - 1]
 
 
 class TestRatioBoundMatchesReference:
@@ -369,6 +366,11 @@ class TestTableBounds:
         rows.k_max = k_max
         with pytest.raises(ParameterError):
             check_table_bounds(2, theta, k_max, table=rows)
+
+    @pytest.mark.parametrize("cut", [0, 1], ids=["rows", "cell"])
+    def test_short_held_table_is_refused(self, cut):
+        with pytest.raises(ParameterError):
+            check_table_bounds(3, 1, 10, table=short_tables(3, 10)[cut])
 
     def test_walk_is_sized_by_the_checks_that_read_it(self):
         # no table given: rows 1..max(k_max, k_{j_max}) are walked, here to k_3 = 18 for m = 3

@@ -1,25 +1,47 @@
 import json
 import tracemalloc
-from itertools import islice, product
-from math import comb, prod
+from collections import deque
+from itertools import count, islice, product
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gsmult import oracle as oracle_module
+from gsmult._util import ParameterError
 from gsmult.derivpoly import CoeffTable, build_coeff_table, coeff_rows, row_length
 from gsmult.oracle import (
     MonomialPatternError,
     NonIntegralCoefficientError,
+    _composition_rows,
     certify,
-    _composition_sums,
     coeff_oracle,
     hermite_oracle,
     symbolic_recursion_oracle,
 )
 
-from conftest import get_table, held_and_walk, traced_peak
+from conftest import _RawTable, get_table, held_and_walk, short_tables, traced_peak
+
+
+def _composition_sums(m: int):
+    """Yield S_k for k = 0, 1, ...: S_k[p] = [y**k] ((1+y)**m - 1)**p, p = 0..k.
+
+    S_k[p] sums prod_l binom(m, k_l) over compositions k = k_1 + ... + k_p
+    with 1 <= k_l <= m; splitting off the last part gives
+    S_k[p] = sum_{j=1..m} binom(m, j) * S_{k-j}[p-1], with S_0 = [1].  The
+    reference that ties the oracle's T_k[p] = C[k][k-p] to the compositions.
+    """
+    binomials = [comb(m, j) for j in range(1, m + 1)]
+    window = deque([[1]], maxlen=m)  # S_{k-1}, S_{k-2}, ..., S_{k-m}
+    yield [1]
+    for k in count(1):
+        row = [0] * (k + 1)
+        for b, prev in zip(binomials, window):
+            for p, s in enumerate(prev):
+                row[p + 1] += b * s
+        window.appendleft(row)
+        yield row
 
 
 class TestCoeffOracle:
@@ -142,6 +164,14 @@ class TestGeneratingFunction:
             ]
             assert sums + [0] == brute
 
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_stepped_rows_are_the_normalized_sums(self, m):
+        # T_k[p] = C[k][k-p] (zero outside the row) times m**p * p! is k! * S_k[p]
+        for k, (row, sums) in enumerate(zip(_composition_rows(m), islice(_composition_sums(m), 1, 61)), 1):
+            for p, s in enumerate(sums):
+                t = row[k - p] if k - p < len(row) else 0
+                assert t * m**p * factorial(p) == factorial(k) * s
+
     def test_top_term_exists_only_up_to_degree(self):
         # the n = k-1 term (exponent m-k) survives exactly when k <= m
         for m in range(2, 7):
@@ -176,17 +206,17 @@ class TestCertify:
         assert int(got) == int(want) + 1
 
     @pytest.mark.parametrize("m", [2, 4])
-    def test_only_a_disagreeing_cell_is_divided(self, monkeypatch, m):
-        # a clean table is checked as C[k][n] * m**(k-n) == k!/(k-n)! * S_k[k-n], with no division;
-        # a corrupted cell is divided once and reported with the oracle's value
-        divided = []
-        real = oracle_module._composition_value
-        monkeypatch.setattr(oracle_module, "_composition_value", lambda *a: divided.append(a[1:3]) or real(*a))
-        assert certify(coeff_rows(m, 60)).certified and divided == []
+    def test_only_a_disagreeing_cell_is_formatted(self, monkeypatch, m):
+        # rows are compared whole: a clean table formats no cell, and a table
+        # with one changed cell formats and reports exactly that cell
+        formatted = []
+        real = oracle_module.format_int
+        monkeypatch.setattr(oracle_module, "format_int", lambda v: formatted.append(v) or real(v))
+        assert certify(coeff_rows(m, 60)).certified and formatted == []
         rows = [list(r) for r in get_table(m, 60).rows]
         rows[49][5] -= 3
         report = certify(CoeffTable(m=m, k_max=60, rows=tuple(map(tuple, rows))))
-        assert divided == [(50, 5)]
+        assert formatted == [rows[49][5], coeff_oracle(m, 50, 5)]
         assert report.discrepancies == ((50, 5, str(rows[49][5]), str(coeff_oracle(m, 50, 5))),)
 
     def test_m4_kmax300_certified(self):
@@ -212,15 +242,17 @@ class TestCertify:
             tracemalloc.stop()
         assert report.certified and peak < 2 * 10**6
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
     def test_walk_matches_point_oracles(self, m):
         # certify's single walk over k must report exactly what the per-order
-        # point oracles give, on a clean table and on one with corrupt cells
+        # point oracles give, on a clean table and on one with corrupt cells;
+        # a changed leading cell is fed unchecked, as a held table refuses it
         table = get_table(m, 40)
         rows = [list(r) for r in table.rows]
         rows[9][1] += 1
+        rows[19][0] += 1
         rows[39][-1] -= 1
-        corrupt = CoeffTable(m=m, k_max=40, rows=tuple(tuple(r) for r in rows))
+        corrupt = _RawTable(m, tuple(tuple(r) for r in rows))
         for t in (table, corrupt):
             expected = []
             for k in range(1, 41):
@@ -233,19 +265,27 @@ class TestCertify:
                             expected.append((k, n, str(value), str(ov)))
                             break
             assert certify(t).discrepancies == tuple(expected)
-        assert len(certify(corrupt).discrepancies) == 2
+        assert len(certify(corrupt).discrepancies) == 3
 
     def test_non_integral_prefactor_is_caught_along_the_row(self, monkeypatch):
-        # the carried k!/(k-n)! and m**(k-n) keep the exact-division check per cell
-        real = oracle_module._composition_sums
+        # T_7[6] = C[7][1] moved by one as it enters the window: in T_8[7] = C[8][1]
+        # it adds binom(3, 1) * 8 = 24 to the sum, which m*p = 21 does not divide
+        class Window(deque):
+            steps = 0
 
-        def perturbed(m):
-            for k, sums in enumerate(real(m)):
-                yield [s + 1 for s in sums] if k == 7 else sums
+            def appendleft(self, row):
+                Window.steps += 1
+                super().appendleft(row[:1] + (row[1] + 1,) + row[2:] if Window.steps == 7 else row)
 
-        monkeypatch.setattr(oracle_module, "_composition_sums", perturbed)
-        with pytest.raises(NonIntegralCoefficientError):
+        monkeypatch.setattr(oracle_module, "deque", Window)
+        with pytest.raises(NonIntegralCoefficientError, match=r"m=3, k=8, n=1\)"):
             certify(get_table(3, 10))
+
+    @pytest.mark.parametrize("cut", [0, 1], ids=["rows", "cell"])
+    def test_short_held_table_is_refused(self, cut):
+        # a held table whose rows end before k_max, or whose last row lacks a cell, is never certified
+        with pytest.raises(ParameterError):
+            certify(short_tables(3, 10)[cut])
 
     def test_json_shape(self):
         report = certify(build_coeff_table(2, 5))

@@ -232,11 +232,12 @@ class TestCriterionCheck:
         assert float(result.extremal_ratio) > kj_sequence(m, 30).k(30)
 
     def test_corrupted_table_fails_at_rational_theta(self):
-        # row k_4 scaled by 10**100 lifts Delta(4) by about 230, above Delta(5)
+        # the cells of row k_4 past its leading 1 scaled by 10**100 lift Delta(4) above Delta(5)
         seq = kj_sequence(3, 10)
         table = get_table(3, seq.k(10))
         rows = list(table.rows)
-        rows[seq.k(4) - 1] = tuple(c * 10**100 for c in rows[seq.k(4) - 1])
+        row = rows[seq.k(4) - 1]
+        rows[seq.k(4) - 1] = row[:1] + tuple(c * 10**100 for c in row[1:])
         result = criterion_check(3, Fraction(3, 2), 2, 10, table=CoeffTable(m=3, k_max=table.k_max, rows=tuple(rows)))
         assert not result.passed
         assert [w[:2] for w in result.witnesses] == [("not-increasing", 5)]
@@ -272,3 +273,8 @@ class TestCriterionCheck:
             criterion_check(3, 1, 1, 6, table=get_table(4, 100))
         with pytest.raises(ValueError):
             criterion_check(3, 1, 1, 6, table=get_table(3, kj_sequence(3, 6).k(6) - 1))
+
+    def test_short_held_table_is_refused(self):
+        # a table that claims rows 1..20 and holds 8 is refused, though k_3 = 18 is within its k_max
+        with pytest.raises(ParameterError):
+            criterion_check(3, 2, 1, 3, table=CoeffTable(m=3, k_max=20, rows=get_table(3, 8).rows))

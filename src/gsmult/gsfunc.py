@@ -26,21 +26,23 @@ partition sum of the chain rule.  It runs in fixed point on Python ints: an
 enclosure is [lo, hi] * 2**e, and each order is one exact dot product of
 the nonzero terms followed by a single outward rounding (floor on the lower
 end, ceiling on the upper), where mpmath interval operators would round
-each of the 2(j+1) multiplies and adds.  Only <x>**t and exp(-<x>**t) come
-from mpmath.  The engine only encloses, at the working precision it is
-handed; ``precision.certified_values`` makes each value correctly rounded at
-the result precision, and makes the enclosures again while one rounds
-apart.  Everything here runs at ``precision.RESULT_BITS``, read when it is
-called; no function here takes a precision.
+each of the 2(j+1) multiplies and adds.  The recursion is linear in a_0:
+started at a_0 = 1 it gives a_k = f^(k)/(k! * f(x)), which is all the bound
+sweep reads; ``gs_derivative_series`` starts it at the enclosure of f(x)
+and scales a_j by j!.  Only <x>**t, exp(-<x>**t) for the derivatives and
+the logs of the a_k come from mpmath.  The engine only encloses, at the
+working precision it is handed; ``precision.certified_values`` makes each
+value correctly rounded at the result precision, and makes the enclosures
+again while one rounds apart.  Everything here runs at
+``precision.RESULT_BITS``, read when it is called; no function here takes a
+precision.
 
 ``verify_gs_bound`` needs only each order's grid maximum of
-lr = ln|f^(k)/f| - ln k! - k*tau*ln<x>.  It certifies f(x) at each point and
-screens every (x, k) in floats from the enclosures the engine made for it
-(``_OrderScreen``, whose slack of 2**-40 per unit of the terms' magnitudes
-covers the float error and that of the result precision), then certifies and
-evaluates at the result precision only the cells that can still be their
-order's maximum: about |grid| + k_max certified values instead of
-|grid| * (k_max + 1), and the same maxima.
+lr = ln|f^(k)/f| - ln k! - k*tau*ln<x> = ln|a_k| - k*tau*ln<x>.  It screens
+every (x, k) in floats (``_OrderScreen``), then certifies ln|a_k| only on the
+cells that can still be their order's maximum: about k_max certified values
+instead of |grid| * k_max, with the same maxima.  No f(x) is enclosed, so it
+runs where f(x) is too small for any interval, as at theta = 1/1000.
 
 Seminorm estimators are truncated suprema over finitely many derivative
 orders, power orders and grid points: the truncation makes them *lower*
@@ -148,7 +150,7 @@ def verify_bracket_bound(t, k_max: int, grid: Sequence | None = None) -> CheckRe
     """
     tf = Fraction(t)
     grid = uniform_grid(Fraction(-10), Fraction(10), 81) if grid is None else tuple(grid)
-    max_ratio = None
+    max_log = None
     with mp.workprec(precision.RESULT_BITS):
         log_fact, log_8 = _log_factorials(k_max), mp.log(8)
         for x in grid:
@@ -158,9 +160,9 @@ def verify_bracket_bound(t, k_max: int, grid: Sequence | None = None) -> CheckRe
                 if r_k == 0:
                     continue
                 log_ratio = mp.log(to_mpf(abs(r_k))) + k * log_base / 2 - k * log_8 - log_fact[k]
-                ratio = mp.exp(log_ratio)
-                if max_ratio is None or ratio > max_ratio:
-                    max_ratio = ratio
+                if max_log is None or log_ratio > max_log:
+                    max_log = log_ratio
+        max_ratio = None if max_log is None else mp.exp(max_log)
     params = {"t": format_fraction(tf), "k_max": k_max, "grid_points": len(grid)}
     return _result("bracket-derivative-bound", params, [], max_ratio)
 
@@ -212,13 +214,10 @@ def _taylor_kernel(c, a_0, k_max: int, prec: int):
     return a
 
 
-def _gs_series(theta, k_max: int, x):
-    """The enclosure producer of ``gs_derivative_series``: ``series(work)`` yields
-    (lo, hi, e) with f^(j) in [lo, hi] * 2**e for j = 0..k_max, made at the
-    working precision ``work`` and trimmed outward to it, so neither end has more
-    than work + 1 bits; (0, 0, 0) for an exact zero.  All its
-    interval arithmetic comes before the first enclosure; after it the
-    generator runs on ints alone (``verify_gs_bound`` relies on this)."""
+def _taylor_terms(theta, k_max: int, x):
+    """The setup both producers share: ``terms(work)`` returns the interval <x>**t
+    (t = 1/theta) and the enclosures c_i = -<x>**t * r_{i+1}/i!, i < k_max, at the
+    working precision ``work`` (None for an exact zero)."""
     theta = Fraction(theta)
     if theta <= 0:
         raise ParameterError("theta must be positive")
@@ -231,13 +230,33 @@ def _gs_series(theta, k_max: int, x):
         den *= d * (i or 1)
         scaled.append((nums[i + 1], den))
 
+    def terms(work):
+        bracket_pow = iv.exp(to_iv(t / 2) * iv.log(to_iv(1 + xf * xf)))
+        fixed = iv_fixed(bracket_pow)
+        return bracket_pow, [fixed_scaled(fixed, -n, den, work) for n, den in scaled]
+
+    return terms
+
+
+def _taylor_ratios(theta, k_max: int, x):
+    """``ratios(work)``: enclosures of a_k = f^(k)/(k! * f(x)), k = 0..k_max, from the
+    kernel started at the exact a_0 = 1, as the recursion is linear in a_0."""
+    terms = _taylor_terms(theta, k_max, x)
+    return lambda work: _taylor_kernel(terms(work)[1], (1, 1, 0, 1), k_max, work)
+
+
+def _gs_series(theta, k_max: int, x):
+    """The enclosure producer of ``gs_derivative_series``: ``series(work)`` yields
+    (lo, hi, e) with f^(j) in [lo, hi] * 2**e, j = 0..k_max, trimmed outward to the
+    working precision ``work`` ((0, 0, 0) for an exact zero): the kernel started
+    at the enclosure of f(x) = exp(-<x>**t), each a_j times j!."""
+    terms = _taylor_terms(theta, k_max, x)
+
     def series(work):
-        bracket_pow = iv.exp(to_iv(t / 2) * iv.log(to_iv(1 + xf * xf)))  # <x>**t
-        a_0 = iv_fixed(iv.exp(-bracket_pow))
-        bracket_pow = iv_fixed(bracket_pow)
-        c = [fixed_scaled(bracket_pow, -n, den, work) for n, den in scaled]  # c_i = -<x>**t * r_{i+1}/i!
+        bracket_pow, c = terms(work)
+        a_0 = fixed_outward(*iv_fixed(iv.exp(-bracket_pow)), work)
         fact = 1
-        for j, a_j in enumerate(_taylor_kernel(c, fixed_outward(*a_0, work), k_max, work)):
+        for j, a_j in enumerate(_taylor_kernel(c, a_0, k_max, work)):
             fact *= j or 1
             f_j = a_j and fixed_outward(a_j[0] * fact, a_j[1] * fact, a_j[2], work)  # a_j * j!, trimmed outward
             yield f_j[:3] if f_j else (0, 0, 0)
@@ -248,19 +267,13 @@ def _gs_series(theta, k_max: int, x):
 def gs_derivative_series(theta, k_max: int, x):
     """Certified values of d^k/dx^k exp(-<x>**(1/theta)) for k = 0..k_max.
 
-    x must be rational (int, float or Fraction); the result precision is
-    ``precision.RESULT_BITS``.  At the working precision ``work`` that
-    ``precision.certified_values`` hands it, mpmath encloses <x>**t
-    (t = 1/theta) and exp(-<x>**t) once; everything after runs
-    on ints, an enclosure being [lo, hi] * 2**e kept to ``work`` bits.
-    c_i = -<x>**t * r_{i+1}/i! comes from the exact bracket ratios r_i by one
-    floor and one ceiling division, and each order of the Taylor recursion
-    costs one exact dot product and one outward rounding (``_taylor_kernel``);
-    exact zeros (c_i for i >= 2 at theta = 1/2, the odd orders at x = 0) are
-    skipped and stay exact.  Each returned value, f^(j) = a_j * j!, is
-    correctly rounded at the result precision (exact zeros are returned as
-    exact), the work doubling while its enclosure rounds apart;
-    PrecisionError otherwise.
+    x must be rational (int, float or Fraction).  At the working precision that
+    ``precision.certified_values`` hands it, mpmath encloses <x>**t (t = 1/theta)
+    and exp(-<x>**t) once, and the Taylor recursion runs on ints; exact zeros
+    (c_i for i >= 2 at theta = 1/2, the odd orders at x = 0) are skipped and
+    stay exact.  Each returned value, f^(j) = a_j * j!, is correctly rounded
+    at ``precision.RESULT_BITS`` (exact zeros are returned as exact), the work
+    doubling while its enclosure rounds apart; PrecisionError otherwise.
     """
     return precision.certified_values(_gs_series(theta, k_max, x))
 
@@ -273,18 +286,18 @@ class _OrderScreen:
     """Per order k, the cells that can hold the order's largest lr.
 
     A cell is offered with float estimates lo <= hi of its lr, each summed in
-    round-to-nearest doubles from five terms (``_screen_point``), and with
+    round-to-nearest doubles from three terms (``_screen_point``), and with
     ``size``, the sum of the magnitudes of those terms plus 2.  Each term, a
-    ``math.log`` of a positive int, an int times ln 2, a float read off a
-    result-precision mpf or k times a product of two such floats, is within
-    2**-50 * (|term| + 1) of its exact value, and the four additions add at
-    most 2**-51 times the sum of the magnitudes: a float estimate is within
-    2**-48 * size of the exact value at its end of the enclosures.  The lr
+    ``math.log`` of a positive int, an int times ln 2, or k times the product
+    of tau and a float read off a result-precision mpf, is within
+    2**-50 * (|term| + 1) of its exact value, and the two additions add at
+    most 2**-52 times the sum of the magnitudes: a float estimate is within
+    2**-49 * size of the exact value at its end of the enclosure.  The lr
     that ``verify_gs_bound`` evaluates at the result precision, p bits, is
-    within (k + 8) * 2**(2-p) * size of the exact lr.  For p >= 96 and
-    k < 2**40 the two errors together stay below 2**-47 * size, so lo and
+    within (k*tau + 8) * 2**(2-p) * size of the exact lr.  For p >= 96 and
+    k*tau < 2**40 the two errors together stay below 2**-48 * size, so lo and
     hi widened by ``_SCREEN_SLACK * size`` = 2**-40 * size bound both the
-    exact lr and the evaluated one, with a factor of 2**7 to spare.
+    exact lr and the evaluated one, with a factor of 2**8 to spare.
 
     A cell is kept while its upper bound reaches the order's best lower
     bound, and dropped once a better lower bound passes it: a dropped cell's
@@ -306,61 +319,50 @@ class _OrderScreen:
             self.kept[k].append((hi, cell))
 
 
-def _magnitude_logs(lo: int, hi: int) -> tuple[float, float]:
-    """Float ln of the least and the largest |v| over v in [lo, hi] (not the exact zero);
-    the least is -inf where the interval reaches zero."""
+def _magnitude(lo: int, hi: int) -> list[int]:
+    """The least and the largest |v| over v in [lo, hi]."""
     if lo > 0:
-        return math.log(lo), math.log(hi)
+        return [lo, hi]
     if hi < 0:
-        return math.log(-hi), math.log(-lo)
-    return -math.inf, math.log(max(-lo, hi))
+        return [-hi, -lo]
+    return [0, max(-lo, hi)]
 
 
-def _screen_point(screen: _OrderScreen, series, log_fact, tau_log_bracket: float, point: int):
-    """Certify f(x) through ``precision.certified_values`` and offer every nonzero (x, k),
-    k >= 1, to the screen from the enclosures the attempt that certified f(x) made.
-    Returns f(x) and that attempt's work.
+def _screen_point(screen: _OrderScreen, point: int, ratios, tau_log_bracket: float) -> None:
+    """Offer every nonzero (x, k), k >= 1, to the screen from the enclosures ``ratios`` of a_k.
 
-    The engine does all its interval work before it yields f(x), so the other
-    orders are read from the same attempt one at a time after it, and no list
-    of every order's enclosure is held.  lr = ln|f^(k)/f| - ln k! - k*tau*ln<x>
-    is summed in floats from the logs of the enclosures' ints, their exponent
-    difference times ln 2, the floats ``log_fact[k]`` = ln k! and k times
-    ``tau_log_bracket`` = tau*ln<x>."""
-    made = []
-
-    def enclose(work):
-        enclosures = series(work)
-        f_enc = next(enclosures)
-        made[:] = [work, f_enc, enclosures]
-        yield f_enc
-
-    (f_x,) = precision.certified_values(enclose)
-    work, (f_lo, f_hi, f_e), enclosures = made
-    ln_f_lo, ln_f_hi = _magnitude_logs(f_lo, f_hi)
-    for k, (lo, hi, e) in enumerate(enclosures, 1):
-        if not (lo or hi):
+    lr = ln|a_k| - k*tau*ln<x> is summed in floats from the logs of an
+    enclosure's ints, its exponent times ln 2 and k times ``tau_log_bracket``
+    = tau*ln<x>; an enclosure that reaches zero has no lower bound."""
+    for k, a_k in enumerate(ratios[1:], 1):
+        if a_k is None:
             continue
-        ln_lo, ln_hi = _magnitude_logs(lo, hi)
-        shift = (e - f_e) * _LN2
-        rest = k * tau_log_bracket
-        base = shift - log_fact[k] - rest
-        size = ln_hi + ln_f_hi + abs(shift) + log_fact[k] + abs(rest) + 2
-        screen.offer(k, ln_lo - ln_f_hi + base, ln_hi - ln_f_lo + base, size, (point, k, (lo, hi, e)))
-    return f_x, work
+        m_lo, m_hi = _magnitude(a_k[0], a_k[1])
+        ln_lo = math.log(m_lo) if m_lo else -math.inf
+        ln_hi = math.log(m_hi)
+        shift, rest = a_k[2] * _LN2, k * tau_log_bracket
+        size = ln_hi + abs(shift) + abs(rest) + 2
+        screen.offer(k, ln_lo + shift - rest, ln_hi + shift - rest, size, (point, k, a_k))
 
 
-def _kept_values(theta, x, cells, made_at: int):
-    """Certified f^(k)(x) of the kept cells (k, enclosure), ascending in k: the enclosures
-    from the screen serve every attempt at most as precise as the one that made them, the
-    engine up to the largest kept order the others."""
+def _kept_logs(theta, x, cells, made_at: int):
+    """Certified 1 + ln|a_k| of the kept cells (k, enclosure of a_k), ascending in k.
+
+    ln|a_k| is 0 where |a_k| = 1 (a_1 = -2x at theta = 1/2, x = 1/2), and an
+    inexact enclosure of 0 rounds apart at every precision; ln(e * |a_k|) is
+    never 0, as a_k is algebraic, nor a tie, as the log of an algebraic number
+    other than 1 is transcendental.  The screen's enclosures serve the attempt
+    at their work; a later one runs the kernel again to the largest kept order."""
     orders = [k for k, _ in cells]
 
     def enclose(work):
-        if work <= made_at:
-            return [enc for _, enc in cells]
-        series = list(_gs_series(theta, orders[-1], x)(work))
-        return [series[k] for k in orders]
+        if work == made_at:
+            ratios = [a_k for _, a_k in cells]
+        else:
+            series = _taylor_ratios(theta, orders[-1], x)(work)
+            ratios = [series[k] for k in orders]
+        for lo, hi, e, _ in ratios:
+            yield iv_fixed(1 + iv.log(iv.ldexp(iv.mpf(_magnitude(lo, hi)), e)))
 
     return precision.certified_values(enclose)
 
@@ -377,18 +379,18 @@ def verify_gs_bound(
     power.  The check asserts C_emp stays bounded: the least-squares slope
     of log C_emp against k over the top half of the orders must not exceed
     ``slope_tol`` (a float or a Fraction, compared as an mpf at the result
-    precision).  Everything, the derivatives included, is computed at
-    ``precision.RESULT_BITS``: the printed slope and C_emp keep 10 digits, so
-    a higher precision changes no printed byte.
+    precision).  Everything is computed at ``precision.RESULT_BITS``: the
+    printed slope and C_emp keep 10 digits, so a higher precision changes no
+    printed byte.
 
-    The maximum of lr = ln|f^(k)/f| - ln k! - k*tau*ln<x> per order comes in
-    two passes.  The first certifies f(x) at each grid point and screens every
-    (x, k) in floats from the enclosures the engine made for it
-    (``_OrderScreen``, whose slack covers the float and the result-precision
-    error).  The second certifies f^(k)(x) and evaluates lr at the result
-    precision only on the cells that can still be their order's maximum: the
-    same maxima as over every cell, from about |grid| + k_max certified
-    values instead of |grid| * (k_max + 1).
+    The log of the normalized ratio is lr = ln|a_k| - k*tau*ln<x>, with
+    a_k = f^(k)/(k! * f(x)) from the kernel started at a_0 = 1, and its maximum
+    per order comes in two passes.  The first screens every (x, k) in floats
+    from the enclosures of a_k at the work where certifying starts
+    (``precision._first_attempt``, ``_OrderScreen``).  The second certifies
+    1 + ln|a_k| and evaluates lr at the result precision only on the cells
+    that can still be their order's maximum (``_kept_logs``): the same maxima
+    as over every cell, from about k_max certified values.
 
     Calibration constraint: a bounded C_emp with an algebraic prefactor
     approaches its limit like k**(-a/k), whose log-slope transient is about
@@ -404,28 +406,24 @@ def verify_gs_bound(
     grid = _default_grid(theta, k_max) if grid is None else tuple(grid)
     tau = max(1 / theta - 1, Fraction(0))
     screen = _OrderScreen(k_max)
-    points = []  # (x, f(x), ln<x>, work of its enclosures) per grid point
+    points = []  # (x, ln<x>) per grid point
     best_log = [None] * (k_max + 1)
     with mp.workprec(precision.RESULT_BITS):
-        tau_mpf = to_mpf(tau)
-        log_fact = _log_factorials(k_max)
-        log_fact_float, tau_float = [float(v) for v in log_fact], float(tau)
-        k_tau = [k * tau_mpf for k in range(k_max + 1)]
+        tau_mpf, tau_float = to_mpf(tau), float(tau)
         for point, x in enumerate(grid):
             xf = Fraction(x)
             log_bracket = mp.log(to_mpf(1 + xf * xf)) / 2
-            f_x, made_at = _screen_point(
-                screen, _gs_series(theta, k_max, xf), log_fact_float, tau_float * float(log_bracket), point
-            )
-            points.append((xf, f_x, log_bracket, made_at))
+            made_at, ratios = precision._first_attempt(_taylor_ratios(theta, k_max, xf))  # the same work at every point
+            _screen_point(screen, point, ratios, tau_float * float(log_bracket))
+            points.append((xf, log_bracket))
         kept = {}  # grid point: [(k, enclosure)], ascending in k
         for cells in screen.kept:
-            for _, (point, k, enc) in cells:
-                kept.setdefault(point, []).append((k, enc))
+            for _, (point, k, a_k) in cells:
+                kept.setdefault(point, []).append((k, a_k))
         for point, cells in sorted(kept.items()):
-            xf, f_x, log_bracket, made_at = points[point]
-            for (k, _), value in zip(cells, _kept_values(theta, xf, cells, made_at)):
-                lr = mp.log(abs(value / f_x)) - log_fact[k] - k_tau[k] * log_bracket
+            xf, log_bracket = points[point]
+            for (k, _), value in zip(cells, _kept_logs(theta, xf, cells, made_at)):
+                lr = value - 1 - k * tau_mpf * log_bracket
                 if best_log[k] is None or lr > best_log[k]:
                     best_log[k] = lr
         orders = [k for k in range(1, k_max + 1) if best_log[k] is not None]

@@ -24,7 +24,10 @@ way a certified value is made: a producer only encloses, yielding
 yielded, under ``escalate``, which starts the work ``GUARD_BITS`` above the
 result precision and doubles it while an enclosure rounds apart: Ziv's
 strategy.  ``certified_values`` and ``escalate`` are thus where the
-precision each certified value used is seen.
+precision each certified value used is seen.  ``_first_attempt`` runs a
+producer once at the work where ``certified_values`` starts (``_start_work``
+states it for both), for a caller that screens with the enclosures before
+it certifies any.
 
 An enclosure is read in one way only: ``iv_fixed`` reads an interval
 exactly as ints [lo, hi] * 2**e.  ``fixed_rounded`` gives the value both
@@ -187,13 +190,19 @@ def certified_midpoint(x, bits: int, rel_error_bits: int = 64):
     return mp.make_mpf(from_man_exp(lo + hi, e - 1, bits, round_nearest))
 
 
+def _start_work(bits: int) -> int:
+    """The work of the first attempt at a result precision of ``bits``."""
+    return bits + GUARD_BITS
+
+
 def escalate(compute, bits: int):
     """``compute(work)`` for a result precision of ``bits``: ``work`` starts at
-    bits + GUARD_BITS and doubles on PrecisionError up to 16 times the start.
+    ``_start_work(bits)`` = bits + GUARD_BITS and doubles on PrecisionError up to
+    16 times the start.
 
     An exact enclosure (width 0) and the error at the cap re-raise as they are.
     """
-    start = bits + GUARD_BITS
+    start = _start_work(bits)
     for step in range(5):
         try:
             return compute(start << step)
@@ -218,6 +227,15 @@ def certified_values(enclose):
             return [fixed_rounded(*enc, bits) for enc in enclose(work)]
 
     return escalate(compute, bits)
+
+
+def _first_attempt(enclose):
+    """(work, enclose(work)) at the work where ``certified_values`` makes its first
+    attempt, with the interval context at it.  Nothing is certified: a caller screens
+    with these enclosures, and may hand them back to the first attempt."""
+    work = _start_work(RESULT_BITS)
+    with iv_prec(work):
+        return work, enclose(work)
 
 
 def half_log_of_int(n: int):

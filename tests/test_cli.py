@@ -493,6 +493,7 @@ def _precisions(monkeypatch):
         "gs bound --theta 2 --kmax 12 --slope-tol 1e-2",
         "gs bound --theta 1/60 --kmax 10",
         "gs bound --theta 1/100 --kmax 10",
+        "gs bound --theta 1/1000 --kmax 60",
         "gs seminorm --kind h --h 1/2 --theta 1 --s 1 --kmax 8 --csv h.csv",
         "gs seminorm --kind a --a 1/2 --theta 1 --s 1 --f gaussian --kmax 12 --grid 16:8 --csv a.csv",
         "probe run --m 3 --theta 2 --nu 2 --kmax 40 --csv p3.csv",
@@ -501,8 +502,8 @@ def _precisions(monkeypatch):
         "probe criterion --m 4 --theta 1 --s 1 --jmax 10",
         "probe criterion --m 3 --theta 3/2 --s 2 --jmax 10",
     ],
-    ids=["bound-t1_2", "bound-t2", "bound-t1_60", "bound-t1_100", "seminorm-h", "seminorm-a-gauss", "probe-m3-t2",
-         "probe-m2-t1-neg", "probe-m3-t3_2", "criterion-m4", "criterion-m3-t3_2"],
+    ids=["bound-t1_2", "bound-t2", "bound-t1_60", "bound-t1_100", "bound-t1_1000", "seminorm-h", "seminorm-a-gauss",
+         "probe-m3-t2", "probe-m2-t1-neg", "probe-m3-t3_2", "criterion-m4", "criterion-m3-t3_2"],
 )
 def test_a_higher_precision_changes_no_byte(tmp_path, monkeypatch, capsys, argv):
     seen = _precisions(monkeypatch)
@@ -526,11 +527,18 @@ def test_a_higher_precision_changes_no_byte(tmp_path, monkeypatch, capsys, argv)
 
 @pytest.mark.parametrize(
     "theta, extremal",
-    [("1/50", "49.93761694"), ("1/60", "59.92514033"), ("1/70", "69.91266372"), ("1/100", "99.87523389")],
+    [
+        ("1/50", "49.93761694"),
+        ("1/60", "59.92514033"),
+        ("1/70", "69.91266372"),
+        ("1/100", "99.87523389"),
+        ("1/1000", "998.7523389"),
+    ],
 )
 def test_small_theta_bound_reads_each_order_against_f(capsys, theta, extremal):
-    # ln f(x) is about -10**60 at x = 10 and theta = 1/60: the ratio f^(k)/f is taken before its
-    # log, whose 192 bits would otherwise lose the whole ratio in ln|f^(k)| - ln f
+    # ln f(x) is about -10**60 at x = 10 and theta = 1/60, and f(20) is about 10**(-10**1301) at
+    # theta = 1/1000.  The log of f^(k)/f is certified directly, from the Taylor recursion started
+    # at 1 in place of f(x), so f(x) is never enclosed and ln|f^(k)| - ln f loses no bit
     assert run(["gs", "bound", "--theta", theta, "--kmax", "10"]) == 0
     assert capsys.readouterr().out.split() == ["gs-derivative-bound", "PASS", "extremal=" + extremal]
 

@@ -379,22 +379,28 @@ class TestTaylorKernel:
 
 def all_cells_gs_bound(theta, k_max, grid=None, slope_tol=1e-3):
     """``verify_gs_bound`` evaluated on every certified cell, without a screen: the
-    reference for the screened sweep."""
+    reference for the screened sweep.  Each nonzero (x, k) certifies 1 + ln|a_k|,
+    a_k = f^(k)/(k! * f(x)), from the kernel's enclosure of a_k by iv operators."""
     theta = Fraction(theta)
     grid = gsfunc._default_grid(theta, k_max) if grid is None else tuple(grid)
     tau = max(1 / theta - 1, Fraction(0))
     best_log = [None] * (k_max + 1)
     with mp.workprec(RESULT_BITS):
-        log_fact = gsfunc._log_factorials(k_max)
-        k_tau = [k * to_mpf(tau) for k in range(k_max + 1)]
+        tau_mpf = to_mpf(tau)
         for x in grid:
-            series = gs_derivative_series(theta, k_max, x)
+            ratios = gsfunc._taylor_ratios(theta, k_max, x)
+            orders = [k for k, a_k in enumerate(precision._first_attempt(ratios)[1]) if k and a_k is not None]
+
+            def enclose(work):
+                series = ratios(work)
+                for k in orders:
+                    lo, hi, e, _ = series[k]
+                    yield iv_fixed(1 + iv.log(abs(iv.ldexp(iv.mpf([lo, hi]), e))))
+
             xf = Fraction(x)
             log_bracket = mp.log(to_mpf(1 + xf * xf)) / 2
-            for k in range(1, k_max + 1):
-                if series[k] == 0:
-                    continue
-                lr = mp.log(abs(series[k] / series[0])) - log_fact[k] - k_tau[k] * log_bracket
+            for k, value in zip(orders, precision.certified_values(enclose)):
+                lr = value - 1 - k * tau_mpf * log_bracket
                 if best_log[k] is None or lr > best_log[k]:
                     best_log[k] = lr
         orders = [k for k in range(1, k_max + 1) if best_log[k] is not None]
@@ -404,6 +410,19 @@ def all_cells_gs_bound(theta, k_max, grid=None, slope_tol=1e-3):
         c_max = mp.exp(max(log_c_emp.values()))
         within = slope <= to_mpf(slope_tol)
     return within, format_mpf(slope, 10), c_max
+
+
+def _count_certified(monkeypatch):
+    """The list of the arguments of every ``fixed_rounded`` call from now on: one per certified value."""
+    calls = []
+    fixed_rounded = precision.fixed_rounded
+
+    def counting(*args):
+        calls.append(args)
+        return fixed_rounded(*args)
+
+    monkeypatch.setattr(precision, "fixed_rounded", counting)
+    return calls
 
 
 class TestGsBoundScreen:
@@ -417,12 +436,14 @@ class TestGsBoundScreen:
             # +-x tie exactly, and the odd orders at 0 are exact zeros
             (Fraction(1), 12, (Fraction(-5), Fraction(-2), Fraction(-1, 2), 0, Fraction(1, 2), 2, 5)),
             (Fraction(1, 2), 16, (-3, Fraction(-1, 3), 0, Fraction(1, 3), 3)),
-            # the enclosures of f need more than the starting precision here
+            # f(x) is as small as exp(-10**60) here
             (Fraction(1, 60), 10, None),
-            # the kept high orders at 25 need more than it, f(25) does not
+            # the kept high orders at 25 need more than the starting precision
             (Fraction(1, 2), 400, (25,)),
+            # f(20) = exp(-<20>**1000) is about 10**(-10**1301), which no interval at the cap encloses
+            (Fraction(1, 1000), 10, None),
         ],
-        ids=["t1_2", "t1", "t2", "t2_3", "t1-pm-grid", "t1_2-pm-grid", "t1_60", "t1_2-k400-at-25"],
+        ids=["t1_2", "t1", "t2", "t2_3", "t1-pm-grid", "t1_2-pm-grid", "t1_60", "t1_2-k400-at-25", "t1_1000"],
     )
     def test_matches_the_sweep_over_every_cell(self, theta, k_max, grid):
         within, slope_text, c_max = all_cells_gs_bound(theta, k_max, grid)
@@ -433,17 +454,9 @@ class TestGsBoundScreen:
         assert result.extremal_ratio == c_max
 
     def test_certifies_about_one_value_per_point_and_one_per_order(self, monkeypatch):
-        calls = []
-        fixed_rounded = precision.fixed_rounded
-
-        def counting(*args):
-            calls.append(args)
-            return fixed_rounded(*args)
-
-        monkeypatch.setattr(precision, "fixed_rounded", counting)
-        grid_points = len(gsfunc._default_grid(Fraction(1, 2), 60))
+        calls = _count_certified(monkeypatch)
         verify_gs_bound(Fraction(1, 2), 60)
-        assert len(calls) <= grid_points + 2 * 60  # every cell would be 26 * 61
+        assert len(calls) <= 2 * 60  # no f(x) is certified; every cell would be 26 * 60
 
     def test_keeps_cells_within_the_slack_and_drops_those_below_it(self):
         size = 10.0
@@ -466,6 +479,51 @@ class TestGsBoundScreen:
 
 
 class TestGsBound:
+    def test_certifies_every_order_where_the_ratio_is_a_tie(self, monkeypatch):
+        # at theta = 1/2, f^(k)/f = (-1)**k * H_k(x), and H_47(25/4) is an odd 193-bit integer over
+        # 2**47: exactly halfway between two 192-bit floats, so no enclosure of the ratio rounds to
+        # one value.  Its log is transcendental; with one grid point every order is kept
+        x = Fraction(25, 4)
+        hermite = [Fraction(1), 2 * x]
+        for k in range(2, 48):
+            hermite.append(2 * x * hermite[k - 1] - 2 * (k - 1) * hermite[k - 2])
+        assert hermite[47].denominator == 2**47
+        assert hermite[47].numerator % 2 and hermite[47].numerator.bit_length() == 193
+        ratios = gsfunc._taylor_ratios(Fraction(1, 2), 47, x)
+
+        def ratio(work):
+            lo, hi, e, _ = ratios(work)[47]
+            yield lo * math.factorial(47), hi * math.factorial(47), e
+
+        with pytest.raises(PrecisionError):
+            precision.certified_values(ratio)
+        calls = _count_certified(monkeypatch)
+        result = verify_gs_bound(Fraction(1, 2), 47, grid=(x,))
+        assert len(calls) == 47
+        assert result.extremal_ratio == all_cells_gs_bound(Fraction(1, 2), 47, (x,))[2]
+
+    def test_a_coefficient_of_modulus_one_is_certified(self):
+        # at theta = 1/2, a_1 = f'/f = -2x is -1 at x = 1/2: ln|a_1| = 0, which an enclosure that is
+        # not exact never rounds to.  The extremal is |a_1| / <1/2>
+        result = verify_gs_bound(Fraction(1, 2), 4, grid=(Fraction(1, 2),), slope_tol=1)
+        with mp.workprec(RESULT_BITS):
+            assert abs(result.extremal_ratio - 2 / mp.sqrt(5)) < mp.mpf(2) ** -180
+
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(2, 3)])
+    def test_ratios_are_the_derivatives_over_k_factorial_and_f(self, theta):
+        # the kernel started at a_0 = 1 gives f^(k)/(k! * f(x)), sign included
+        for x in (Fraction(0), Fraction(3, 4), Fraction(-3), Fraction(5)):
+            _, ratios = precision._first_attempt(gsfunc._taylor_ratios(theta, 30, x))
+            series = gs_derivative_series(theta, 30, x)
+            with mp.workprec(RESULT_BITS):
+                for k, (a_k, f_k) in enumerate(zip(ratios, series)):
+                    if a_k is None:
+                        assert f_k == 0, (theta, x, k)
+                        continue
+                    ref = f_k / (mp.factorial(k) * series[0])
+                    mid = mp.ldexp(mp.mpf(a_k[0] + a_k[1]), a_k[2] - 1)
+                    assert abs(mid - ref) <= abs(ref) * mp.mpf(2) ** -150, (theta, x, k)
+
     def test_theta_half_passes_default_tolerance(self):
         result = verify_gs_bound(Fraction(1, 2), 30)
         assert result.passed

@@ -137,6 +137,18 @@ class TestCertifiedValues:
             certified_values(lambda work: enclose(0))  # rounds apart at every precision
         assert [prec for _, prec in seen] == [self.START << step for step in range(5)] and iv.prec == before
 
+    def test_first_attempt_makes_the_first_attempts_enclosures_and_certifies_none(self):
+        before, seen = iv.prec, []
+
+        def enclose(work):
+            seen.append((work, iv.prec))
+            return [(1, 2, 0)]  # rounds apart at every precision
+
+        with result_bits(64):
+            assert precision._first_attempt(enclose) == (self.START, [(1, 2, 0)])
+            assert certified_values(lambda work: enclose(work)[:0]) == []
+        assert seen == [(self.START, self.START)] * 2 and iv.prec == before
+
     def test_exact_enclosure_raises_without_a_retry(self):
         made = []
 

@@ -1,5 +1,5 @@
-"""High-order derivative engines for <x>**t and exp(-<x>**(1/theta)),
-empirical verification of their factorial derivative bounds, and truncated
+"""High-order derivative engines for <x>**t and for f = exp(h), empirical
+verification of their factorial derivative bounds, and truncated
 Gelfand-Shilov seminorm estimation.
 
 Here <x> = (1 + x**2)**(1/2).  Derivatives of the bracket power are
@@ -16,26 +16,26 @@ derivatives of (1+x**2) * g' = t*x*g (g = <x>**t) as
 O(k) exact operations per point; with t = a/b and x = p/q they run on ints
 alone, as r_k = n_k / (b*(p**2+q**2))**k.
 
-Derivatives of f(x) = exp(-<x>**(1/theta)) = exp(h(x)) with h = -<x>**(1/theta)
-come from f' = h' * f on the Taylor coefficients a_j = f^(j)/j!:
+Every derivative value of an f = exp(h) comes from one kernel, the
+exponential of a power series (Brent and Kung, J. ACM 1978): f' = h' * f on
+the Taylor coefficients a_j = f^(j)/j! is
 
     (j+1) * a_{j+1} = sum_{i=0}^{j} c_i * a_{j-i},   c_i = h^(i+1)/i!,
 
-the Leibniz recursion without binomials, O(k^2) instead of the exponential
-partition sum of the chain rule.  It runs in fixed point on Python ints: an
-enclosure is [lo, hi] * 2**e, and each order is one exact dot product of
-the nonzero terms followed by a single outward rounding (floor on the lower
-end, ceiling on the upper), where mpmath interval operators would round
-each of the 2(j+1) multiplies and adds.  The recursion is linear in a_0:
-started at a_0 = 1 it gives a_k = f^(k)/(k! * f(x)), which is all the bound
-sweep reads; ``gs_derivative_series`` starts it at the enclosure of f(x)
-and scales a_j by j!.  Only <x>**t, exp(-<x>**t) for the derivatives and
-the logs of the a_k come from mpmath.  The engine only encloses, at the
-working precision it is handed; ``precision.certified_values`` makes each
-value correctly rounded at the result precision, and makes the enclosures
-again while one rounds apart.  Everything here runs at
-``precision.RESULT_BITS``, read when it is called; no function here takes a
-precision.
+O(k^2) without binomials.  An f is handed to it as ``terms(work)``: the
+interval h(x) and the enclosures c_i.  For exp(-<x>**(1/theta)) they are
+h = -<x>**t and c_i = -<x>**t * r_{i+1}/i! (``_taylor_terms``); for the
+Gaussian, h = -x**2, c_0 = -2x and c_1 = -2.  The kernel runs in fixed point
+on Python ints: an enclosure is [lo, hi] * 2**e, and each order is one exact
+dot product of the nonzero terms and one outward rounding, so exact zeros
+are skipped and stay exact.  ``_exp_series``, the one value producer, starts
+it at the enclosure of exp(h(x)) and scales a_j by j!; started at a_0 = 1 it
+gives a_k = f^(k)/(k! * f(x)), which is all the bound sweep reads.  The
+kernel only encloses, at the working precision it is handed;
+``precision.certified_values`` makes every derivative value here, and
+``bracket_eval``'s, correctly rounded at the result precision.  Everything
+runs at ``precision.RESULT_BITS``, read when it is called; no function here
+takes a precision.
 
 ``verify_gs_bound`` needs only each order's grid maximum of
 lr = ln|f^(k)/f| - ln k! - k*tau*ln<x> = ln|a_k| - k*tau*ln<x>.  It screens
@@ -101,15 +101,20 @@ def _bracket_ratios(t: Fraction, x, k_max: int) -> list[Fraction]:
     return out
 
 
+def _bracket_power(t: Fraction, x: Fraction):
+    """The interval <x>**t = exp(t/2 * ln(1 + x**2)) at the current interval precision."""
+    return iv.exp(to_iv(t / 2) * iv.log(to_iv(1 + x * x)))
+
+
 def bracket_eval(t, k: int, x):
-    """d^k/dx^k <x>**t at a rational x (int, float or Fraction), as an mpf."""
+    """d^k/dx^k <x>**t at a rational x (int, float or Fraction): the exact r_k times
+    an enclosure of <x>**t, certified as one value by ``precision.certified_values``."""
     if k < 0:
         raise ParameterError("derivative order must be >= 0")
     tf = Fraction(t)
     xf = Fraction(x)
     r_k = _bracket_ratios(tf, xf, k)[k]
-    with mp.workprec(precision.RESULT_BITS):
-        return to_mpf(r_k) * mp.exp(to_mpf(tf) / 2 * mp.log(to_mpf(1 + xf * xf)))
+    return precision.certified_values(lambda work: [iv_fixed(to_iv(r_k) * _bracket_power(tf, xf))])[0]
 
 
 def uniform_grid(lo: Fraction, hi: Fraction, points: int) -> tuple[Fraction, ...]:
@@ -215,9 +220,9 @@ def _taylor_kernel(c, a_0, k_max: int, prec: int):
 
 
 def _taylor_terms(theta, k_max: int, x):
-    """The setup both producers share: ``terms(work)`` returns the interval <x>**t
-    (t = 1/theta) and the enclosures c_i = -<x>**t * r_{i+1}/i!, i < k_max, at the
-    working precision ``work`` (None for an exact zero)."""
+    """The kernel's input for f = exp(-<x>**t), t = 1/theta: ``terms(work)`` returns the
+    interval h(x) = -<x>**t and the enclosures c_i = h^(i+1)(x)/i! = -<x>**t * r_{i+1}/i!,
+    i < k_max, at the working precision ``work`` (None for an exact zero)."""
     theta = Fraction(theta)
     if theta <= 0:
         raise ParameterError("theta must be positive")
@@ -231,9 +236,9 @@ def _taylor_terms(theta, k_max: int, x):
         scaled.append((nums[i + 1], den))
 
     def terms(work):
-        bracket_pow = iv.exp(to_iv(t / 2) * iv.log(to_iv(1 + xf * xf)))
+        bracket_pow = _bracket_power(t, xf)
         fixed = iv_fixed(bracket_pow)
-        return bracket_pow, [fixed_scaled(fixed, -n, den, work) for n, den in scaled]
+        return -bracket_pow, [fixed_scaled(fixed, -n, den, work) for n, den in scaled]
 
     return terms
 
@@ -245,16 +250,15 @@ def _taylor_ratios(theta, k_max: int, x):
     return lambda work: _taylor_kernel(terms(work)[1], (1, 1, 0, 1), k_max, work)
 
 
-def _gs_series(theta, k_max: int, x):
-    """The enclosure producer of ``gs_derivative_series``: ``series(work)`` yields
-    (lo, hi, e) with f^(j) in [lo, hi] * 2**e, j = 0..k_max, trimmed outward to the
-    working precision ``work`` ((0, 0, 0) for an exact zero): the kernel started
-    at the enclosure of f(x) = exp(-<x>**t), each a_j times j!."""
-    terms = _taylor_terms(theta, k_max, x)
+def _exp_series(terms, k_max: int):
+    """The one value producer: ``series(work)`` yields (lo, hi, e) with f^(j) in
+    [lo, hi] * 2**e, j = 0..k_max, for the f = exp(h) that ``terms`` gives, trimmed
+    outward to the working precision ``work`` ((0, 0, 0) for an exact zero): the
+    kernel started at the enclosure of f(x) = exp(h(x)), each a_j times j!."""
 
     def series(work):
-        bracket_pow, c = terms(work)
-        a_0 = fixed_outward(*iv_fixed(iv.exp(-bracket_pow)), work)
+        h, c = terms(work)
+        a_0 = fixed_outward(*iv_fixed(iv.exp(h)), work)
         fact = 1
         for j, a_j in enumerate(_taylor_kernel(c, a_0, k_max, work)):
             fact *= j or 1
@@ -265,17 +269,11 @@ def _gs_series(theta, k_max: int, x):
 
 
 def gs_derivative_series(theta, k_max: int, x):
-    """Certified values of d^k/dx^k exp(-<x>**(1/theta)) for k = 0..k_max.
-
-    x must be rational (int, float or Fraction).  At the working precision that
-    ``precision.certified_values`` hands it, mpmath encloses <x>**t (t = 1/theta)
-    and exp(-<x>**t) once, and the Taylor recursion runs on ints; exact zeros
-    (c_i for i >= 2 at theta = 1/2, the odd orders at x = 0) are skipped and
-    stay exact.  Each returned value, f^(j) = a_j * j!, is correctly rounded
-    at ``precision.RESULT_BITS`` (exact zeros are returned as exact), the work
-    doubling while its enclosure rounds apart; PrecisionError otherwise.
-    """
-    return precision.certified_values(_gs_series(theta, k_max, x))
+    """d^k/dx^k exp(-<x>**(1/theta)) for k = 0..k_max at a rational x (int, float or
+    Fraction), each correctly rounded at ``precision.RESULT_BITS`` (exact zeros, such as
+    the odd orders at x = 0, exact), the work doubling while an enclosure rounds apart;
+    PrecisionError otherwise."""
+    return precision.certified_values(_exp_series(_taylor_terms(theta, k_max, x), k_max))
 
 
 _SCREEN_SLACK = 2.0**-40  # per unit of a cell's ``size``; see ``_OrderScreen``
@@ -456,18 +454,20 @@ class GSFunction:
 
 
 class Gaussian:
-    """f(x) = exp(-x**2): f^(k) = (-1)**k * H_k(x) * f(x), physicists' Hermite H_k, exact at rational x."""
+    """f(x) = exp(h), h = -x**2, so f^(k) = (-1)**k * H_k(x) * f(x): the kernel with c_0 = -2x
+    (rounded outward unless x is dyadic; an exact zero at x = 0, where the odd orders stay
+    exact zeros), c_1 = -2 and no other c_i, certified as in ``gs_derivative_series``."""
 
     name = "gaussian"
 
     def derivatives(self, x, k_max: int):
         xf = Fraction(x)
-        hermite = [Fraction(1), 2 * xf]  # H_k = 2x * H_{k-1} - 2(k-1) * H_{k-2}
-        for k in range(2, k_max + 1):
-            hermite.append(2 * xf * hermite[k - 1] - 2 * (k - 1) * hermite[k - 2])
-        with mp.workprec(precision.RESULT_BITS):
-            fx = mp.exp(to_mpf(-xf * xf))
-            return [fx] + [to_mpf(-hermite[k] if k % 2 else hermite[k]) * fx for k in range(1, k_max + 1)]
+
+        def terms(work):
+            c_0 = fixed_scaled((1, 1, 0), -2 * xf.numerator, xf.denominator, work)
+            return -to_iv(xf * xf), [c_0, fixed_outward(-2, -2, 0, work)]
+
+        return precision.certified_values(_exp_series(terms, k_max))
 
 
 class SeminormEstimate(Record):

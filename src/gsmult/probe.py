@@ -37,6 +37,7 @@ pivot quantity of the argument and needs no Leibniz expansion.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -148,6 +149,14 @@ def estimate_rate(
     return ols_slope(xs, [r.log_dkg_f for r in tail])
 
 
+def _exact(value):
+    """The mpf ``value`` as the exact Fraction it holds; -inf, the log of a zero |p_k|, as a float."""
+    if value == mp.ninf:
+        return -math.inf
+    man, exp = value.man_exp
+    return man * Fraction(2) ** exp
+
+
 def criterion_check(
     m: int,
     theta: int | Fraction,
@@ -164,8 +173,13 @@ def criterion_check(
     increasing and Delta(j_max) - Delta(1) > k_{j_max}, which no admissible
     constants can absorb.  theta may be any rational (an int or a Fraction)
     with m*theta >= 2: at an integral theta the evaluations are exact, at any
-    other the point and its log are certified together.  A pass shows the
-    divergence at the orders k_1..k_{j_max} only: evidence, not a proof.
+    other the point and its log are certified together.  Each comparison is
+    decided on exact bounds of Delta: the log and ln k (``precision.half_log_of_int``)
+    are correctly rounded at the result precision, so each lies within 2**-p of
+    itself in relative terms (p = ``precision.RESULT_BITS``), and a witness is
+    reported unless the bounds prove the opposite; the printed Delta and spread
+    are those of the rounded logs.  A pass shows the divergence at the orders
+    k_1..k_{j_max} only: evidence, not a proof.
     """
     if j_max < 2:
         raise ParameterError("j_max must be >= 2 to compare increments")
@@ -175,16 +189,23 @@ def criterion_check(
     s = Fraction(s)
     if not 0 < s < (m - 1) * theta:
         raise ParameterError("hypothesis violated: need 0 < s < (m-1)*theta, got s=%s" % s)
-    deltas = []
+    eps = Fraction(1, 1 << precision.RESULT_BITS)  # a value correctly rounded there is within eps * |value|
+    lows, highs, deltas = [], [], []  # exact bounds of each Delta, and the Delta of the rounded logs
+    for k, _, lm in _log_magnitudes(m, lambda_sign, theta, orders, table):
+        log_mag = _exact(lm.log_mag)
+        s_log_k = s * k * 2 * _exact(precision.half_log_of_int(k))  # s*k*ln k, within eps times itself
+        mag_lo, mag_hi = sorted((log_mag * (1 - eps), log_mag * (1 + eps)))
+        lows.append(mag_lo - s_log_k * (1 + eps))
+        highs.append(mag_hi - s_log_k * (1 - eps))
+        deltas.append(log_mag - s_log_k)
     with mp.workprec(precision.RESULT_BITS):
-        for k, _, lm in _log_magnitudes(m, lambda_sign, theta, orders, table):
-            deltas.append(lm.log_mag - to_mpf(s) * k * mp.log(k))
-        spread = deltas[-1] - deltas[0]
+        spread = to_mpf(deltas[-1] - deltas[0])
+        deltas = [to_mpf(d) for d in deltas]
     witnesses = []
     for j in range(1, j_max):
-        if not deltas[j] > deltas[j - 1]:
+        if not lows[j] > highs[j - 1]:
             witnesses.append(("not-increasing", j + 1, format_mpf(deltas[j], 12)))
-    if not spread > orders[-1]:
+    if not lows[-1] - highs[0] > orders[-1]:
         witnesses.append(("growth-below-linear", j_max, format_mpf(spread, 12)))
     params = {
         "m": m,

@@ -514,10 +514,9 @@ def test_a_higher_precision_changes_no_byte(tmp_path, monkeypatch, capsys, argv)
             used.clear()
         outputs.append(_outputs(argv.split(), tmp_path / str(bits), capsys))
         # the run worked at the result precision: every mpmath precision it set is that one, and
-        # every certified value started from it (the Gaussian has none: its derivatives are exact
-        # Hermite values times one exp)
+        # every certified value started from it
         assert seen["workprec"] == {bits}
-        assert seen["escalate"] == (set() if "gaussian" in argv else {bits})
+        assert seen["escalate"] == {bits}
         # and every certified value was made by the one loop
         assert seen["compute"] <= {"certified_values.<locals>.compute"}
     fixed, raised = outputs

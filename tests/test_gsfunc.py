@@ -56,6 +56,36 @@ class SampledDerivatives:
             raise ParameterError("no sampled derivative for point %r" % (exc.args[0],)) from exc
 
 
+def hermite(x, k_max):
+    """Physicists' Hermite values H_0(x)..H_k_max(x) at a rational x, exactly, from
+    H_k = 2x * H_{k-1} - 2(k-1) * H_{k-2}: the reference for the Gaussian."""
+    x = Fraction(x)
+    values = [Fraction(1), 2 * x]
+    for k in range(2, k_max + 1):
+        values.append(2 * x * values[k - 1] - 2 * (k - 1) * values[k - 2])
+    return values[: k_max + 1]
+
+
+def times_gaussian(values, x):
+    """Each exact Fraction of ``values`` times an enclosure of exp(-x**2), certified."""
+    x = Fraction(x)
+    return precision.certified_values(lambda work: [iv_fixed(to_iv(v) * iv.exp(-to_iv(x * x))) for v in values])
+
+
+def _count_calls(monkeypatch, name):
+    """The list of the arguments of every ``precision.<name>`` call from now on; for
+    ``fixed_rounded``, one per certified value."""
+    calls = []
+    original = getattr(precision, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(precision, name, counting)
+    return calls
+
+
 class TestBracketDerivative:
     def test_q1_is_tx(self):
         assert bracket_rows(Fraction(7, 3), 1)[1] == (Fraction(0), Fraction(7, 3))
@@ -88,6 +118,21 @@ class TestBracketDerivative:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             bracket_eval(1, -1, 0)
+
+    @pytest.mark.parametrize("t", [Fraction(1, 2), Fraction(1, 3), Fraction(5, 2), Fraction(-7, 3), 10, -1])
+    def test_values_are_certified(self, t, monkeypatch):
+        # each value is r_k = q_k(x) / (1+x**2)**k from the exact rows times an enclosure of
+        # <x>**t, certified, and is made by one certified_values call
+        rows = bracket_rows(t, 20)
+        calls = _count_calls(monkeypatch, "certified_values")
+        for x in (Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(-5, 2), Fraction(7), Fraction(22, 7)):
+            ratios = [horner(q, x) / (1 + x * x) ** k for k, q in enumerate(rows)]
+            ref = precision.certified_values(
+                lambda work: [iv_fixed(to_iv(r) * to_iv(1 + x * x) ** to_iv(Fraction(t) / 2)) for r in ratios]
+            )
+            del calls[:]
+            assert [bracket_eval(t, k, x) for k in range(21)] == ref, x
+            assert len(calls) == 21
 
     @given(t=rationals, x=rationals, k=st.integers(0, 12))
     @settings(max_examples=80)
@@ -372,7 +417,7 @@ class TestTaylorKernel:
     def test_enclosures_keep_the_working_precision(self, work):
         # f^(j) = a_j * j! is trimmed outward to the work, not widened by the log2(j!) bits of j!
         with iv_prec(work):
-            enclosures = list(gsfunc._gs_series(Fraction(1, 2), 400, 25)(work))
+            enclosures = list(gsfunc._exp_series(gsfunc._taylor_terms(Fraction(1, 2), 400, 25), 400)(work))
         assert len(enclosures) == 401
         assert all(max(lo.bit_length(), hi.bit_length()) <= work + 1 for lo, hi, _ in enclosures)
 
@@ -412,19 +457,6 @@ def all_cells_gs_bound(theta, k_max, grid=None, slope_tol=1e-3):
     return within, format_mpf(slope, 10), c_max
 
 
-def _count_certified(monkeypatch):
-    """The list of the arguments of every ``fixed_rounded`` call from now on: one per certified value."""
-    calls = []
-    fixed_rounded = precision.fixed_rounded
-
-    def counting(*args):
-        calls.append(args)
-        return fixed_rounded(*args)
-
-    monkeypatch.setattr(precision, "fixed_rounded", counting)
-    return calls
-
-
 class TestGsBoundScreen:
     @pytest.mark.parametrize(
         "theta, k_max, grid",
@@ -454,7 +486,7 @@ class TestGsBoundScreen:
         assert result.extremal_ratio == c_max
 
     def test_certifies_about_one_value_per_point_and_one_per_order(self, monkeypatch):
-        calls = _count_certified(monkeypatch)
+        calls = _count_calls(monkeypatch, "fixed_rounded")
         verify_gs_bound(Fraction(1, 2), 60)
         assert len(calls) <= 2 * 60  # no f(x) is certified; every cell would be 26 * 60
 
@@ -484,11 +516,9 @@ class TestGsBound:
         # 2**47: exactly halfway between two 192-bit floats, so no enclosure of the ratio rounds to
         # one value.  Its log is transcendental; with one grid point every order is kept
         x = Fraction(25, 4)
-        hermite = [Fraction(1), 2 * x]
-        for k in range(2, 48):
-            hermite.append(2 * x * hermite[k - 1] - 2 * (k - 1) * hermite[k - 2])
-        assert hermite[47].denominator == 2**47
-        assert hermite[47].numerator % 2 and hermite[47].numerator.bit_length() == 193
+        h_47 = hermite(x, 47)[47]
+        assert h_47.denominator == 2**47
+        assert h_47.numerator % 2 and h_47.numerator.bit_length() == 193
         ratios = gsfunc._taylor_ratios(Fraction(1, 2), 47, x)
 
         def ratio(work):
@@ -497,7 +527,7 @@ class TestGsBound:
 
         with pytest.raises(PrecisionError):
             precision.certified_values(ratio)
-        calls = _count_certified(monkeypatch)
+        calls = _count_calls(monkeypatch, "fixed_rounded")
         result = verify_gs_bound(Fraction(1, 2), 47, grid=(x,))
         assert len(calls) == 47
         assert result.extremal_ratio == all_cells_gs_bound(Fraction(1, 2), 47, (x,))[2]
@@ -595,28 +625,26 @@ class TestSeminorm:
         assert bigger_orders.value >= small.value
         assert bigger_grid.value >= small.value
 
-    @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 3), Fraction(-5, 2)])
-    def test_gaussian_derivatives_are_hermite(self, x):
-        # d^k/dx^k exp(-x**2) = (-1)**k * H_k(x) * exp(-x**2), physicists' H_k
-        hermite = [1, 2 * x, 4 * x**2 - 2, 8 * x**3 - 12 * x, 16 * x**4 - 48 * x**2 + 12]
-        got = Gaussian().derivatives(x, 4)
-        with mp.workprec(RESULT_BITS):
-            fx = mp.exp(mp.mpf(-(x * x).numerator) / (x * x).denominator)
-            for k, h in enumerate(hermite):
-                value = (-1) ** k * Fraction(h)
-                assert got[k] == mp.mpf(value.numerator) / value.denominator * fx
+    @pytest.mark.parametrize(
+        "x", [Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7), Fraction(22, 7), Fraction(-1, 8), Fraction(40)]
+    )
+    def test_gaussian_derivatives_are_hermite(self, x, monkeypatch):
+        # d^k/dx^k exp(-x**2) = (-1)**k * H_k(x) * exp(-x**2), physicists' H_k: each value is the
+        # exact (-1)**k * H_k(x) times an enclosure of exp(-x**2), certified, all made by one
+        # certified_values call
+        h = hermite(x, 60)
+        assert h[:5] == [1, 2 * x, 4 * x**2 - 2, 8 * x**3 - 12 * x, 16 * x**4 - 48 * x**2 + 12]
+        ref = times_gaussian([-h_k if k % 2 else h_k for k, h_k in enumerate(h)], x)
+        calls = _count_calls(monkeypatch, "certified_values")
+        assert Gaussian().derivatives(x, 60) == ref
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7), Fraction(22, 7), Fraction(-1, 8)])
     def test_gaussian_hermite_recurrence_matches_the_table_path(self, x):
-        # the m = 2 table at lam = -2 gives the same Fractions, hence the same mpf values
+        # the m = 2 table at lam = -2 gives the Fractions (-1)**k * H_k(x), hence the same certified values
         table = build_coeff_table(2, 40)
-        got = Gaussian().derivatives(x, 40)
-        with mp.workprec(RESULT_BITS):
-            fx = mp.exp(to_mpf(-x * x))
-            assert got[0] == fx
-            for k in range(1, 41):
-                re, _ = _parts(derivative_poly(table, k), 2, x)
-                assert got[k] == to_mpf(re) * fx, k
+        values = [Fraction(1)] + [_parts(derivative_poly(table, k), 2, x)[0] for k in range(1, 41)]
+        assert Gaussian().derivatives(x, 40) == times_gaussian(values, x)
 
     def test_gs_function_finite_plateau(self):
         f = GSFunction(1)

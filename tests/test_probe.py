@@ -6,16 +6,18 @@ from mpmath import mp
 
 from gsmult import derivpoly as derivpoly_module
 from gsmult import precision
+from gsmult import probe as probe_module
 from gsmult._util import format_mpf
 from gsmult.derivpoly import (
     CoeffTable,
+    LogMagnitude,
     _enclosed_point,
     build_coeff_table,
     derivative_poly,
     eval_log_magnitude,
     kj_sequence,
 )
-from gsmult.precision import ParameterError, PrecisionError, fixed_rounded, iv_prec
+from gsmult.precision import RESULT_BITS, ParameterError, PrecisionError, fixed_rounded, iv_prec
 from gsmult.probe import ProbeConfig, ProbeRecord, _decay, criterion_check, estimate_rate, probe_series
 
 from conftest import get_table, result_bits, traced_peak
@@ -241,6 +243,25 @@ class TestCriterionCheck:
         result = criterion_check(3, Fraction(3, 2), 2, 10, table=CoeffTable(m=3, k_max=table.k_max, rows=tuple(rows)))
         assert not result.passed
         assert [w[:2] for w in result.witnesses] == [("not-increasing", 5)]
+
+    def test_a_near_tie_is_reported(self, monkeypatch):
+        # Delta_2 exceeds Delta_1 = 30 by 2**-190 * 30, less than the logs (about 38 and 52), correctly
+        # rounded at the result precision, can tell apart: round-to-nearest Delta reads it as
+        # increasing, but no bound of the exact Delta proves it, so order 2 is a witness.  Delta_3 is
+        # far above both
+        orders, s = kj_sequence(2, 3).entries, Fraction(1, 2)
+        with mp.workprec(1024):
+            deltas = [mp.mpf(30), 30 + 30 * mp.mpf(2) ** -190, mp.mpf(1030)]
+            logs = [d + s.numerator * k * mp.log(k) / s.denominator for d, k in zip(deltas, orders)]
+        with mp.workprec(RESULT_BITS):
+            logs = [+v for v in logs]
+
+        def log_magnitudes(m, lambda_sign, theta, ks, table):
+            return ((k, k, LogMagnitude(log_mag=v, exact=False)) for k, v in zip(ks, logs))
+
+        monkeypatch.setattr(probe_module, "_log_magnitudes", log_magnitudes)
+        result = criterion_check(2, 1, s, 3)
+        assert [w[:2] for w in result.witnesses] == [("not-increasing", 2)]
 
     @pytest.mark.parametrize("theta", [1, Fraction(3, 2)], ids=["integer", "rational"])
     def test_rejects_bad_sign_before_walking_rows(self, theta):

@@ -43,7 +43,7 @@ show(check_ratio_bound(table, Fraction(1)))
 # for m t >= 2, Bernoulli's inequality bounds it below by (m t - 1 + 1/m) x
 show(check_wedge_fn_nonneg(4, Fraction(1, 2)))
 
-# evaluated at x = k_j^theta with lam = +/- i*m, the polynomial modulus
-# dominates half the top term: 4|p|^2 >= m^(2k) k^(2 theta k (m-1)) exactly
-show(check_lower_bound(4, 1, 1, j_max=3))
-show(check_lower_bound(2, -1, 2, j_max=4))
+# evaluated at x = k_j^theta, the polynomial modulus, the same for lam = +i*m and
+# lam = -i*m, dominates half the top term: 4|p|^2 >= m^(2k) k^(2 theta k (m-1)) exactly
+show(check_lower_bound(4, 1, j_max=3))
+show(check_lower_bound(2, 2, j_max=4))

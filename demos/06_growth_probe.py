@@ -13,7 +13,7 @@ from fractions import Fraction
 from gsmult import ProbeConfig, criterion_check, estimate_rate, kj_sequence, probe_series
 
 # (m, theta) = (2, 2): target rate theta*(m-1) = 2
-cfg = ProbeConfig(m=2, lambda_sign=1, theta=Fraction(2), nu=Fraction(2), k_values=tuple(range(1, 51)))
+cfg = ProbeConfig(m=2, theta=Fraction(2), nu=Fraction(2), k_values=tuple(range(1, 51)))
 records = probe_series(cfg)
 print("k   x      log|D^k g * f|      running rate")
 for r in records[::7]:
@@ -23,7 +23,7 @@ print("\nfitted rate over the tail: %.4f  (target 2; finite-k bias ~ (log m - 1)
 
 # along the k_j orders for m = 3 the lower bound is provable term by term
 seq = kj_sequence(3, 5)
-cfg3 = ProbeConfig(m=3, lambda_sign=1, theta=Fraction(1), nu=Fraction(1), k_values=seq.entries)
+cfg3 = ProbeConfig(m=3, theta=Fraction(1), nu=Fraction(1), k_values=seq.entries)
 rate3 = estimate_rate(probe_series(cfg3), tail_fraction=1.0, min_records=5)
 print("m=3 along k_j = %s: fitted rate %.4f (target 2)" % (list(seq.entries), float(rate3)))
 

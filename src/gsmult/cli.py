@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--theta", type=_fraction_arg, required=True)
     p_run.add_argument("--nu", type=_fraction_arg, required=True)
     p_run.add_argument("--kmax", type=int, required=True)
-    p_run.add_argument("--sign", choices=("+", "-"), default="+")
+    p_run.add_argument("--sign", choices=("+", "-"), default="+", help="sign of lam = +/- i*m; no output depends on it")
     p_run.add_argument("--kj-only", action="store_true", help="restrict orders to the k_j subsequence")
     p_run.add_argument("--csv", type=Path, required=True)
 
@@ -296,7 +296,6 @@ def _cmd_wedge_figure(args) -> int:
 def _cmd_probe_run(args) -> int:
     if args.kmax < 1:
         raise ParameterError("--kmax must be >= 1")
-    sign = 1 if args.sign == "+" else -1
     if args.kj_only:
         j_max = derivpoly.kj_count(args.m, args.kmax)
         k_values = derivpoly.kj_sequence(args.m, j_max).entries if j_max else ()
@@ -304,7 +303,6 @@ def _cmd_probe_run(args) -> int:
         k_values = range(1, args.kmax + 1)
     cfg = probe.ProbeConfig(
         m=args.m,
-        lambda_sign=sign,
         theta=args.theta,
         nu=args.nu,
         k_values=k_values,

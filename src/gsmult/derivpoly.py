@@ -30,18 +30,19 @@ step in a context of maximal precision that traps every rounding, so a
 digit cannot be lost silently.  Nothing here loads mpmath until a
 magnitude is evaluated, so ``table`` and ``verify coeffs`` never load it.
 
-One Horner loop in m*x**m evaluates p_k(x) for lam = m * i**turn using only
-+ - * and integer powers, so it runs unchanged over Python ints, Fractions
-and mpmath intervals.  Magnitudes |p_k(x)| for lam = +/- i*m are thus exact
-in Gaussian integers whenever x is a nonnegative integer; any other x (a
-Fraction, an mpf, or an interval enclosing a point such as k**theta) is
-enclosed in interval arithmetic.  On both paths the log is only enclosed
-here and made a value, correctly rounded at the result precision
-``precision.RESULT_BITS``, by ``precision.certified_values``,
-so the value does not depend on the path.  ``_log_magnitudes`` is the one
-evaluator at the paper's points x_k = k**theta, along any set of orders:
-exact at an integer theta, else with k**theta enclosed and certified
-together with its log.
+|p_k(x)| is the same for lam = +i*m and lam = -i*m (at a real x the two
+values are complex conjugates), so no magnitude here takes a sign.
+``_halves`` splits the row by parity into two real Horner loops in
+-(m*x**m)**2 (Knuth, TAOCP vol. 2, 4.6.4) that run unchanged over Python
+ints, Fractions and mpmath intervals: |p_k(x)|**2 is an exact integer
+whenever x is a nonnegative integer, and any other x (a Fraction, an mpf, or
+an interval enclosing a point such as k**theta) is enclosed.  On both paths
+the log is only enclosed here and made a value, correctly rounded at
+``precision.RESULT_BITS``, by ``precision.certified_values``, so the value
+does not depend on the path.  ``_log_magnitudes`` is the one evaluator at the
+paper's points x_k = k**theta, along any set of orders: exact at an integer
+theta, else with k**theta enclosed and certified together with its log.
+Only ``gaussian_parts``, which makes p_k(x) itself, reads the sign.
 |D^k g| = |d^k/dx^k g| since D = i^{-1} d/dx only changes the phase, so all
 magnitude-level results hold for either normalization.
 """
@@ -248,100 +249,100 @@ class LogMagnitude(Record):
     """Natural log of |p_k(x)| with provenance of how it was computed.
 
     log_mag is correctly rounded at the result precision, -inf when the
-    value is 0.  When ``exact`` is set it was rounded from an exact Gaussian
-    integer modulus squared; otherwise from an interval enclosure of p_k(x).
+    value is 0.  When ``exact`` is set it was rounded from an exact integer
+    modulus squared; otherwise from an interval enclosure of p_k(x).
     """
 
     log_mag: precision.mp.mpf
     exact: bool
 
 
-def _parts(poly: DerivPoly, turn: int, x):
-    """(re, im) of p_k(x) for lam = m * i**turn, turn in 0..3.
+def _halves(poly: DerivPoly, x):
+    """(scale, E, y*O) with p_k(x) = i**(k - n_top) * scale * (E + i*y*O) for lam = i*m.
 
-    Horner in y = m * x**m over the row: coefficient n is turned by
-    i**(-turn*n), whose quarter cycle picks the part and the sign, and the
-    sum is turned by i**(turn*k) and scaled by m**(k-n_top) * x**e_top once.
-    Only + - * and integer powers touch x, so the same loop is exact over ints
-    and Fractions and an outward-rounded enclosure over mpmath intervals.
+    With y = m * x**m, term n of p_k is i**(k-n_top) * scale * C[n] * (i*y)**(n_top-n),
+    scale = m**(k-n_top) * x**e_top.  E sums the terms with n_top - n even and i*y*O the
+    others, as Horner loops in w = -y**2 from n_top % 2 and from 1 - n_top % 2 (Knuth,
+    TAOCP vol. 2, 4.6.4), so every product is real.  Only + - * and integer powers touch x:
+    the loop is exact over ints and Fractions, an outward-rounded enclosure over intervals.
     """
     m, k = poly.m, poly.k
     n_top = len(poly.coeffs) - 1
     y = m * x**m
-    parts = [0, 0]
-    for n, c in enumerate(poly.coeffs):
-        parts[0] *= y
-        parts[1] *= y
-        q = -turn * n % 4
-        if q < 2:
-            parts[q] += c
-        else:
-            parts[q - 2] -= c
-    re, im = parts
-    for _ in range(turn * k % 4):
-        re, im = -im, re
-    scale = m ** (k - n_top) * x ** poly.exponent(n_top)
-    return re * scale, im * scale
+    w = -(y**2)
+    even = odd = 0
+    for c in poly.coeffs[n_top % 2 :: 2]:
+        even = even * w + c
+    for c in poly.coeffs[1 - n_top % 2 :: 2]:
+        odd = odd * w + c
+    return m ** (k - n_top) * x ** poly.exponent(n_top), even, y * odd
+
+
+def _modulus2(poly: DerivPoly, x):
+    """|p_k(x)|**2 = scale**2 * (E**2 + y**2 * O**2) from ``_halves``, the same for lam = +i*m and
+    lam = -i*m: at a real x the two values of p_k(x) are complex conjugates."""
+    scale, even, odd = _halves(poly, x)
+    return scale**2 * (even**2 + odd**2)
 
 
 def gaussian_parts(poly: DerivPoly, lambda_sign: int, x: int) -> tuple[int, int]:
     """Exact real/imaginary parts of p_k(x) for lam = lambda_sign * i * m, x integer.
 
-    Everything is integer multiplication, so the result is exact for any
-    size of k and x.
+    ``_halves`` turned by i**(k - n_top), and conjugated for lam = -i*m: all
+    integer multiplication, so the result is exact for any size of k and x.
     """
     require_sign(lambda_sign)
     if not isinstance(x, int) or x < 0:
         raise ParameterError("exact evaluation requires a nonnegative integer x")
-    return _parts(poly, lambda_sign % 4, x)
+    scale, re, im = _halves(poly, x)
+    for _ in range((poly.k - len(poly.coeffs) + 1) % 4):
+        re, im = -im, re
+    return re * scale, lambda_sign * im * scale
 
 
-def _log_enclosure(poly: DerivPoly, lambda_sign: int, x):
+def _log_enclosure(poly: DerivPoly, x):
     """(lo, hi, e) of ln|p_k(x)| at the current interval precision; PrecisionError when the
     enclosure of |p_k(x)|**2 touches zero."""
-    re, im = _parts(poly, lambda_sign % 4, precision.to_iv(x))
-    mag2 = re * re + im * im
+    mag2 = _modulus2(poly, precision.to_iv(x))
     lo, hi, e = precision.iv_fixed(mag2)
     if lo <= 0 <= hi:
         raise precision.PrecisionError("modulus enclosure touches zero", precision.mp.ldexp(hi - lo, e))
     return precision.iv_fixed(precision.iv.log(mag2) / 2)
 
 
-def eval_log_magnitude(poly: DerivPoly, lambda_sign: int, x) -> LogMagnitude:
-    """ln |p_k(x)| for lam = lambda_sign * i * m, correctly rounded at ``precision.RESULT_BITS``.
+def eval_log_magnitude(poly: DerivPoly, x) -> LogMagnitude:
+    """ln |p_k(x)|, the same for lam = +i*m and lam = -i*m, correctly rounded at ``precision.RESULT_BITS``.
 
-    Integer x (including Fractions with denominator one) goes through
-    exact Gaussian-integer arithmetic.  Other x -- a Fraction, an mpf, or an
-    mpmath interval enclosing the point -- is enclosed in interval arithmetic
-    by ``precision.certified_values``, again while the log's enclosure rounds
-    apart; at the cap (at once for an exact zero) PrecisionError is raised.  An
-    integral mpf or interval point takes the interval path too, and gets the
-    same value as the exact path.
+    Integer x (including Fractions with denominator one) goes through the
+    exact integer |p_k(x)|**2 of ``_modulus2``.  Other x -- a Fraction, an mpf,
+    or an mpmath interval enclosing the point -- is enclosed in interval
+    arithmetic by ``precision.certified_values``, again while the log's
+    enclosure rounds apart; at the cap (at once for an exact zero)
+    PrecisionError is raised.  An integral mpf or interval point takes the
+    interval path too, and gets the same value as the exact path.
     """
-    require_sign(lambda_sign)
     x_int = x.numerator if isinstance(x, (int, Fraction)) and x.denominator == 1 else None
     lo = precision.iv_endpoints(x)[0] if isinstance(x, precision.iv.mpf) else x
     if not lo >= 0:
         raise ParameterError("x must be nonnegative")
 
     if x_int is not None:
-        re, im = gaussian_parts(poly, lambda_sign, x_int)
-        mag2 = re * re + im * im
+        mag2 = _modulus2(poly, x_int)
         log_mag = precision.half_log_of_int(mag2) if mag2 else precision.mp.ninf
         return LogMagnitude(log_mag=log_mag, exact=True)
-    (log_mag,) = precision.certified_values(lambda work: [_log_enclosure(poly, lambda_sign, x)])
+    (log_mag,) = precision.certified_values(lambda work: [_log_enclosure(poly, x)])
     return LogMagnitude(log_mag=log_mag, exact=False)
 
 
-def _enclosed_point(poly: DerivPoly, theta: Fraction, lambda_sign: int):
+def _enclosed_point(poly: DerivPoly, theta: Fraction):
     """The enclosures of x = k**theta, then of ln|p_k(x)| on it, at the current interval precision."""
     x_enc = precision.iv.mpf(poly.k) ** precision.to_iv(theta)
     yield precision.iv_fixed(x_enc)
-    yield _log_enclosure(poly, lambda_sign, x_enc)
+    yield _log_enclosure(poly, x_enc)
 
 
 def _log_magnitudes(
-    m: int, lambda_sign: int, theta: int | Fraction, orders: Iterable[int], table: CoeffTable | CoeffRows | None
+    m: int, theta: int | Fraction, orders: Iterable[int], table: CoeffTable | CoeffRows | None
 ) -> Iterator[tuple[int, object, LogMagnitude]]:
     """(k, x_k, ln|p_k(x_k)|) at the paper's points x_k = k**theta, for each k of ``orders``
     once, in ascending k; the log is correctly rounded at ``precision.RESULT_BITS``.
@@ -364,9 +365,9 @@ def _log_magnitudes(
         poly = DerivPoly(m=m, k=k, coeffs=row)
         if theta.denominator == 1:
             x = k**theta.numerator
-            lm = eval_log_magnitude(poly, lambda_sign, x)
+            lm = eval_log_magnitude(poly, x)
         else:
-            x, log_mag = precision.certified_values(lambda work: _enclosed_point(poly, theta, lambda_sign))
+            x, log_mag = precision.certified_values(lambda work: _enclosed_point(poly, theta))
             lm = LogMagnitude(log_mag=log_mag, exact=False)
         yield k, x, lm
 

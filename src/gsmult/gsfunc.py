@@ -376,8 +376,8 @@ def verify_gs_bound(
     C_emp(k) is the grid maximum of the normalized ratio taken to the 1/k
     power.  The check asserts C_emp stays bounded: the least-squares slope
     of log C_emp against k over the top half of the orders must not exceed
-    ``slope_tol`` (a float or a Fraction, compared as an mpf at the result
-    precision).  Everything is computed at ``precision.RESULT_BITS``: the
+    ``slope_tol`` (a finite float or a Fraction, compared as an mpf at the
+    result precision).  Everything is computed at ``precision.RESULT_BITS``: the
     printed slope and C_emp keep 10 digits, so a higher precision changes no
     printed byte.
 
@@ -401,6 +401,8 @@ def verify_gs_bound(
         raise ParameterError("theta must be positive")
     if k_max < 4:
         raise ParameterError("need k_max >= 4 for a slope over the top half")
+    if not mp.isfinite(to_mpf(slope_tol)):
+        raise ParameterError("slope_tol must be finite, got %r" % (slope_tol,))
     grid = _default_grid(theta, k_max) if grid is None else tuple(grid)
     tau = max(1 / theta - 1, Fraction(0))
     screen = _OrderScreen(k_max)

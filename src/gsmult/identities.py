@@ -30,7 +30,8 @@ Checked facts, for degree m >= 2 and the table coefficients C[k][n]:
   f(x) >= (a - 1 + 1/m)*x >= 0 for a = m*theta >= 2.  No grid, no sweep.
 * evaluation lower bound: for lam = +/- i*m, integer theta >= 1, and the
   k_j orders, 4*|p_{k_j}(k_j**theta)|**2 >= m**(2 k_j) * k_j**(2 theta k_j (m-1))
-  as exact integers (the |.|**2 is an exact Gaussian-integer modulus squared).
+  as exact integers (|.|**2 is the exact integer modulus squared, the same
+  for both signs of lam).
 
 A table is a ``CoeffTable`` or a ``coeff_rows`` walk, read once in ascending k.
 The per-row logic of each check that reads rows is written once, as a step
@@ -49,7 +50,7 @@ from operator import ge, sub
 
 from ._util import CheckResult, ParameterError, _result, format_fraction, require_degree, require_power_size
 from ._util import require_theta
-from .derivpoly import CoeffRows, CoeffTable, DerivPoly, _kj_orders, _rows_to, gaussian_parts
+from .derivpoly import CoeffRows, CoeffTable, DerivPoly, _kj_orders, _modulus2, _rows_to
 
 
 def check_floor_identities(m: int, k_max: int) -> CheckResult:
@@ -222,19 +223,20 @@ class _LowerBoundStep:
     """4*|p_k(k**theta)|**2 >= m**(2k) * k**(2 theta k (m-1)) exactly, at the orders k_1..k_{j_max} only.
 
     theta must equal a positive integer so that the evaluation point is an
-    integer and the Gaussian-integer modulus squared is exact.  The extremal
+    integer and |p_k|**2 (``derivpoly._modulus2``) an exact integer, the same for
+    lam = +i*m and lam = -i*m; the params keep lambda_sign 1.  The extremal
     ratio is the least ratio of the two sides' square roots.
     """
 
-    def __init__(self, m: int, lambda_sign: int, theta: int | Fraction, j_max: int):
+    def __init__(self, m: int, theta: int | Fraction, j_max: int):
         if not isinstance(theta, (int, Fraction)) or theta.denominator != 1 or theta < 1:
             raise ParameterError("theta must be a positive integer for exact evaluation")
         theta, entries = _kj_orders(m, theta, j_max)
         require_power_size(theta, entries[-1], 2 * theta * entries[-1] * (m - 1))
         self.j_at = {k: j for j, k in enumerate(entries, start=1)}
         self.first_k, self.last_k = entries[0], entries[-1]
-        self.m, self.lambda_sign, self.theta = m, lambda_sign, theta
-        self.params = {"m": m, "lambda_sign": lambda_sign, "theta": theta, "j_max": j_max}
+        self.m, self.theta = m, theta
+        self.params = {"m": m, "lambda_sign": 1, "theta": theta, "j_max": j_max}
         self.witnesses, self.min_log_ratio = [], None
 
     def feed(self, k: int, row: tuple) -> None:
@@ -242,8 +244,7 @@ class _LowerBoundStep:
         if j is None:
             return
         m, theta = self.m, self.theta
-        re, im = gaussian_parts(DerivPoly(m=m, k=k, coeffs=row), self.lambda_sign, k**theta)
-        lhs = 4 * (re * re + im * im)
+        lhs = 4 * _modulus2(DerivPoly(m=m, k=k, coeffs=row), k**theta)
         rhs = m ** (2 * k) * k ** (2 * theta * k * (m - 1))
         if lhs < rhs:
             self.witnesses.append((j, k))
@@ -289,7 +290,7 @@ def check_table_bounds(
 ) -> list[CheckResult]:
     """``check_ck1_closed_form``, ``check_ck2_bound`` and ``check_ratio_bound`` up to
     ``k_max`` (at least 4), then, given ``j_max`` (theta must then equal an integer),
-    ``check_lower_bound(m, 1, theta, j_max)``, all from one walk of rows 1..max(k_max, k_{j_max}).
+    ``check_lower_bound(m, theta, j_max)``, all from one walk of rows 1..max(k_max, k_{j_max}).
 
     The walk is sized here, by the checks that read it: it is ``coeff_rows``
     without a ``table``, and a ``table`` must reach that order.
@@ -297,7 +298,7 @@ def check_table_bounds(
     require_degree(m)
     steps = [_Ck1Step(m, k_max), _Ck2Step(m, k_max), _RatioStep(m, k_max, theta)]
     if j_max is not None:
-        steps.append(_LowerBoundStep(m, 1, theta, j_max))
+        steps.append(_LowerBoundStep(m, theta, j_max))
     return _walk(_rows_to(m, max(step.last_k for step in steps), table), *steps)
 
 
@@ -318,17 +319,17 @@ def check_wedge_fn_nonneg(m: int, theta: Fraction) -> CheckResult:
 
 def check_lower_bound(
     m: int,
-    lambda_sign: int,
     theta: int | Fraction,
     j_max: int,
     table: CoeffTable | CoeffRows | None = None,
 ) -> CheckResult:
-    """4*|p_{k_j}(k_j**theta)|**2 >= m**(2 k_j) * k_j**(2 theta k_j (m-1)), exactly.
+    """4*|p_{k_j}(k_j**theta)|**2 >= m**(2 k_j) * k_j**(2 theta k_j (m-1)), exactly,
+    for lam = +i*m and lam = -i*m alike: |p_k| does not depend on the sign.
 
     theta must equal a positive integer so that the evaluation point is an
-    integer and the Gaussian-integer modulus squared is exact.  The k_j
+    integer and the modulus squared is an exact integer.  The k_j
     construction invariants are re-asserted by kj_sequence itself.  A
     ``table`` must reach k_{j_max}; without one the rows are walked.
     """
-    step = _LowerBoundStep(m, lambda_sign, theta, j_max)
+    step = _LowerBoundStep(m, theta, j_max)
     return _walk(_rows_to(m, step.last_k, table), step)[0]

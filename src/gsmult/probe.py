@@ -46,7 +46,7 @@ from mpmath import mp
 
 from . import precision
 from ._util import CheckResult, ParameterError, Record, _result, format_fraction, format_mpf
-from ._util import require_degree, require_sign, require_theta
+from ._util import require_degree, require_theta
 from .derivpoly import CoeffRows, CoeffTable, _kj_orders, _log_magnitudes
 from .precision import ols_slope, to_mpf
 
@@ -62,14 +62,12 @@ class ProbeConfig(Record):
     """
 
     m: int
-    lambda_sign: int
     theta: Fraction
     nu: Fraction
     k_values: tuple[int, ...]
 
     def __post_init__(self):
         require_degree(self.m)
-        require_sign(self.lambda_sign)
         theta = Fraction(self.theta)
         nu = Fraction(self.nu)
         object.__setattr__(self, "theta", theta)
@@ -113,7 +111,7 @@ def probe_series(cfg: ProbeConfig, table: CoeffTable | CoeffRows | None = None) 
     if not cfg.k_values:
         return []
     records = {}
-    for k, x, lm in _log_magnitudes(cfg.m, cfg.lambda_sign, cfg.theta, cfg.k_values, table):
+    for k, x, lm in _log_magnitudes(cfg.m, cfg.theta, cfg.k_values, table):
         decay = _decay(x, cfg.nu)
         with mp.workprec(precision.RESULT_BITS):
             log_prod = lm.log_mag - decay
@@ -162,7 +160,6 @@ def criterion_check(
     theta: int | Fraction,
     s: Fraction,
     j_max: int,
-    lambda_sign: int = 1,
     table: CoeffTable | CoeffRows | None = None,
 ) -> CheckResult:
     """Divergence of Delta(j) = log|p_{k_j}(k_j**theta)| - s*k_j*log(k_j).
@@ -184,14 +181,13 @@ def criterion_check(
     if j_max < 2:
         raise ParameterError("j_max must be >= 2 to compare increments")
     require_degree(m)  # before the s hypothesis, which reads m; no walk is made until every argument passes
-    require_sign(lambda_sign)
     theta, orders = _kj_orders(m, theta, j_max)
     s = Fraction(s)
     if not 0 < s < (m - 1) * theta:
         raise ParameterError("hypothesis violated: need 0 < s < (m-1)*theta, got s=%s" % s)
     eps = Fraction(1, 1 << precision.RESULT_BITS)  # a value correctly rounded there is within eps * |value|
     lows, highs, deltas = [], [], []  # exact bounds of each Delta, and the Delta of the rounded logs
-    for k, _, lm in _log_magnitudes(m, lambda_sign, theta, orders, table):
+    for k, _, lm in _log_magnitudes(m, theta, orders, table):
         log_mag = _exact(lm.log_mag)
         s_log_k = s * k * 2 * _exact(precision.half_log_of_int(k))  # s*k*ln k, within eps times itself
         mag_lo, mag_hi = sorted((log_mag * (1 - eps), log_mag * (1 + eps)))
@@ -212,6 +208,5 @@ def criterion_check(
         "theta": theta,
         "s": format_fraction(s),
         "j_max": j_max,
-        "lambda_sign": lambda_sign,
     }
     return _result("multiplier-criterion-divergence", params, witnesses, spread)

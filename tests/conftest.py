@@ -47,6 +47,21 @@ class _RawTable:
         return self.rows[k - 1]
 
 
+def term_loop_parts(poly, turn, x):
+    """(re, im) of p_k(x) for lam = m * i**turn, summed term by term: the reference for
+    ``derivpoly``'s evaluators.  Term n is C[n] * m**(k-n) * x**((m-1)k - nm) * i**(turn*(k-n))."""
+    m, k = poly.m, poly.k
+    parts = [0, 0]
+    for n, c in enumerate(poly.coeffs):
+        t = c * m ** (k - n) * x ** poly.exponent(n)
+        q = turn * (k - n) % 4
+        if q < 2:
+            parts[q] += t
+        else:
+            parts[q - 2] -= t
+    return parts[0], parts[1]
+
+
 def held_and_walk(m: int, k_max: int):
     """The same table twice: held as a ``CoeffTable`` and as a ``coeff_rows`` walk."""
     return get_table(m, k_max), coeff_rows(m, k_max)

@@ -115,6 +115,7 @@ class TestExitCodes:
             ["verify", "identities", "--m", "0", "--kmax", "10", "--theta", "1", "--json", "i.json"],
             ["verify", "identities", "--m", "2", "--kmax", "12", "--theta", "1/4", "--json", "i.json"],
             ["gs", "bound", "--theta", "1", "--kmax", "3"],
+            ["gs", "bound", "--theta", "1/2", "--kmax", "5", "--slope-tol", "nan"],
             ["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "1", "--s", "1", "--kmax", "-1", "--csv", "c.csv"],
             ["wedge", "classify", "--theta", "1", "--s", "1", "--m", "1", "--space", "roumieu"],
             ["wedge", "figure", "--m", "1", "--format", "csv", "--out", "f.csv"],
@@ -124,8 +125,9 @@ class TestExitCodes:
         ],
         ids=["bound-theta-0", "seminorm-h-0", "seminorm-a-neg", "seminorm-theta-0", "seminorm-s-0",
              "seminorm-max-power-neg", "identities-jmax-0", "table-m-1", "table-kmax-0", "coeffs-m-1",
-             "identities-m-0", "identities-theta-below-2-over-m", "bound-kmax-3", "seminorm-kmax-neg",
-             "classify-m-1", "figure-csv-m-1", "figure-svg-m-1", "probe-run-m-1", "criterion-m-1"],
+             "identities-m-0", "identities-theta-below-2-over-m", "bound-kmax-3", "bound-slope-tol-nan",
+             "seminorm-kmax-neg", "classify-m-1", "figure-csv-m-1", "figure-svg-m-1", "probe-run-m-1",
+             "criterion-m-1"],
     )
     def test_invalid_value_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
         # the library rejects the value before any file or directory is made
@@ -347,6 +349,13 @@ class TestProbeCli:
         assert run(args + ["--csv", str(tmp_path / "a.csv")]) == 0
         assert run(args + ["--csv", str(tmp_path / "b.csv")]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("m, theta, kmax", [("2", "1", 300), ("3", "3/2", 30)])
+    def test_sign_changes_no_byte(self, tmp_path, capsys, m, theta, kmax):
+        # |p_k| is the same for lam = +i*m and lam = -i*m, so no output depends on --sign
+        argv = ["probe", "run", "--m", m, "--theta", theta, "--nu", theta, "--kmax", str(kmax), "--csv", "p.csv"]
+        plus, minus = (_outputs(argv + ["--sign", sign], tmp_path / name, capsys) for sign, name in (("+", "p"), ("-", "n")))
+        assert plus == minus and plus[0] == 0 and len(plus[2]["p.csv"].splitlines()) == kmax + 1
 
     @pytest.mark.parametrize("kmax, fitted", [(14, False), (15, True)])
     def test_fit_is_printed_exactly_when_estimate_rate_accepts_the_records(self, tmp_path, capsys, kmax, fitted):

@@ -30,7 +30,7 @@ from gsmult import precision
 from gsmult._util import format_int
 from gsmult.precision import ParameterError, PrecisionError, iv_endpoints, iv_fixed, iv_prec, to_iv
 
-from conftest import certified_work, get_table, result_bits, short_tables
+from conftest import certified_work, get_table, result_bits, short_tables, term_loop_parts
 
 
 def _compact_json(m, k_max, rows):
@@ -281,44 +281,40 @@ class TestDerivPoly:
         assert sorted(exps, reverse=True) == exps
 
 
-def term_loop_parts(poly, turn, x):
-    """(re, im) of p_k(x) for lam = m * i**turn, summed term by term: the reference for
-    ``derivpoly._parts``.  Term n is C[n] * m**(k-n) * x**((m-1)k - nm) * i**(turn*(k-n))."""
-    m, k = poly.m, poly.k
-    parts = [0, 0]
-    for n, c in enumerate(poly.coeffs):
-        t = c * m ** (k - n) * x ** poly.exponent(n)
-        q = turn * (k - n) % 4
-        if q < 2:
-            parts[q] += t
-        else:
-            parts[q - 2] -= t
-    return parts[0], parts[1]
-
-
 POINTS = st.one_of(st.integers(0, 40), st.fractions(-20, 20, max_denominator=12))
 
 
+def term_loop_modulus2(poly, turn, x):
+    re, im = term_loop_parts(poly, turn, x)
+    return re * re + im * im
+
+
 class TestParts:
-    @given(m=st.integers(2, 6), k=st.integers(1, 60), turn=st.integers(0, 3), x=POINTS)
+    # |p_k(x)|**2 from the even/odd Horner loops against the term loop at lam = +i*m and lam = -i*m
+    @given(m=st.integers(2, 6), k=st.integers(1, 60), turn=st.sampled_from([1, 3]), x=POINTS)
     def test_horner_equals_the_term_loop(self, m, k, turn, x):
         poly = derivative_poly(get_table(m, 60), k)
-        assert derivpoly_module._parts(poly, turn, x) == term_loop_parts(poly, turn, x)
+        assert derivpoly_module._modulus2(poly, x) == term_loop_modulus2(poly, turn, x)
 
-    @given(m=st.integers(2, 6), k=st.integers(1, 60), turn=st.integers(0, 3), x=POINTS)
+    @given(m=st.integers(2, 6), k=st.integers(1, 60), turn=st.sampled_from([1, 3]), x=POINTS)
     def test_interval_parts_enclose_the_exact_value(self, m, k, turn, x):
         poly = derivative_poly(get_table(m, 60), k)
         with iv_prec(128):
-            enclosures = derivpoly_module._parts(poly, turn, to_iv(x))
-        for exact, enclosure in zip(term_loop_parts(poly, turn, Fraction(x)), enclosures):
-            lo, hi, e = iv_fixed(enclosure)
-            assert lo * Fraction(2) ** e <= exact <= hi * Fraction(2) ** e
+            lo, hi, e = iv_fixed(derivpoly_module._modulus2(poly, to_iv(x)))
+        assert lo * Fraction(2) ** e <= term_loop_modulus2(poly, turn, Fraction(x)) <= hi * Fraction(2) ** e
+
+    @given(m=st.integers(2, 6), k=st.integers(0, 60), x=st.integers(0, 40))
+    def test_gaussian_parts_are_the_term_loop_and_conjugate_across_the_sign(self, m, k, x):
+        poly = derivative_poly(get_table(m, 60), k)
+        re, im = gaussian_parts(poly, 1, x)
+        assert (re, im) == term_loop_parts(poly, 1, x)
+        assert gaussian_parts(poly, -1, x) == (re, -im) == term_loop_parts(poly, 3, x)
 
 
 class TestEvalLogMagnitude:
     def test_linear_term_exact(self):
         poly = derivative_poly(get_table(2, 4), 1)
-        lm = eval_log_magnitude(poly, 1, 8)
+        lm = eval_log_magnitude(poly, 8)
         assert lm.exact
         assert mpmath.almosteq(mpmath.exp(lm.log_mag), 16)
 
@@ -327,7 +323,7 @@ class TestEvalLogMagnitude:
         re, im = gaussian_parts(poly, 1, 1)
         assert (re, im) == (-4, 2)
         with result_bits(128):
-            lm = eval_log_magnitude(poly, 1, 1)
+            lm = eval_log_magnitude(poly, 1)
         with mp.workprec(128):
             assert abs(lm.log_mag - mp.log(20) / 2) < mp.mpf(2) ** -100
 
@@ -339,20 +335,20 @@ class TestEvalLogMagnitude:
 
     def test_zero_value_exact(self):
         poly = derivative_poly(get_table(2, 4), 1)
-        lm = eval_log_magnitude(poly, 1, 0)
+        lm = eval_log_magnitude(poly, 0)
         assert lm.exact and lm.log_mag == mpmath.mpf("-inf")
 
     def test_interval_path_rejects_exact_zero(self):
         poly = derivative_poly(get_table(2, 4), 1)
         with result_bits(128), pytest.raises(PrecisionError):
-            eval_log_magnitude(poly, 1, mpmath.mpf(0))
+            eval_log_magnitude(poly, mpmath.mpf(0))
 
     def test_exact_zero_raises_without_escalating(self, monkeypatch):
-        parts, calls = derivpoly_module._parts, []
-        monkeypatch.setattr(derivpoly_module, "_parts", lambda *args: calls.append(args) or parts(*args))
+        halves, calls = derivpoly_module._halves, []
+        monkeypatch.setattr(derivpoly_module, "_halves", lambda *args: calls.append(args) or halves(*args))
         poly = derivative_poly(get_table(2, 4), 1)
         with result_bits(128), pytest.raises(PrecisionError) as info:
-            eval_log_magnitude(poly, 1, mpmath.mpf(0))
+            eval_log_magnitude(poly, mpmath.mpf(0))
         assert len(calls) == 1 and info.value.width == 0
 
     def test_interval_path_escalates_and_records_its_bits(self, monkeypatch):
@@ -362,11 +358,11 @@ class TestEvalLogMagnitude:
         x = Fraction(7, 3)
         work = certified_work(monkeypatch)
         with result_bits(64):
-            reference = eval_log_magnitude(poly, 1, x)
+            reference = eval_log_magnitude(poly, x)
         assert work == [64 + precision.GUARD_BITS]
         monkeypatch.setattr(precision, "GUARD_BITS", 0)
         with result_bits(64):
-            lm = eval_log_magnitude(poly, 1, x)
+            lm = eval_log_magnitude(poly, x)
         assert work[1:] == [128] and not lm.exact
         assert lm.log_mag == reference.log_mag
 
@@ -375,7 +371,7 @@ class TestEvalLogMagnitude:
         re, im = gaussian_parts(poly, 1, 9)
         work = certified_work(monkeypatch)
         with result_bits(192):
-            lm = eval_log_magnitude(poly, 1, 9)
+            lm = eval_log_magnitude(poly, 9)
         assert lm.exact and work == [192 + precision.GUARD_BITS]  # the log of the exact modulus is certified too
         with mp.workprec(4 * 192):
             ref = mp.log(mp.mpf(re * re + im * im)) / 2
@@ -385,9 +381,9 @@ class TestEvalLogMagnitude:
     def test_rejects_bad_inputs(self):
         poly = derivative_poly(get_table(2, 4), 2)
         with pytest.raises(ValueError):
-            eval_log_magnitude(poly, 2, 1)
+            gaussian_parts(poly, 2, 1)
         with pytest.raises(ValueError):
-            eval_log_magnitude(poly, 1, -3)
+            eval_log_magnitude(poly, -3)
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("k", [5, 17, 40])
@@ -395,8 +391,8 @@ class TestEvalLogMagnitude:
     def test_exact_float_agreement(self, m, k, x):
         # both paths round the log correctly at the default result precision: the same bits
         poly = derivative_poly(get_table(m, 40), k)
-        exact = eval_log_magnitude(poly, 1, x)
-        boxed = eval_log_magnitude(poly, 1, mpmath.mpf(x))
+        exact = eval_log_magnitude(poly, x)
+        boxed = eval_log_magnitude(poly, mpmath.mpf(x))
         assert exact.exact and not boxed.exact
         assert boxed.log_mag == exact.log_mag
 
@@ -408,34 +404,33 @@ class TestEvalLogMagnitude:
         poly = DerivPoly(m=4, k=1200, coeffs=row)
         work = certified_work(monkeypatch)
         with result_bits(192):
-            lm = eval_log_magnitude(poly, 1, Fraction(16, 3))
+            lm = eval_log_magnitude(poly, Fraction(16, 3))
         with result_bits(2048):
-            reference = eval_log_magnitude(poly, 1, Fraction(16, 3))
+            reference = eval_log_magnitude(poly, Fraction(16, 3))
         assert work[0] == 512 and not lm.exact
         with mp.workprec(2048):
             assert abs(lm.log_mag - reference.log_mag) < mp.mpf(2) ** -32
 
     def test_fraction_with_unit_denominator_goes_exact(self):
         poly = derivative_poly(get_table(2, 4), 2)
-        lm = eval_log_magnitude(poly, 1, Fraction(4))
+        lm = eval_log_magnitude(poly, Fraction(4))
         assert lm.exact
 
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_interval_and_mpf_points_agree_with_exact(self, sign, monkeypatch):
+    def test_interval_and_mpf_points_agree_with_exact(self, monkeypatch):
         poly = derivative_poly(get_table(3, 12), 12)
-        exact = eval_log_magnitude(poly, sign, 5)
+        exact = eval_log_magnitude(poly, 5)
         with iv_prec(precision.RESULT_BITS):
             point = mpmath.iv.mpf(10) / 2
         work = certified_work(monkeypatch)
         for x in (point, mpmath.mpf(5)):
-            lm = eval_log_magnitude(poly, sign, x)
+            lm = eval_log_magnitude(poly, x)
             assert not lm.exact and work.pop() == precision.RESULT_BITS + precision.GUARD_BITS
             assert lm.log_mag == exact.log_mag
 
     def test_interval_point_below_zero_rejected(self):
         poly = derivative_poly(get_table(2, 4), 2)
         with pytest.raises(ValueError):
-            eval_log_magnitude(poly, 1, mpmath.iv.mpf([-1, 2]))
+            eval_log_magnitude(poly, mpmath.iv.mpf([-1, 2]))
 
 
 def test_to_iv_encloses_mpf():

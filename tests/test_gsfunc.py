@@ -22,7 +22,7 @@ from gsmult.gsfunc import (
     verify_bracket_bound,
     verify_gs_bound,
 )
-from gsmult.derivpoly import _parts, build_coeff_table, derivative_poly
+from gsmult.derivpoly import build_coeff_table, derivative_poly
 from gsmult.precision import (
     GUARD_BITS,
     RESULT_BITS,
@@ -37,7 +37,7 @@ from gsmult.precision import (
 )
 
 from bracket_rows import bracket_rows, horner
-from conftest import result_bits
+from conftest import result_bits, term_loop_parts
 
 rationals = st.fractions(min_value=-4, max_value=4)
 
@@ -643,7 +643,7 @@ class TestSeminorm:
     def test_gaussian_hermite_recurrence_matches_the_table_path(self, x):
         # the m = 2 table at lam = -2 gives the Fractions (-1)**k * H_k(x), hence the same certified values
         table = build_coeff_table(2, 40)
-        values = [Fraction(1)] + [_parts(derivative_poly(table, k), 2, x)[0] for k in range(1, 41)]
+        values = [Fraction(1)] + [term_loop_parts(derivative_poly(table, k), 2, x)[0] for k in range(1, 41)]
         assert Gaussian().derivatives(x, 40) == times_gaussian(values, x)
 
     def test_gs_function_finite_plateau(self):

@@ -117,7 +117,7 @@ class TestRatioBound:
         # no table given: rows 1..max(k_max, k_{j_max}) are walked, here to k_3 = 18 for m = 3
         held = get_table(3, 4)
         expected = [check_ck1_closed_form(held), check_ck2_bound(held), check_ratio_bound(held, 2)]
-        assert check_table_bounds(3, 2, 4, j_max=3) == [*expected, check_lower_bound(3, 1, 2, 3)]
+        assert check_table_bounds(3, 2, 4, j_max=3) == [*expected, check_lower_bound(3, 2, 3)]
         with pytest.raises(ParameterError, match="up to k=18"):
             check_table_bounds(3, 2, 4, j_max=3, table=get_table(3, 17))
 
@@ -376,7 +376,7 @@ class TestTableBounds:
         # no table given: rows 1..max(k_max, k_{j_max}) are walked, here to k_3 = 18 for m = 3
         held = get_table(3, 4)
         expected = [check_ck1_closed_form(held), check_ck2_bound(held), check_ratio_bound(held, 2)]
-        assert check_table_bounds(3, 2, 4, j_max=3) == [*expected, check_lower_bound(3, 1, 2, 3)]
+        assert check_table_bounds(3, 2, 4, j_max=3) == [*expected, check_lower_bound(3, 2, 3)]
         with pytest.raises(ParameterError, match="up to k=18"):
             check_table_bounds(3, 2, 4, j_max=3, table=get_table(3, 17))
 
@@ -514,24 +514,24 @@ class TestWedgeFnNonneg:
 
 class TestLowerBound:
     def test_m2_theta1_first_order(self):
-        result = check_lower_bound(2, 1, 1, 1)
+        result = check_lower_bound(2, 1, 1)
         assert result.passed
         assert result.extremal_ratio >= 1
 
     def test_m3_theta1(self):
-        assert check_lower_bound(3, 1, 1, 1).passed
+        assert check_lower_bound(3, 1, 1).passed
 
     def test_m2_j4_reaches_k32(self):
-        result = check_lower_bound(2, -1, 1, 4, table=get_table(2, 32))
+        result = check_lower_bound(2, 1, 4, table=get_table(2, 32))
         assert result.passed
 
     def test_rejects_non_integer_theta(self):
         with pytest.raises(ValueError):
-            check_lower_bound(2, 1, Fraction(3, 2), 2)
+            check_lower_bound(2, Fraction(3, 2), 2)
 
     def test_integral_fraction_theta_is_the_integer_theta(self):
-        result = check_lower_bound(2, 1, Fraction(2), 3)
-        assert result.passed and result.to_json() == check_lower_bound(2, 1, 2, 3).to_json()
+        result = check_lower_bound(2, Fraction(2), 3)
+        assert result.passed and result.to_json() == check_lower_bound(2, 2, 3).to_json()
         # check_table_bounds hands its theta to the lower-bound step as it is
         results = check_table_bounds(2, Fraction(2), 24, j_max=3)
         assert results == check_table_bounds(2, 2, 24, j_max=3) and results[3] == result
@@ -540,4 +540,4 @@ class TestLowerBound:
         from gsmult.derivpoly import build_coeff_table
 
         with pytest.raises(ValueError):
-            check_lower_bound(2, 1, 1, 4, table=build_coeff_table(2, 8))
+            check_lower_bound(2, 1, 4, table=build_coeff_table(2, 8))

@@ -23,10 +23,9 @@ from gsmult.probe import ProbeConfig, ProbeRecord, _decay, criterion_check, esti
 from conftest import get_table, result_bits, traced_peak
 
 
-def config(m=2, theta=1, nu=None, ks=(1, 2, 3), sign=1):
+def config(m=2, theta=1, nu=None, ks=(1, 2, 3)):
     return ProbeConfig(
         m=m,
-        lambda_sign=sign,
         theta=Fraction(theta),
         nu=Fraction(nu if nu is not None else theta),
         k_values=tuple(ks),
@@ -47,9 +46,7 @@ class TestProbeConfig:
             config(m=2, theta=2, nu=1)  # nu = 2/m exactly, with nu < theta
         config(m=2, theta=2, nu=Fraction(3, 2))  # fine
 
-    def test_rejects_bad_sign_and_orders(self):
-        with pytest.raises(ValueError):
-            config(sign=2)
+    def test_rejects_bad_orders(self):
         with pytest.raises(ValueError):
             config(ks=(0, 1))
 
@@ -111,15 +108,14 @@ class TestProbeSeries:
         expected = 2 + math.log(2) / math.log(40)
         assert abs(float(records[0].rate) - expected) < 0.05
 
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_non_integer_theta_encloses_the_point(self, sign):
+    def test_non_integer_theta_encloses_the_point(self):
         # theta = 3/2: x_4 = 8 and x_9 = 27 are integers, so the exact path is a reference
-        cfg = config(m=3, theta=Fraction(3, 2), ks=(4, 9), sign=sign)
+        cfg = config(m=3, theta=Fraction(3, 2), ks=(4, 9))
         table = get_table(3, 9)
         for rec, x in zip(probe_series(cfg, table), (8, 27)):
             assert not rec.exact
             with result_bits(4096) as bits, mp.workprec(bits):
-                exact = eval_log_magnitude(derivative_poly(table, rec.k), sign, x)
+                exact = eval_log_magnitude(derivative_poly(table, rec.k), x)
                 assert abs(rec.x - x) < mp.mpf(2) ** -64
                 assert abs(rec.log_dkg_f + _decay(rec.x, cfg.nu) - exact.log_mag) < mp.mpf(2) ** -32
 
@@ -132,9 +128,9 @@ class TestProbeSeries:
         monkeypatch.setattr(precision, "GUARD_BITS", 0)
         real, seen = derivpoly_module._log_enclosure, []
 
-        def spy(poly, sign, x):
+        def spy(poly, x):
             seen.append(precision.iv.prec)
-            return real(poly, sign, x)
+            return real(poly, x)
 
         monkeypatch.setattr(derivpoly_module, "_log_enclosure", spy)
         records = probe_series(cfg, get_table(3, 9))
@@ -147,9 +143,9 @@ class TestProbeSeries:
         # its endpoints round apart; 64 guard bits later both round to 5**(3/2) correctly rounded
         poly = derivative_poly(get_table(3, 5), 5)
         with iv_prec(192), pytest.raises(PrecisionError):
-            fixed_rounded(*next(_enclosed_point(poly, Fraction(3, 2), 1)), 192)
+            fixed_rounded(*next(_enclosed_point(poly, Fraction(3, 2))), 192)
         with iv_prec(256):
-            x = fixed_rounded(*next(_enclosed_point(poly, Fraction(3, 2), 1)), 192)
+            x = fixed_rounded(*next(_enclosed_point(poly, Fraction(3, 2))), 192)
         with mp.workprec(1024):
             reference = 5 * mp.sqrt(5)
         with mp.workprec(192):
@@ -165,7 +161,7 @@ class TestProbeSeries:
         for rec in probe_series(cfg, table):
             k, x = rec.k, rec.k**theta
             with result_bits(4096) as bits, mp.workprec(bits):
-                log_prod = eval_log_magnitude(derivative_poly(table, k), 1, x).log_mag - _decay(x, cfg.nu)
+                log_prod = eval_log_magnitude(derivative_poly(table, k), x).log_mag - _decay(x, cfg.nu)
                 rate = (log_prod + _decay(x, cfg.nu)) / (k * mp.log(k)) if k >= 2 else mp.mpf(0)
                 for got, want in ((rec.log_dkg_f, log_prod), (rec.rate, rate)):
                     assert abs(got - want) <= abs(want) * tolerance, k
@@ -256,24 +252,12 @@ class TestCriterionCheck:
         with mp.workprec(RESULT_BITS):
             logs = [+v for v in logs]
 
-        def log_magnitudes(m, lambda_sign, theta, ks, table):
+        def log_magnitudes(m, theta, ks, table):
             return ((k, k, LogMagnitude(log_mag=v, exact=False)) for k, v in zip(ks, logs))
 
         monkeypatch.setattr(probe_module, "_log_magnitudes", log_magnitudes)
         result = criterion_check(2, 1, s, 3)
         assert [w[:2] for w in result.witnesses] == [("not-increasing", 2)]
-
-    @pytest.mark.parametrize("theta", [1, Fraction(3, 2)], ids=["integer", "rational"])
-    def test_rejects_bad_sign_before_walking_rows(self, theta):
-        class Unwalkable:
-            m, k_max = 3, 10**6
-
-            def __iter__(self):
-                raise AssertionError("rows walked")
-
-        for sign in (2, 0, 5):
-            with pytest.raises(ParameterError, match="lambda_sign"):
-                criterion_check(3, theta, 2, 4, lambda_sign=sign, table=Unwalkable())
 
     def test_integral_fraction_theta_is_the_integer_theta(self):
         result = criterion_check(2, Fraction(2), Fraction(1, 2), 4)

@@ -49,7 +49,7 @@ from gsmult import (
     symbolic_recursion_oracle,
 )
 from gsmult._util import format_mpf, require_power_size
-from gsmult.derivpoly import CoeffRows, coeff_rows
+from gsmult.derivpoly import CoeffRows, coeff_rows, gaussian_parts
 from gsmult.identities import check_table_bounds
 
 GRID = GridSpec(1, 2, 1, 1, 2, 1)
@@ -63,10 +63,10 @@ ENTRY_POINTS = {
     "symbolic_recursion_oracle": lambda m, tmp: symbolic_recursion_oracle(m, 2),
     "check_floor_identities": lambda m, tmp: check_floor_identities(m, 4),
     "check_wedge_fn_nonneg": lambda m, tmp: check_wedge_fn_nonneg(m, 2),
-    "check_lower_bound": lambda m, tmp: check_lower_bound(m, 1, 2, 1),
+    "check_lower_bound": lambda m, tmp: check_lower_bound(m, 2, 1),
     "check_table_bounds": lambda m, tmp: check_table_bounds(m, 2, 4),
     "criterion_check": lambda m, tmp: criterion_check(m, 2, Fraction(1, 2), 2),
-    "ProbeConfig": lambda m, tmp: ProbeConfig(m=m, lambda_sign=1, theta=2, nu=2, k_values=(1,)),
+    "ProbeConfig": lambda m, tmp: ProbeConfig(m=m, theta=2, nu=2, k_values=(1,)),
     "WedgeQuery": lambda m, tmp: WedgeQuery(theta=2, s=1, m=m, space=Space.ROUMIEU),
     "render_region_csv": lambda m, tmp: render_region_csv(m, Space.ROUMIEU, GRID),
     "render_region_svg": lambda m, tmp: render_region_svg(m, Space.ROUMIEU, GRID),
@@ -84,7 +84,7 @@ def test_degree_must_be_an_integer_of_at_least_two(entry, m, tmp_path):
 
 
 THETA_BELOW_TWO_OVER_M = {
-    "ProbeConfig": lambda: ProbeConfig(m=3, lambda_sign=1, theta=Fraction(1, 2), nu=Fraction(1, 2), k_values=(1,)),
+    "ProbeConfig": lambda: ProbeConfig(m=3, theta=Fraction(1, 2), nu=Fraction(1, 2), k_values=(1,)),
     "criterion_check": lambda: criterion_check(3, Fraction(1, 2), Fraction(1, 4), 2),
     "check_wedge_fn_nonneg": lambda: check_wedge_fn_nonneg(3, Fraction(1, 2)),
     "check_table_bounds": lambda: check_table_bounds(3, Fraction(1, 2), 4),
@@ -139,7 +139,7 @@ RECORDS = {
         SeminormEstimate, ("h", {"theta": "2"}, {"max_deriv": 3}, mpmath.mpf(7)), {"is_lower_bound": True}
     ),
     "OracleReport": (OracleReport, (2, (1, 4), ((3, 1, "5", "6"),)), {}),
-    "ProbeConfig": (ProbeConfig, (3, 1, Fraction(2), Fraction(2), (1, 2)), {}),
+    "ProbeConfig": (ProbeConfig, (3, Fraction(2), Fraction(2), (1, 2)), {}),
     "ProbeRecord": (ProbeRecord, (2, 4, mpmath.mpf(3), mpmath.mpf(1), True), {}),
     "WedgeQuery": (
         WedgeQuery,
@@ -237,7 +237,7 @@ def test_coeff_table_round_trips_through_its_json_dict():
 
 
 def test_post_init_coerces_its_fields():
-    cfg = ProbeConfig(3, 1, 2, "3/2", [1, 2.0])
+    cfg = ProbeConfig(3, 2, "3/2", [1, 2.0])
     assert (cfg.theta, cfg.nu, cfg.k_values) == (Fraction(2), Fraction(3, 2), (1, 2))
     assert type(cfg.theta) is Fraction and type(cfg.k_values[1]) is int
     assert WedgeQuery(1, "1/2", 3, Space.ROUMIEU).s == Fraction(1, 2)
@@ -250,14 +250,14 @@ def test_post_init_coerces_its_fields():
     [
         (lambda: CheckResult("c", {}, True, ((1,),)), ValueError, "pass flag inconsistent with witness list"),
         (lambda: CheckResult("c", {}, False, ()), ValueError, "pass flag inconsistent with witness list"),
-        (lambda: ProbeConfig(1, 1, 2, 2, (1,)), ParameterError, "degree m must be an integer >= 2, got 1"),
-        (lambda: ProbeConfig(3, 2, 2, 2, (1,)), ParameterError, "lambda_sign must be +1 or -1"),
-        (lambda: ProbeConfig(3, 1, Fraction(1, 2), Fraction(1, 2), (1,)), ParameterError,
+        (lambda: ProbeConfig(1, 2, 2, (1,)), ParameterError, "degree m must be an integer >= 2, got 1"),
+        (lambda: gaussian_parts(DerivPoly(3, 1, (1,)), 2, 1), ParameterError, "lambda_sign must be +1 or -1"),
+        (lambda: ProbeConfig(3, Fraction(1, 2), Fraction(1, 2), (1,)), ParameterError,
          "hypothesis violated: theta=1/2 < 2/m for m=3"),
-        (lambda: ProbeConfig(3, 1, 1, 2, (1,)), ParameterError, "decay exponent nu=2 must not exceed theta=1"),
-        (lambda: ProbeConfig(3, 1, 2, Fraction(2, 3), (1,)), ParameterError,
+        (lambda: ProbeConfig(3, 1, 2, (1,)), ParameterError, "decay exponent nu=2 must not exceed theta=1"),
+        (lambda: ProbeConfig(3, 2, Fraction(2, 3), (1,)), ParameterError,
          "hypothesis violated: nu=2/3 <= 2/m with nu < theta"),
-        (lambda: ProbeConfig(3, 1, 2, 2, (1, 0)), ParameterError, "orders must be >= 1"),
+        (lambda: ProbeConfig(3, 2, 2, (1, 0)), ParameterError, "orders must be >= 1"),
         (lambda: WedgeQuery(0, 1, 3, Space.ROUMIEU), ParameterError, "theta and s must be positive"),
         (lambda: WedgeQuery(1, -1, 3, Space.ROUMIEU), ParameterError, "theta and s must be positive"),
         (lambda: WedgeQuery(1, 1, 1, Space.ROUMIEU), ParameterError, "degree m must be an integer >= 2, got 1"),

@@ -416,9 +416,13 @@ class TestEvalLogMagnitude:
         lm = eval_log_magnitude(poly, Fraction(4))
         assert lm.exact
 
-    def test_interval_and_mpf_points_agree_with_exact(self, monkeypatch):
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_interval_and_mpf_points_agree_with_exact(self, sign, monkeypatch):
+        # |p_k(5)| is that of either conjugate value, lam = +i*m or lam = -i*m
         poly = derivative_poly(get_table(3, 12), 12)
         exact = eval_log_magnitude(poly, 5)
+        re, im = gaussian_parts(poly, sign, 5)
+        assert exact.log_mag == precision.half_log_of_int(re * re + im * im)
         with iv_prec(precision.RESULT_BITS):
             point = mpmath.iv.mpf(10) / 2
         work = certified_work(monkeypatch)

@@ -15,6 +15,7 @@ from gsmult.derivpoly import (
     build_coeff_table,
     derivative_poly,
     eval_log_magnitude,
+    gaussian_parts,
     kj_sequence,
 )
 from gsmult.precision import RESULT_BITS, ParameterError, PrecisionError, fixed_rounded, iv_prec
@@ -108,14 +109,19 @@ class TestProbeSeries:
         expected = 2 + math.log(2) / math.log(40)
         assert abs(float(records[0].rate) - expected) < 0.05
 
-    def test_non_integer_theta_encloses_the_point(self):
-        # theta = 3/2: x_4 = 8 and x_9 = 27 are integers, so the exact path is a reference
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_non_integer_theta_encloses_the_point(self, sign):
+        # theta = 3/2: x_4 = 8 and x_9 = 27 are integers, so the exact path is a reference,
+        # and so is |p_k(x)| from the value at either lam = +i*m or lam = -i*m
         cfg = config(m=3, theta=Fraction(3, 2), ks=(4, 9))
         table = get_table(3, 9)
         for rec, x in zip(probe_series(cfg, table), (8, 27)):
             assert not rec.exact
+            poly = derivative_poly(table, rec.k)
+            re, im = gaussian_parts(poly, sign, x)
             with result_bits(4096) as bits, mp.workprec(bits):
-                exact = eval_log_magnitude(derivative_poly(table, rec.k), x)
+                exact = eval_log_magnitude(poly, x)
+                assert exact.log_mag == precision.half_log_of_int(re * re + im * im)
                 assert abs(rec.x - x) < mp.mpf(2) ** -64
                 assert abs(rec.log_dkg_f + _decay(rec.x, cfg.nu) - exact.log_mag) < mp.mpf(2) ** -32
 

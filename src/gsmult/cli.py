@@ -8,7 +8,9 @@ Exit status contract: 0 on success with all checks passing, 1 when any
 check reports a failure, 2 on usage errors (each argument is checked once,
 by the library function that owns it, and a rejected value raises
 ``ParameterError`` before any file is made; ``wedge figure``, whose writer
-opens its own file, also checks the degree before it makes ``--out-dir``),
+opens its own file, also checks the degree before it makes ``--out-dir``;
+an output path that is a directory or lies in a missing one is refused
+before any work),
 3 when the program itself fails (a ``PrecisionError``, a bare ``ValueError``
 or any other unexpected exception); each error is one line on stderr, so
 the verifiers double as CI tests and a crash is never mistaken for a
@@ -17,7 +19,8 @@ decimal (or exact ``p/q``) strings; identical argv gives identical bytes.
 No option sets a precision: all compute at the one result precision
 ``precision.RESULT_BITS`` (192 bits), far above the at most 24 digits they
 print; ``precision.escalate`` alone starts a certified value ``GUARD_BITS``
-(64) above it, doubled while an enclosure is too wide.  No command holds a
+(32) above it, where mpmath's logs share the cache of the result precision,
+doubled while an enclosure is too wide.  No command holds a
 coefficient table: each walks the rows it needs (``derivpoly.coeff_rows``).
 """
 
@@ -143,6 +146,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit.add_argument("--jmax", type=int, required=True)
 
     return parser
+
+
+def _check_output_paths(args) -> None:
+    """Refuse an ``--out``, ``--csv`` or ``--json`` path that is a directory or whose
+    directory does not exist (unless it is the ``--out-dir`` that ``_resolve`` makes),
+    before any work is done."""
+    for name in ("out", "csv", "json"):
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        under_out_dir = args.out_dir is not None and not path.is_absolute()
+        if under_out_dir:
+            path = args.out_dir / path
+        if path.is_dir():
+            raise ParameterError("--%s: %s is a directory" % (name, path))
+        if not (under_out_dir and path.parent == args.out_dir or path.parent.is_dir()):
+            raise ParameterError("--%s: no directory %s" % (name, path.parent))
 
 
 def _resolve(path: Path | None, out_dir: Path | None) -> Path | None:
@@ -334,6 +354,7 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _check_output_paths(args)
         return args.run(args)
     except ParameterError as exc:
         print("usage error: %s" % " ".join(str(exc).split()), file=sys.stderr)

@@ -23,11 +23,13 @@ way a certified value is made: a producer only encloses, yielding
 ``certified_values`` turns each into a value by ``fixed_rounded`` as it is
 yielded, under ``escalate``, which starts the work ``GUARD_BITS`` above the
 result precision and doubles it while an enclosure rounds apart: Ziv's
-strategy.  ``certified_values`` and ``escalate`` are thus where the
-precision each certified value used is seen.  ``_first_attempt`` runs a
-producer once at the work where ``certified_values`` starts (``_start_work``
-states it for both), for a caller that screens with the enclosures before
-it certifies any.
+strategy, whose first attempt needs only a few bits beyond the result.  The
+guard is 32 so that a certified log shares mpmath's log cache with the logs
+at the result precision (see ``GUARD_BITS``).  ``certified_values`` and
+``escalate`` are thus where the precision each certified value used is
+seen.  ``_first_attempt`` runs a producer once at the work where
+``certified_values`` starts (``_start_work`` states it for both), for a
+caller that screens with the enclosures before it certifies any.
 
 An enclosure is read in one way only: ``iv_fixed`` reads an interval
 exactly as ints [lo, hi] * 2**e.  ``fixed_rounded`` gives the value both
@@ -55,7 +57,13 @@ from mpmath.libmp import from_man_exp, round_nearest
 from ._util import ParameterError
 
 RESULT_BITS = 192  # the result precision of every command, far above the at most 24 digits any prints
-GUARD_BITS = 64  # ``escalate`` starts this far above the result precision
+# ``escalate`` starts this far above the result precision.  Why 32: mpmath 1.3's ``mpf_log``
+# works 20 bits above the precision it is asked for and keeps one cache of log constants per
+# power-of-two band of that working precision (``libelefun.cache_prec_steps``).  A certified
+# log at 192 + 32 works at 244 bits, in the band of the 212 bits of a log at the result
+# precision, so a process fills one cache; a guard of 64 (276 bits) falls in the next band,
+# whose fills cost twice the bits.  Whoever changes either constant keeps the two in one band.
+GUARD_BITS = 32
 
 
 class PrecisionError(ArithmeticError):

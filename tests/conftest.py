@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import tracemalloc
 from contextlib import contextmanager
@@ -75,6 +76,14 @@ def traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def bench_module(name: str):
+    """``bench/<name>.py`` of the checkout, loaded as a module; the benchmark's files are only read."""
+    spec = importlib.util.spec_from_file_location("bench_" + name, ROOT / "bench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def package_env() -> dict:

@@ -137,6 +137,37 @@ class TestExitCodes:
         assert err.startswith("usage error") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out_dir", [[], ["--out-dir", "od"]], ids=["cwd", "out-dir"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--m", "2", "--kmax", "5", "--out", "missing/t.json"],
+            ["verify", "coeffs", "--m", "2", "--kmax", "5", "--json", "missing/r.json"],
+            ["gs", "seminorm", "--kind", "h", "--h", "1", "--theta", "1", "--s", "1", "--kmax", "2", "--csv", "missing/c.csv"],
+            ["wedge", "figure", "--m", "2", "--format", "csv", "--out", "missing/f.csv"],
+            ["probe", "run", "--m", "2", "--theta", "1", "--nu", "1", "--kmax", "50", "--csv", "missing/p.csv"],
+        ],
+        ids=["table", "coeffs-json", "seminorm-csv", "figure", "probe-run"],
+    )
+    def test_output_in_a_missing_directory_is_refused_before_any_work(self, tmp_path, monkeypatch, capsys, argv, out_dir):
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        monkeypatch.setattr(probe, "probe_series", lambda *args: calls.append(args))
+        assert run(out_dir + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "missing" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [] and calls == []
+
+    def test_output_path_that_is_a_directory_is_refused_before_any_work(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        calls = []
+        monkeypatch.setattr(probe, "probe_series", lambda *args: calls.append(args))
+        assert run(["probe", "run", "--m", "2", "--theta", "1", "--nu", "1", "--kmax", "5", "--csv", "d"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --csv: d is a directory") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "d"] and not any((tmp_path / "d").iterdir()) and calls == []
+
     # test_invalid_value_is_usage_error covers the same argv under --out-dir
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
     def test_rejected_figure_makes_no_file_without_out_dir(self, tmp_path, monkeypatch, capsys, fmt):

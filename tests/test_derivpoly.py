@@ -397,8 +397,8 @@ class TestEvalLogMagnitude:
         assert boxed.log_mag == exact.log_mag
 
     def test_heavy_cancellation_escalates_past_the_start_and_certifies(self, monkeypatch):
-        # at m=4, x=16/3 the terms of p_1200 cancel so far that a 256-bit start cannot
-        # separate |p| from zero; one doubling certifies it
+        # at m=4, x=16/3 the terms of p_1200 cancel so far that the start (RESULT_BITS +
+        # GUARD_BITS bits) cannot separate |p| from zero; one doubling certifies it
         for row in coeff_rows(4, 1200):
             pass
         poly = DerivPoly(m=4, k=1200, coeffs=row)
@@ -407,7 +407,7 @@ class TestEvalLogMagnitude:
             lm = eval_log_magnitude(poly, Fraction(16, 3))
         with result_bits(2048):
             reference = eval_log_magnitude(poly, Fraction(16, 3))
-        assert work[0] == 512 and not lm.exact
+        assert work[0] == 2 * (192 + precision.GUARD_BITS) and not lm.exact
         with mp.workprec(2048):
             assert abs(lm.log_mag - reference.log_mag) < mp.mpf(2) ** -32
 

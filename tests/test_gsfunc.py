@@ -514,7 +514,8 @@ class TestGsBound:
     def test_certifies_every_order_where_the_ratio_is_a_tie(self, monkeypatch):
         # at theta = 1/2, f^(k)/f = (-1)**k * H_k(x), and H_47(25/4) is an odd 193-bit integer over
         # 2**47: exactly halfway between two 192-bit floats, so no enclosure of the ratio rounds to
-        # one value.  Its log is transcendental; with one grid point every order is kept
+        # one value.  Its log is transcendental; with one grid point every order is kept.  At the
+        # start the log of order 37 rounds apart, and the doubled attempt certifies all 47
         x = Fraction(25, 4)
         h_47 = hermite(x, 47)[47]
         assert h_47.denominator == 2**47
@@ -527,9 +528,12 @@ class TestGsBound:
 
         with pytest.raises(PrecisionError):
             precision.certified_values(ratio)
-        calls = _count_calls(monkeypatch, "fixed_rounded")
+        work = []  # the interval precision of each fixed_rounded call: the work of its attempt
+        rounded = precision.fixed_rounded
+        monkeypatch.setattr(precision, "fixed_rounded", lambda *args: work.append(iv.prec) or rounded(*args))
         result = verify_gs_bound(Fraction(1, 2), 47, grid=(x,))
-        assert len(calls) == 47
+        start = RESULT_BITS + precision.GUARD_BITS
+        assert work == [start] * 36 + [2 * start] * 47
         assert result.extremal_ratio == all_cells_gs_bound(Fraction(1, 2), 47, (x,))[2]
 
     def test_a_coefficient_of_modulus_one_is_certified(self):

@@ -8,26 +8,16 @@ that only counts rows has none).  Both bench files are only read.
 """
 
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
 from gsmult.cli import dispatch
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-DIGESTS = json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))
+from conftest import ROOT, bench_module
 
-
-def _jobs():
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return {job.id: job for jobs in module.WORKLOADS.values() for job in jobs}
-
-
-JOBS = _jobs()
+DIGESTS = json.loads((ROOT / "bench" / "digests.json").read_text(encoding="utf-8"))
+JOBS = {job.id: job for jobs in bench_module("workloads").WORKLOADS.values() for job in jobs}
 
 
 def _sha256(data: bytes) -> str:

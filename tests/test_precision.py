@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 from mpmath import iv, mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, libelefun
 
 import gsmult
 
 from gsmult import precision
+from gsmult.cli import dispatch
 from gsmult.precision import (
     GUARD_BITS,
     ParameterError,
@@ -23,7 +24,7 @@ from gsmult.precision import (
     iv_prec,
 )
 
-from conftest import result_bits
+from conftest import bench_module, result_bits
 
 
 def test_no_public_callable_takes_a_precision():
@@ -92,6 +93,38 @@ class TestEscalate:
 
         with pytest.raises(ParameterError):
             escalate(compute, 64)
+
+
+class TestGuard:
+    def test_a_certified_log_shares_the_log_cache_of_the_result_precision(self):
+        # mpmath 1.3's mpf_log works 20 bits above the precision it is asked for and caches its log
+        # constants per band of that working precision; a certified log works at the start
+        steps = libelefun.cache_prec_steps
+        start = precision.RESULT_BITS + GUARD_BITS
+        assert steps[start + 20] == steps[precision.RESULT_BITS + 20], (
+            "certified logs at %d bits fill a second log cache, of %d bits, next to the %d-bit one "
+            "of the result precision: every process pays for both"
+            % (start, steps[start + 20], steps[precision.RESULT_BITS + 20])
+        )
+
+    def test_the_analysis_workload_retries_at_most_twice(self, tmp_path, monkeypatch, capsys):
+        # every work escalate hands out above the start is a retry: the benchmark's analysis jobs
+        # make two, both in seminorm-a-gauss.  A start too close to the result precision, sending
+        # values back to escalate often, fails here
+        handed = []
+        real = precision.escalate
+        monkeypatch.setattr(
+            precision, "escalate", lambda compute, bits: real(lambda work: handed.append(work) or compute(work), bits)
+        )
+        monkeypatch.chdir(tmp_path)
+        jobs = bench_module("workloads").WORKLOADS["analysis"]
+        assert len(jobs) == 8
+        for job in jobs:
+            assert dispatch(list(job.argv)) == 0, job.id
+        capsys.readouterr()
+        start = precision.RESULT_BITS + GUARD_BITS
+        retries = [work for work in handed if work != start]
+        assert start in handed and len(retries) <= 2, retries
 
 
 class TestCertifiedValues:

@@ -25,8 +25,9 @@ never fuzzy.  The decision rules, applied in order:
 The rules live in code only in ``_column_rules``, as exact s-intervals at
 one theta (the max(theta, 1) kink, the m = 3 side conditions and the
 Beurling corner are settled per column).  The point query, the grids and
-the disjointness audit all read them through ``_paint``, which classifies a
-sorted column of s values by bisection.
+the disjointness audit all read them through ``_paint``, which bisects a
+sorted column of s values once per rule and returns the column as runs of
+cells that share a verdict; the files are written a run at a time.
 
 Verdicts depend on the polynomial only through its degree m, so no
 coefficients are modeled.  The propagator exp(-i*t*p(D)) is the Fourier
@@ -131,23 +132,24 @@ def _column_rules(theta: Fraction, m: int, space: Space, mode: Mode, d: int) -> 
     return rules
 
 
-def _paint(rules: list[tuple], svals: list[Fraction], default=_UNKNOWN) -> list:
-    """One verdict per value of the ascending list ``svals``: that of the
-    first rule whose interval holds it, else ``default``: Unknown (rule (e)),
-    or its text where the rules carry text.  Rules are painted last to
-    first, so an earlier rule overwrites a later one."""
-    out = [default] * len(svals)
-    for lo, lo_open, hi, hi_open, verdict in reversed(rules):
+def _paint(rules: list[tuple], svals: list[Fraction]) -> list[tuple]:
+    """The ascending list ``svals`` as sorted runs ``(i, j, verdict)`` that
+    partition its indices: ``svals[i:j]`` take the verdict of the first rule
+    whose interval holds them, else Unknown (rule (e))."""
+    spans = []
+    for lo, lo_open, hi, hi_open, verdict in rules:
         i = (bisect_right if lo_open else bisect_left)(svals, lo)
         j = len(svals) if hi is None else (bisect_left if hi_open else bisect_right)(svals, hi)
-        if i < j:
-            out[i:j] = [verdict] * (j - i)
-    return out
+        spans.append((i, j, verdict))
+    spans.append((0, len(svals), _UNKNOWN))
+    cuts = sorted({end for i, j, _ in spans for end in (i, j)})
+    return [(a, b, next(v for i, j, v in spans if i <= a and b <= j)) for a, b in zip(cuts, cuts[1:])]
 
 
 def classify_multiplier(q: WedgeQuery) -> WedgeVerdict:
     """Verdict for the multiplier operator; rules applied in the order above."""
-    return _paint(_column_rules(q.theta, q.m, q.space, q.mode, q.d), [q.s])[0]
+    ((_, _, verdict),) = _paint(_column_rules(q.theta, q.m, q.space, q.mode, q.d), [q.s])
+    return verdict
 
 
 def classify_propagator(q: WedgeQuery) -> WedgeVerdict:
@@ -194,12 +196,7 @@ class GridSpec(Record):
 
 
 def _arange(start: Fraction, stop: Fraction, step: Fraction) -> list[Fraction]:
-    out = []
-    value = start
-    while value <= stop:
-        out.append(value)
-        value += step
-    return out
+    return [start + n * step for n in range((stop - start) // step + 1)]
 
 
 _VERDICT_COLORS = {
@@ -210,19 +207,14 @@ _VERDICT_COLORS = {
 }
 
 
-def _csv_tail(v: WedgeVerdict) -> str:
-    return "%s,%s\n" % (v.verdict.value, v.citation)
-
-
-def _svg_fill(v: WedgeVerdict) -> str:
-    return '%s"/>\n' % _VERDICT_COLORS[v.verdict]
-
-
-def _column_text(theta: Fraction, m: int, space: Space, mode: Mode, svals: list[Fraction], text) -> list[str]:
-    """``text(verdict)`` for each value of ``svals`` at one theta; ``text``
-    runs once per rule of the column, not once per cell."""
-    rules = [(*bounds, text(v)) for *bounds, v in _column_rules(theta, m, space, mode, 1)]
-    return _paint(rules, svals, text(_UNKNOWN))
+def _column(prefix: str, cells: list[str], runs: list[tuple], text) -> str:
+    """One theta column of a region file: ``prefix + cells[n] + text(verdict)``
+    for every cell n, written with one join per run."""
+    parts = []
+    for i, j, verdict in runs:
+        tail = text(verdict)
+        parts.append(prefix + (tail + prefix).join(cells[i:j]) + tail)
+    return "".join(parts)
 
 
 def _csv_chunks(m: int, space: Space, grid: GridSpec, mode: Mode):
@@ -231,9 +223,8 @@ def _csv_chunks(m: int, space: Space, grid: GridSpec, mode: Mode):
     s_strs = [format_fraction(s) + "," for s in svals]
     yield "theta,s,verdict,citation\n"
     for theta in grid.theta_values():
-        prefix = format_fraction(theta) + ","
-        tails = _column_text(theta, m, space, mode, svals, _csv_tail)
-        yield "".join([prefix + s_str + tail for s_str, tail in zip(s_strs, tails)])
+        runs = _paint(_column_rules(theta, m, space, mode, 1), svals)
+        yield _column(format_fraction(theta) + ",", s_strs, runs, lambda v: "%s,%s\n" % (v.verdict.value, v.citation))
 
 
 def _svg_chunks(m: int, space: Space, grid: GridSpec, mode: Mode):
@@ -256,12 +247,12 @@ def _svg_chunks(m: int, space: Space, grid: GridSpec, mode: Mode):
         '<rect x="0" y="0" width="%d" height="%d" fill="white"/>\n' % (width, height, width, height, width, height)
     )
     svals = grid.s_values()
-    # a cell's <rect> is its column's x part + its row's y part + its rule's fill part
+    # a cell's <rect> is its column's x part + its row's y part + its run's fill part
     y_mids = ['%.3f" width="%.3f" height="%.3f" fill="' % (sy(s) - cell_h, cell_w, cell_h) for s in svals]
     for theta in grid.theta_values():
-        prefix = '<rect x="%.3f" y="' % sx(theta)
-        fills = _column_text(theta, m, space, mode, svals, _svg_fill)
-        yield "".join([prefix + y_mid + fill for y_mid, fill in zip(y_mids, fills)])
+        runs = _paint(_column_rules(theta, m, space, mode, 1), svals)
+        x_part = '<rect x="%.3f" y="' % sx(theta)
+        yield _column(x_part, y_mids, runs, lambda v: '%s"/>\n' % _VERDICT_COLORS[v.verdict])
 
     def clip_line(slope: Fraction, intercept: Fraction) -> tuple | None:
         # s = slope*theta + intercept clipped to the plotted box
@@ -271,10 +262,9 @@ def _svg_chunks(m: int, space: Space, grid: GridSpec, mode: Mode):
             if s_lo <= s_val <= s_hi:
                 pts.append((t_edge, s_val))
         for s_edge in (s_lo, s_hi):
-            if slope != 0:
-                t_val = (s_edge - intercept) / slope
-                if t_lo <= t_val <= t_hi:
-                    pts.append((t_val, s_edge))
+            t_val = (s_edge - intercept) / slope  # both lines rise: slope m - 1 or m
+            if t_lo <= t_val <= t_hi:
+                pts.append((t_val, s_edge))
         pts = sorted(set(pts))
         return (pts[0], pts[-1]) if len(pts) >= 2 else None
 
@@ -355,9 +345,10 @@ def audit_rule_disjointness(
 ) -> CheckResult:
     """No grid point may satisfy both a continuity and a discontinuity rule.
 
-    Evaluates every rule independently (ignoring the classifier's rule
-    order) and reports conflicting points; auditing in pure-monomial mode
-    covers the larger discontinuity region.
+    Paints the continuity rules and the discontinuity rules apart (ignoring
+    the classifier's rule order, save that triviality comes first) and
+    reports each cell where a continuity run meets a discontinuity run;
+    auditing in pure-monomial mode covers the larger discontinuity region.
     """
     thetas = grid.theta_values()
     svals = grid.s_values()
@@ -365,17 +356,12 @@ def audit_rule_disjointness(
     for theta in thetas:
         rules = _column_rules(theta, m, space, mode, 1)
         # the excluded corner lies on the wedge's closed edge, so it counts as continuity
-        trivial, cont, disc = (
-            _paint([r for r in rules if r[4] in group], svals)
-            for group in ((_TRIVIAL,), (_CORNER, _WEDGE), (_STRIP, _MONOMIAL))
-        )
-        for s, t, c, dc in zip(svals, trivial, cont, disc):
-            if c.citation and dc.citation and not t.citation:
-                conflicts.append((format_fraction(theta), format_fraction(s)))
-    params = {
-        "m": m,
-        "space": space.value,
-        "mode": mode.value,
-        "cells": len(thetas) * len(svals),
-    }
+        cont = _paint([r for r in rules if r[4] in (_CORNER, _WEDGE)], svals)
+        # rule (a) stays first, so a trivial cell never paints as discontinuity
+        disc = _paint([r for r in rules if r[4] in (_TRIVIAL, _STRIP, _MONOMIAL)], svals)
+        for a, b, c in cont:
+            for i, j, v in disc:
+                if c.citation and v.verdict is Verdict.NOT_CONTINUOUS:
+                    conflicts.extend((format_fraction(theta), format_fraction(s)) for s in svals[max(a, i) : min(b, j)])
+    params = {"m": m, "space": space.value, "mode": mode.value, "cells": len(thetas) * len(svals)}
     return _result("wedge-rule-disjointness", params, conflicts)

@@ -237,6 +237,12 @@ class TestDecimalWalk:
             with pytest.raises(ValueError, match="not an integer with exponent 0"):
                 write_table_json(io.StringIO(), 2, 2, [(decimal.Decimal(1),), (decimal.Decimal(1), decimal.Decimal(bad))])
 
+    @pytest.mark.parametrize("row", [(1, decimal.Decimal(2)), (decimal.Decimal(1), 2)])
+    def test_writer_refuses_a_row_that_mixes_ints_and_decimals(self, row):
+        # a row of ints is written by format_int, a row of Decimals by str; a mix is neither
+        with pytest.raises(ValueError, match="row 2 is neither all ints nor all Decimals"):
+            write_table_json(io.StringIO(), 2, 2, [(1,), row])
+
 
 class TestDerivPoly:
     def test_k1_single_term(self):

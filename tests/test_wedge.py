@@ -22,6 +22,7 @@ from gsmult.wedge import (
     render_region_csv,
     render_region_svg,
 )
+from gsmult import wedge as wedge_module
 from gsmult._util import format_fraction
 from gsmult.precision import ParameterError
 
@@ -163,6 +164,41 @@ class TestAudit:
             if verdict == "Unknown" and 4 * theta - max(theta, 1) <= s < 3 * theta:
                 gap.append((theta, s))
         assert gap
+
+
+    def test_overlapping_rules_fail_with_every_conflicting_cell(self, monkeypatch):
+        # raise the strip's upper edge above the wedge edge, then audit against a per-cell evaluation
+        real = wedge_module._column_rules
+
+        def mutated(theta, m, space, mode, d):
+            return [
+                (lo, lo_open, (m - 1) * theta + F(1, 10) if v.citation == "discontinuity-strip" else hi, hi_open, v)
+                for lo, lo_open, hi, hi_open, v in real(theta, m, space, mode, d)
+            ]
+
+        def holds(rule, s):
+            lo, lo_open, hi, hi_open, _ = rule
+            return (s > lo if lo_open else s >= lo) and (hi is None or (s < hi if hi_open else s <= hi))
+
+        monkeypatch.setattr(wedge_module, "_column_rules", mutated)
+        grid = GridSpec(F(1, 20), F(2), F(1, 20), F(1, 20), F(4), F(1, 20))
+        for m in range(2, 7):
+            for space in Space:
+                for mode in Mode:
+                    expected = []
+                    for theta in grid.theta_values():
+                        rules = mutated(theta, m, space, mode, 1)
+                        for s in grid.s_values():
+                            held = {r[4].citation for r in rules if holds(r, s)}
+                            if (
+                                held & {"continuity-wedge", "open-boundary-point"}
+                                and held & {"discontinuity-strip", "monomial-criterion"}
+                                and "nontrivial-threshold" not in held
+                            ):
+                                expected.append((format_fraction(theta), format_fraction(s)))
+                    result = audit_rule_disjointness(m, space, grid, mode)
+                    assert expected and not result.passed
+                    assert result.witnesses == tuple(expected)
 
 
 class TestEmission:
@@ -318,6 +354,25 @@ class TestReferenceRules:
                         verdict, citation, _ = reference_verdict(theta, s, m, space, mode)
                         lines.append("%s,%s,%s,%s" % (format_fraction(theta), format_fraction(s), verdict.value, citation))
                 assert render_region_csv(m, space, grid, mode) == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_grid_svg_matches(self, m):
+        # the grid of test_grid_csv_matches; each cell's rect sits at its (theta, s) and has its verdict's fill
+        grid = GridSpec(F(1, 60), F(3, 2), F(1, 60), F(1, 60), F(5, 2), F(1, 60))
+        t_lo, t_hi = grid.theta_start, grid.theta_stop + grid.theta_step
+        s_lo, s_hi = grid.s_start, grid.s_stop + grid.s_step
+        cell_h = float(grid.s_step / (s_hi - s_lo)) * 520
+        xs = ["%.3f" % (60 + float((theta - t_lo) / (t_hi - t_lo)) * 520) for theta in grid.theta_values()]
+        ys = ["%.3f" % (580 - float((s - s_lo) / (s_hi - s_lo)) * 520 - cell_h) for s in grid.s_values()]
+        for space in Space:
+            for mode in Mode:
+                expected = [
+                    (x, y, wedge_module._VERDICT_COLORS[reference_verdict(theta, s, m, space, mode)[0]])
+                    for x, theta in zip(xs, grid.theta_values())
+                    for y, s in zip(ys, grid.s_values())
+                ]
+                cells = r'<rect x="([0-9.]+)" y="([0-9.]+)" width="[0-9.]+" height="[0-9.]+" fill="(#\w+)"/>'
+                assert re.findall(cells, render_region_svg(m, space, grid, mode)) == expected
 
 
 # sha256 of the demo-grid files, pinned from the per-cell classifier they replaced
